@@ -117,7 +117,7 @@ void QueuePair::post_send_deferred(const SendWr& wr) {
 
 void QueuePair::ring_doorbell() {
   if (deferred_.empty()) return;
-  for (auto& wr : deferred_) sq_.push_back(wr);
+  for (auto& wr : deferred_) sq_.push_back(std::move(wr));
   deferred_.clear();
   ++doorbells_;
   if (!scheduled_) port_->notify_ready(this);
@@ -164,17 +164,17 @@ void QueuePair::transition_to_error() {
   state_ = QpState::Error;
   // Swap the queues out first: a flush completion callback may post follow-up
   // WQEs (which take the immediate-flush path above) and must not mutate the
-  // deques mid-drain.  Flush order matches real hardware: send queue in post
+  // queues mid-drain.  Flush order matches real hardware: send queue in post
   // order (published, then the un-rung deferred batch), then the receive side.
-  std::deque<SendWr> sq;
+  sim::Fifo<SendWr> sq;
   sq.swap(sq_);
-  std::deque<SendWr> def;
+  std::vector<SendWr> def;
   def.swap(deferred_);
-  std::deque<RecvWr> rq;
+  sim::Fifo<RecvWr> rq;
   rq.swap(rq_);
-  for (const auto& wr : sq) flush_send_wr(wr);
+  for (; !sq.empty(); sq.pop_front()) flush_send_wr(sq.front());
   for (const auto& wr : def) flush_send_wr(wr);
-  for (const auto& wr : rq) flush_recv_wr(wr);
+  for (; !rq.empty(); rq.pop_front()) flush_recv_wr(rq.front());
 }
 
 void QueuePair::reset() { state_ = QpState::Ready; }
@@ -296,7 +296,7 @@ void Port::service(QueuePair* qp, int eng) {
   const FabricParams& F = hca_->fabric().fabric_params();
   const sim::Time now = sim.now();
 
-  SendWr wr = qp->sq_.front();
+  SendWr wr = std::move(qp->sq_.front());
   qp->sq_.pop_front();
 
   QueuePair* dst = qp->peer_;

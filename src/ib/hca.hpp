@@ -28,6 +28,7 @@
 #include "ib/params.hpp"
 #include "ib/topology.hpp"
 #include "ib/types.hpp"
+#include "sim/fifo.hpp"
 #include "sim/server.hpp"
 #include "sim/simulator.hpp"
 
@@ -173,11 +174,14 @@ class QueuePair {
   int recv_engine_idx_;
   QueuePair* peer_ = nullptr;
 
-  std::deque<SendWr> sq_;
-  std::deque<RecvWr> rq_;
+  // Work queues allocate on first post: most of a large job's QPs are wired
+  // but stay idle.
+  sim::Fifo<SendWr> sq_;
+  sim::Fifo<RecvWr> rq_;
   /// WQEs built but not yet published (between post_send_deferred and
-  /// ring_doorbell).  Kept out of sq_ so the scheduler cannot service them.
-  std::deque<SendWr> deferred_;
+  /// ring_doorbell).  Kept out of sq_ so the scheduler cannot service them;
+  /// appended to and drained whole, so a plain vector.
+  std::vector<SendWr> deferred_;
   /// True while the QP sits in the port's ready queue or an engine services it.
   bool scheduled_ = false;
   QpState state_ = QpState::Ready;

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "mvx/policy.hpp"
 #include "mvx/request.hpp"
 #include "mvx/telemetry.hpp"
+#include "sim/fifo.hpp"
 
 namespace ib12x::mvx {
 
@@ -84,7 +84,7 @@ class ConnManager {
 
   struct PeerConn {
     State st = State::Unconnected;
-    std::deque<QueuedSend> q;
+    sim::Fifo<QueuedSend> q;
   };
 
   ChannelHost& host_;

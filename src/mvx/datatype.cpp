@@ -2,19 +2,33 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 namespace ib12x::mvx {
 
 namespace {
 
+/// The type Sum and Prod compute in: integers wrap modulo 2^N as MPI
+/// implementations do, which signed arithmetic would make undefined.  The
+/// conversion back to T is modular, so results are bit-identical to a
+/// two's-complement wrap.
+template <typename T>
+using WrapT = typename std::conditional_t<std::is_integral_v<T>, std::make_unsigned<T>,
+                                          std::type_identity<T>>::type;
+
 template <typename T>
 void apply_arith(Op op, T* inout, const T* in, std::size_t n) {
+  using W = WrapT<T>;
   switch (op) {
     case Op::Sum:
-      for (std::size_t i = 0; i < n; ++i) inout[i] = inout[i] + in[i];
+      for (std::size_t i = 0; i < n; ++i) {
+        inout[i] = static_cast<T>(static_cast<W>(inout[i]) + static_cast<W>(in[i]));
+      }
       return;
     case Op::Prod:
-      for (std::size_t i = 0; i < n; ++i) inout[i] = inout[i] * in[i];
+      for (std::size_t i = 0; i < n; ++i) {
+        inout[i] = static_cast<T>(static_cast<W>(inout[i]) * static_cast<W>(in[i]));
+      }
       return;
     case Op::Max:
       for (std::size_t i = 0; i < n; ++i) inout[i] = std::max(inout[i], in[i]);

@@ -13,6 +13,7 @@ namespace ib12x::mvx {
 NetChannel::NetChannel(ChannelHost& host, std::vector<ib::Hca*> hcas)
     : Channel(host),
       hcas_(std::move(hcas)),
+      slot_bytes_(kHeaderBytes + static_cast<std::size_t>(host.config().rndv_threshold)),
       fault_enabled_(host.config().fault.enabled),
       eager_sent_(host.telemetry().counter("net.eager_sent")),
       ctl_sent_(host.telemetry().counter("net.ctl_sent")),
@@ -52,18 +53,17 @@ void NetChannel::ensure_net_resources() {
   if (vci_credit_split_ != nullptr) {
     vci_credit_split_->track_max(static_cast<std::uint64_t>(rail_credits()));
   }
-  const std::size_t slot_bytes = kHeaderBytes + static_cast<std::size_t>(cfg.rndv_threshold);
 
-  // Sender-side eager bounce pool, registered in every local HCA domain.
-  bounce_.resize(static_cast<std::size_t>(cfg.send_bounce_bufs));
-  for (std::size_t i = 0; i < bounce_.size(); ++i) {
-    bounce_[i].data.resize(slot_bytes);
-    for (std::size_t h = 0; h < hcas_.size(); ++h) {
-      bounce_[i].lkey[h] =
-          hcas_[h]->mem().register_memory(bounce_[i].data.data(), slot_bytes).lkey;
-    }
-    free_bounce_.push_back(static_cast<int>(i));
+  // Sender-side eager bounce pool: one arena, one registration per local HCA
+  // domain (MVAPICH registers its vbuf region the same way).  Host pages are
+  // backed on first write; the modelled pool keeps its full size.
+  const std::size_t nbounce = static_cast<std::size_t>(cfg.send_bounce_bufs);
+  bounce_arena_ = std::make_unique_for_overwrite<std::byte[]>(nbounce * slot_bytes_);
+  for (std::size_t h = 0; h < hcas_.size(); ++h) {
+    bounce_lkey_[h] =
+        hcas_[h]->mem().register_memory(bounce_arena_.get(), nbounce * slot_bytes_).lkey;
   }
+  for (std::size_t i = 0; i < nbounce; ++i) free_bounce_.push_back(static_cast<int>(i));
 
   // SRQ mode: one shared receive queue + one pooled slot arena per local
   // HCA — the receive-buffer footprint is O(1) in the peer count.
@@ -73,14 +73,15 @@ void NetChannel::ensure_net_resources() {
   for (std::size_t h = 0; h < hcas_.size(); ++h) {
     HcaPool& pool = pools_[h];
     pool.srq = &hcas_[h]->create_srq();
-    pool.arena.resize(static_cast<std::size_t>(slots) * slot_bytes);
-    pool.lkey = hcas_[h]->mem().register_memory(pool.arena.data(), pool.arena.size()).lkey;
-    eager_pool_bytes_.add(pool.arena.size());
+    const std::size_t arena_bytes = static_cast<std::size_t>(slots) * slot_bytes_;
+    pool.arena = std::make_unique_for_overwrite<std::byte[]>(arena_bytes);
+    pool.lkey = hcas_[h]->mem().register_memory(pool.arena.get(), arena_bytes).lkey;
+    eager_pool_bytes_.add(arena_bytes);
     for (int i = 0; i < slots; ++i) {
       auto slot = std::make_unique<RecvSlot>();
       slot->srq = pool.srq;
-      slot->data = pool.arena.data() + static_cast<std::size_t>(i) * slot_bytes;
-      slot->len = static_cast<std::uint32_t>(slot_bytes);
+      slot->data = pool.arena.get() + static_cast<std::size_t>(i) * slot_bytes_;
+      slot->len = static_cast<std::uint32_t>(slot_bytes_);
       slot->lkey = pool.lkey;
       slot->hca = static_cast<int>(h);
       pool.srq->post({.wr_id = reinterpret_cast<std::uint64_t>(slot.get()),
@@ -106,7 +107,7 @@ RailCursor& NetChannel::lane_ctl(Peer& c, int vci) {
   return vci == 0 ? c.ctl : c.ext.at(static_cast<std::size_t>(vci) - 1).ctl;
 }
 
-std::deque<std::pair<MsgHeader, CtsRkeys>>& NetChannel::lane_pending(Peer& c, int vci) {
+sim::Fifo<NetChannel::PendingCtl>& NetChannel::lane_pending(Peer& c, int vci) {
   return vci == 0 ? c.pending_ctl : c.ext.at(static_cast<std::size_t>(vci) - 1).pending_ctl;
 }
 
@@ -151,23 +152,22 @@ ib::QueuePair& NetChannel::open_rail(int peer_rank, int hca_index, int port) {
 void NetChannel::prepost_rail(ib::QueuePair& qp, int hca_index, int peer_rank) {
   const Config& cfg = host_.config();
   if (cfg.use_srq) return;  // pooled slots were preposted once per HCA
-  const std::size_t slot_bytes = kHeaderBytes + static_cast<std::size_t>(cfg.rndv_threshold);
   for (int i = 0; i < rail_credits(); ++i) {
     auto slot = std::make_unique<RecvSlot>();
-    slot->buf.resize(slot_bytes);
-    slot->data = slot->buf.data();
-    slot->len = static_cast<std::uint32_t>(slot_bytes);
+    slot->buf = std::make_unique_for_overwrite<std::byte[]>(slot_bytes_);
+    slot->data = slot->buf.get();
+    slot->len = static_cast<std::uint32_t>(slot_bytes_);
     slot->peer = peer_rank;
     slot->hca = hca_index;
     // Receive buffers only need registration in the domain of the HCA the
     // QP lives on.
-    slot->lkey = qp.port().hca().mem().register_memory(slot->buf.data(), slot_bytes).lkey;
+    slot->lkey = qp.port().hca().mem().register_memory(slot->data, slot_bytes_).lkey;
     slot->qp = &qp;
     qp.post_recv({.wr_id = reinterpret_cast<std::uint64_t>(slot.get()),
                   .dst = slot->data,
                   .length = slot->len,
                   .lkey = slot->lkey});
-    eager_pool_bytes_.add(slot_bytes);
+    eager_pool_bytes_.add(slot_bytes_);
     recv_slots_.push_back(std::move(slot));
   }
 }
@@ -251,7 +251,7 @@ bool NetChannel::accepts(int peer_rank, std::int64_t /*bytes*/) const {
 }
 
 int NetChannel::nrails(int peer_rank) const {
-  peer(peer_rank);  // preserve the no-connection diagnostic
+  static_cast<void>(peer(peer_rank));  // preserve the no-connection diagnostic
   return host_.config().rails();
 }
 
@@ -341,9 +341,9 @@ int NetChannel::acquire_bounce_and_credit(Peer& c, int rail) {
 void NetChannel::post_eager(Peer& c, int peer_rank, int rail, int bounce, const MsgHeader& hdr,
                             const void* payload, std::int64_t bytes) {
   Rail& r = c.rails.at(static_cast<std::size_t>(rail));
-  BounceBuf& bb = bounce_[static_cast<std::size_t>(bounce)];
-  write_header(bb.data.data(), hdr);
-  if (bytes > 0) std::memcpy(bb.data.data() + kHeaderBytes, payload, static_cast<std::size_t>(bytes));
+  std::byte* wire = bounce_data(bounce);
+  write_header(wire, hdr);
+  if (bytes > 0) std::memcpy(wire + kHeaderBytes, payload, static_cast<std::size_t>(bytes));
 
   // The caller has already reserved the credit (acquire_bounce_and_credit
   // or send_ctl); post_eager only performs the copy and the post.
@@ -353,9 +353,9 @@ void NetChannel::post_eager(Peer& c, int peer_rank, int rail, int bounce, const 
   if (r.credits < 0) throw std::logic_error("post_eager: credit underflow");
   r.qp->post_send({.wr_id = reinterpret_cast<std::uint64_t>(ctx),
                    .opcode = ib::Opcode::Send,
-                   .src = bb.data.data(),
+                   .src = wire,
                    .length = static_cast<std::uint32_t>(kHeaderBytes + bytes),
-                   .lkey = bb.lkey[r.hca_index]});
+                   .lkey = bounce_lkey_[r.hca_index]});
 }
 
 void NetChannel::send(int peer_rank, CommKind kind, const void* buf, std::int64_t bytes, int tag,
@@ -1037,15 +1037,14 @@ void NetChannel::flush_pending_retries() {
 void NetChannel::post_bounce_raw(Peer& c, int peer_rank, int rail, int bounce,
                                  std::int64_t wire_bytes, int attempts) {
   Rail& r = c.rails.at(static_cast<std::size_t>(rail));
-  BounceBuf& bb = bounce_[static_cast<std::size_t>(bounce)];
   auto* ctx = new SendCtx{SendCtx::Kind::Bounce, peer_rank, rail, bounce, 0, wire_bytes};
   ctx->attempts = attempts;
   r.outstanding += wire_bytes;
   r.qp->post_send({.wr_id = reinterpret_cast<std::uint64_t>(ctx),
                    .opcode = ib::Opcode::Send,
-                   .src = bb.data.data(),
+                   .src = bounce_data(bounce),
                    .length = static_cast<std::uint32_t>(wire_bytes),
-                   .lkey = bb.lkey[r.hca_index]});
+                   .lkey = bounce_lkey_[r.hca_index]});
 }
 
 }  // namespace ib12x::mvx

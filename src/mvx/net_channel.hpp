@@ -13,7 +13,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -23,6 +22,7 @@
 #include "mvx/channel.hpp"
 #include "mvx/policy.hpp"
 #include "mvx/telemetry.hpp"
+#include "sim/fifo.hpp"
 
 namespace ib12x::mvx {
 
@@ -146,7 +146,7 @@ class NetChannel final : public Channel {
     ib::SharedReceiveQueue* srq = nullptr;  ///< repost target (SRQ mode)
     std::byte* data = nullptr;
     std::uint32_t len = 0;
-    std::vector<std::byte> buf;  ///< backing store in per-QP RQ mode only
+    std::unique_ptr<std::byte[]> buf;  ///< backing store in per-QP RQ mode only
     ib::LKey lkey = 0;
     int peer = -1;  ///< owning peer (per-QP RQ mode); -1 for pooled slots
     int hca = 0;
@@ -157,7 +157,7 @@ class NetChannel final : public Channel {
   /// batched-replenish state driven by the srq_limit low-watermark event.
   struct HcaPool {
     ib::SharedReceiveQueue* srq = nullptr;
-    std::vector<std::byte> arena;
+    std::unique_ptr<std::byte[]> arena;
     ib::LKey lkey = 0;
     std::vector<RecvSlot*> drained;  ///< consumed slots awaiting batched repost
     bool want_replenish = false;     ///< a limit event fired since the last repost
@@ -178,11 +178,7 @@ class NetChannel final : public Channel {
     std::vector<RecvSlot*> parked;
   };
 
-  /// An eager bounce buffer registered in every local HCA domain.
-  struct BounceBuf {
-    std::vector<std::byte> data;
-    ib::LKey lkey[kMaxHcas] = {0, 0, 0, 0};
-  };
+  using PendingCtl = std::pair<MsgHeader, CtsRkeys>;
 
   /// Per-(peer, VCI) channel state for VCIs >= 1: each extra VCI gets its
   /// own cursors and pending-control queue over its own rail slice.  VCI 0
@@ -191,7 +187,7 @@ class NetChannel final : public Channel {
   struct VciLane {
     RailCursor cursor;
     RailCursor ctl;
-    std::deque<std::pair<MsgHeader, CtsRkeys>> pending_ctl;
+    sim::Fifo<PendingCtl> pending_ctl;
   };
 
   struct Peer {
@@ -199,7 +195,7 @@ class NetChannel final : public Channel {
     RailCursor cursor;
     RailCursor ctl;  ///< control-traffic cursor (rndv_pipeline mode)
     /// Control messages waiting for rail credit.
-    std::deque<std::pair<MsgHeader, CtsRkeys>> pending_ctl;
+    sim::Fifo<PendingCtl> pending_ctl;
     /// Lane state of VCIs 1..; empty (never allocated) at vci.count = 1.
     std::vector<VciLane> ext;
     /// The peer's channel, kept for symmetric lazy VCI-group wiring.
@@ -253,7 +249,7 @@ class NetChannel final : public Channel {
   // VCIs to their ext entry (wired on demand by the callers).
   [[nodiscard]] static RailCursor& lane_cursor(Peer& c, int vci);
   [[nodiscard]] static RailCursor& lane_ctl(Peer& c, int vci);
-  [[nodiscard]] static std::deque<std::pair<MsgHeader, CtsRkeys>>& lane_pending(Peer& c, int vci);
+  [[nodiscard]] static sim::Fifo<PendingCtl>& lane_pending(Peer& c, int vci);
 
   /// One-time lazy allocation of the shared send/receive resources: the
   /// sender bounce pool, and in SRQ mode one SRQ + preposted slot arena per
@@ -279,6 +275,11 @@ class NetChannel final : public Channel {
   /// Blocks the process until rail `r` has a send credit and a bounce buffer
   /// is free; returns the bounce index.
   int acquire_bounce_and_credit(Peer& c, int rail);
+
+  /// Start of eager bounce buffer `bounce` in the pool arena.
+  [[nodiscard]] std::byte* bounce_data(int bounce) const {
+    return bounce_arena_.get() + static_cast<std::size_t>(bounce) * slot_bytes_;
+  }
 
   /// Sends header(+payload) on one rail, consuming a credit and a bounce
   /// buffer the caller already reserved.  Process- or event-context
@@ -326,7 +327,13 @@ class NetChannel final : public Channel {
   std::vector<std::unique_ptr<RecvSlot>> recv_slots_;
   std::vector<HcaPool> pools_;  ///< per local HCA, SRQ mode only
 
-  std::vector<BounceBuf> bounce_;
+  /// Eager slot size: header plus the largest eager payload.
+  const std::size_t slot_bytes_;
+  /// Sender-side eager bounce pool: send_bounce_bufs slots in one arena,
+  /// registered once per local HCA.  Allocated without zero-fill, so the host
+  /// backs only the pages a message is copied into.
+  std::unique_ptr<std::byte[]> bounce_arena_;
+  ib::LKey bounce_lkey_[kMaxHcas] = {0, 0, 0, 0};
   std::vector<int> free_bounce_;
   bool resources_ready_ = false;  ///< ensure_net_resources has run
 
