@@ -1,7 +1,6 @@
 #include "ib/fault.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "ib/hca.hpp"
 
@@ -12,94 +11,50 @@ void FaultPlan::add_link_event(sim::Time at, Hca* hca, int port_idx, bool up) {
 }
 
 void FaultPlan::arm(sim::Simulator& sim) {
-  views_.resize(1);
-  views_[0].self = nullptr;  // legacy view owns every QP
   for (const LinkEvent& ev : events_) {
-    sim.at(ev.at, [this, ev] { apply(ev, views_[0]); });
+    sim.at(ev.at, [this, ev] { apply(ev); });
   }
 }
 
-void FaultPlan::arm_sharded(const std::vector<sim::Simulator*>& sims) {
-  if (sims.empty()) throw std::invalid_argument("FaultPlan::arm_sharded: no shards");
-  views_.clear();
-  views_.resize(sims.size());
-  for (std::size_t i = 0; i < sims.size(); ++i) {
-    views_[i].self = sims[i];
-    // The view vector is stable from here on; each replica event captures a
-    // raw pointer to its shard's view (keeps the capture inside the event
-    // kernel's in-place storage).
-    LinkView* view = &views_[i];
-    for (const LinkEvent& ev : events_) {
-      sims[i]->at(ev.at, [this, ev, view] { apply(ev, *view); });
-    }
-  }
-}
-
-void FaultPlan::enable_sharded_streams(int hca_count) {
-  hca_rngs_.clear();
-  hca_rngs_.reserve(static_cast<std::size_t>(hca_count));
-  for (int uid = 0; uid < hca_count; ++uid) {
-    // Splitmix-style decorrelation of the per-HCA seeds from the plan seed.
-    hca_rngs_.emplace_back(params_.seed ^
-                           (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(uid + 1)));
-  }
-  sharded_streams_ = true;
-}
-
-MsgFault FaultPlan::draw_msg_fault(const Hca& src) {
+MsgFault FaultPlan::draw_msg_fault() {
   if (params_.msg_error_rate <= 0.0) return MsgFault::None;
-  sim::Rng& rng =
-      sharded_streams_ ? hca_rngs_.at(static_cast<std::size_t>(src.uid())) : rng_;
-  if (rng.next_double() >= params_.msg_error_rate) return MsgFault::None;
-  injected_errors_.fetch_add(1, std::memory_order_relaxed);
-  return rng.next_double() < params_.ack_drop_fraction ? MsgFault::AckDrop : MsgFault::Drop;
-}
-
-bool FaultPlan::down_in(const LinkView& view, const Hca* hca, int port_idx) {
-  return std::find(view.down.begin(), view.down.end(),
-                   std::pair<const Hca*, int>{hca, port_idx}) != view.down.end();
+  if (rng_.next_double() >= params_.msg_error_rate) return MsgFault::None;
+  ++injected_errors_;
+  return rng_.next_double() < params_.ack_drop_fraction ? MsgFault::AckDrop : MsgFault::Drop;
 }
 
 bool FaultPlan::port_down(const Hca* hca, int port_idx) const {
-  return down_in(views_.front(), hca, port_idx);
+  return std::find(down_.begin(), down_.end(), std::pair<const Hca*, int>{hca, port_idx}) !=
+         down_.end();
 }
 
-bool FaultPlan::owns_qp(const LinkView& view, const QueuePair* qp) {
-  return view.self == nullptr || &qp->port().hca().simulator() == view.self;
-}
-
-void FaultPlan::apply(const LinkEvent& ev, LinkView& view) {
-  // Every replica tracks the full link state (so the already-down/spurious-up
-  // guards agree across shards) but only transitions the QPs it owns, and
-  // only the flapped HCA's home shard counts the transition (keeps the
-  // telemetry equal to the legacy single-view numbers).
-  const bool count_here = view.self == nullptr || &ev.hca->simulator() == view.self;
+void FaultPlan::apply(const LinkEvent& ev) {
   const std::pair<const Hca*, int> key{ev.hca, ev.port};
   if (ev.up) {
-    auto it = std::find(view.down.begin(), view.down.end(), key);
-    if (it == view.down.end()) return;  // spurious up event
-    view.down.erase(it);
-    if (count_here) link_transitions_.fetch_add(1, std::memory_order_relaxed);
+    auto it = std::find(down_.begin(), down_.end(), key);
+    if (it == down_.end()) return;  // spurious up event
+    down_.erase(it);
+    ++link_transitions_;
     // Re-arm each QP pair, but only once both endpoints' ports are up — a
     // half-recovered link stays unusable until the far side returns too.
     for (QueuePair* qp : ev.hca->port_qps(ev.port)) {
       QueuePair* peer = qp->peer();
       if (peer == nullptr) continue;
-      if (down_in(view, &peer->port().hca(), peer->port().index())) continue;
-      if (owns_qp(view, qp)) qp->reset();
-      if (owns_qp(view, peer)) peer->reset();
+      if (port_down(&peer->port().hca(), peer->port().index())) continue;
+      qp->reset();
+      peer->reset();
     }
     return;
   }
-  if (down_in(view, ev.hca, ev.port)) return;  // already down
-  view.down.push_back(key);
-  if (count_here) link_transitions_.fetch_add(1, std::memory_order_relaxed);
+  if (port_down(ev.hca, ev.port)) return;  // already down
+  down_.push_back(key);
+  ++link_transitions_;
   // Both directions of every RC pair crossing the dead link flush: the local
   // QP because its port died, the peer because its retries will exhaust.
   for (QueuePair* qp : ev.hca->port_qps(ev.port)) {
-    if (owns_qp(view, qp)) qp->transition_to_error();
+    qp->transition_to_error();
     QueuePair* peer = qp->peer();
-    if (peer != nullptr && owns_qp(view, peer)) peer->transition_to_error();
+    if (peer != nullptr) peer->transition_to_error();
   }
 }
 

@@ -10,27 +10,13 @@
 //   * RNR drops — with a plan attached, an inbound message meeting an empty
 //     receive queue is counted and dropped instead of aborting the run.
 //
-// Everything is driven by seeded sim::Rng streams, so a given plan replays
-// identically run to run.  Without an attached plan the HCA pipeline's fault
-// hooks are single null checks and behaviour is bit-identical to the
-// fault-free model.
-//
-// Parallel engine (sim/shard.hpp): under arm_sharded() every shard gets its
-// own link-state view replica — each shard applies every link event at the
-// same virtual time but only transitions the QPs living on its own
-// simulator, so no shard ever touches another shard's QP state.  Message
-// faults switch to per-HCA RNG streams (enable_sharded_streams) because the
-// global service order that fed the single stream no longer exists across
-// shards; each HCA's own service order is still deterministic, so sharded
-// faulty runs stay bit-reproducible per seed (but draw a different fault
-// sequence than the single-stream legacy mode).  The counters are relaxed
-// atomics and the cross-shard failed-transfer side set takes a mutex — both
-// off the fault-free hot path.
+// Everything is driven by one seeded sim::Rng stream, so a given plan
+// replays identically run to run.  Without an attached plan the HCA
+// pipeline's fault hooks are single null checks and behaviour is
+// bit-identical to the fault-free model.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <set>
 #include <utility>
 #include <vector>
@@ -42,7 +28,6 @@
 namespace ib12x::ib {
 
 class Hca;
-class QueuePair;
 
 /// Fate of one serviced send WQE.
 enum class MsgFault : std::uint8_t {
@@ -64,7 +49,7 @@ class FaultPlan {
     sim::Time retry_latency = sim::microseconds(2.0);
   };
 
-  explicit FaultPlan(const Params& p) : params_(p), rng_(p.seed), views_(1) {}
+  explicit FaultPlan(const Params& p) : params_(p), rng_(p.seed) {}
 
   /// Schedules a link transition for port `port_idx` of `hca` at time `at`.
   void add_link_event(sim::Time at, Hca* hca, int port_idx, bool up);
@@ -73,52 +58,28 @@ class FaultPlan {
   /// after all add_link_event calls and before the simulation runs.
   void arm(sim::Simulator& sim);
 
-  /// Sharded alternative to arm(): every shard's simulator gets a replica of
-  /// every link event against its own link-state view, transitioning only
-  /// the QPs that live on that shard.
-  void arm_sharded(const std::vector<sim::Simulator*>& sims);
-
-  /// Switches message-fault draws to one independent RNG stream per HCA
-  /// (keyed by Hca::uid(), seeds derived from the plan seed).  Required
-  /// before a sharded run with msg_error_rate > 0.
-  void enable_sharded_streams(int hca_count);
-
-  /// Draws the fate of one serviced send WQE on `src` (advances an RNG
-  /// stream only when msg_error_rate is non-zero).
-  MsgFault draw_msg_fault(const Hca& src);
+  /// Draws the fate of one serviced send WQE (advances the RNG stream only
+  /// when msg_error_rate is non-zero).
+  MsgFault draw_msg_fault();
 
   [[nodiscard]] sim::Time retry_latency() const { return params_.retry_latency; }
-  /// Link state as seen by shard 0's view (also the legacy single view).
-  /// Only meaningful from shard 0 / pre-run contexts (NetChannel::establish).
   [[nodiscard]] bool port_down(const Hca* hca, int port_idx) const;
 
-  void count_rnr_drop() { rnr_drops_.fetch_add(1, std::memory_order_relaxed); }
+  void count_rnr_drop() { ++rnr_drops_; }
 
   /// Marks an in-flight transfer's requester CQE as failed (AckDrop or RNR
   /// drop discovered at delivery time).  Kept here — not in the Transfer
   /// struct — so the fault-free pipeline's allocations stay byte-identical
-  /// (the interval pin-down cache is sensitive to heap layout).  Mutexed:
-  /// marked on the responder's shard, consumed on the requester's (always a
-  /// later epoch — the ACK round exceeds the lookahead window).
-  void mark_transfer_failed(const void* transfer) {
-    std::lock_guard<std::mutex> lock(failed_mu_);
-    failed_transfers_.insert(transfer);
-  }
+  /// (the interval pin-down cache is sensitive to heap layout).
+  void mark_transfer_failed(const void* transfer) { failed_transfers_.insert(transfer); }
   /// Consumes the failure verdict for `transfer`; true if it was marked.
   bool take_transfer_failed(const void* transfer) {
-    std::lock_guard<std::mutex> lock(failed_mu_);
     return failed_transfers_.erase(transfer) != 0;
   }
 
-  [[nodiscard]] std::uint64_t injected_errors() const {
-    return injected_errors_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t link_transitions() const {
-    return link_transitions_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t rnr_drops() const {
-    return rnr_drops_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t injected_errors() const { return injected_errors_; }
+  [[nodiscard]] std::uint64_t link_transitions() const { return link_transitions_; }
+  [[nodiscard]] std::uint64_t rnr_drops() const { return rnr_drops_; }
 
  private:
   struct LinkEvent {
@@ -128,30 +89,16 @@ class FaultPlan {
     bool up = false;
   };
 
-  /// One shard's private picture of which ports are down.  `self` is the
-  /// shard's simulator, or nullptr for the legacy single-threaded view
-  /// (which owns every QP).
-  struct LinkView {
-    std::vector<std::pair<const Hca*, int>> down;
-    const sim::Simulator* self = nullptr;
-  };
-
-  void apply(const LinkEvent& ev, LinkView& view);
-  static bool down_in(const LinkView& view, const Hca* hca, int port_idx);
-  /// True when `view` (not nullptr-self) excludes QPs on other shards.
-  static bool owns_qp(const LinkView& view, const QueuePair* qp);
+  void apply(const LinkEvent& ev);
 
   Params params_;
   sim::Rng rng_;
-  std::vector<sim::Rng> hca_rngs_;  ///< per-HCA streams (sharded mode)
-  bool sharded_streams_ = false;
   std::vector<LinkEvent> events_;
-  std::vector<LinkView> views_;  ///< one per shard; [0] doubles as legacy
+  std::vector<std::pair<const Hca*, int>> down_;  ///< ports currently down
   std::set<const void*> failed_transfers_;
-  std::mutex failed_mu_;
-  std::atomic<std::uint64_t> injected_errors_{0};
-  std::atomic<std::uint64_t> link_transitions_{0};
-  std::atomic<std::uint64_t> rnr_drops_{0};
+  std::uint64_t injected_errors_ = 0;
+  std::uint64_t link_transitions_ = 0;
+  std::uint64_t rnr_drops_ = 0;
 };
 
 }  // namespace ib12x::ib

@@ -207,7 +207,7 @@ class Port {
 
   /// Source-side route-length histogram: hops_taken(h) counts messages this
   /// port sent whose route crossed h switches (1 on a crossbar).  Counted at
-  /// WQE service time so it is shard-safe by construction.
+  /// WQE service time.
   [[nodiscard]] std::uint64_t hops_taken(int hops) const {
     return (hops >= 1 && hops <= kMaxRouteHops)
                ? hops_hist_[static_cast<std::size_t>(hops)]
@@ -261,8 +261,8 @@ class Port {
   /// receive WQE posted (RNR with a FaultPlan attached; throws without one).
   bool deliver(QueuePair* dst_qp, const SendWr& wr, QpNum src_qp_num);
 
-  /// Responder side of an RDMA Read: runs on the *responder* port (and its
-  /// shard) once the request packet arrives, translates the rkey on the
+  /// Responder side of an RDMA Read: runs on the *responder* port once the
+  /// request packet arrives, translates the rkey on the
   /// responder memory domain, and streams the response payload back through
   /// this port's engine/link pipeline toward the requester.  The Transfer
   /// arrives response-oriented: st->qp is the responder QP (route source),
@@ -289,17 +289,13 @@ class Port {
 class Hca {
  public:
   [[nodiscard]] int node() const { return node_; }
-  /// Dense per-fabric index (creation order); keys per-HCA fault RNG streams.
-  [[nodiscard]] int uid() const { return uid_; }
   [[nodiscard]] const HcaParams& params() const { return params_; }
   [[nodiscard]] Port& port(int i) { return *ports_.at(static_cast<std::size_t>(i)); }
   [[nodiscard]] int port_count() const { return static_cast<int>(ports_.size()); }
   [[nodiscard]] MemoryDomain& mem() { return mem_; }
   [[nodiscard]] GxBus& bus() { return bus_; }
   [[nodiscard]] Fabric& fabric() const { return *fabric_; }
-  /// The simulator (= shard) this HCA lives on.  With the parallel engine
-  /// different HCAs may answer with different simulators; everything an HCA
-  /// schedules for itself goes through this one.
+  /// The fabric's simulator (cached here: every pipeline stage reads it).
   [[nodiscard]] sim::Simulator& simulator() const { return *sim_; }
 
   /// Creates an RC QP on port `port_idx`.  If `srq` is non-null the QP takes
@@ -359,12 +355,11 @@ class Hca {
   friend class Fabric;
   friend class Port;
 
-  Hca(Fabric& fabric, int node, const HcaParams& params, sim::Simulator& sim, int uid);
+  Hca(Fabric& fabric, int node, const HcaParams& params);
 
   Fabric* fabric_;
   sim::Simulator* sim_;
   int node_;
-  int uid_;
   HcaParams params_;
   GxBus bus_;
   MemoryDomain mem_;

@@ -10,8 +10,7 @@ namespace {
 
 /// splitmix64 finalizer: the stateless hash behind Valiant intermediate-group
 /// selection.  No shared RNG stream — the choice depends only on
-/// (src, dst, seed), so resolve() stays a pure function and sharded runs
-/// reproduce the single-threaded oracle bit for bit.
+/// (src, dst, seed), so resolve() stays a pure function.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -420,55 +419,6 @@ sim::Time Topology::fwd_latency(Lid src, Lid dst) const {
     return fp_.wire_latency + fp_.switch_latency;
   }
   return resolve(src, dst).fwd_latency;
-}
-
-void Topology::set_default_sim(sim::Simulator* sim) {
-  for (auto& sw : switches_) sw->sim_ = sim;
-}
-
-void Topology::assign_switch_sims(const std::vector<sim::Simulator*>& sim_of_lid,
-                                  const std::vector<sim::Simulator*>& all) {
-  // Pass 1: a switch with attached hosts lives on their shard.  Hop events
-  // mutate switch queue state, and the final hop posts to the destination
-  // port with sub-window latency, so hosts sharing an edge switch must share
-  // its shard — the Locality placement guarantees this; anything else is a
-  // configuration error.
-  for (auto& swp : switches_) {
-    Switch& sw = *swp;
-    sim::Simulator* sim = nullptr;
-    for (const Switch::Link& l : sw.ports_) {
-      if (l.peer_sw >= 0 || l.host == kInvalidLid) continue;
-      if (l.host >= sim_of_lid.size()) continue;  // beyond attached hosts
-      sim::Simulator* s = sim_of_lid[l.host];
-      if (sim == nullptr) {
-        sim = s;
-      } else if (sim != s) {
-        throw std::invalid_argument(
-            "Topology::assign_switch_sims: hosts attached to switch " +
-            std::to_string(sw.id_) +
-            " are placed on different shards; contention mode requires "
-            "switch-locality placement (shard_placement = Locality)");
-      }
-    }
-    sw.sim_ = sim;  // may stay null: host-less or fully unattached switch
-  }
-  // Pass 2: host-less switches with a group (fat-tree aggs) follow their
-  // group's edge shard; cores (and unattached edges) spread round-robin.
-  for (auto& swp : switches_) {
-    Switch& sw = *swp;
-    if (sw.sim_ != nullptr) continue;
-    if (sw.group_ >= 0) {
-      for (const auto& other : switches_) {
-        if (other->group_ == sw.group_ && other->sim_ != nullptr) {
-          sw.sim_ = other->sim_;
-          break;
-        }
-      }
-    }
-    if (sw.sim_ == nullptr) {
-      sw.sim_ = all[static_cast<std::size_t>(sw.id_) % all.size()];
-    }
-  }
 }
 
 bool Topology::deadlock_free() const {

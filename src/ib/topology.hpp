@@ -16,15 +16,15 @@
 //                 acyclic by construction (verified by deadlock_free()).
 //  * Dragonfly  — canonical (p, a, h, g) groups with minimal l-g-l routing
 //                 or Valiant (random intermediate group, chosen by a
-//                 stateless hash so sharded runs stay deterministic).  The
+//                 stateless hash so resolve() stays a pure function).  The
 //                 VL of a hop is the number of global links already crossed,
 //                 the standard dragonfly deadlock-avoidance discipline.
 //
 // Transfers consult Topology::resolve(src, dst) for the hop list.  With
 // contention off only the summed forward latency is used (same event
 // structure as the legacy formula); with contention on each hop is a real
-// event on the owning switch's simulator, with backplane and per-output-port
-// bandwidth servers modelling arbitration and output queuing.
+// event, with backplane and per-output-port bandwidth servers modelling
+// arbitration and output queuing.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +36,6 @@
 #include "ib/params.hpp"
 #include "sim/server.hpp"
 #include "sim/time.hpp"
-
-namespace ib12x::sim {
-class Simulator;
-}
 
 namespace ib12x::ib {
 
@@ -125,9 +121,6 @@ class Switch {
   [[nodiscard]] int group() const { return group_; }
   [[nodiscard]] int radix() const { return static_cast<int>(ports_.size()); }
 
-  /// The simulator (= shard) whose thread owns this switch's queue state.
-  [[nodiscard]] sim::Simulator* simulator() const { return sim_; }
-
   /// One port's wiring, for tests that walk routes structurally.
   struct Link {
     int peer_sw = -1;    ///< peer switch id, or -1 for a host port
@@ -139,8 +132,8 @@ class Switch {
     return ports_.at(static_cast<std::size_t>(port));
   }
 
-  /// Contention-mode pipeline stage: one per-hop event per transit.  Runs on
-  /// this switch's simulator; defined in hca.cpp next to the other stages.
+  /// Contention-mode pipeline stage: one per-hop event per transit.  Defined
+  /// in hca.cpp next to the other stages.
   void hop(std::unique_ptr<Transfer> st);
 
   // ---- telemetry ----------------------------------------------------------
@@ -164,7 +157,6 @@ class Switch {
   /// ports — the destination HCA's link_rx_ models host egress, exactly as
   /// in the legacy path).  Only built in contention mode.
   std::vector<std::unique_ptr<sim::BandwidthServer>> out_srv_;
-  sim::Simulator* sim_ = nullptr;
 
   std::uint64_t routed_pkts_ = 0;
   std::uint64_t stalls_ = 0;
@@ -201,7 +193,7 @@ class Topology {
 
   /// The edge switch (or dragonfly router) a host lid hangs off.  Pure
   /// arithmetic on the shape — valid for any lid below capacity, attached or
-  /// not, so shard placement can run before the HCAs exist.
+  /// not.
   [[nodiscard]] int edge_switch_of(Lid lid) const;
 
   /// Hop list + summed forward latency from src's uplink to the last switch
@@ -211,23 +203,9 @@ class Topology {
   /// resolve(src, dst).fwd_latency with a constant fast path for crossbar.
   [[nodiscard]] sim::Time fwd_latency(Lid src, Lid dst) const;
 
-  /// Minimum virtual time any cross-shard interaction spans: one wire + one
-  /// switch traversal.  The parallel engine's lookahead window.
-  [[nodiscard]] sim::Time min_hop_latency() const {
-    return fp_.wire_latency + fp_.switch_latency;
-  }
   [[nodiscard]] sim::Time global_wire_latency() const {
     return spec_.global_wire_latency > 0 ? spec_.global_wire_latency : fp_.wire_latency;
   }
-
-  /// Points every switch at `sim` (the unsharded default).
-  void set_default_sim(sim::Simulator* sim);
-  /// Sharded contention mode: a switch with attached hosts runs on those
-  /// hosts' shard (throws if they disagree — the Locality placement
-  /// guarantees they cannot); host-less aggs follow their pod, cores spread
-  /// round-robin.  `sim_of_lid[lid]` maps attached lids to shard simulators.
-  void assign_switch_sims(const std::vector<sim::Simulator*>& sim_of_lid,
-                          const std::vector<sim::Simulator*>& all);
 
   /// Exhaustive channel-dependency check over all attached (src, dst) pairs:
   /// true iff the (link, VL) dependency graph is acyclic, i.e. the routing +

@@ -179,8 +179,8 @@ void NetChannel::establish(NetChannel& a, NetChannel& b) {
   a.peers_.at(b.host_.rank()).remote = &b;
   b.peers_.at(a.host_.rank()).remote = &a;
   // VCI group 0 always wires with the connection; with lazy_connect the
-  // remaining groups wire on first use (ensure_vci).  Eager wiring — which
-  // sharded runs require — brings up every group here, single-threaded.
+  // remaining groups wire on first use (ensure_vci).  Eager wiring brings up
+  // every group here.
   const int groups = cfg.lazy_connect ? 1 : std::max(1, cfg.vci.count);
   for (int v = 0; v < groups; ++v) wire_vci_group(a, b);
 }
@@ -347,8 +347,8 @@ void NetChannel::post_eager(Peer& c, int peer_rank, int rail, int bounce, const 
 
   // The caller has already reserved the credit (acquire_bounce_and_credit
   // or send_ctl); post_eager only performs the copy and the post.
-  auto* ctx = new SendCtx{SendCtx::Kind::Bounce, peer_rank, rail, bounce, 0,
-                          static_cast<std::int64_t>(kHeaderBytes) + bytes};
+  SendCtx* ctx = track_ctx({SendCtx::Kind::Bounce, peer_rank, rail, bounce, 0,
+                            static_cast<std::int64_t>(kHeaderBytes) + bytes});
   r.outstanding += static_cast<std::int64_t>(kHeaderBytes) + bytes;
   if (r.credits < 0) throw std::logic_error("post_eager: credit underflow");
   r.qp->post_send({.wr_id = reinterpret_cast<std::uint64_t>(ctx),
@@ -588,7 +588,7 @@ void NetChannel::flush_pending_ctl(int peer_rank) {
 
 void NetChannel::post_write_impl(Peer& c, int peer_rank, const RndvStripe& st, bool deferred) {
   Rail& r = c.rails.at(static_cast<std::size_t>(st.rail));
-  auto* sctx = new SendCtx{SendCtx::Kind::RndvWrite, peer_rank, st.rail, -1, st.req_id, st.len};
+  SendCtx* sctx = track_ctx({SendCtx::Kind::RndvWrite, peer_rank, st.rail, -1, st.req_id, st.len});
   sctx->attempts = st.attempts;
   // Keep the full stripe descriptor only under fault injection, where an
   // error CQE hands it back to the Rendezvous module for re-planning.
@@ -627,7 +627,7 @@ void NetChannel::post_write_batch(int peer_rank, const std::vector<RndvStripe>& 
 
 void NetChannel::post_read_impl(Peer& c, int peer_rank, const RndvStripe& st, bool deferred) {
   Rail& r = c.rails.at(static_cast<std::size_t>(st.rail));
-  auto* sctx = new SendCtx{SendCtx::Kind::RndvRead, peer_rank, st.rail, -1, st.req_id, st.len};
+  SendCtx* sctx = track_ctx({SendCtx::Kind::RndvRead, peer_rank, st.rail, -1, st.req_id, st.len});
   sctx->attempts = st.attempts;
   if (fault_enabled_) inflight_stripe_.emplace(sctx, st);
   r.outstanding += st.len;
@@ -687,7 +687,7 @@ void NetChannel::post_write_imm(int peer_rank, const RndvStripe& st, std::uint32
   --r.credits;  // reserve; returns with this WQE's CQE
   RndvStripe actual = st;
   actual.rail = rail;
-  auto* sctx = new SendCtx{SendCtx::Kind::RndvImm, peer_rank, rail, -1, st.req_id, st.len};
+  SendCtx* sctx = track_ctx({SendCtx::Kind::RndvImm, peer_rank, rail, -1, st.req_id, st.len});
   sctx->attempts = st.attempts;
   if (fault_enabled_) inflight_stripe_.emplace(sctx, actual);
   r.outstanding += st.len;
@@ -716,8 +716,8 @@ void NetChannel::post_fp_write(int peer_rank, const std::byte* src, std::uint32_
                                std::function<void()> delivered_cb) {
   Peer& c = peer(peer_rank);
   Rail& r = c.rails.front();  // the fast path rides rail 0
-  auto* sctx = new SendCtx{SendCtx::Kind::FpWrite, peer_rank, 0, -1, 0,
-                           static_cast<std::int64_t>(len)};
+  SendCtx* sctx =
+      track_ctx({SendCtx::Kind::FpWrite, peer_rank, 0, -1, 0, static_cast<std::int64_t>(len)});
   r.outstanding += static_cast<std::int64_t>(len);
   ib::SendWr wr;
   wr.wr_id = reinterpret_cast<std::uint64_t>(sctx);
@@ -729,6 +729,26 @@ void NetChannel::post_fp_write(int peer_rank, const std::byte* src, std::uint32_
   wr.rkey = rkey;
   wr.delivered_cb = std::move(delivered_cb);
   r.qp->post_send(wr);
+}
+
+// ------------------------------------------------------------ send contexts
+
+NetChannel::SendCtx* NetChannel::track_ctx(const SendCtx& ctx) {
+  live_ctx_.push_back(std::make_unique<SendCtx>(ctx));
+  SendCtx* p = live_ctx_.back().get();
+  p->live_slot = static_cast<int>(live_ctx_.size()) - 1;
+  return p;
+}
+
+void NetChannel::retire_ctx(SendCtx* ctx) {
+  // Swap-remove: the last context takes over the retired one's slot.
+  const auto slot = static_cast<std::size_t>(ctx->live_slot);
+  std::unique_ptr<SendCtx> done = std::move(live_ctx_[slot]);
+  if (slot + 1 != live_ctx_.size()) {
+    live_ctx_[slot] = std::move(live_ctx_.back());
+    live_ctx_[slot]->live_slot = static_cast<int>(slot);
+  }
+  live_ctx_.pop_back();
 }
 
 // ------------------------------------------------------------ inbound path
@@ -827,7 +847,7 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
         break;
       }
     }
-    delete sctx;
+    retire_ctx(sctx);
   });
 }
 
@@ -1037,7 +1057,7 @@ void NetChannel::flush_pending_retries() {
 void NetChannel::post_bounce_raw(Peer& c, int peer_rank, int rail, int bounce,
                                  std::int64_t wire_bytes, int attempts) {
   Rail& r = c.rails.at(static_cast<std::size_t>(rail));
-  auto* ctx = new SendCtx{SendCtx::Kind::Bounce, peer_rank, rail, bounce, 0, wire_bytes};
+  SendCtx* ctx = track_ctx({SendCtx::Kind::Bounce, peer_rank, rail, bounce, 0, wire_bytes});
   ctx->attempts = attempts;
   r.outstanding += wire_bytes;
   r.qp->post_send({.wr_id = reinterpret_cast<std::uint64_t>(ctx),

@@ -43,9 +43,8 @@ class NetChannel final : public Channel {
   /// Wires one more VCI's QP group between two established sides: the next
   /// hcas × ports × qps rail block is appended to each side's flat rail
   /// vector, so VCI v owns the contiguous slice [v·rails(), (v+1)·rails()).
-  /// establish() wires group 0 (and, when lazy_connect is off — which
-  /// sharded runs require — every group); ensure_vci wires the rest on
-  /// first use.
+  /// establish() wires group 0 (and, when lazy_connect is off, every
+  /// group); ensure_vci wires the rest on first use.
   static void wire_vci_group(NetChannel& a, NetChannel& b);
 
   /// Lazily wires every VCI QP group up to and including `vci` towards
@@ -224,6 +223,7 @@ class NetChannel final : public Channel {
     std::uint64_t req_id = 0;  // RndvWrite: outstanding request
     std::int64_t bytes = 0;    // outstanding-byte accounting
     int attempts = 0;          // failover replays of this message so far
+    int live_slot = -1;        // index in live_ctx_ (fills the tail padding)
   };
 
   /// An eager/ctl message whose retry found no usable rail; drained when a
@@ -294,6 +294,12 @@ class NetChannel final : public Channel {
   void flush_pending_ctl(int peer_rank);
   void flush_pending_imm();
 
+  /// Allocates a SendCtx owned by live_ctx_ until retire_ctx; the WQE's
+  /// wr_id carries a raw alias.
+  SendCtx* track_ctx(const SendCtx& ctx);
+  /// Frees a context whose CQE has been processed.
+  void retire_ctx(SendCtx* ctx);
+
   void on_send_cqe(const ib::Wc& wc);
   void on_recv_cqe(const ib::Wc& wc);
 
@@ -355,6 +361,10 @@ class NetChannel final : public Channel {
   /// callback and its deferred CPU processing.  Only populated under fault
   /// injection (the fault-free model produces no error CQEs).
   std::set<const SendCtx*> failed_send_;
+  /// Every in-flight SendCtx, freed by retire_ctx once its CQE is processed.
+  /// A run that aborts with sends in flight leaves the rest here for the
+  /// destructor.
+  std::vector<std::unique_ptr<SendCtx>> live_ctx_;
 
   Counter& eager_sent_;
   Counter& ctl_sent_;

@@ -11,7 +11,6 @@
 #include "ib/topology.hpp"
 #include "mvx/coll/engine.hpp"
 #include "mvx/conn_manager.hpp"
-#include "sim/shard.hpp"
 #include "sim/time.hpp"
 
 #if defined(__GLIBC__)
@@ -126,116 +125,13 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
         "Supported combinations: 0 (no cap) <= rndv.max_width <= rails()");
   }
 
-  // Parallel engine: min(sim_shards, nodes) shards.  Nodes are placed whole
-  // (endpoints, shm channels, HCAs of one node always share a shard, so only
-  // fabric traffic crosses shards); *which* shard is the placement policy
-  // below.  Shard 0 is sim_ itself: with one shard nothing below ever
-  // branches off the legacy path.
-  const int shards = std::min(std::max(cfg_.sim_shards, 1), std::max(spec_.nodes, 1));
-  using SP = Config::ShardPlacement;
-  SP place = cfg_.shard_placement;
-  if (place == SP::Auto) {
-    // On a crossbar every placement is equivalent (one switch, uniform
-    // distance) — RoundRobin keeps legacy sharded runs bit-identical.  The
-    // multi-switch shapes default to fabric locality.
-    place = cfg_.topo.shape == ib::TopoShape::Crossbar ? SP::RoundRobin : SP::Locality;
-  }
-  sims_.push_back(&sim_);
-  if (shards > 1) {
-    if (cfg_.lazy_connect) {
-      throw std::invalid_argument(
-          "Config: sim_shards = " + std::to_string(cfg_.sim_shards) +
-          " conflicts with lazy_connect = true: the parallel engine needs every "
-          "QP/rail wired single-threaded before the shard threads start, but "
-          "lazy_connect wires pairs mid-run on first contact.  Supported "
-          "combinations: sim_shards > 1 with lazy_connect = false, or "
-          "lazy_connect = true with sim_shards = 1");
-    }
-    if (cfg_.topo.contention) {
-      if (cfg_.topo.shape == ib::TopoShape::Crossbar) {
-        throw std::invalid_argument(
-            "Config: topo.contention = true with topo.shape = Crossbar conflicts "
-            "with sim_shards = " + std::to_string(cfg_.sim_shards) +
-            ": a single-switch fabric serializes every hop through one arbiter "
-            "and cannot be partitioned across shards.  Supported combinations: "
-            "contention on FatTree/Dragonfly with sim_shards > 1, or a Crossbar "
-            "with sim_shards = 1");
-      }
-      if (place == SP::RoundRobin) {
-        throw std::invalid_argument(
-            "Config: shard_placement = RoundRobin conflicts with topo.contention "
-            "= true and sim_shards = " + std::to_string(cfg_.sim_shards) +
-            ": hop events mutate switch queue state, so every host must share a "
-            "shard with its edge switch.  Use shard_placement = Locality (or "
-            "Auto, which picks it on switched shapes)");
-      }
-    }
-  }
-
   fabric_ = std::make_unique<ib::Fabric>(sim_, cfg_.hca, cfg_.fabric, cfg_.topo);
-
-  if (shards > 1) {
-    for (int s = 1; s < shards; ++s) {
-      shard_sims_.push_back(std::make_unique<sim::Simulator>());
-      sims_.push_back(shard_sims_.back().get());
-    }
-    // Conservative lookahead: one wire + switch hop is the minimum virtual
-    // time any cross-shard interaction spans (see Port::stage_uplink and
-    // Switch::hop).
-    engine_ = std::make_unique<sim::ShardEngine>(sims_, fabric_->topology().min_hop_latency());
-  }
-
-  // Node -> shard placement.  LIDs are assigned in node order below, so node
-  // n's ports occupy lids [n*ports_per_node, (n+1)*ports_per_node).
-  node_shard_.assign(static_cast<std::size_t>(std::max(spec_.nodes, 1)), 0);
-  if (shards > 1) {
-    if (place == SP::RoundRobin) {
-      for (int n = 0; n < spec_.nodes; ++n) node_shard_[static_cast<std::size_t>(n)] = n % shards;
-    } else {
-      // Locality: nodes hanging off the same edge switch (dragonfly router)
-      // must land on one shard, and neighbouring switches should too.  LIDs
-      // ascend with node index and edge_switch_of is monotone in the lid, so
-      // grouping is a single pass: a node opens a new group only when its
-      // first port's switch is past every switch the previous nodes touched
-      // (a node whose ports straddle two switches fuses them into one group).
-      // Groups are then block-partitioned over the shards in order.
-      const ib::Topology& topo = fabric_->topology();
-      std::vector<int> node_group(static_cast<std::size_t>(spec_.nodes), 0);
-      int groups = 0;
-      int last_edge = -1;
-      for (int n = 0; n < spec_.nodes; ++n) {
-        const auto first = static_cast<ib::Lid>(n * ports_per_node);
-        const auto last = static_cast<ib::Lid>((n + 1) * ports_per_node - 1);
-        const int first_edge = topo.edge_switch_of(first);
-        if (first_edge > last_edge) ++groups;
-        node_group[static_cast<std::size_t>(n)] = groups - 1;
-        last_edge = std::max(last_edge, topo.edge_switch_of(last));
-      }
-      for (int n = 0; n < spec_.nodes; ++n) {
-        node_shard_[static_cast<std::size_t>(n)] =
-            static_cast<int>(static_cast<std::int64_t>(node_group[static_cast<std::size_t>(n)]) *
-                             shards / groups);
-      }
-    }
-  }
 
   node_hcas_.resize(static_cast<std::size_t>(spec_.nodes));
   for (int n = 0; n < spec_.nodes; ++n) {
     for (int h = 0; h < cfg_.hcas_per_node; ++h) {
-      node_hcas_[static_cast<std::size_t>(n)].push_back(&fabric_->add_hca(n, shard_sim(n)));
+      node_hcas_[static_cast<std::size_t>(n)].push_back(&fabric_->add_hca(n));
     }
-  }
-
-  // Sharded contention mode: each switch's queue state must live on the
-  // shard thread of the hosts it serves (the Locality placement above makes
-  // the assignment well-defined).
-  if (engine_ && fabric_->topology().contention()) {
-    std::vector<sim::Simulator*> sim_of_lid;
-    sim_of_lid.reserve(static_cast<std::size_t>(spec_.nodes * ports_per_node));
-    for (int n = 0; n < spec_.nodes; ++n) {
-      for (int p = 0; p < ports_per_node; ++p) sim_of_lid.push_back(&shard_sim(n));
-    }
-    fabric_->topology().assign_switch_sims(sim_of_lid, sims_);
   }
 
   if (cfg_.fault.enabled) {
@@ -251,12 +147,7 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
       plan->add_link_event(f.down_at, hca, f.port, /*up=*/false);
       if (f.up_at > f.down_at) plan->add_link_event(f.up_at, hca, f.port, /*up=*/true);
     }
-    if (engine_) {
-      plan->enable_sharded_streams(fabric_->hca_count());
-      plan->arm_sharded(sims_);
-    } else {
-      plan->arm(sim_);
-    }
+    plan->arm(sim_);
     ib::FaultPlan* raw = plan.get();
     fabric_->attach_fault(std::move(plan));
     tel_.gauge("fault.injected_errors",
@@ -268,7 +159,7 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
 
   for (int r = 0; r < spec_.total_ranks(); ++r) {
     const int node = r / spec_.procs_per_node;
-    eps_.push_back(std::make_unique<Endpoint>(shard_sim(node), r, node,
+    eps_.push_back(std::make_unique<Endpoint>(sim_, r, node,
                                               node_hcas_[static_cast<std::size_t>(node)], cfg_,
                                               tel_));
   }
@@ -316,61 +207,21 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
     }
   }
 
-  // Event-kernel self-telemetry, summed over every shard (size-1 sums keep
-  // the unsharded values bit-identical to the legacy single-simulator
-  // gauges).  Gauges derived from wall-clock time live under "sim.wall." so
-  // determinism checks can exclude them when comparing snapshots of two runs
-  // (virtual-time state must match bit for bit; host speed obviously need
-  // not).  With the parallel engine the run phases overlap in wall time, so
-  // rate gauges divide by the *slowest* shard's wall time.
-  auto sum_u64 = [this](std::uint64_t (sim::Simulator::*f)() const) {
-    std::uint64_t n = 0;
-    for (const sim::Simulator* s : sims_) n += (s->*f)();
-    return static_cast<double>(n);
-  };
-  auto max_wall = [this] {
-    double w = 0.0;
-    for (const sim::Simulator* s : sims_) w = std::max(w, s->run_wall_seconds());
-    return w;
-  };
-  tel_.gauge("sim.events", [sum_u64] { return sum_u64(&sim::Simulator::events_processed); });
-  tel_.gauge("sim.lane_events", [sum_u64] { return sum_u64(&sim::Simulator::lane_events); });
-  tel_.gauge("sim.heap_events", [sum_u64] { return sum_u64(&sim::Simulator::heap_events); });
-  tel_.gauge("sim.kernel_allocs",
-             [sum_u64] { return sum_u64(&sim::Simulator::kernel_allocs); });
-  tel_.gauge("sim.allocs_per_event", [sum_u64] {
-    const double events = sum_u64(&sim::Simulator::events_processed);
-    return events == 0.0 ? 0.0 : sum_u64(&sim::Simulator::kernel_allocs) / events;
-  });
+  // Event-kernel self-telemetry.  Gauges derived from wall-clock time live
+  // under "sim.wall." so determinism checks can exclude them when comparing
+  // snapshots of two runs (virtual-time state must match bit for bit; host
+  // speed obviously need not).
+  const sim::Simulator* sim = &sim_;
+  tel_.gauge("sim.events", [sim] { return static_cast<double>(sim->events_processed()); });
+  tel_.gauge("sim.lane_events", [sim] { return static_cast<double>(sim->lane_events()); });
+  tel_.gauge("sim.heap_events", [sim] { return static_cast<double>(sim->heap_events()); });
+  tel_.gauge("sim.kernel_allocs", [sim] { return static_cast<double>(sim->kernel_allocs()); });
+  tel_.gauge("sim.allocs_per_event", [sim] { return sim->allocs_per_event(); });
   tel_.gauge("sim.fiber_switches",
-             [sum_u64] { return sum_u64(&sim::Simulator::fiber_switches); });
-  tel_.gauge("sim.wall.run_seconds", max_wall);
-  tel_.gauge("sim.wall.events_per_sec", [sum_u64, max_wall] {
-    const double w = max_wall();
-    return w == 0.0 ? 0.0 : sum_u64(&sim::Simulator::events_processed) / w;
-  });
-  tel_.gauge("sim.wall.switches_per_sec", [sum_u64, max_wall] {
-    const double w = max_wall();
-    return w == 0.0 ? 0.0 : sum_u64(&sim::Simulator::fiber_switches) / w;
-  });
-
-  // Parallel-engine telemetry (registered only when sharding is active, so
-  // unsharded snapshots stay byte-identical to previous releases).  The
-  // barrier waits are wall-clock quantities and live under a ".wall."
-  // segment for the same exclusion reason as above.
-  if (engine_) {
-    sim::ShardEngine* eng = engine_.get();
-    tel_.gauge("sim.shard.count", [eng] { return static_cast<double>(eng->shards()); });
-    tel_.gauge("sim.shard.epochs", [eng] { return static_cast<double>(eng->epochs()); });
-    tel_.gauge("sim.shard.cross_events",
-               [eng] { return static_cast<double>(eng->cross_events()); });
-    tel_.gauge("sim.shard.mailbox_hwm",
-               [eng] { return static_cast<double>(eng->mailbox_high_water()); });
-    for (int s = 0; s < engine_->shards(); ++s) {
-      tel_.gauge("sim.shard.wall.barrier_ns.s" + std::to_string(s),
-                 [eng, s] { return static_cast<double>(eng->barrier_wait_ns(s)); });
-    }
-  }
+             [sim] { return static_cast<double>(sim->fiber_switches()); });
+  tel_.gauge("sim.wall.run_seconds", [sim] { return sim->run_wall_seconds(); });
+  tel_.gauge("sim.wall.events_per_sec", [sim] { return sim->events_per_wall_sec(); });
+  tel_.gauge("sim.wall.switches_per_sec", [sim] { return sim->switches_per_wall_sec(); });
 
   if (cfg_.lazy_connect) {
     // Lazy wiring: no pair is built here.  Each endpoint's connection
@@ -408,10 +259,6 @@ void World::wire_pair(int i, int j) {
 World::~World() = default;
 
 void World::run(const std::function<void(Communicator&)>& rank_main) {
-  if (engine_) {
-    run_sharded(rank_main);
-    return;
-  }
   sim::ProcessSet procs(sim_);
   std::vector<int> group(static_cast<std::size_t>(ranks()));
   std::iota(group.begin(), group.end(), 0);
@@ -454,81 +301,6 @@ void World::run(const std::function<void(Communicator&)>& rank_main) {
   }
   procs.run_all(sim_.now());
   end_time_ = sim_.now();
-}
-
-void World::run_sharded(const std::function<void(Communicator&)>& rank_main) {
-  // One ProcessSet per shard: every rank's fibers are owned (created, run,
-  // torn down) by the shard thread its node lives on.  The post-run failure
-  // and deadlock checks walk the *global* add order so the first error
-  // reported matches what the single-threaded run_all would have raised.
-  std::vector<std::unique_ptr<sim::ProcessSet>> sets;
-  sets.reserve(sims_.size());
-  for (sim::Simulator* s : sims_) sets.push_back(std::make_unique<sim::ProcessSet>(*s));
-
-  std::vector<int> group(static_cast<std::size_t>(ranks()));
-  std::iota(group.begin(), group.end(), 0);
-  std::vector<sim::Process*> order;
-  order.reserve(static_cast<std::size_t>(ranks()) * 2);
-
-  const int nthreads = std::max(1, cfg_.vci.threads);
-  for (int r = 0; r < ranks(); ++r) {
-    const int node = r / spec_.procs_per_node;
-    sim::ProcessSet& procs = *sets[static_cast<std::size_t>(node_shard(node))];
-    Endpoint* ep = eps_[static_cast<std::size_t>(r)].get();
-    ep->coll_engine().begin_run();
-    if (nthreads == 1) {
-      order.push_back(
-          &procs.add("rank" + std::to_string(r), [this, ep, group, &rank_main](sim::Process& p) {
-            ep->attach_process(&p);
-            Communicator comm(this, ep, group, ep->rank(), /*ctx_base=*/0);
-            rank_main(comm);
-            ep->coll_engine().request_shutdown();
-          }));
-    } else {
-      auto remaining = std::make_shared<int>(nthreads);
-      for (int t = 0; t < nthreads; ++t) {
-        order.push_back(&procs.add("rank" + std::to_string(r) + ".t" + std::to_string(t),
-                                   [this, ep, group, t, remaining, &rank_main](sim::Process& p) {
-                                     if (t == 0) ep->attach_process(&p);
-                                     ep->register_thread(&p, t);
-                                     Communicator comm(this, ep, group, ep->rank(),
-                                                       /*ctx_base=*/0);
-                                     rank_main(comm);
-                                     if (--*remaining == 0) ep->coll_engine().request_shutdown();
-                                   }));
-      }
-    }
-    order.push_back(&procs.add("collprog" + std::to_string(r), [ep](sim::Process& p) {
-      ep->coll_engine().progress_main(p);
-    }));
-  }
-
-  // Clocks may differ across shards after a previous run (each stops at its
-  // own last event); start the next wave at the global frontier so no shard
-  // schedules into its past.
-  sim::Time start = 0;
-  for (const sim::Simulator* s : sims_) start = std::max(start, s->now());
-  for (auto& set : sets) set->start_all(start);
-
-  engine_->run();
-
-  bool all_done = true;
-  std::string stuck;
-  for (sim::Process* p : order) {
-    if (!p->finished()) {
-      all_done = false;
-      if (!stuck.empty()) stuck += ", ";
-      stuck += p->name();
-    }
-  }
-  for (sim::Process* p : order) p->rethrow_if_failed();
-  if (!all_done) {
-    throw std::runtime_error(
-        "World::run: deadlock — event queues empty but processes blocked: " + stuck);
-  }
-  sim::Time end = 0;
-  for (const sim::Simulator* s : sims_) end = std::max(end, s->now());
-  end_time_ = end;
 }
 
 }  // namespace ib12x::mvx

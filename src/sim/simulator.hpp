@@ -1,13 +1,10 @@
 // The simulation kernel: a virtual clock plus the deterministic event queue.
 //
-// The kernel is strictly single-threaded *per simulator*: exactly one piece
-// of model code runs at a time (either an event handler, or one simulated
-// process — see process.hpp — which runs on a fiber and hands control back to
-// the event loop at every suspension point).  No locking is needed around the
-// queue or the clock.  The parallel engine (shard.hpp) runs several
-// Simulators on separate OS threads; all cross-simulator traffic goes through
-// post(), which degenerates to at() when source and destination coincide and
-// otherwise hands the event to the engine's mailboxes.
+// The kernel is strictly single-threaded: exactly one piece of model code
+// runs at a time (either an event handler, or one simulated process — see
+// process.hpp — which runs on a fiber and hands control back to the event
+// loop at every suspension point).  No locking is needed around the queue or
+// the clock.
 //
 // Besides virtual time the kernel tracks its own wall-clock throughput
 // (events/sec, fiber switches/sec, kernel allocations) so the simulation
@@ -24,8 +21,6 @@
 #include "sim/time.hpp"
 
 namespace ib12x::sim {
-
-class ShardEngine;
 
 class Simulator {
  public:
@@ -47,19 +42,6 @@ class Simulator {
 
   /// Schedules `fn` `delay` picoseconds from now.
   void after(Time delay, Event fn) { at(now_ + delay, std::move(fn)); }
-
-  /// Schedules `fn` at `when` on `dst`, which may belong to another shard.
-  /// For `&dst == this` this is exactly at() — the sharded engine costs
-  /// nothing on the (overwhelmingly common) intra-shard path.  Cross-shard
-  /// posts must target times >= the current epoch's window end; violations
-  /// throw (the conservative-sync invariant, see shard.hpp).
-  void post(Simulator& dst, Time when, Event fn) {
-    if (&dst == this) {
-      at(when, std::move(fn));
-      return;
-    }
-    post_cross(dst, when, std::move(fn));
-  }
 
   /// Runs the earliest pending event, advancing the clock to its timestamp.
   /// Returns false if the queue was empty.
@@ -106,40 +88,6 @@ class Simulator {
                         .count();
   }
 
-  /// Parallel-engine run phase: processes strictly events with time < `end`
-  /// (the epoch window [T0, T0+W)).  Unlike run_until the clock is NOT
-  /// advanced to the window edge afterwards — now() stays at the last
-  /// processed event, so the final simulated end time matches the
-  /// single-threaded oracle exactly.
-  void run_window(Time end) {
-    window_end_ = end;
-    const auto wall_start = std::chrono::steady_clock::now();
-    for (;;) {
-      Time when = 0;
-      Event fn;
-      if (!queue_.pop_at_or_before(end - 1, when, fn)) break;
-      now_ = when;
-      ++processed_;
-      fn();
-    }
-    run_wall_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - wall_start)
-                        .count();
-  }
-
-  // ---- parallel-engine plumbing (see shard.hpp) ----
-
-  /// Called by ShardEngine on construction/destruction.
-  void attach_shard(ShardEngine* engine, int shard) {
-    engine_ = engine;
-    shard_ = shard;
-  }
-  [[nodiscard]] int shard_index() const { return shard_; }
-  /// End of the current epoch window; 0 when no window has run yet.
-  [[nodiscard]] Time window_end() const { return window_end_; }
-  /// Earliest pending event time.  Precondition: !idle().
-  [[nodiscard]] Time next_event_time() const { return queue_.next_time(); }
-
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
   [[nodiscard]] std::uint64_t events_scheduled() const { return queue_.pushed(); }
@@ -178,17 +126,11 @@ class Simulator {
   }
 
  private:
-  // Out-of-line (shard.cpp) so this header needs no engine definition.
-  void post_cross(Simulator& dst, Time when, Event fn);
-
   EventQueue queue_;
   Time now_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t fiber_switches_ = 0;
   std::int64_t run_wall_ns_ = 0;
-  ShardEngine* engine_ = nullptr;
-  int shard_ = 0;
-  Time window_end_ = 0;
 };
 
 }  // namespace ib12x::sim

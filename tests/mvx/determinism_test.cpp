@@ -12,9 +12,12 @@
 #include <vector>
 
 #include "mvx/mpi.hpp"
+#include "mvx_test_util.hpp"
 
 namespace ib12x::mvx {
 namespace {
+
+using testutil::payload;
 
 struct RunDigest {
   std::uint64_t events = 0;
@@ -23,21 +26,46 @@ struct RunDigest {
   std::map<std::string, double> telemetry;
 };
 
-/// A fig06_bw_uni_large-sized workload: windowed unidirectional bandwidth
-/// with large (rendezvous-path) messages plus a small-message ack, run over
-/// both the network and shared-memory channels.
-RunDigest run_workload() {
-  World w(ClusterSpec{/*nodes=*/2, /*procs_per_node=*/2},
-          Config::enhanced(4, Policy::EPC));
+RunDigest digest_of(World& w) {
+  RunDigest d;
+  d.events = w.simulator().events_processed();
+  d.scheduled = w.simulator().events_scheduled();
+  d.end_time = w.end_time();
+  for (const auto& s : w.telemetry().snapshot()) {
+    if (s.name.rfind("sim.wall.", 0) == 0) continue;  // host-speed gauges
+    d.telemetry[s.name] = s.value;
+  }
+  return d;
+}
+
+void expect_bit_identical(const RunDigest& a, const RunDigest& b) {
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.scheduled, b.scheduled);
+  EXPECT_EQ(a.end_time, b.end_time);
+
+  ASSERT_EQ(a.telemetry.size(), b.telemetry.size());
+  for (const auto& [name, value] : a.telemetry) {
+    auto it = b.telemetry.find(name);
+    ASSERT_NE(it, b.telemetry.end()) << "metric missing in second run: " << name;
+    EXPECT_EQ(value, it->second) << "metric diverged: " << name;
+  }
+}
+
+/// A fig06_bw_uni_large-sized workload on `nodes` nodes of two ranks each:
+/// windowed unidirectional bandwidth with large (rendezvous-path) messages
+/// plus a small-message ack, run over both the network and shared-memory
+/// channels.
+RunDigest run_workload(int nodes, const Config& cfg) {
+  World w(ClusterSpec{nodes, /*procs_per_node=*/2}, cfg);
   constexpr std::size_t kBytes = 1 << 20;
   constexpr int kWindow = 4;
   constexpr int kIters = 3;
   w.run([](Communicator& c) {
     std::vector<std::byte> buf(kBytes, std::byte{0x5a});
-    const int peer = c.rank() ^ 2;  // cross-node pairs: (0,2) (1,3)
-    const int neighbor = c.rank() ^ 1;  // same-node pairs: (0,1) (2,3)
+    const int peer = c.rank() ^ 2;  // cross-node pairs: (0,2) (1,3) (4,6) ...
+    const int neighbor = c.rank() ^ 1;  // same-node pairs: (0,1) (2,3) ...
     for (int it = 0; it < kIters; ++it) {
-      if (c.rank() < 2) {
+      if ((c.rank() & 2) == 0) {
         std::vector<Request> reqs;
         for (int i = 0; i < kWindow; ++i) {
           reqs.push_back(c.isend(buf.data(), buf.size(), BYTE, peer, it));
@@ -66,16 +94,7 @@ RunDigest run_workload() {
     }
     c.barrier();
   });
-
-  RunDigest d;
-  d.events = w.simulator().events_processed();
-  d.scheduled = w.simulator().events_scheduled();
-  d.end_time = w.end_time();
-  for (const auto& s : w.telemetry().snapshot()) {
-    if (s.name.rfind("sim.wall.", 0) == 0) continue;  // host-speed gauges
-    d.telemetry[s.name] = s.value;
-  }
-  return d;
+  return digest_of(w);
 }
 
 /// A collective-heavy workload for the schedule engine: blocking collectives,
@@ -100,32 +119,45 @@ RunDigest run_coll_workload() {
       c.barrier();
     }
   });
+  return digest_of(w);
+}
 
-  RunDigest d;
-  d.events = w.simulator().events_processed();
-  d.scheduled = w.simulator().events_scheduled();
-  d.end_time = w.end_time();
-  for (const auto& s : w.telemetry().snapshot()) {
-    if (s.name.rfind("sim.wall.", 0) == 0) continue;  // host-speed gauges
-    d.telemetry[s.name] = s.value;
-  }
-  return d;
+/// Four app threads per rank over four VCIs, every VCI group wired at
+/// startup: each thread exchanges a mix of eager and rendezvous messages with
+/// its counterpart on the other node and checks every payload.
+RunDigest run_multithread_vci_workload() {
+  Config cfg = Config::enhanced(2, Policy::EPC);
+  cfg.lazy_connect = false;
+  cfg.vci.count = 4;
+  cfg.vci.threads = 4;
+  World w(ClusterSpec{2, 1}, cfg);
+  w.run([](Communicator& c) {
+    const int t = c.thread_id();
+    const int peer = 1 - c.rank();
+    constexpr int kMsgs = 12;
+    auto bytes_of = [](int i) -> std::size_t { return (i % 2 == 0) ? 512 : 48 * 1024; };
+    std::vector<std::vector<std::byte>> rbufs, sbufs;
+    std::vector<Request> reqs;
+    for (int i = 0; i < kMsgs; ++i) {
+      const int tag = t * 1000 + i;
+      rbufs.emplace_back(bytes_of(i));
+      reqs.push_back(c.irecv(rbufs.back().data(), bytes_of(i), BYTE, peer, tag));
+      sbufs.push_back(payload(bytes_of(i), c.rank(), tag));
+      reqs.push_back(c.isend(sbufs.back().data(), bytes_of(i), BYTE, peer, tag));
+    }
+    c.waitall(reqs);
+    for (int i = 0; i < kMsgs; ++i) {
+      ASSERT_EQ(rbufs[static_cast<std::size_t>(i)], payload(bytes_of(i), peer, t * 1000 + i))
+          << "thread " << t << " msg " << i;
+    }
+  });
+  return digest_of(w);
 }
 
 TEST(Determinism, RepeatedRunsAreBitIdentical) {
-  const RunDigest a = run_workload();
-  const RunDigest b = run_workload();
-
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.scheduled, b.scheduled);
-  EXPECT_EQ(a.end_time, b.end_time);
-
-  ASSERT_EQ(a.telemetry.size(), b.telemetry.size());
-  for (const auto& [name, value] : a.telemetry) {
-    auto it = b.telemetry.find(name);
-    ASSERT_NE(it, b.telemetry.end()) << "metric missing in second run: " << name;
-    EXPECT_EQ(value, it->second) << "metric diverged: " << name;
-  }
+  const RunDigest a = run_workload(2, Config::enhanced(4, Policy::EPC));
+  const RunDigest b = run_workload(2, Config::enhanced(4, Policy::EPC));
+  expect_bit_identical(a, b);
   // Sanity: the workload actually exercised the kernel's fast paths.
   EXPECT_GT(a.telemetry.at("sim.events"), 1000.0);
   EXPECT_GT(a.telemetry.at("sim.lane_events"), 0.0);
@@ -135,21 +167,27 @@ TEST(Determinism, RepeatedRunsAreBitIdentical) {
 TEST(Determinism, CollectiveWorkloadIsBitIdentical) {
   const RunDigest a = run_coll_workload();
   const RunDigest b = run_coll_workload();
-
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.scheduled, b.scheduled);
-  EXPECT_EQ(a.end_time, b.end_time);
-
-  ASSERT_EQ(a.telemetry.size(), b.telemetry.size());
-  for (const auto& [name, value] : a.telemetry) {
-    auto it = b.telemetry.find(name);
-    ASSERT_NE(it, b.telemetry.end()) << "metric missing in second run: " << name;
-    EXPECT_EQ(value, it->second) << "metric diverged: " << name;
-  }
+  expect_bit_identical(a, b);
   // Sanity: the schedule engine actually ran.
   EXPECT_GT(a.telemetry.at("coll.schedules"), 0.0);
   EXPECT_GT(a.telemetry.at("coll.rounds"), 0.0);
   EXPECT_GT(a.telemetry.at("coll.ops"), 0.0);
+}
+
+TEST(Determinism, EagerWiredFourNodeWorkloadIsBitIdentical) {
+  Config cfg = Config::enhanced(4, Policy::EPC);
+  cfg.lazy_connect = false;  // every pair wired at startup
+  const RunDigest a = run_workload(4, cfg);
+  const RunDigest b = run_workload(4, cfg);
+  expect_bit_identical(a, b);
+  EXPECT_GT(a.telemetry.at("rndv.bytes_sent"), 0.0);
+}
+
+TEST(Determinism, MultiThreadVciWorkloadIsBitIdentical) {
+  const RunDigest a = run_multithread_vci_workload();
+  const RunDigest b = run_multithread_vci_workload();
+  expect_bit_identical(a, b);
+  EXPECT_GT(a.telemetry.at("rndv.bytes_sent"), 0.0);
 }
 
 }  // namespace

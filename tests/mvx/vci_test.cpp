@@ -1,8 +1,6 @@
 // Virtual communication interfaces: config validation, the per-(peer, ctx,
 // vci) matcher keys, multi-threaded ranks on dedicated vs. shared VCIs, the
-// gated vci.* telemetry, fault soak with several VCIs live, and sharded-run
-// oracle identity.  Suite names contain "Vci" so CI's TSan lane picks the
-// multi-threaded-rank tests up by regex.
+// gated vci.* telemetry, and fault soak with several VCIs live.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -407,56 +405,6 @@ TEST(VciFaultSoak, MultiThreadMultiVciLedgerBalancesAndReproduces) {
   soak(&a);
   soak(&b);
   EXPECT_EQ(a, b) << "multi-VCI fault soak diverged between identical runs";
-}
-
-// ------------------------------------------------------------- sharded
-
-TEST(VciShard, ShardedRunMatchesUnshardedOracle) {
-  // Multi-threaded multi-VCI ranks under the parallel engine must stay
-  // bit-identical to the single-threaded oracle (lazy_connect = false wires
-  // every VCI group up front, so no shard ever wires a QP mid-run).
-  auto digest = [](int shards) {
-    Config cfg = Config::enhanced(2, Policy::EPC);
-    cfg.lazy_connect = false;
-    cfg.sim_shards = shards;
-    cfg.vci.count = 4;
-    cfg.vci.threads = 4;
-    World w(ClusterSpec{2, 1}, cfg);
-    w.run([](Communicator& c) {
-      const int t = c.thread_id();
-      const int peer = 1 - c.rank();
-      constexpr int kMsgs = 12;
-      std::vector<std::vector<std::byte>> rbufs, sbufs;
-      std::vector<Request> reqs;
-      for (int i = 0; i < kMsgs; ++i) {
-        const std::size_t bytes = (i % 2 == 0) ? 512 : 48 * 1024;
-        const int tag = t * 1000 + i;
-        rbufs.emplace_back(bytes);
-        reqs.push_back(c.irecv(rbufs.back().data(), bytes, BYTE, peer, tag));
-        sbufs.push_back(payload(bytes, c.rank(), tag));
-        reqs.push_back(c.isend(sbufs.back().data(), bytes, BYTE, peer, tag));
-      }
-      c.waitall(reqs);
-    });
-    std::vector<std::pair<std::string, double>> snap;
-    for (const auto& s : w.telemetry().snapshot()) {
-      if (s.name.rfind("sim.wall.", 0) == 0 || s.name.rfind("sim.shard.", 0) == 0 ||
-          s.name == "sim.kernel_allocs" || s.name == "sim.allocs_per_event") {
-        continue;
-      }
-      snap.emplace_back(s.name, s.value);
-    }
-    return std::make_pair(w.end_time(), snap);
-  };
-  const auto oracle = digest(1);
-  const auto sharded = digest(2);
-  EXPECT_EQ(oracle.first, sharded.first) << "end time diverged";
-  ASSERT_EQ(oracle.second.size(), sharded.second.size());
-  for (std::size_t i = 0; i < oracle.second.size(); ++i) {
-    EXPECT_EQ(oracle.second[i].first, sharded.second[i].first);
-    EXPECT_EQ(oracle.second[i].second, sharded.second[i].second)
-        << oracle.second[i].first << " diverged between sharded and oracle runs";
-  }
 }
 
 }  // namespace
