@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the simulation substrate itself:
 // event-queue throughput, same-instant lane throughput, event cascades,
 // process suspend/resume cost (fiber vs. the thread-baton it replaced),
-// resource-reservation cost, end-to-end modelled message rate, FFT kernel
-// speed.  These guard the *wall-clock* performance of the simulator (a
+// resource-reservation cost, end-to-end modelled message rate, the host
+// cost of a contended fat-tree alltoall, FFT kernel speed.  These guard the *wall-clock* performance of the simulator (a
 // regression here makes the figure benches slow, not wrong).
 //
 // Results are also written to BENCH_kernel.json (google-benchmark's JSON
@@ -207,6 +207,35 @@ void BM_MpiPingPongWallClock(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_MpiPingPongWallClock);
+
+void BM_FatTreeContendedAlltoall(benchmark::State& state) {
+  // Host time per modelled message on the routed, contended path: 16 nodes
+  // x 4 ranks on a fat-tree with switch contention, one eager alltoall per
+  // iteration.  A warm-up run wires the lazy connections first, so every
+  // timed inter-node message is WQE posts, route-table reads and one
+  // Switch::hop event per switch crossed.
+  constexpr int kNodes = 16;
+  constexpr int kPerNode = 4;
+  constexpr int kRanks = kNodes * kPerNode;
+  constexpr std::size_t kBytes = 1024;
+  mvx::Config cfg = mvx::Config::enhanced(4, mvx::Policy::EPC);
+  cfg.topo.shape = ib::TopoShape::FatTree;
+  cfg.topo.contention = true;
+  mvx::World w(mvx::ClusterSpec{kNodes, kPerNode}, cfg);
+  std::vector<std::vector<std::byte>> sbuf(kRanks, std::vector<std::byte>(kRanks * kBytes));
+  std::vector<std::vector<std::byte>> rbuf(kRanks, std::vector<std::byte>(kRanks * kBytes));
+  const auto alltoall = [&](mvx::Communicator& c) {
+    const auto r = static_cast<std::size_t>(c.rank());
+    c.alltoall(sbuf[r].data(), rbuf[r].data(), kBytes, mvx::BYTE);
+  };
+  w.run(alltoall);
+  for (auto _ : state) {
+    w.run(alltoall);
+    benchmark::DoNotOptimize(w.end_time());
+  }
+  state.SetItemsProcessed(state.iterations() * kRanks * (kRanks - 1));
+}
+BENCHMARK(BM_FatTreeContendedAlltoall)->Unit(benchmark::kMillisecond);
 
 void BM_Fft(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -215,7 +215,7 @@ struct Transfer {
   // as it was (see the fault-state note below).
   union {
     int eng = 0;  ///< send engine index (service → stage_engine)
-    int hop_idx;  ///< contention mode: position in the re-resolved route
+    int hop_idx;  ///< contention mode: position in the tabled route
   };
   QpNum src_qp_num = 0;
   std::int64_t bytes = 0;
@@ -229,9 +229,9 @@ struct Transfer {
   // Upstream last-byte bounds, filled in as the stages run.  tx_last changes
   // meaning once stage 3 runs: stage_uplink (latency-only) or the Switch::hop
   // chain (contention mode) advances it to the last-byte arrival bound at the
-  // final switch's egress, which stage_downlink consumes.  No route state is
-  // stored here — routes are pure functions of (src lid, dst lid) and are
-  // re-resolved wherever needed, for the same allocation-size reason as above.
+  // final switch's egress, which stage_downlink consumes.  No route is stored
+  // here: the topology's route table holds one per (src lid, dst lid), and
+  // each stage that needs it reads that entry.
   sim::Time bus_last = 0, eng_last = 0, tx_last = 0, dl_last = 0, re_last = 0;
 };
 
@@ -341,10 +341,10 @@ void Port::service(QueuePair* qp, int eng) {
   auto& engine = send_engines_[static_cast<std::size_t>(eng)];
   auto& rengine = dport.recv_engines_[static_cast<std::size_t>(dst->recv_engine_idx_)];
 
-  // Route resolution: a pure function of (source lid, destination lid).  The
-  // hops histogram is counted source-side.
+  // The route of (source lid, destination lid), read from the topology's
+  // route table.  The hops histogram is counted source-side.
   Topology& topo = hca_->fabric().topology();
-  const Route route = topo.resolve(lid_, dport.lid_);
+  const Route& route = topo.resolve(lid_, dport.lid_);
   ++hops_hist_[static_cast<std::size_t>(std::min(route.count, kMaxRouteHops))];
 
   if (wr.opcode == Opcode::RdmaRead) {
@@ -512,7 +512,7 @@ void Port::read_respond(std::unique_ptr<Transfer> st) {
     st->wr.src = rsrc;
   }
 
-  const Route route = topo.resolve(lid_, st->dport->lid_);
+  const Route& route = topo.resolve(lid_, st->dport->lid_);
   ++hops_hist_[static_cast<std::size_t>(std::min(route.count, kMaxRouteHops))];
 
   const std::int64_t bytes = st->wr.length;
@@ -610,10 +610,10 @@ void Port::stage_uplink(std::unique_ptr<Transfer> st) {
   }
 
   // Contention mode: traverse the route switch by switch (each hop event
-  // re-resolves the route — a pure function — rather than carrying it).  The
+  // reads its hop from the route table rather than carrying the route).  The
   // first hop arrives one wire + switch after its first segment leaves the
   // uplink.
-  const Route route = topo.resolve(lid_, st->dport->lid_);
+  const Route& route = topo.resolve(lid_, st->dport->lid_);
   st->hop_idx = 0;
   Switch* sw = &topo.switch_at(route.hop[0].sw);
   const sim::Time t_hop = s_tx.start + st->t_tx_seg + F.wire_latency + F.switch_latency;
@@ -630,7 +630,7 @@ void Switch::hop(std::unique_ptr<Transfer> st) {
   sim::Simulator& sim = st->dport->hca().fabric().simulator();
   const sim::Time now = sim.now();
   const FabricParams& F = topo_->fabric_params();
-  const Route route = topo_->resolve(st->qp->port().lid(), st->dport->lid());
+  const Route& route = topo_->resolve(st->qp->port().lid(), st->dport->lid());
   const RouteHop h = route.hop[st->hop_idx];
   ++routed_pkts_;
 

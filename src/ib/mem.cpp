@@ -12,8 +12,7 @@ MemoryRegion MemoryDomain::register_memory(void* buf, std::size_t len) {
   mr.lkey = next_key_;
   mr.rkey = next_key_;
   ++next_key_;
-  by_rkey_[mr.rkey] = mr;
-  by_lkey_[mr.lkey] = mr;
+  by_key_.emplace(mr.lkey, mr);
   return mr;
 }
 
@@ -22,18 +21,24 @@ const MemoryRegion& MemoryDomain::register_memory_const(const void* buf, std::si
   return last_;
 }
 
-void MemoryDomain::deregister(const MemoryRegion& mr) {
-  by_rkey_.erase(mr.rkey);
-  by_lkey_.erase(mr.lkey);
+void MemoryDomain::deregister(const MemoryRegion& mr) { by_key_.erase(mr.lkey); }
+
+namespace {
+
+/// [addr, addr + len) lies inside the region.  Written without addr + len,
+/// which a huge len would wrap past the region's end.
+bool within(const MemoryRegion& mr, std::uint64_t addr, std::uint64_t len) {
+  return addr >= mr.addr && len <= mr.length && addr - mr.addr <= mr.length - len;
 }
 
+}  // namespace
+
 std::byte* MemoryDomain::translate_rkey(RKey rkey, std::uint64_t addr, std::uint64_t len) const {
-  auto it = by_rkey_.find(rkey);
-  if (it == by_rkey_.end()) {
+  auto it = by_key_.find(rkey);
+  if (it == by_key_.end()) {
     throw std::runtime_error("MemoryDomain: remote access with unknown rkey " + std::to_string(rkey));
   }
-  const MemoryRegion& mr = it->second;
-  if (addr < mr.addr || addr + len > mr.addr + mr.length) {
+  if (!within(it->second, addr, len)) {
     throw std::runtime_error("MemoryDomain: remote access out of bounds (rkey " + std::to_string(rkey) +
                              ", addr " + std::to_string(addr) + ", len " + std::to_string(len) + ")");
   }
@@ -41,13 +46,11 @@ std::byte* MemoryDomain::translate_rkey(RKey rkey, std::uint64_t addr, std::uint
 }
 
 void MemoryDomain::check_lkey(LKey lkey, const void* addr, std::uint64_t len) const {
-  auto it = by_lkey_.find(lkey);
-  if (it == by_lkey_.end()) {
+  auto it = by_key_.find(lkey);
+  if (it == by_key_.end()) {
     throw std::runtime_error("MemoryDomain: local access with unknown lkey " + std::to_string(lkey));
   }
-  const MemoryRegion& mr = it->second;
-  auto a = reinterpret_cast<std::uint64_t>(addr);
-  if (a < mr.addr || a + len > mr.addr + mr.length) {
+  if (!within(it->second, reinterpret_cast<std::uint64_t>(addr), len)) {
     throw std::runtime_error("MemoryDomain: local access out of bounds (lkey " + std::to_string(lkey) + ")");
   }
 }

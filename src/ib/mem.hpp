@@ -6,7 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <unordered_map>
 
 #include "ib/types.hpp"
 
@@ -35,11 +35,12 @@ class MemoryDomain {
   /// Validates a local-key access the same way.
   void check_lkey(LKey lkey, const void* addr, std::uint64_t len) const;
 
-  [[nodiscard]] std::size_t region_count() const { return by_rkey_.size(); }
+  [[nodiscard]] std::size_t region_count() const { return by_key_.size(); }
 
  private:
-  std::map<RKey, MemoryRegion> by_rkey_;
-  std::map<LKey, MemoryRegion> by_lkey_;
+  /// One region per key: a registration's lkey and rkey are the same value,
+  /// drawn from a monotone counter, so a deregistered key is never reused.
+  std::unordered_map<std::uint32_t, MemoryRegion> by_key_;
   std::uint32_t next_key_ = 1;
   MemoryRegion last_;
 };

@@ -10,7 +10,7 @@ namespace {
 
 /// splitmix64 finalizer: the stateless hash behind Valiant intermediate-group
 /// selection.  No shared RNG stream — the choice depends only on
-/// (src, dst, seed), so resolve() stays a pure function.
+/// (src, dst, seed), so a tabled route equals a freshly walked one.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -295,7 +295,13 @@ Lid Topology::attach_host() {
         "group parameters, or lower the host count)");
   }
   const Lid lid = static_cast<Lid>(attached_++);
+  routes_.clear();  // the table's dimension is the attached count
   if (spec_.shape == TopoShape::Crossbar) {
+    Route r;
+    r.count = 1;
+    r.hop[0] = RouteHop{0, static_cast<std::int16_t>(lid), 0, false};
+    r.fwd_latency = fp_.wire_latency + fp_.switch_latency;
+    xbar_routes_.push_back(r);
     Switch& sw = *switches_[0];
     sw.ports_.push_back(Switch::Link{-1, -1, lid, false});
     sw.fwd_.push_back(static_cast<std::int16_t>(lid));
@@ -340,21 +346,20 @@ void finish_route(Route& r, const FabricParams& fp, sim::Time global_wire) {
 
 }  // namespace
 
-Route Topology::resolve(Lid src, Lid dst) const {
-  switch (spec_.shape) {
-    case TopoShape::Crossbar: {
-      Route r;
-      r.count = 1;
-      r.hop[0] = RouteHop{0, static_cast<std::int16_t>(dst), 0, false};
-      r.fwd_latency = fp_.wire_latency + fp_.switch_latency;
-      return r;
-    }
-    case TopoShape::FatTree:
-      return resolve_fattree(src, dst);
-    case TopoShape::Dragonfly:
-      return resolve_dragonfly(src, dst);
+const Route& Topology::resolve(Lid src, Lid dst) const {
+  if (src >= attached_ || dst >= attached_) {
+    throw std::out_of_range("Topology::resolve: lid " + std::to_string(std::max(src, dst)) +
+                            " is not attached (" + std::to_string(attached_) + " attached)");
   }
-  return {};
+  if (spec_.shape == TopoShape::Crossbar) return xbar_routes_[dst];
+  const auto n = static_cast<std::size_t>(attached_);
+  if (routes_.size() != n * n) routes_.assign(n * n, Route{});
+  Route& r = routes_[src * n + dst];
+  if (r.count == 0) {
+    r = spec_.shape == TopoShape::FatTree ? resolve_fattree(src, dst)
+                                          : resolve_dragonfly(src, dst);
+  }
+  return r;
 }
 
 Route Topology::resolve_fattree(Lid src, Lid dst) const {
@@ -441,7 +446,7 @@ bool Topology::deadlock_free() const {
   for (int src = 0; src < attached_; ++src) {
     for (int dst = 0; dst < attached_; ++dst) {
       if (src == dst) continue;
-      const Route r = resolve(static_cast<Lid>(src), static_cast<Lid>(dst));
+      const Route& r = resolve(static_cast<Lid>(src), static_cast<Lid>(dst));
       std::int64_t prev = -1;
       for (int i = 0; i < r.count; ++i) {
         const Switch& sw = *switches_[static_cast<std::size_t>(r.hop[i].sw)];

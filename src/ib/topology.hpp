@@ -16,15 +16,20 @@
 //                 acyclic by construction (verified by deadlock_free()).
 //  * Dragonfly  — canonical (p, a, h, g) groups with minimal l-g-l routing
 //                 or Valiant (random intermediate group, chosen by a
-//                 stateless hash so resolve() stays a pure function).  The
-//                 VL of a hop is the number of global links already crossed,
-//                 the standard dragonfly deadlock-avoidance discipline.
+//                 stateless hash so a pair's route depends on (src, dst)
+//                 alone and can be tabled).  The VL of a hop is the number
+//                 of global links already crossed, the standard dragonfly
+//                 deadlock-avoidance discipline.
 //
-// Transfers consult Topology::resolve(src, dst) for the hop list.  With
-// contention off only the summed forward latency is used (same event
-// structure as the legacy formula); with contention on each hop is a real
-// event, with backplane and per-output-port bandwidth servers modelling
-// arbitration and output queuing.
+// Transfers consult Topology::resolve(src, dst) for the hop list.  Like the
+// forwarding tables a subnet manager programs once into real switches, a
+// routed shape walks each (src, dst) pair's switches only on its first use
+// and keeps the result in a table of attached x attached routes, so every
+// later WQE, hop event and ACK reads one entry.  With contention off only
+// the summed forward latency is used (same event structure as the legacy
+// formula); with contention on each hop is a real event, with backplane and
+// per-output-port bandwidth servers modelling arbitration and output
+// queuing.
 #pragma once
 
 #include <cstdint>
@@ -197,9 +202,13 @@ class Topology {
   [[nodiscard]] int edge_switch_of(Lid lid) const;
 
   /// Hop list + summed forward latency from src's uplink to the last switch
-  /// before dst's downlink.  Deterministic, stateless (Valiant picks its
-  /// intermediate group by hashing (src, dst, seed)).
-  [[nodiscard]] Route resolve(Lid src, Lid dst) const;
+  /// before dst's downlink; both lids must be attached (std::out_of_range
+  /// otherwise).  Deterministic: the route is a function of (src, dst) and
+  /// the shape alone (Valiant picks its intermediate group by hashing
+  /// (src, dst, seed)).  A crossbar route is its closed form; a routed
+  /// shape's is walked once per pair and then read from the route table.
+  /// The reference stays valid until the next attach_host.
+  [[nodiscard]] const Route& resolve(Lid src, Lid dst) const;
   /// resolve(src, dst).fwd_latency with a constant fast path for crossbar.
   [[nodiscard]] sim::Time fwd_latency(Lid src, Lid dst) const;
 
@@ -238,6 +247,13 @@ class Topology {
   FabricParams fp_;
   std::vector<std::unique_ptr<Switch>> switches_;
   int attached_ = 0;
+  /// Crossbar: the closed-form route to each attached lid (the same from
+  /// every source), appended by attach_host.
+  std::vector<Route> xbar_routes_;
+  /// Routed shapes: attached x attached routes, row-major by source, filled
+  /// on first use per pair (count == 0 marks an unresolved entry).  Emptied
+  /// by attach_host and re-sized by the next resolve.
+  mutable std::vector<Route> routes_;
 };
 
 }  // namespace ib12x::ib

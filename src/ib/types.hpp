@@ -43,7 +43,7 @@ struct SendWr {
   /// a remote polling loop noticing the write's tail flag — real verbs has
   /// no such callback, but a polled RDMA fast-path channel behaves exactly
   /// this way and simulating the poll loop itself would add nothing.
-  std::function<void()> delivered_cb;
+  std::function<void()> delivered_cb = {};
 };
 
 struct RecvWr {

@@ -10,31 +10,38 @@ ConnManager::ConnManager(ChannelHost& host)
       established_(host.telemetry().counter("conn.established")),
       inflight_hwm_(host.telemetry().counter("conn.handshakes_inflight")) {}
 
-ConnManager::State ConnManager::state(int peer) const {
-  auto it = peers_.find(peer);
-  return it == peers_.end() ? State::Unconnected : it->second.st;
+ConnManager::PeerConn& ConnManager::conn(int peer) {
+  if (peer < 0) throw std::out_of_range("ConnManager: negative peer rank " + std::to_string(peer));
+  const auto i = static_cast<std::size_t>(peer);
+  if (i >= peers_.size()) peers_.resize(i + 1);
+  return peers_[i];
 }
 
-bool ConnManager::has_queued(int peer) const {
-  auto it = peers_.find(peer);
-  return it != peers_.end() && !it->second.q.empty();
+const ConnManager::PeerConn* ConnManager::find(int peer) const {
+  const auto i = static_cast<std::size_t>(peer);
+  return peer >= 0 && i < peers_.size() ? &peers_[i] : nullptr;
+}
+
+ConnManager::State ConnManager::state(int peer) const {
+  const PeerConn* pc = find(peer);
+  return pc == nullptr ? State::Unconnected : pc->st;
 }
 
 std::size_t ConnManager::queued(int peer) const {
-  auto it = peers_.find(peer);
-  return it == peers_.end() ? 0 : it->second.q.size();
+  const PeerConn* pc = find(peer);
+  return pc == nullptr ? 0 : pc->q.size();
 }
 
 std::vector<int> ConnManager::queued_peers() const {
   std::vector<int> out;
-  for (const auto& [rank, pc] : peers_) {
-    if (!pc.q.empty()) out.push_back(rank);
+  for (std::size_t rank = 0; rank < peers_.size(); ++rank) {
+    if (!peers_[rank].q.empty()) out.push_back(static_cast<int>(rank));
   }
   return out;
 }
 
 void ConnManager::initiate(int peer) {
-  PeerConn& pc = peers_[peer];
+  PeerConn& pc = conn(peer);
   if (pc.st != State::Unconnected) return;
   pc.st = State::Connecting;
   ++inflight_;
@@ -46,8 +53,7 @@ void ConnManager::initiate(int peer) {
 
 void ConnManager::complete_handshake(int peer) {
   --inflight_;
-  PeerConn& pc = peers_[peer];
-  if (pc.st == State::Ready) {
+  if (state(peer) == State::Ready) {
     // Simultaneous connect: the peer's handshake landed first and its wire
     // function already built this pair (and marked us Ready).  Nothing to
     // wire — just make sure anything queued meanwhile drains.
@@ -60,14 +66,14 @@ void ConnManager::complete_handshake(int peer) {
   // wire_fn_ wires both endpoints of the pair and calls mark_ready on both
   // managers (which flushes this side's queue).
   wire_fn_(peer);
-  if (pc.st != State::Ready) {
+  if (state(peer) != State::Ready) {
     throw std::logic_error("ConnManager: wire function left peer " + std::to_string(peer) +
                            " not Ready");
   }
 }
 
 void ConnManager::mark_ready(int peer) {
-  PeerConn& pc = peers_[peer];
+  PeerConn& pc = conn(peer);
   if (pc.st == State::Ready) return;
   pc.st = State::Ready;
   established_.inc();
@@ -75,23 +81,19 @@ void ConnManager::mark_ready(int peer) {
 }
 
 void ConnManager::enqueue(int peer, QueuedSend qs) {
-  peers_[peer].q.push_back(std::move(qs));
+  conn(peer).q.push_back(std::move(qs));
+  ++queued_total_;
 }
 
 QueuedSend& ConnManager::front(int peer) {
-  auto it = peers_.find(peer);
-  if (it == peers_.end() || it->second.q.empty()) {
-    throw std::logic_error("ConnManager: front() on empty queue");
-  }
-  return it->second.q.front();
+  if (queued(peer) == 0) throw std::logic_error("ConnManager: front() on empty queue");
+  return peers_[static_cast<std::size_t>(peer)].q.front();
 }
 
 void ConnManager::pop_front(int peer) {
-  auto it = peers_.find(peer);
-  if (it == peers_.end() || it->second.q.empty()) {
-    throw std::logic_error("ConnManager: pop_front() on empty queue");
-  }
-  it->second.q.pop_front();
+  if (queued(peer) == 0) throw std::logic_error("ConnManager: pop_front() on empty queue");
+  peers_[static_cast<std::size_t>(peer)].q.pop_front();
+  --queued_total_;
 }
 
 }  // namespace ib12x::mvx

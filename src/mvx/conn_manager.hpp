@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "mvx/channel.hpp"
@@ -60,8 +59,10 @@ class ConnManager {
 
   [[nodiscard]] State state(int peer) const;
   [[nodiscard]] bool ready(int peer) const { return state(peer) == State::Ready; }
-  [[nodiscard]] bool has_queued(int peer) const;
+  [[nodiscard]] bool has_queued(int peer) const { return queued(peer) != 0; }
   [[nodiscard]] std::size_t queued(int peer) const;
+  /// Sends queued towards all peers together.
+  [[nodiscard]] std::size_t queued_total() const { return queued_total_; }
   /// Peers with at least one queued send, ascending (deterministic flush
   /// order when a shared resource frees up).
   [[nodiscard]] std::vector<int> queued_peers() const;
@@ -87,8 +88,15 @@ class ConnManager {
     sim::Fifo<QueuedSend> q;
   };
 
+  /// The peer's entry, created (Unconnected, nothing queued) on first use.
+  PeerConn& conn(int peer);
+  /// The peer's entry, or nullptr for a peer never touched.
+  [[nodiscard]] const PeerConn* find(int peer) const;
+
   ChannelHost& host_;
-  std::map<int, PeerConn> peers_;
+  /// Indexed by peer rank; grows to the highest rank touched.
+  std::vector<PeerConn> peers_;
+  std::size_t queued_total_ = 0;
   int inflight_ = 0;
 
   Counter& established_;

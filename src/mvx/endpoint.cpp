@@ -325,7 +325,7 @@ void Endpoint::flush_queued(int peer) {
 }
 
 void Endpoint::on_eager_resources_freed(int /*peer*/) {
-  if (!cfg_.lazy_connect) return;
+  if (!cfg_.lazy_connect || conn_->queued_total() == 0) return;
   // The bounce pool and (in SRQ mode) the eager slot arena are shared across
   // peers, so the freed resource can unblock any queued peer — not just the
   // one whose CQE fired.

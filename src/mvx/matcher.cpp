@@ -1,5 +1,7 @@
 #include "mvx/matcher.hpp"
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace ib12x::mvx {
@@ -11,15 +13,25 @@ Matcher::Matcher(TelemetryRegistry& tel)
       matched_ctr_(tel.counter("matcher.matched")),
       dup_dropped_(tel.counter("fault.dup_dropped")) {}
 
+std::uint64_t Matcher::seq_key(int peer, int ctx, int vci) {
+  if (peer < 0 || peer >= (1 << 24) || vci < 0 || vci > 0xff) {
+    throw std::out_of_range("Matcher: sequence key out of range (peer " + std::to_string(peer) +
+                            ", vci " + std::to_string(vci) + ")");
+  }
+  return static_cast<std::uint64_t>(peer) << 40 |
+         static_cast<std::uint64_t>(static_cast<std::uint32_t>(ctx)) << 8 |
+         static_cast<std::uint64_t>(vci);
+}
+
 std::uint32_t Matcher::next_send_seq(int peer, int ctx, int vci) {
-  return send_seq_[{peer, ctx, vci}]++;
+  return send_seq_[seq_key(peer, ctx, vci)]++;
 }
 
 std::vector<Matcher::Inbound> Matcher::sequence(int peer, const MsgHeader& hdr,
                                                 std::vector<std::byte> payload) {
   std::vector<Inbound> ready;
   const int vci = hdr.vci;
-  std::uint32_t& next = next_seq_[{peer, hdr.ctx, vci}];
+  std::uint32_t& next = next_seq_[seq_key(peer, hdr.ctx, vci)];
   if (hdr.seq < next ||
       (hdr.seq != next && reorder_.count({peer, hdr.ctx, vci, hdr.seq}) != 0)) {
     // Duplicate delivery: a fault-injection replay of a message whose first

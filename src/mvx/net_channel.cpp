@@ -129,12 +129,19 @@ int NetChannel::rail_credits() const {
 
 void NetChannel::open_to(int peer_rank) {
   ensure_net_resources();
-  peers_[peer_rank];  // materialize the peer entry (rails wire in establish)
+  if (peer_rank < 0) {
+    throw std::out_of_range("NetChannel " + std::to_string(host_.rank()) +
+                            ": negative peer rank " + std::to_string(peer_rank));
+  }
+  const auto i = static_cast<std::size_t>(peer_rank);
+  if (i >= peers_.size()) peers_.resize(i + 1);
+  // Materialize the peer entry (rails wire in establish).
+  if (!peers_[i]) peers_[i] = std::make_unique<Peer>();
 }
 
 ib::QueuePair& NetChannel::open_rail(int peer_rank, int hca_index, int port) {
   const Config& cfg = host_.config();
-  Peer& c = peers_.at(peer_rank);
+  Peer& c = peer(peer_rank);
   ib::SharedReceiveQueue* srq =
       cfg.use_srq ? pools_.at(static_cast<std::size_t>(hca_index)).srq : nullptr;
   ib::QueuePair& qp =
@@ -176,8 +183,8 @@ void NetChannel::establish(NetChannel& a, NetChannel& b) {
   const Config& cfg = a.host_.config();
   a.open_to(b.host_.rank());
   b.open_to(a.host_.rank());
-  a.peers_.at(b.host_.rank()).remote = &b;
-  b.peers_.at(a.host_.rank()).remote = &a;
+  a.peer(b.host_.rank()).remote = &b;
+  b.peer(a.host_.rank()).remote = &a;
   // VCI group 0 always wires with the connection; with lazy_connect the
   // remaining groups wire on first use (ensure_vci).  Eager wiring brings up
   // every group here.
@@ -192,8 +199,8 @@ void NetChannel::ensure_vci(int peer_rank, int vci) {
 
 void NetChannel::wire_vci_group(NetChannel& a, NetChannel& b) {
   const Config& cfg = a.host_.config();
-  Peer& pa = a.peers_.at(b.host_.rank());
-  Peer& pb = b.peers_.at(a.host_.rank());
+  Peer& pa = a.peer(b.host_.rank());
+  Peer& pb = b.peer(a.host_.rank());
   if (pa.wired_vcis >= 1) {
     // Lane state for the new VCI (group 0 lives in the Peer's own members).
     pa.ext.emplace_back();
@@ -217,8 +224,8 @@ void NetChannel::wire_vci_group(NetChannel& a, NetChannel& b) {
           // Lazy wiring can land inside a link-down window: a QP created
           // behind a dead port starts in the error state (its rail parks and
           // probes for recovery like any mid-run failure).
-          const int ra = static_cast<int>(a.peers_.at(b.host_.rank()).rails.size()) - 1;
-          const int rb = static_cast<int>(b.peers_.at(a.host_.rank()).rails.size()) - 1;
+          const int ra = static_cast<int>(pa.rails.size()) - 1;
+          const int rb = static_cast<int>(pb.rails.size()) - 1;
           if (plan->port_down(a.hcas_.at(static_cast<std::size_t>(h)), p)) {
             qa.transition_to_error();
             a.mark_rail_down(b.host_.rank(), ra);
@@ -234,12 +241,11 @@ void NetChannel::wire_vci_group(NetChannel& a, NetChannel& b) {
 }
 
 NetChannel::Peer& NetChannel::peer(int rank) {
-  auto it = peers_.find(rank);
-  if (it == peers_.end()) {
+  if (!accepts(rank, 0)) {
     throw std::logic_error("NetChannel " + std::to_string(host_.rank()) +
                            ": no connection to rank " + std::to_string(rank));
   }
-  return it->second;
+  return *peers_[static_cast<std::size_t>(rank)];
 }
 
 const NetChannel::Peer& NetChannel::peer(int rank) const {
@@ -247,7 +253,8 @@ const NetChannel::Peer& NetChannel::peer(int rank) const {
 }
 
 bool NetChannel::accepts(int peer_rank, std::int64_t /*bytes*/) const {
-  return peers_.count(peer_rank) != 0;
+  const auto i = static_cast<std::size_t>(peer_rank);
+  return peer_rank >= 0 && i < peers_.size() && peers_[i] != nullptr;
 }
 
 int NetChannel::nrails(int peer_rank) const {
@@ -873,7 +880,7 @@ void NetChannel::on_recv_cqe(const ib::Wc& wc) {
       throw std::logic_error("NetChannel: flush CQE from unknown QP");
     }
     const auto [peer_rank, rail] = it->second;
-    peers_.at(peer_rank).rails.at(static_cast<std::size_t>(rail)).parked.push_back(slot);
+    peer(peer_rank).rails.at(static_cast<std::size_t>(rail)).parked.push_back(slot);
     mark_rail_down(peer_rank, rail);
     return;
   }

@@ -174,7 +174,7 @@ class NetChannel final : public Channel {
     bool recovery_scheduled = false;  ///< a try_recover_rail event is pending
     int recovery_polls = 0;           ///< consecutive still-down probes (bounded)
     /// Receive slots flushed when the rail died; reposted on recovery.
-    std::vector<RecvSlot*> parked;
+    std::vector<RecvSlot*> parked = {};
   };
 
   using PendingCtl = std::pair<MsgHeader, CtsRkeys>;
@@ -329,7 +329,9 @@ class NetChannel final : public Channel {
   ib::CompletionQueue scq_;
   ib::CompletionQueue rcq_;
 
-  std::map<int, Peer> peers_;
+  /// Indexed by peer rank; null for a rank this side never opened.  Each
+  /// Peer is its own allocation, so references survive the vector growing.
+  std::vector<std::unique_ptr<Peer>> peers_;
   std::vector<std::unique_ptr<RecvSlot>> recv_slots_;
   std::vector<HcaPool> pools_;  ///< per local HCA, SRQ mode only
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -65,6 +66,54 @@ TEST(MemoryDomain, OverlappingRegistrationsCoexist) {
   EXPECT_NO_THROW(md.translate_rkey(a.rkey, a.addr + 200, 8));
   EXPECT_THROW(md.translate_rkey(b.rkey, a.addr + 200, 8), std::runtime_error);
   EXPECT_EQ(md.region_count(), 2u);
+}
+
+TEST(MemoryDomain, WrappingLengthIsRejectedForRkey) {
+  // addr + len wraps past 2^64 for a huge len; a sum-based bounds check
+  // would see a small end address and let the access through.
+  MemoryDomain md;
+  std::vector<std::byte> buf(128);
+  MemoryRegion mr = md.register_memory(buf.data(), buf.size());
+  const std::uint64_t wrap = ~std::uint64_t{0} - mr.addr + 1;  // addr + wrap == 0
+  EXPECT_THROW(md.translate_rkey(mr.rkey, mr.addr, wrap), std::runtime_error);
+  EXPECT_THROW(md.translate_rkey(mr.rkey, mr.addr + 8, wrap + 16), std::runtime_error);
+  EXPECT_THROW(md.translate_rkey(mr.rkey, mr.addr, ~std::uint64_t{0}), std::runtime_error);
+  EXPECT_THROW(md.translate_rkey(mr.rkey, mr.addr + 129, 0), std::runtime_error);
+  EXPECT_NO_THROW(md.translate_rkey(mr.rkey, mr.addr + 128, 0));
+}
+
+TEST(MemoryDomain, WrappingLengthIsRejectedForLkey) {
+  MemoryDomain md;
+  std::vector<std::byte> buf(128);
+  MemoryRegion mr = md.register_memory(buf.data(), buf.size());
+  const std::uint64_t wrap = ~std::uint64_t{0} - mr.addr + 1;
+  EXPECT_THROW(md.check_lkey(mr.lkey, buf.data(), wrap), std::runtime_error);
+  EXPECT_THROW(md.check_lkey(mr.lkey, buf.data() + 8, wrap + 16), std::runtime_error);
+  EXPECT_THROW(md.check_lkey(mr.lkey, buf.data(), ~std::uint64_t{0}), std::runtime_error);
+  EXPECT_NO_THROW(md.check_lkey(mr.lkey, buf.data() + 64, 64));
+}
+
+TEST(MemoryDomain, RegisterDeregisterChurnLeavesStaleKeysDead) {
+  // Keys come from a monotone counter: 10 k register/deregister cycles must
+  // neither reuse a key nor leave a stale one resolvable.
+  MemoryDomain md;
+  std::vector<std::byte> buf(64);
+  MemoryRegion keep = md.register_memory(buf.data(), buf.size());
+  std::vector<MemoryRegion> stale;
+  for (int i = 0; i < 10000; ++i) {
+    MemoryRegion mr = md.register_memory(buf.data() + i % 32, 32);
+    ASSERT_NO_THROW(md.check_lkey(mr.lkey, buf.data() + i % 32, 32));
+    md.deregister(mr);
+    if (i % 1000 == 0) stale.push_back(mr);
+  }
+  EXPECT_EQ(md.region_count(), 1u);
+  for (const MemoryRegion& mr : stale) {
+    EXPECT_THROW(md.translate_rkey(mr.rkey, mr.addr, 1), std::runtime_error) << mr.rkey;
+    EXPECT_THROW(md.check_lkey(mr.lkey, buf.data(), 1), std::runtime_error) << mr.lkey;
+  }
+  const MemoryRegion fresh = md.register_memory(buf.data(), buf.size());
+  EXPECT_GT(fresh.lkey, stale.back().lkey);
+  EXPECT_NO_THROW(md.translate_rkey(keep.rkey, keep.addr, 64));
 }
 
 TEST(MemoryDomain, ConstRegistration) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "ib/topology.hpp"
@@ -204,6 +205,92 @@ TEST(Topology, DeadlockFreeOnAllShapes) {
     Topology topo(Topology::normalize(dragonfly_spec(rp)), FabricParams{});
     for (int i = 0; i < topo.host_capacity(); ++i) (void)topo.attach_host();
     EXPECT_TRUE(topo.deadlock_free()) << "routing policy " << static_cast<int>(rp);
+  }
+}
+
+// ---- the route table -----------------------------------------------------
+
+/// Hops, VLs, global flags and forward latency of two routes agree.
+void expect_same_route(const Route& a, const Route& b, Lid s, Lid d) {
+  ASSERT_EQ(a.count, b.count) << s << "->" << d;
+  EXPECT_EQ(a.fwd_latency, b.fwd_latency) << s << "->" << d;
+  for (int i = 0; i < a.count; ++i) {
+    EXPECT_EQ(a.hop[i].sw, b.hop[i].sw) << s << "->" << d << " hop " << i;
+    EXPECT_EQ(a.hop[i].out_port, b.hop[i].out_port) << s << "->" << d << " hop " << i;
+    EXPECT_EQ(a.hop[i].vl, b.hop[i].vl) << s << "->" << d << " hop " << i;
+    EXPECT_EQ(a.hop[i].global, b.hop[i].global) << s << "->" << d << " hop " << i;
+  }
+}
+
+/// Two instances of one shape: `all` attaches every host first and resolves
+/// the pairs in row-major order; `grown` resolves each new host's pairs as
+/// it attaches (so every attach resets a partly filled table) and finally
+/// every pair in reverse order.  A tabled route must not depend on which
+/// pairs were resolved before it nor on when the hosts attached.
+void expect_table_order_independent(const TopologySpec& spec, int hosts) {
+  const FabricParams fp;
+  Topology all(spec, fp);
+  for (int i = 0; i < hosts; ++i) (void)all.attach_host();
+  std::vector<Route> want;
+  for (Lid s = 0; s < hosts; ++s) {
+    for (Lid d = 0; d < hosts; ++d) want.push_back(all.resolve(s, d));
+  }
+  const auto wanted = [&](Lid s, Lid d) -> const Route& {
+    return want[static_cast<std::size_t>(s) * static_cast<std::size_t>(hosts) + d];
+  };
+
+  Topology grown(spec, fp);
+  for (int n = 0; n < hosts; ++n) {
+    const Lid fresh = grown.attach_host();
+    for (Lid other = 0; other <= fresh; ++other) {
+      expect_same_route(grown.resolve(fresh, other), wanted(fresh, other), fresh, other);
+      expect_same_route(grown.resolve(other, fresh), wanted(other, fresh), other, fresh);
+    }
+  }
+  for (int s = hosts - 1; s >= 0; --s) {
+    for (int d = hosts - 1; d >= 0; --d) {
+      const auto ls = static_cast<Lid>(s);
+      const auto ld = static_cast<Lid>(d);
+      expect_same_route(grown.resolve(ls, ld), wanted(ls, ld), ls, ld);
+      EXPECT_EQ(grown.fwd_latency(ls, ld), wanted(ls, ld).fwd_latency) << s << "->" << d;
+      EXPECT_EQ(all.fwd_latency(ls, ld), wanted(ls, ld).fwd_latency) << s << "->" << d;
+      expect_route_reaches(grown, ls, ld);
+    }
+  }
+  EXPECT_TRUE(grown.deadlock_free());
+}
+
+TEST(RouteTable, CrossbarIsOrderIndependent) {
+  expect_table_order_independent(TopologySpec{}, 12);
+}
+
+TEST(RouteTable, FatTreeK4IsOrderIndependent) {
+  expect_table_order_independent(fattree_spec(4), 16);
+}
+
+TEST(RouteTable, FatTreeK8IsOrderIndependent) {
+  expect_table_order_independent(fattree_spec(8), 128);
+}
+
+TEST(RouteTable, DragonflyMinimalIsOrderIndependent) {
+  const TopologySpec spec = Topology::normalize(dragonfly_spec(RoutePolicy::Minimal));
+  expect_table_order_independent(spec, static_cast<int>(Topology::capacity_of(spec)));
+}
+
+TEST(RouteTable, DragonflyValiantIsOrderIndependent) {
+  const TopologySpec spec = Topology::normalize(dragonfly_spec(RoutePolicy::Valiant));
+  expect_table_order_independent(spec, static_cast<int>(Topology::capacity_of(spec)));
+}
+
+TEST(RouteTable, ResolveRejectsUnattachedLids) {
+  for (const TopologySpec& spec : {TopologySpec{}, fattree_spec(4)}) {
+    Topology topo(spec, FabricParams{});
+    EXPECT_THROW((void)topo.resolve(0, 0), std::out_of_range);
+    (void)topo.attach_host();
+    (void)topo.attach_host();
+    EXPECT_NO_THROW((void)topo.resolve(0, 1));
+    EXPECT_THROW((void)topo.resolve(0, 2), std::out_of_range);
+    EXPECT_THROW((void)topo.resolve(2, 0), std::out_of_range);
   }
 }
 

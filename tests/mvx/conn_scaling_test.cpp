@@ -2,14 +2,22 @@
 // machine (queue/flush FIFO, simultaneous connect, rendezvous-first contact)
 // and the SRQ-backed pooled eager path (low-watermark replenish, RNR-style
 // pool-dry backpressure), plus the telemetry-asserted scaling properties —
-// QPs and pinned eager bytes O(active peers), not O(ranks²).
+// QPs and pinned eager bytes O(active peers), not O(ranks²) — and the
+// rank-indexed peer slots of the connection manager and net channel, which
+// must keep their ordering and error diagnostics.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "mvx/conn_manager.hpp"
+#include "mvx/endpoint.hpp"
 #include "mvx/mpi.hpp"
+#include "mvx/net_channel.hpp"
 #include "mvx/wire.hpp"
 #include "mvx_test_util.hpp"
 
@@ -157,7 +165,10 @@ TEST(ConnScaling, RendezvousFirstContact) {
 
 TEST(ConnScaling, SrqReplenishesOnLowWatermark) {
   // A burst deep enough to drain the pool below srq_limit must trigger the
-  // asynchronous limit event and at least one batched repost.
+  // asynchronous limit event and at least one batched repost.  The burst is
+  // queued behind the handshake, and the pool's 8 slots leave too few
+  // credits to flush it at once (net.credit_stalls): the rest is parked
+  // until send CQEs free credits and flush it (on_eager_resources_freed).
   Config cfg;
   cfg.srq_pool_slots = 8;
   cfg.srq_limit = 4;
@@ -183,6 +194,8 @@ TEST(ConnScaling, SrqReplenishesOnLowWatermark) {
   EXPECT_GE(w.telemetry().counter_value("srq.replenishes"), 1u);
   EXPECT_EQ(w.telemetry().counter_value("srq.pool_dry"), 0u)
       << "a single sender's derived credits must never overrun the pool";
+  EXPECT_GE(w.telemetry().counter_value("net.credit_stalls"), 1u);
+  EXPECT_EQ(w.endpoint(0).conn().queued_total(), 0u);
 }
 
 TEST(ConnScaling, ConcurrentSendersHitPoolDryBackpressure) {
@@ -227,6 +240,70 @@ TEST(ConnScaling, ConcurrentSendersHitPoolDryBackpressure) {
     }
   });
   EXPECT_GE(w.telemetry().counter_value("srq.pool_dry"), 1u);
+}
+
+// ---- dense per-rank slots keep their diagnostics -------------------------
+
+TEST(ConnSlots, QueuedPeersAscendAfterOutOfOrderEnqueues) {
+  World w(ClusterSpec{8, 1}, Config{});
+  ConnManager& conn = w.endpoint(0).conn();
+  for (int peer : {5, 2, 7, 2, 3}) {
+    QueuedSend qs;
+    qs.tag = peer;
+    conn.enqueue(peer, std::move(qs));
+  }
+  EXPECT_EQ(conn.queued_peers(), (std::vector<int>{2, 3, 5, 7}));
+  EXPECT_EQ(conn.queued_total(), 5u);
+  EXPECT_EQ(conn.queued(2), 2u);
+  EXPECT_EQ(conn.queued(6), 0u);
+  EXPECT_EQ(conn.queued(100), 0u);
+  EXPECT_EQ(conn.state(100), ConnManager::State::Unconnected);
+  EXPECT_EQ(conn.front(7).tag, 7);
+  conn.pop_front(7);
+  conn.pop_front(2);
+  EXPECT_EQ(conn.queued_peers(), (std::vector<int>{2, 3, 5}));
+  EXPECT_EQ(conn.queued_total(), 3u);
+}
+
+TEST(ConnSlots, FrontAndPopFrontOnEmptyQueueThrow) {
+  World w(ClusterSpec{4, 1}, Config{});
+  ConnManager& conn = w.endpoint(0).conn();
+  EXPECT_THROW((void)conn.front(1), std::logic_error);      // never touched
+  EXPECT_THROW(conn.pop_front(100), std::logic_error);      // beyond every slot
+  EXPECT_THROW(conn.pop_front(-1), std::logic_error);
+  conn.enqueue(3, QueuedSend{});
+  EXPECT_THROW((void)conn.front(2), std::logic_error);      // slot exists, queue empty
+  conn.pop_front(3);
+  EXPECT_THROW(conn.pop_front(3), std::logic_error);        // drained
+  EXPECT_EQ(conn.queued_total(), 0u);
+}
+
+TEST(ConnSlots, NetChannelPeerDiagnosticsSurviveDenseSlots) {
+  // A channel with no HCAs: opening a peer needs none, and the checks under
+  // test never post.
+  World w(ClusterSpec{4, 1}, Config{});
+  NetChannel net(w.endpoint(0), {});
+  const auto expect_no_connection = [&](int rank) {
+    try {
+      (void)net.nrails(rank);
+      ADD_FAILURE() << "nrails(" << rank << ") did not throw";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("no connection to rank " + std::to_string(rank)),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (int rank : {-1, 1, 2, 3, 100}) {
+    EXPECT_FALSE(net.accepts(rank, 0)) << rank;
+    expect_no_connection(rank);
+  }
+  net.open_to(2);
+  EXPECT_TRUE(net.accepts(2, 0));
+  EXPECT_EQ(net.nrails(2), w.config().rails());
+  for (int rank : {-1, 1, 3, 100}) {  // below, above and far past the opened slot
+    EXPECT_FALSE(net.accepts(rank, 0)) << rank;
+    expect_no_connection(rank);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // probe semantics over the unexpected queue.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "mvx/matcher.hpp"
@@ -105,6 +106,16 @@ TEST(Matcher, SendSeqCountsPerPeerCtx) {
   EXPECT_EQ(m.next_send_seq(1, 5, 0), 0u);  // fresh ctx
   EXPECT_EQ(m.next_send_seq(2, 0, 0), 0u);  // fresh peer
   EXPECT_EQ(m.next_send_seq(1, 0, 1), 0u);  // fresh vci
+  // The counters hash one packed (peer, ctx, vci) key: extreme values of
+  // one field must not spill into a neighbouring field.
+  EXPECT_EQ(m.next_send_seq(0, -1, 0), 0u);  // ctx all ones
+  EXPECT_EQ(m.next_send_seq(1, -1, 255), 0u);
+  EXPECT_EQ(m.next_send_seq(0, 0, 255), 0u);
+  EXPECT_EQ(m.next_send_seq(0, 1, 0), 0u);
+  EXPECT_EQ(m.next_send_seq((1 << 24) - 1, 0, 0), 0u);
+  EXPECT_EQ(m.next_send_seq(0, -1, 0), 1u);
+  EXPECT_THROW(m.next_send_seq(1 << 24, 0, 0), std::out_of_range);
+  EXPECT_THROW(m.next_send_seq(0, 0, 256), std::out_of_range);
 }
 
 TEST(Matcher, ProbeSeesUnexpectedWithoutConsuming) {
