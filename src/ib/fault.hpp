@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -67,16 +66,6 @@ class FaultPlan {
 
   void count_rnr_drop() { ++rnr_drops_; }
 
-  /// Marks an in-flight transfer's requester CQE as failed (AckDrop or RNR
-  /// drop discovered at delivery time).  Kept here — not in the Transfer
-  /// struct — so the fault-free pipeline's allocations stay byte-identical
-  /// (the interval pin-down cache is sensitive to heap layout).
-  void mark_transfer_failed(const void* transfer) { failed_transfers_.insert(transfer); }
-  /// Consumes the failure verdict for `transfer`; true if it was marked.
-  bool take_transfer_failed(const void* transfer) {
-    return failed_transfers_.erase(transfer) != 0;
-  }
-
   [[nodiscard]] std::uint64_t injected_errors() const { return injected_errors_; }
   [[nodiscard]] std::uint64_t link_transitions() const { return link_transitions_; }
   [[nodiscard]] std::uint64_t rnr_drops() const { return rnr_drops_; }
@@ -95,7 +84,6 @@ class FaultPlan {
   sim::Rng rng_;
   std::vector<LinkEvent> events_;
   std::vector<std::pair<const Hca*, int>> down_;  ///< ports currently down
-  std::set<const void*> failed_transfers_;
   std::uint64_t injected_errors_ = 0;
   std::uint64_t link_transitions_ = 0;
   std::uint64_t rnr_drops_ = 0;

@@ -209,21 +209,14 @@ struct Transfer {
   Hca* dhca = nullptr;
   sim::BandwidthServer* engine = nullptr;   ///< send DMA engine (source port)
   sim::BandwidthServer* rengine = nullptr;  ///< recv DMA engine (dest port)
-  // `eng` is dead once stage_engine has captured it; the contention-mode hop
-  // chain (Switch::hop) reuses the slot as its hop index.  A union instead
-  // of a new member because this struct's allocation size must stay exactly
-  // as it was (see the fault-state note below).
-  union {
-    int eng = 0;  ///< send engine index (service → stage_engine)
-    int hop_idx;  ///< contention mode: position in the tabled route
-  };
+  int eng = 0;      ///< send engine index (service → stage_engine)
+  int hop_idx = 0;  ///< contention mode: position in the tabled route
+  /// The requester's CQE completes in error: an AckDrop drawn at service
+  /// time, or an RNR drop found at delivery.
+  bool failed = false;
   QpNum src_qp_num = 0;
   std::int64_t bytes = 0;
   std::int64_t wire_bytes = 0;
-  // No fault state here: an injected failure verdict (AckDrop, RNR drop) is
-  // tracked in the FaultPlan's side set, keyed by this Transfer's address, so
-  // the fault-free pipeline's allocation sizes stay byte-identical (the
-  // interval pin-down cache above is sensitive to heap layout).
   sim::Time t_bus_seg = 0, t_eng_seg = 0, t_tx_seg = 0, t_dl_seg = 0, t_re_seg = 0,
             t_dbus_seg = 0;
   // Upstream last-byte bounds, filled in as the stages run.  tx_last changes
@@ -428,7 +421,7 @@ void Port::service(QueuePair* qp, int eng) {
   // retries until exhaustion and completes in error — while the responder has
   // already seen the message.  This is the fault that exercises duplicate
   // suppression above the verbs layer.
-  if (fault == MsgFault::AckDrop) plan->mark_transfer_failed(st.get());
+  st->failed = fault == MsgFault::AckDrop;
 
   // Single-packet messages (all MPI control traffic — RTS/CTS/FIN — and tiny
   // eager payloads) take a latency-only fast path through the shared pipes.
@@ -781,26 +774,20 @@ void Port::finish_transfer(std::unique_ptr<Transfer> st, sim::Time delivered,
     return;
   }
   // The delivery event fires before the CQE event (strictly earlier time, or
-  // FIFO order at an equal instant since it is pushed first), so it may
-  // annotate the Transfer's failure verdict in the FaultPlan for the CQE
-  // event to consume.
+  // FIFO order at an equal instant since it is pushed first), so it may set
+  // the Transfer's failure verdict for the CQE event to read.
   Transfer* raw = st.get();
   sim.at(delivered, [raw] {
-    if (!raw->dport->deliver(raw->dst, raw->wr, raw->src_qp_num)) {
-      // RNR drop → requester error CQE.  deliver() can only return false
-      // with a FaultPlan attached.
-      raw->dhca->fabric().fault_plan()->mark_transfer_failed(raw);
-    }
+    // RNR drop → requester error CQE.  deliver() can only return false with
+    // a FaultPlan attached.
+    if (!raw->dport->deliver(raw->dst, raw->wr, raw->src_qp_num)) raw->failed = true;
   });
   sim.at(cqe_time, [st = std::move(st), cqe_time] {
     Wc wc;
     wc.wr_id = st->wr.wr_id;
     wc.opcode =
         st->wr.opcode == Opcode::Send ? WcOpcode::SendComplete : WcOpcode::RdmaWriteComplete;
-    FaultPlan* plan = st->qp->port().hca().fabric().fault_plan();
-    if (plan != nullptr && plan->take_transfer_failed(st.get())) {
-      wc.status = WcStatus::RetryExcErr;
-    }
+    if (st->failed) wc.status = WcStatus::RetryExcErr;
     wc.byte_len = st->wr.length;
     wc.qp_num = st->qp->num();
     wc.timestamp = cqe_time;

@@ -354,8 +354,9 @@ void NetChannel::post_eager(Peer& c, int peer_rank, int rail, int bounce, const 
 
   // The caller has already reserved the credit (acquire_bounce_and_credit
   // or send_ctl); post_eager only performs the copy and the post.
-  SendCtx* ctx = track_ctx({SendCtx::Kind::Bounce, peer_rank, rail, bounce, 0,
-                            static_cast<std::int64_t>(kHeaderBytes) + bytes});
+  SendCtx* ctx = track_ctx({.kind = SendCtx::Kind::Bounce, .peer = peer_rank, .rail = rail,
+                            .bounce = bounce,
+                            .bytes = static_cast<std::int64_t>(kHeaderBytes) + bytes});
   r.outstanding += static_cast<std::int64_t>(kHeaderBytes) + bytes;
   if (r.credits < 0) throw std::logic_error("post_eager: credit underflow");
   r.qp->post_send({.wr_id = reinterpret_cast<std::uint64_t>(ctx),
@@ -595,11 +596,9 @@ void NetChannel::flush_pending_ctl(int peer_rank) {
 
 void NetChannel::post_write_impl(Peer& c, int peer_rank, const RndvStripe& st, bool deferred) {
   Rail& r = c.rails.at(static_cast<std::size_t>(st.rail));
-  SendCtx* sctx = track_ctx({SendCtx::Kind::RndvWrite, peer_rank, st.rail, -1, st.req_id, st.len});
-  sctx->attempts = st.attempts;
-  // Keep the full stripe descriptor only under fault injection, where an
-  // error CQE hands it back to the Rendezvous module for re-planning.
-  if (fault_enabled_) inflight_stripe_.emplace(sctx, st);
+  SendCtx* sctx = track_ctx(
+      {.kind = SendCtx::Kind::RndvWrite, .peer = peer_rank, .rail = st.rail, .bytes = st.len,
+       .stripe = st});
   r.outstanding += st.len;
   ib::SendWr wr;
   wr.wr_id = reinterpret_cast<std::uint64_t>(sctx);
@@ -634,9 +633,9 @@ void NetChannel::post_write_batch(int peer_rank, const std::vector<RndvStripe>& 
 
 void NetChannel::post_read_impl(Peer& c, int peer_rank, const RndvStripe& st, bool deferred) {
   Rail& r = c.rails.at(static_cast<std::size_t>(st.rail));
-  SendCtx* sctx = track_ctx({SendCtx::Kind::RndvRead, peer_rank, st.rail, -1, st.req_id, st.len});
-  sctx->attempts = st.attempts;
-  if (fault_enabled_) inflight_stripe_.emplace(sctx, st);
+  SendCtx* sctx = track_ctx(
+      {.kind = SendCtx::Kind::RndvRead, .peer = peer_rank, .rail = st.rail, .bytes = st.len,
+       .stripe = st});
   r.outstanding += st.len;
   ib::SendWr wr;
   wr.wr_id = reinterpret_cast<std::uint64_t>(sctx);
@@ -694,9 +693,9 @@ void NetChannel::post_write_imm(int peer_rank, const RndvStripe& st, std::uint32
   --r.credits;  // reserve; returns with this WQE's CQE
   RndvStripe actual = st;
   actual.rail = rail;
-  SendCtx* sctx = track_ctx({SendCtx::Kind::RndvImm, peer_rank, rail, -1, st.req_id, st.len});
-  sctx->attempts = st.attempts;
-  if (fault_enabled_) inflight_stripe_.emplace(sctx, actual);
+  SendCtx* sctx = track_ctx(
+      {.kind = SendCtx::Kind::RndvImm, .peer = peer_rank, .rail = rail, .bytes = st.len,
+       .stripe = actual});
   r.outstanding += st.len;
   ib::SendWr wr;
   wr.wr_id = reinterpret_cast<std::uint64_t>(sctx);
@@ -723,8 +722,9 @@ void NetChannel::post_fp_write(int peer_rank, const std::byte* src, std::uint32_
                                std::function<void()> delivered_cb) {
   Peer& c = peer(peer_rank);
   Rail& r = c.rails.front();  // the fast path rides rail 0
-  SendCtx* sctx =
-      track_ctx({SendCtx::Kind::FpWrite, peer_rank, 0, -1, 0, static_cast<std::int64_t>(len)});
+  SendCtx* sctx = track_ctx(
+      {.kind = SendCtx::Kind::FpWrite, .peer = peer_rank, .rail = 0,
+       .bytes = static_cast<std::int64_t>(len)});
   r.outstanding += static_cast<std::int64_t>(len);
   ib::SendWr wr;
   wr.wr_id = reinterpret_cast<std::uint64_t>(sctx);
@@ -762,10 +762,7 @@ void NetChannel::retire_ctx(SendCtx* ctx) {
 
 void NetChannel::on_send_cqe(const ib::Wc& wc) {
   auto* sctx = reinterpret_cast<SendCtx*>(wc.wr_id);
-  // A failure verdict rides the side set rather than the lambda capture:
-  // [this, sctx] fills std::function's inline buffer exactly, so adding a
-  // bool would heap-allocate on every CQE of the fault-free path.
-  if (wc.status != ib::WcStatus::Success) failed_send_.insert(sctx);
+  sctx->failed = wc.status != ib::WcStatus::Success;
   // Polling and processing a completion costs host CPU, serialized with all
   // other protocol work of this VCI — per-stripe CQEs are a real per-stripe
   // tax ("receipt of multiple acknowledgments", paper §4.3).  The rail index
@@ -773,7 +770,7 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
   // is polled and processed by its own progress server.
   host_.schedule_cpu_vci(sctx->rail / host_.config().rails(), host_.config().cqe_sw,
                          [this, sctx] {
-    const bool failed = fault_enabled_ && failed_send_.erase(sctx) != 0;
+    const bool failed = fault_enabled_ && sctx->failed;
     Peer& c = peer(sctx->peer);
     c.rails.at(static_cast<std::size_t>(sctx->rail)).outstanding -= sctx->bytes;
     if (failed) {
@@ -806,51 +803,33 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
                                    "not fault tolerant; disable it under fault injection)");
         }
         break;  // staging slot reuse is gated by the fast-path credit
-      case SendCtx::Kind::RndvWrite: {
-        if (fault_enabled_) {
-          auto it = inflight_stripe_.find(sctx);
-          const RndvStripe st = it->second;
-          inflight_stripe_.erase(it);
-          if (failed) {
-            host_.on_rndv_write_failed(sctx->peer, st);
-            break;
-          }
+      case SendCtx::Kind::RndvWrite:
+        if (failed) {
+          host_.on_rndv_write_failed(sctx->peer, sctx->stripe);
+        } else {
+          host_.on_rndv_write_done(sctx->peer, sctx->stripe.req_id);
         }
-        host_.on_rndv_write_done(sctx->peer, sctx->req_id);
         break;
-      }
-      case SendCtx::Kind::RndvRead: {
-        if (fault_enabled_) {
-          auto it = inflight_stripe_.find(sctx);
-          const RndvStripe st = it->second;
-          inflight_stripe_.erase(it);
-          if (failed) {
-            host_.on_rndv_read_failed(sctx->peer, st);
-            break;
-          }
+      case SendCtx::Kind::RndvRead:
+        if (failed) {
+          host_.on_rndv_read_failed(sctx->peer, sctx->stripe);
+        } else {
+          host_.on_rndv_read_done(sctx->peer, sctx->stripe.req_id);
         }
-        host_.on_rndv_read_done(sctx->peer, sctx->req_id);
         break;
-      }
       case SendCtx::Kind::RndvImm: {
         // The immediate consumed a receive slot at the responder; its credit
         // returns here like any channel-semantics send, unblocking queued
         // control messages and parked imm posts.
         ++c.rails.at(static_cast<std::size_t>(sctx->rail)).credits;
-        RndvStripe st;
-        if (fault_enabled_) {
-          auto it = inflight_stripe_.find(sctx);
-          st = it->second;
-          inflight_stripe_.erase(it);
-        }
         if (!pending_imm_.empty()) flush_pending_imm();
         flush_pending_ctl(sctx->peer);
         host_.progress().notify_all();
-        if (fault_enabled_ && failed) {
-          host_.on_rndv_write_failed(sctx->peer, st);
-          break;
+        if (failed) {
+          host_.on_rndv_write_failed(sctx->peer, sctx->stripe);
+        } else {
+          host_.on_rndv_write_done(sctx->peer, sctx->stripe.req_id);
         }
-        host_.on_rndv_write_done(sctx->peer, sctx->req_id);
         break;
       }
     }
@@ -1064,8 +1043,8 @@ void NetChannel::flush_pending_retries() {
 void NetChannel::post_bounce_raw(Peer& c, int peer_rank, int rail, int bounce,
                                  std::int64_t wire_bytes, int attempts) {
   Rail& r = c.rails.at(static_cast<std::size_t>(rail));
-  SendCtx* ctx = track_ctx({SendCtx::Kind::Bounce, peer_rank, rail, bounce, 0, wire_bytes});
-  ctx->attempts = attempts;
+  SendCtx* ctx = track_ctx({.kind = SendCtx::Kind::Bounce, .peer = peer_rank, .rail = rail,
+                            .bounce = bounce, .bytes = wire_bytes, .attempts = attempts});
   r.outstanding += wire_bytes;
   r.qp->post_send({.wr_id = reinterpret_cast<std::uint64_t>(ctx),
                    .opcode = ib::Opcode::Send,

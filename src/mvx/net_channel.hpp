@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "ib/verbs.hpp"
@@ -202,14 +201,8 @@ class NetChannel final : public Channel {
     int wired_vcis = 0;  ///< QP groups wired so far (rails.size() / rails())
   };
 
-  /// Sender-side context attached to each send WQE via wr_id.  Kept at 40
-  /// bytes — the same glibc bin as before failover support — so fault-free
-  /// allocation sizes are unchanged; the full stripe descriptor an error CQE
-  /// needs for re-planning lives in the inflight_stripe_ side map instead,
-  /// populated only when fault injection is on.
+  /// Sender-side context attached to each send WQE via wr_id.
   struct SendCtx {
-    // RndvRead / RndvImm are appended enum values only — the struct stays at
-    // 40 bytes so fault-free allocation sizes are unchanged.
     enum class Kind : std::uint8_t {
       Bounce,
       RndvWrite,
@@ -219,11 +212,14 @@ class NetChannel final : public Channel {
     } kind = Kind::Bounce;
     int peer = -1;
     int rail = -1;
-    int bounce = -1;           // Bounce: index into bounce pool
-    std::uint64_t req_id = 0;  // RndvWrite: outstanding request
-    std::int64_t bytes = 0;    // outstanding-byte accounting
-    int attempts = 0;          // failover replays of this message so far
-    int live_slot = -1;        // index in live_ctx_ (fills the tail padding)
+    int bounce = -1;         // Bounce: index into bounce pool
+    std::int64_t bytes = 0;  // outstanding-byte accounting
+    int attempts = 0;        // Bounce: failover replays of this message so far
+    bool failed = false;     // the CQE carried an error status
+    int live_slot = -1;      // index in live_ctx_
+    /// Rndv*: the posted stripe; an error CQE hands it back to the
+    /// Rendezvous module for re-planning.
+    RndvStripe stripe = {};
   };
 
   /// An eager/ctl message whose retry found no usable rail; drained when a
@@ -355,14 +351,6 @@ class NetChannel final : public Channel {
   /// Credit-starved write-imm posts (WriteImm protocol only; empty — and
   /// unallocated — in the default configuration).
   std::vector<PendingImm> pending_imm_;
-  /// RndvWrite stripe descriptors for in-flight WQEs, so an error CQE can
-  /// hand the write back to the Rendezvous module for re-planning.  Only
-  /// populated under fault injection.
-  std::map<const SendCtx*, RndvStripe> inflight_stripe_;
-  /// SendCtxs whose CQE carried an error status, recorded between the CQE
-  /// callback and its deferred CPU processing.  Only populated under fault
-  /// injection (the fault-free model produces no error CQEs).
-  std::set<const SendCtx*> failed_send_;
   /// Every in-flight SendCtx, freed by retire_ctx once its CQE is processed.
   /// A run that aborts with sends in flight leaves the rest here for the
   /// destructor.

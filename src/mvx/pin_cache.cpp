@@ -1,6 +1,10 @@
 #include "mvx/pin_cache.hpp"
 
+#include <malloc.h>
+
 #include <algorithm>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
 
 #include "ib/hca.hpp"
@@ -9,13 +13,50 @@ namespace ib12x::mvx {
 
 namespace {
 constexpr std::int64_t kPageBytes = 4096;
-}
+
+// The live caches and the smallest length any of them ever registered: a
+// freed block shorter than that cannot hold an entry.  The simulator runs on
+// one OS thread, so these are plain globals.
+PinCache* g_live = nullptr;
+std::size_t g_min_len = SIZE_MAX;
+// Set while a cache mutates itself or forgets a block: the frees this causes
+// (map nodes, regions, MR table nodes) must not re-enter a cache mid-update.
+bool g_busy = false;
+
+struct BusyScope {
+  bool was = g_busy;
+  BusyScope() { g_busy = true; }
+  ~BusyScope() { g_busy = was; }
+};
+}  // namespace
 
 PinCache::PinCache(const std::vector<ib::Hca*>& hcas, const Options& opts, Counter& hits,
                    Counter& misses, Counter& evictions)
-    : hcas_(hcas), opts_(opts), hits_(hits), misses_(misses), evictions_(evictions) {}
+    : hcas_(hcas), opts_(opts), hits_(hits), misses_(misses), evictions_(evictions) {
+  next_live_ = g_live;
+  if (g_live != nullptr) g_live->prev_live_ = this;
+  g_live = this;
+}
 
-PinCache::~PinCache() = default;
+PinCache::~PinCache() {
+  (prev_live_ != nullptr ? prev_live_->next_live_ : g_live) = next_live_;
+  if (next_live_ != nullptr) next_live_->prev_live_ = prev_live_;
+}
+
+void PinCache::forget(const void* base, std::size_t len) {
+  BusyScope busy;
+  const auto lo = reinterpret_cast<std::uint64_t>(base);
+  for (auto it = regions_.lower_bound(lo); it != regions_.end() && it->first - lo < len;) {
+    detach((it++)->second.get());
+  }
+}
+
+void PinCache::forget_everywhere(void* block, std::size_t len) noexcept {
+  if (g_live == nullptr || g_busy || block == nullptr) return;
+  if (len == 0) len = malloc_usable_size(block);
+  if (len < g_min_len) return;
+  for (PinCache* c = g_live; c != nullptr; c = c->next_live_) c->forget(block, len);
+}
 
 PinCache::Region* PinCache::find(std::uint64_t base, std::int64_t bytes) {
   if (opts_.interval) {
@@ -44,6 +85,7 @@ PinCache::Region* PinCache::find(std::uint64_t base, std::int64_t bytes) {
 }
 
 PinCache::Region* PinCache::acquire(const void* buf, std::int64_t bytes, sim::Time* cpu_cost) {
+  BusyScope busy;
   const std::uint64_t base = reinterpret_cast<std::uint64_t>(buf);
   if (Region* r = find(base, bytes)) {
     *cpu_cost += opts_.hit_cpu;
@@ -63,6 +105,7 @@ PinCache::Region* PinCache::acquire(const void* buf, std::int64_t bytes, sim::Ti
   const std::int64_t pages = (bytes + kPageBytes - 1) / kPageBytes;
   *cpu_cost += opts_.miss_cpu + opts_.page_cpu * pages;
   misses_.inc();
+  g_min_len = std::min(g_min_len, static_cast<std::size_t>(bytes));
 
   Region* r = reg.get();
   auto [it, inserted] = regions_.emplace(base, std::move(reg));
@@ -75,6 +118,7 @@ PinCache::Region* PinCache::acquire(const void* buf, std::int64_t bytes, sim::Ti
 }
 
 void PinCache::release(Region* r) {
+  BusyScope busy;
   if (r->pins <= 0) throw std::logic_error("PinCache: release without matching acquire");
   --r->pins;
   if (r->zombie && r->pins == 0) {
@@ -125,3 +169,50 @@ void PinCache::evict_to_capacity() {
 }
 
 }  // namespace ib12x::mvx
+
+// Replacements for the global operator new/delete family, so that a freed
+// host block drops the registrations inside it (PinCache::forget_everywhere).
+// They sit in this file because a static-archive member holding only these
+// operators is never extracted by the linker.  Every form allocates with
+// malloc and frees with free, so sanitizers see consistent pairs.
+
+void* operator new(std::size_t n) {
+  for (;;) {
+    if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+    std::new_handler handler = std::get_new_handler();
+    if (handler == nullptr) throw std::bad_alloc();
+    handler();
+  }
+}
+
+void* operator new[](std::size_t n) { return ::operator new(n); }
+
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(n);
+  } catch (...) {
+    return nullptr;
+  }
+}
+
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
+
+void operator delete(void* p) noexcept {
+  ib12x::mvx::PinCache::forget_everywhere(p, 0);
+  std::free(p);
+}
+
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+
+void operator delete(void* p, std::size_t n) noexcept {
+  ib12x::mvx::PinCache::forget_everywhere(p, n);
+  std::free(p);
+}
+
+void operator delete[](void* p, std::size_t n) noexcept { ::operator delete(p, n); }
+
+void operator delete(void* p, const std::nothrow_t&) noexcept { ::operator delete(p); }
+
+void operator delete[](void* p, const std::nothrow_t&) noexcept { ::operator delete(p); }

@@ -17,8 +17,16 @@
 // byte budget only ever deregisters unpinned intervals (an interval evicted
 // while pinned lingers as a zombie and is deregistered on its last release —
 // real dreg's "delayed deregistration").
+//
+// An entry dies with the host allocation it covers.  The cache keys on raw
+// host addresses, so an entry that outlived its buffer would let a later
+// allocation at the same address hit, and whether it did would depend on
+// where the heap put that allocation.  Real dreg avoids this by intercepting
+// free(); here the global operator delete family (pin_cache.cpp) calls
+// forget() on every live cache before the block returns to malloc.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -69,6 +77,16 @@ class PinCache {
   Region* acquire(const void* buf, std::int64_t bytes, sim::Time* cpu_cost);
   void release(Region* r);
 
+  /// Drops every entry whose base lies in the host block [base, base+len),
+  /// which is being freed.  A pinned entry becomes a zombie, deregistered on
+  /// its last release, the same way eviction treats it.
+  void forget(const void* base, std::size_t len);
+
+  /// Called by the operator delete replacements before `block` returns to
+  /// malloc: every live cache forgets the entries inside it.  `len` 0 means
+  /// the size is unknown (unsized delete) and is asked of the allocator.
+  static void forget_everywhere(void* block, std::size_t len) noexcept;
+
   [[nodiscard]] std::int64_t resident_bytes() const { return resident_bytes_; }
   [[nodiscard]] std::size_t entries() const { return regions_.size(); }
 
@@ -97,6 +115,10 @@ class PinCache {
   Counter& hits_;
   Counter& misses_;
   Counter& evictions_;
+
+  // Links in the list of live caches that forget_everywhere walks.
+  PinCache* prev_live_ = nullptr;
+  PinCache* next_live_ = nullptr;
 };
 
 }  // namespace ib12x::mvx

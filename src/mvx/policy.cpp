@@ -104,17 +104,9 @@ int least_loaded_rail(const std::vector<std::int64_t>& outstanding,
 std::vector<Stripe> plan_stripes(std::int64_t bytes, std::int64_t base_off,
                                  const std::vector<int>& rails, std::int64_t min_stripe,
                                  const std::vector<double>& weights, RailCursor& cursor) {
-  std::vector<Stripe> stripes =
-      plan_stripes(bytes, base_off, static_cast<int>(rails.size()), min_stripe, weights, cursor);
-  for (Stripe& s : stripes) s.rail = rails[static_cast<std::size_t>(s.rail)];
-  return stripes;
-}
-
-std::vector<Stripe> plan_stripes(std::int64_t bytes, std::int64_t base_off, int nrails,
-                                 std::int64_t min_stripe, const std::vector<double>& weights,
-                                 RailCursor& cursor) {
   std::vector<Stripe> stripes;
-  if (nrails <= 0 || bytes <= 0) return stripes;
+  const int nrails = static_cast<int>(rails.size());
+  if (nrails == 0 || bytes <= 0) return stripes;
 
   const int n = static_cast<int>(
       std::min<std::int64_t>(nrails, std::max<std::int64_t>(1, bytes / min_stripe)));
@@ -153,7 +145,8 @@ std::vector<Stripe> plan_stripes(std::int64_t bytes, std::int64_t base_off, int 
       len = std::max(len, min_stripe);
       len = std::min(len, remaining - min_stripe * (left - 1));
     }
-    stripes.push_back({(base + i) % nrails, base_off + off, len});
+    stripes.push_back({rails[static_cast<std::size_t>((base + i) % nrails)], base_off + off,
+                       len});
     off += len;
   }
   return stripes;

@@ -89,11 +89,4 @@ std::vector<Stripe> plan_stripes(std::int64_t bytes, std::int64_t base_off,
                                  const std::vector<int>& rails, std::int64_t min_stripe,
                                  const std::vector<double>& weights, RailCursor& cursor);
 
-/// Identity-rail overload: candidates are rails 0..nrails-1.  This is the
-/// no-failover fast path — it allocates no candidate list, so the fault-free
-/// pipeline's allocation sequence is unchanged by the failover machinery.
-std::vector<Stripe> plan_stripes(std::int64_t bytes, std::int64_t base_off, int nrails,
-                                 std::int64_t min_stripe, const std::vector<double>& weights,
-                                 RailCursor& cursor);
-
 }  // namespace ib12x::mvx

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -35,6 +36,18 @@ std::uint32_t chunk_count(const Config& cfg, std::int64_t total) {
   return static_cast<std::uint32_t>((total + c - 1) / c);
 }
 
+/// WriteImm's 32-bit immediate: (vci << 28) | receiver cookie.
+constexpr std::uint32_t kImmCookieMask = (std::uint32_t{1} << 28) - 1;
+
+std::uint32_t imm_word(int vci, std::uint64_t receiver_cookie) {
+  if (receiver_cookie > kImmCookieMask) {
+    throw std::logic_error("Rendezvous: receiver cookie exceeds imm capacity");
+  }
+  return (static_cast<std::uint32_t>(vci) << 28) | static_cast<std::uint32_t>(receiver_cookie);
+}
+
+int imm_vci(std::uint32_t imm) { return static_cast<int>(imm >> 28); }
+
 }  // namespace
 
 Rendezvous::Rendezvous(ChannelHost& host, NetChannel& net)
@@ -62,7 +75,7 @@ Rendezvous::Rendezvous(ChannelHost& host, NetChannel& net)
 
   // Protocol diversity: counters and the adaptive policy exist only when the
   // machinery can actually run, so default-configuration telemetry snapshots
-  // (and allocation sequences) are unchanged.
+  // are unchanged.
   rndv_active_ =
       cfg.rndv.adaptive || cfg.rndv.protocol != Config::RndvConfig::Protocol::WriteRtsCts;
   if (rndv_active_) {
@@ -108,64 +121,67 @@ Request Rendezvous::peek_cookie(std::uint64_t id) {
 
 // ------------------------------------------------------ protocol selection
 
-RndvProto Rendezvous::select_proto(int peer, std::int64_t bytes, const Request& req,
-                                   std::uint64_t cookie, int* width_out) {
-  *width_out = 0;
-  if (!rndv_active_) return RndvProto::WriteRtsCts;
+void Rendezvous::select_proto(int peer, std::int64_t bytes, const Request& req, SendState& ss) {
+  if (!rndv_active_) return;
   const Config& cfg = host_.config();
-  SendMeta meta;
-  meta.start = host_.simulator().now();
+  ss.start = host_.simulator().now();
   if (policy_) {
     const int live = net_.fault_enabled()
                          ? static_cast<int>(net_.live_rails(peer, req->vci).size())
                          : net_.nrails(peer);
     bool explored = false;
-    meta.arm = policy_->choose(peer, bytes, live, &explored);
-    const RndvArm& arm = policy_->arm(meta.arm);
-    meta.proto = arm.proto;
-    meta.width = arm.width;
+    ss.arm = policy_->choose(peer, bytes, live, &explored);
+    const RndvArm& arm = policy_->arm(ss.arm);
+    ss.proto = arm.proto;
+    ss.width = arm.width;
     (explored ? policy_explore_ : policy_exploit_)->inc();
   } else {
-    meta.proto = static_cast<RndvProto>(static_cast<std::uint8_t>(cfg.rndv.protocol));
+    ss.proto = static_cast<RndvProto>(static_cast<std::uint8_t>(cfg.rndv.protocol));
   }
-  send_meta_[cookie] = meta;
-  *width_out = meta.width;
-  return meta.proto;
 }
 
 sim::Time Rendezvous::prepare_read_rts(MsgHeader& hdr, const Request& req, std::int64_t bytes,
-                                       int width, CtsRkeys& rkeys) {
+                                       SendState& ss, CtsRkeys& rkeys) {
   // The RTS itself carries everything the receiver needs to pull: the pinned
   // source address (raddr), the per-HCA rkeys (payload), and the adaptive
   // arm's forced stripe width (chunk field; 0 = receiver's choice).
-  hdr.chunk = width > 0 ? static_cast<std::uint32_t>(width) : 0;
+  hdr.chunk = ss.width > 0 ? static_cast<std::uint32_t>(ss.width) : 0;
   sim::Time cost = 0;
   if (bytes > 0) {
     PinCache::Region* reg = pin_cache_->acquire(req->send_buf, bytes, &cost);
-    send_pins_[hdr.sender_cookie] = reg;
+    ss.pins.push_back(reg);
     for (std::size_t h = 0; h < net_.hcas().size(); ++h) rkeys.rkey[h] = reg->mr[h].rkey;
     hdr.raddr = reinterpret_cast<std::uint64_t>(req->send_buf);
   }
   return cost;
 }
 
-void Rendezvous::record_policy(std::uint64_t cookie, const Request& req) {
-  if (send_meta_.empty()) return;
-  auto it = send_meta_.find(cookie);
-  if (it == send_meta_.end()) return;
-  if (policy_ && it->second.arm >= 0) {
-    policy_->record(req->peer, req->bytes, it->second.arm,
-                    host_.simulator().now() - it->second.start);
+Rendezvous::SendState& Rendezvous::send_state(std::uint64_t cookie) {
+  auto it = sends_.find(cookie);
+  if (it == sends_.end()) {
+    throw std::logic_error("Rendezvous: no send state for cookie " + std::to_string(cookie));
   }
-  send_meta_.erase(it);
+  return it->second;
+}
+
+void Rendezvous::end_send(std::uint64_t cookie, const Request& req) {
+  const SendState& ss = send_state(cookie);
+  for (PinCache::Region* r : ss.pins) pin_cache_->release(r);
+  if (policy_ && ss.arm >= 0) {
+    policy_->record(req->peer, req->bytes, ss.arm, host_.simulator().now() - ss.start);
+  }
+  sends_.erase(cookie);
+}
+
+void Rendezvous::end_recv(std::uint64_t rcookie) {
+  for (PinCache::Region* r : recvs_.at(rcookie).pins) pin_cache_->release(r);
+  recvs_.erase(rcookie);
 }
 
 // ---------------------------------------------------------------- protocol
 
-void Rendezvous::send_rts(int peer, CommKind kind, const void* /*buf*/, std::int64_t bytes,
-                          int tag, int ctx, const Request& req) {
+int Rendezvous::rts_rail(int peer, CommKind kind, int vci) {
   const Config& cfg = host_.config();
-  const int vci = req->vci;
   // Control messages round-robin over the VCI's rail slice; the data
   // schedule is decided at CTS time by the marker-driven policy.
   Schedule s;
@@ -179,8 +195,13 @@ void Rendezvous::send_rts(int peer, CommKind kind, const void* /*buf*/, std::int
     s = choose_schedule(Policy::RoundRobin, kind, 0, net_.nrails(peer), cfg.stripe_threshold,
                         ctl_cursor);
   }
+  return vci * net_.nrails(peer) + s.rail;
+}
 
-  MsgHeader hdr;
+sim::Time Rendezvous::open_send(int peer, CommKind kind, std::int64_t bytes, int tag, int ctx,
+                                const Request& req, MsgHeader& hdr, CtsRkeys& rkeys) {
+  const Config& cfg = host_.config();
+  const int vci = req->vci;
   hdr.type = MsgType::Rts;
   hdr.kind = static_cast<std::uint8_t>(kind);
   hdr.vci = static_cast<std::uint8_t>(vci);
@@ -190,18 +211,24 @@ void Rendezvous::send_rts(int peer, CommKind kind, const void* /*buf*/, std::int
   hdr.seq = host_.matcher().next_send_seq(peer, ctx, vci);
   hdr.size = static_cast<std::uint64_t>(bytes);
   hdr.sender_cookie = new_cookie(req);
-  int width = 0;
-  const RndvProto proto = select_proto(peer, bytes, req, hdr.sender_cookie, &width);
-  hdr.proto = static_cast<std::uint8_t>(proto);
-  CtsRkeys rts_rkeys;
-  if (proto == RndvProto::ReadRts) {
-    const sim::Time pin_cost = prepare_read_rts(hdr, req, bytes, width, rts_rkeys);
-    if (pin_cost > 0) host_.process().compute(pin_cost);
-  } else if (cfg.rndv_pipeline) {
-    send_progress_[hdr.sender_cookie].chunks_total = chunk_count(cfg, bytes);
-  }
-  net_.send_ctl_blocking(peer, vci * net_.nrails(peer) + s.rail, hdr,
-                         proto == RndvProto::ReadRts ? &rts_rkeys : nullptr);
+  SendState& ss = sends_[hdr.sender_cookie];
+  select_proto(peer, bytes, req, ss);
+  hdr.proto = static_cast<std::uint8_t>(ss.proto);
+  if (ss.proto == RndvProto::ReadRts) return prepare_read_rts(hdr, req, bytes, ss, rkeys);
+  if (cfg.rndv_pipeline) ss.chunks_total = chunk_count(cfg, bytes);
+  return 0;
+}
+
+void Rendezvous::send_rts(int peer, CommKind kind, const void* /*buf*/, std::int64_t bytes,
+                          int tag, int ctx, const Request& req) {
+  const int rail = rts_rail(peer, kind, req->vci);
+  MsgHeader hdr;
+  CtsRkeys rkeys;
+  const sim::Time pin_cost = open_send(peer, kind, bytes, tag, ctx, req, hdr, rkeys);
+  if (pin_cost > 0) host_.process().compute(pin_cost);
+  net_.send_ctl_blocking(peer, rail, hdr,
+                         hdr.proto == static_cast<std::uint8_t>(RndvProto::ReadRts) ? &rkeys
+                                                                                     : nullptr);
   rts_sent_.inc();
   bytes_sent_.add(static_cast<std::uint64_t>(bytes));
 }
@@ -210,46 +237,23 @@ bool Rendezvous::try_send_rts(int peer, CommKind kind, const void* /*buf*/, std:
                               int tag, int ctx, const Request& req) {
   const Config& cfg = host_.config();
   const int vci = req->vci;
-  Schedule s;
   RailCursor saved{};
-  if (cfg.rndv_pipeline) {
-    saved = net_.ctl_cursor(peer, vci);  // restored if the probe fails
-    s = choose_schedule(Policy::RoundRobin, kind, 0, net_.nrails(peer), cfg.stripe_threshold,
-                        net_.ctl_cursor(peer, vci));
-  } else {
-    RailCursor ctl_cursor = net_.cursor(peer, vci);  // do not disturb the data cursor
-    s = choose_schedule(Policy::RoundRobin, kind, 0, net_.nrails(peer), cfg.stripe_threshold,
-                        ctl_cursor);
-  }
-  const int rail = net_.probe_ctl_rail(peer, vci * net_.nrails(peer) + s.rail);
+  if (cfg.rndv_pipeline) saved = net_.ctl_cursor(peer, vci);  // restored if the probe fails
+  const int rail = net_.probe_ctl_rail(peer, rts_rail(peer, kind, vci));
   if (rail < 0) {
     if (cfg.rndv_pipeline) net_.ctl_cursor(peer, vci) = saved;
     return false;
   }
 
   MsgHeader hdr;
-  hdr.type = MsgType::Rts;
-  hdr.kind = static_cast<std::uint8_t>(kind);
-  hdr.vci = static_cast<std::uint8_t>(vci);
-  hdr.src_rank = host_.rank();
-  hdr.tag = tag;
-  hdr.ctx = ctx;
-  hdr.seq = host_.matcher().next_send_seq(peer, ctx, vci);
-  hdr.size = static_cast<std::uint64_t>(bytes);
-  hdr.sender_cookie = new_cookie(req);
-  int width = 0;
-  const RndvProto proto = select_proto(peer, bytes, req, hdr.sender_cookie, &width);
-  hdr.proto = static_cast<std::uint8_t>(proto);
-  CtsRkeys rts_rkeys;
-  if (proto == RndvProto::ReadRts) {
-    // Event context: the pin cost can't be charged inline, so it occupies
-    // the VCI's CPU server ahead of the post event post_ctl_evt schedules.
-    const sim::Time pin_cost = prepare_read_rts(hdr, req, bytes, width, rts_rkeys);
-    if (pin_cost > 0) host_.schedule_cpu_vci(vci, pin_cost, [] {});
-  } else if (cfg.rndv_pipeline) {
-    send_progress_[hdr.sender_cookie].chunks_total = chunk_count(cfg, bytes);
-  }
-  net_.post_ctl_evt(peer, rail, hdr, proto == RndvProto::ReadRts ? &rts_rkeys : nullptr);
+  CtsRkeys rkeys;
+  // Event context: a ReadRts pin cost can't be charged inline, so it
+  // occupies the VCI's CPU server ahead of the post event post_ctl_evt
+  // schedules.
+  const sim::Time pin_cost = open_send(peer, kind, bytes, tag, ctx, req, hdr, rkeys);
+  if (pin_cost > 0) host_.schedule_cpu_vci(vci, pin_cost, [] {});
+  net_.post_ctl_evt(peer, rail, hdr,
+                    hdr.proto == static_cast<std::uint8_t>(RndvProto::ReadRts) ? &rkeys : nullptr);
   rts_sent_.inc();
   bytes_sent_.add(static_cast<std::uint64_t>(bytes));
   return true;
@@ -282,9 +286,10 @@ void Rendezvous::accept(const MsgHeader& rts, const Request& req,
     sim::Time cost = 0;
     CtsRkeys rkeys;
     const std::uint64_t rcookie = new_cookie(req);
+    RecvState& rs = recvs_[rcookie];
     if (total > 0) {
       PinCache::Region* reg = pin_cache_->acquire(req->recv_buf, total, &cost);
-      recv_progress_[rcookie].pins.push_back(reg);
+      rs.pins.push_back(reg);
       for (std::size_t h = 0; h < net_.hcas().size(); ++h) rkeys.rkey[h] = reg->mr[h].rkey;
     }
 
@@ -309,7 +314,7 @@ void Rendezvous::accept(const MsgHeader& rts, const Request& req,
   // registration cost of chunks 0..k — the sender's first write overlaps the
   // pinning of everything after chunk 0.
   const std::uint64_t rcookie = new_cookie(req);
-  RecvProgress& rp = recv_progress_[rcookie];
+  RecvState& rs = recvs_[rcookie];
   const std::int64_t csz = chunk_bytes(cfg, total);
   const std::uint32_t nchunks = chunk_count(cfg, total);
   const std::uint64_t base = reinterpret_cast<std::uint64_t>(req->recv_buf);
@@ -321,7 +326,7 @@ void Rendezvous::accept(const MsgHeader& rts, const Request& req,
     if (len > 0) {
       PinCache::Region* reg = pin_cache_->acquire(
           reinterpret_cast<const void*>(base + static_cast<std::uint64_t>(off)), len, &cost);
-      rp.pins.push_back(reg);
+      rs.pins.push_back(reg);
       for (std::size_t h = 0; h < net_.hcas().size(); ++h) rkeys.rkey[h] = reg->mr[h].rkey;
     }
 
@@ -346,14 +351,7 @@ std::vector<Rendezvous::Stripe> Rendezvous::plan_limited(int peer, int vci,
                                                          std::int64_t base_off,
                                                          std::int64_t bytes, int width) {
   const Config& cfg = host_.config();
-  const int nrails = net_.nrails(peer);
-  const int base = vci * nrails;
-  std::vector<int> cand;
-  if (net_.fault_enabled()) cand = net_.live_rails(peer, vci);
-  if (cand.empty()) {
-    cand.reserve(static_cast<std::size_t>(nrails));
-    for (int i = 0; i < nrails; ++i) cand.push_back(base + i);
-  }
+  std::vector<int> cand = candidate_rails(peer, vci);
   if (width > 0 && width < static_cast<int>(cand.size())) {
     // Forced width: keep `width` candidates starting at the lane cursor so
     // successive narrow transfers still rotate over the whole slice.
@@ -375,10 +373,10 @@ void Rendezvous::accept_read(const MsgHeader& rts, const Request& req, const Cts
   const int vci = rts.vci;
   const std::int64_t total = static_cast<std::int64_t>(rts.size);
   const std::uint64_t rcookie = new_cookie(req);
-  ReadProgress& rp = read_progress_[rcookie];
-  rp.sender_cookie = rts.sender_cookie;
-  rp.peer = peer;
-  rp.vci = vci;
+  RecvState& rs = recvs_[rcookie];
+  rs.sender_cookie = rts.sender_cookie;
+  rs.peer = peer;
+  rs.vci = vci;
 
   sim::Time cost = cfg.ctl_cpu;
   if (total <= 0) {
@@ -388,7 +386,7 @@ void Rendezvous::accept_read(const MsgHeader& rts, const Request& req, const Cts
   }
 
   PinCache::Region* reg = pin_cache_->acquire(req->recv_buf, total, &cost);
-  rp.pins.push_back(reg);
+  rs.pins.push_back(reg);
   std::array<ib::LKey, kMaxHcas> lkeys{};
   for (int h = 0; h < kMaxHcas; ++h) lkeys[static_cast<std::size_t>(h)] = reg->mr[h].lkey;
 
@@ -396,7 +394,7 @@ void Rendezvous::accept_read(const MsgHeader& rts, const Request& req, const Cts
   // 0 leaves the cut to this receiver's own policy inputs.
   std::vector<Stripe> stripes = plan_limited(peer, vci, 0, total, static_cast<int>(rts.chunk));
   if (stripes.empty()) stripes.push_back({vci * net_.nrails(peer), 0, total});
-  rp.pending = static_cast<int>(stripes.size());
+  rs.pending = static_cast<int>(stripes.size());
   if (read_stripes_ != nullptr) read_stripes_->add(stripes.size());
 
   // Reads ignore rndv_pipeline chunking: the pull is one doorbell-batched
@@ -426,13 +424,13 @@ void Rendezvous::accept_read(const MsgHeader& rts, const Request& req, const Cts
 }
 
 void Rendezvous::finish_read(std::uint64_t rcookie) {
-  auto it = read_progress_.find(rcookie);
-  if (it == read_progress_.end()) {
+  auto it = recvs_.find(rcookie);
+  if (it == recvs_.end()) {
     throw std::logic_error("Rendezvous: finish_read for unknown cookie " +
                            std::to_string(rcookie));
   }
-  ReadProgress rp = std::move(it->second);
-  read_progress_.erase(it);
+  const RecvState rp = std::move(it->second);
+  recvs_.erase(it);
   for (PinCache::Region* r : rp.pins) pin_cache_->release(r);
   Request req = take_cookie(rcookie);
   IB12X_DEBUG(host_.simulator().now(), "rank%d: read rendezvous %llu complete", host_.rank(),
@@ -449,8 +447,8 @@ void Rendezvous::finish_read(std::uint64_t rcookie) {
 }
 
 void Rendezvous::on_read_done(int /*peer*/, std::uint64_t req_id) {
-  auto it = read_progress_.find(req_id);
-  if (it == read_progress_.end()) {
+  auto it = recvs_.find(req_id);
+  if (it == recvs_.end()) {
     // Reads are idempotent and only ever retried after an *error* CQE, so a
     // success completion for an unknown cookie is a protocol bug, not a dup.
     throw std::logic_error("Rendezvous: read CQE for unknown cookie " + std::to_string(req_id));
@@ -491,7 +489,7 @@ void Rendezvous::repost_read(int peer, const RndvStripe& st) {
 
   // Same in-flight accounting rule as write failover: the failed read was
   // counted once; k replacement pulls add k-1.
-  read_progress_.at(st.req_id).pending += static_cast<int>(parts.size()) - 1;
+  recvs_.at(st.req_id).pending += static_cast<int>(parts.size()) - 1;
   if (read_stripes_ != nullptr) read_stripes_->add(parts.size());
 
   std::vector<NetChannel::RndvStripe> batch;
@@ -526,48 +524,44 @@ void Rendezvous::on_cts(const MsgHeader& hdr, const CtsRkeys& rkeys) {
               host_.rank(), (unsigned long long)hdr.sender_cookie, (unsigned long long)hdr.size,
               (unsigned)hdr.chunk);
   req->peer_cookie = hdr.receiver_cookie;
-  if (send_progress_.count(hdr.sender_cookie) != 0) {
-    start_chunk_writes(req->peer, req, hdr, rkeys);
+  SendState& ss = send_state(hdr.sender_cookie);
+  if (ss.pipelined()) {
+    start_chunk_writes(req->peer, req, ss, hdr, rkeys);
   } else {
     if (net_.fault_enabled() && req->pending_writes > 0) {
       dup_ctl_dropped_.inc();  // replayed CTS while the writes are in flight
       return;
     }
-    start_writes(req->peer, req, hdr, rkeys);
+    start_writes(req->peer, req, ss, hdr, rkeys);
   }
+}
+
+std::vector<int> Rendezvous::candidate_rails(int peer, int vci) {
+  std::vector<int> rails;
+  if (net_.fault_enabled()) rails = net_.live_rails(peer, vci);
+  if (rails.empty()) {
+    rails.resize(static_cast<std::size_t>(net_.nrails(peer)));
+    std::iota(rails.begin(), rails.end(), vci * net_.nrails(peer));
+  }
+  return rails;
 }
 
 std::vector<Rendezvous::Stripe> Rendezvous::plan_stripes(int peer, const Request& req,
                                                          std::int64_t base_off,
                                                          std::int64_t bytes) {
   const Config& cfg = host_.config();
-  const int nrails = net_.nrails(peer);
   const int vci = req->vci;
-  const int base = vci * nrails;  // the VCI's flat rail-slice origin
+  const std::vector<int> rails = candidate_rails(peer, vci);
+  const int n = static_cast<int>(rails.size());
 
-  // Candidate rails: all of the VCI's slice normally — through the identity
-  // overload of mvx::plan_stripes, so the fault-free path allocates no
-  // candidate list — or the live subset under failover (already flat rail
-  // indices).  If an outage leaves none, plan over the full set anyway: the
-  // writes fail and the error path re-plans once something recovers.
-  std::vector<int> live;
-  if (net_.fault_enabled()) live = net_.live_rails(peer, vci);
-  const bool masked = !live.empty() && static_cast<int>(live.size()) < nrails;
-  const int sched_n = masked ? static_cast<int>(live.size()) : nrails;
-  const auto pick = [&](int pos) {
-    return masked ? live[static_cast<std::size_t>(pos)] : base + pos;
-  };
-
-  std::vector<Stripe> stripes;
   if (req->lane >= 0) {
     // Multi-lane collective transfer: one un-striped write on the lane's
     // rail, bypassing the policy and leaving its cursor undisturbed (the
     // lanes themselves are the striping).
-    stripes.push_back({pick(req->lane % sched_n), base_off, bytes});
-    return stripes;
+    return {{rails[static_cast<std::size_t>(req->lane % n)], base_off, bytes}};
   }
 
-  Schedule s = choose_schedule(cfg.policy, static_cast<CommKind>(req->kind), bytes, sched_n,
+  Schedule s = choose_schedule(cfg.policy, static_cast<CommKind>(req->kind), bytes, n,
                                cfg.stripe_threshold, net_.cursor(peer, vci));
   if (s.stripe && bytes > 0) {
     // Striping over the candidate rails (never cutting below min_stripe);
@@ -577,42 +571,28 @@ std::vector<Rendezvous::Stripe> Rendezvous::plan_stripes(int peer, const Request
     static const std::vector<double> kNoWeights;
     const std::vector<double>& w =
         cfg.policy == Policy::WeightedStriping ? cfg.rail_weights : kNoWeights;
-    if (masked) {
-      return mvx::plan_stripes(bytes, base_off, live, cfg.min_stripe, w, net_.cursor(peer, vci));
-    }
-    std::vector<Stripe> planned =
-        mvx::plan_stripes(bytes, base_off, sched_n, cfg.min_stripe, w, net_.cursor(peer, vci));
-    if (base != 0) {  // lift the positional plan into the VCI's slice
-      for (Stripe& st : planned) st.rail += base;
-    }
-    return planned;
+    return mvx::plan_stripes(bytes, base_off, rails, cfg.min_stripe, w, net_.cursor(peer, vci));
   }
   if (cfg.policy == Policy::Adaptive) {
     const int rail =
-        base + (net_.fault_enabled()
-                    ? least_loaded_rail(net_.rail_outstanding(peer, vci), net_.rail_up(peer, vci))
-                    : least_loaded_rail(net_.rail_outstanding(peer, vci)));
-    stripes.push_back({rail, base_off, bytes});
-  } else {
-    stripes.push_back({pick(s.rail % sched_n), base_off, bytes});
+        vci * net_.nrails(peer) +
+        (net_.fault_enabled()
+             ? least_loaded_rail(net_.rail_outstanding(peer, vci), net_.rail_up(peer, vci))
+             : least_loaded_rail(net_.rail_outstanding(peer, vci)));
+    return {{rail, base_off, bytes}};
   }
-  return stripes;
+  return {{rails[static_cast<std::size_t>(s.rail % n)], base_off, bytes}};
 }
 
-void Rendezvous::start_writes(int peer, const Request& req, const MsgHeader& cts,
+void Rendezvous::start_writes(int peer, const Request& req, SendState& ss, const MsgHeader& cts,
                               const CtsRkeys& rkeys) {
   const Config& cfg = host_.config();
   const std::int64_t bytes = req->bytes;
 
   // A forced stripe width (adaptive arm) overrides the marker policy's cut.
-  const SendMeta* meta = nullptr;
-  if (rndv_active_) {
-    auto mit = send_meta_.find(cts.sender_cookie);
-    if (mit != send_meta_.end()) meta = &mit->second;
-  }
   std::vector<Stripe> stripes;
-  if (meta != nullptr && meta->width > 0) {
-    stripes = plan_limited(peer, req->vci, 0, bytes, meta->width);
+  if (ss.width > 0) {
+    stripes = plan_limited(peer, req->vci, 0, bytes, ss.width);
     if (stripes.empty()) stripes.push_back({req->vci * net_.nrails(peer), 0, bytes});
   } else {
     stripes = plan_stripes(peer, req, 0, bytes);
@@ -622,7 +602,7 @@ void Rendezvous::start_writes(int peer, const Request& req, const MsgHeader& cts
   std::array<ib::LKey, kMaxHcas> lkeys{};
   if (bytes > 0) {
     PinCache::Region* reg = pin_cache_->acquire(req->send_buf, bytes, &cost);
-    send_pins_[cts.sender_cookie] = reg;
+    ss.pins.push_back(reg);
     for (int h = 0; h < kMaxHcas; ++h) lkeys[static_cast<std::size_t>(h)] = reg->mr[h].lkey;
   }
 
@@ -631,14 +611,13 @@ void Rendezvous::start_writes(int peer, const Request& req, const MsgHeader& cts
   // plain writes and append a zero-byte trailing imm once all land.
   bool fold = false;
   std::uint32_t imm = 0;
-  if (meta != nullptr && meta->proto == RndvProto::WriteImm) {
-    if ((cts.receiver_cookie >> 28) != 0) {
-      throw std::logic_error("Rendezvous: receiver cookie exceeds imm capacity");
-    }
-    imm = (static_cast<std::uint32_t>(req->vci) << 28) |
-          static_cast<std::uint32_t>(cts.receiver_cookie);
+  if (ss.proto == RndvProto::WriteImm) {
+    imm = imm_word(req->vci, cts.receiver_cookie);
     fold = stripes.size() == 1;
-    imm_state_[cts.sender_cookie] = ImmState{imm, fold, req->vci, fold};
+    ss.imm_armed = true;
+    ss.imm = imm;
+    ss.imm_folded = fold;
+    ss.imm_posted = fold;
     if (fold && imm_folded_ != nullptr) imm_folded_->inc();
   }
 
@@ -674,32 +653,19 @@ void Rendezvous::start_writes(int peer, const Request& req, const MsgHeader& cts
   }
 }
 
-void Rendezvous::start_chunk_writes(int peer, const Request& req, const MsgHeader& cts,
-                                    const CtsRkeys& rkeys) {
+void Rendezvous::start_chunk_writes(int peer, const Request& req, SendState& ss,
+                                    const MsgHeader& cts, const CtsRkeys& rkeys) {
   const Config& cfg = host_.config();
-  SendProgress& sp = send_progress_.at(cts.sender_cookie);
-  // Dedup bookkeeping only under fault injection: replays cannot happen in
-  // the fault-free model, and skipping it keeps the fault-free allocation
-  // sequence untouched.
-  if (net_.fault_enabled() &&
-      !chunks_seen_[cts.sender_cookie].insert(cts.chunk).second) {
+  if (!ss.chunks_seen.insert(cts.chunk).second) {
     dup_ctl_dropped_.inc();  // replayed CTS for a chunk already in progress
     return;
   }
   // Pipelined WriteImm: chunks move as plain writes; the FIN replacement is
   // a zero-byte trailing imm injected when the last chunk retires.
-  if (rndv_active_ && imm_state_.count(cts.sender_cookie) == 0) {
-    auto mit = send_meta_.find(cts.sender_cookie);
-    if (mit != send_meta_.end() && mit->second.proto == RndvProto::WriteImm) {
-      if ((cts.receiver_cookie >> 28) != 0) {
-        throw std::logic_error("Rendezvous: receiver cookie exceeds imm capacity");
-      }
-      const std::uint32_t imm = (static_cast<std::uint32_t>(req->vci) << 28) |
-                                static_cast<std::uint32_t>(cts.receiver_cookie);
-      imm_state_[cts.sender_cookie] = ImmState{imm, false, req->vci, false};
-    }
+  if (ss.proto == RndvProto::WriteImm && !ss.imm_armed) {
+    ss.imm_armed = true;
+    ss.imm = imm_word(req->vci, cts.receiver_cookie);
   }
-  ++sp.cts_seen;
   cts_chunks_.inc();
 
   const std::int64_t off =
@@ -713,13 +679,13 @@ void Rendezvous::start_chunk_writes(int peer, const Request& req, const MsgHeade
   if (len > 0) {
     PinCache::Region* reg = pin_cache_->acquire(
         static_cast<const std::byte*>(req->send_buf) + off, len, &cost);
-    sp.pins.push_back(reg);
+    ss.pins.push_back(reg);
     for (int h = 0; h < kMaxHcas; ++h) lkeys[static_cast<std::size_t>(h)] = reg->mr[h].lkey;
   }
 
   std::vector<Stripe> stripes = plan_stripes(peer, req, off, len);
-  sp.chunk_writes[cts.chunk] = static_cast<int>(stripes.size());
-  pipeline_depth_.track_max(sp.chunk_writes.size());
+  ss.chunk_writes[cts.chunk] = static_cast<int>(stripes.size());
+  pipeline_depth_.track_max(ss.chunk_writes.size());
   stripes_posted_.add(stripes.size());
 
   // Doorbell batching: per-stripe WQE build, one uncached-MMIO doorbell for
@@ -753,14 +719,8 @@ void Rendezvous::finish_send(int peer, std::uint64_t cookie, const Request& req)
   // All stripes placed remotely (CQE implies remote visibility): tell the
   // receiver and complete the local send.  Under WriteImm the notification
   // already travelled with the immediate, so the FIN is elided.
-  bool elide_fin = false;
-  if (!imm_state_.empty()) {
-    auto im = imm_state_.find(cookie);
-    if (im != imm_state_.end()) {
-      elide_fin = true;
-      imm_state_.erase(im);
-    }
-  }
+  const bool elide_fin = send_state(cookie).imm_armed;
+  end_send(cookie, req);
   if (!elide_fin) {
     MsgHeader fin;
     fin.type = MsgType::Fin;
@@ -769,83 +729,63 @@ void Rendezvous::finish_send(int peer, std::uint64_t cookie, const Request& req)
     fin.receiver_cookie = req->peer_cookie;
     net_.send_ctl(peer, fin, CtsRkeys{});
   }
-  record_policy(cookie, req);
   outstanding_.erase(cookie);
   host_.complete_request(req);
 }
 
-void Rendezvous::post_trailing_imm(int peer, std::uint64_t cookie, const Request& /*req*/,
-                                   const ImmState& im) {
+void Rendezvous::post_trailing_imm(int peer, std::uint64_t cookie, std::uint32_t imm) {
   // Zero-byte write-with-imm: consumes a receiver slot but carries no data;
   // post_write_imm scans the VCI slice for a live rail with a credit.
+  const int vci = imm_vci(imm);
   NetChannel::RndvStripe wr;
-  wr.rail = im.vci * net_.nrails(peer);
+  wr.rail = vci * net_.nrails(peer);
   wr.len = 0;
   wr.req_id = cookie;
   if (imm_sent_ != nullptr) imm_sent_->inc();
-  const std::uint32_t imm = im.imm;
-  host_.schedule_cpu_vci(im.vci, host_.config().post_cpu,
+  host_.schedule_cpu_vci(vci, host_.config().post_cpu,
                          [this, peer, wr, imm] { net_.post_write_imm(peer, wr, imm); });
 }
 
 void Rendezvous::on_write_done(int peer, std::uint64_t req_id) {
   const std::uint64_t cookie = req_id & kCookieMask;
-  auto pit = send_progress_.find(cookie);
-  if (pit == send_progress_.end()) {
-    // Legacy one-shot protocol: a flat count of stripes in flight.
-    Request req = peek_cookie(req_id);
+  SendState& ss = send_state(cookie);
+  Request req = peek_cookie(cookie);
+  if (!ss.pipelined()) {
+    // One-shot protocol: a flat count of stripes in flight.
     IB12X_DEBUG(host_.simulator().now(), "rank%d: write CQE cookie %llu remaining %d",
                 host_.rank(), (unsigned long long)req_id, req->pending_writes - 1);
-    if (--req->pending_writes == 0) {
-      if (!imm_state_.empty()) {
-        // Multi-stripe WriteImm: all data writes landed — the FIN
-        // replacement (zero-byte trailing imm) goes out now and counts as
-        // one more pending write; its CQE re-enters here and finishes.
-        auto im = imm_state_.find(cookie);
-        if (im != imm_state_.end() && !im->second.folded && !im->second.posted) {
-          im->second.posted = true;
-          req->pending_writes = 1;
-          post_trailing_imm(peer, cookie, req, im->second);
-          return;
-        }
-      }
-      auto sit = send_pins_.find(req_id);
-      if (sit != send_pins_.end()) {
-        pin_cache_->release(sit->second);
-        send_pins_.erase(sit);
-      }
-      finish_send(peer, req_id, req);
+    if (--req->pending_writes != 0) return;
+    if (ss.imm_armed && !ss.imm_posted) {
+      // Multi-stripe WriteImm: all data writes landed — the FIN replacement
+      // (zero-byte trailing imm) goes out now and counts as one more pending
+      // write; its CQE re-enters here and finishes.
+      ss.imm_posted = true;
+      req->pending_writes = 1;
+      post_trailing_imm(peer, cookie, ss.imm);
+      return;
     }
+    finish_send(peer, cookie, req);
     return;
   }
 
-  SendProgress& sp = pit->second;
   const auto chunk = static_cast<std::uint32_t>(req_id >> 48);
-  auto cit = sp.chunk_writes.find(chunk);
-  if (cit == sp.chunk_writes.end()) {
+  auto cit = ss.chunk_writes.find(chunk);
+  if (cit == ss.chunk_writes.end()) {
     throw std::logic_error("Rendezvous: write CQE for unknown chunk");
   }
-  if (--cit->second == 0) sp.chunk_writes.erase(cit);
-  if (sp.cts_seen == sp.chunks_total && sp.chunk_writes.empty()) {
-    Request req = peek_cookie(cookie);
-    if (!imm_state_.empty()) {
-      // Pipelined WriteImm: last chunk retired — inject the trailing imm as
-      // a synthetic chunk-0 write before finishing.
-      auto im = imm_state_.find(cookie);
-      if (im != imm_state_.end() && !im->second.folded && !im->second.posted) {
-        im->second.posted = true;
-        sp.chunk_writes[0] = 1;
-        post_trailing_imm(peer, cookie, req, im->second);
-        return;
-      }
-    }
-    IB12X_DEBUG(host_.simulator().now(), "rank%d: pipelined send %llu complete (%u chunks)",
-                host_.rank(), (unsigned long long)cookie, sp.chunks_total);
-    for (PinCache::Region* r : sp.pins) pin_cache_->release(r);
-    send_progress_.erase(pit);
-    if (net_.fault_enabled()) chunks_seen_.erase(cookie);
-    finish_send(peer, cookie, req);
+  if (--cit->second == 0) ss.chunk_writes.erase(cit);
+  if (ss.chunks_seen.size() != ss.chunks_total || !ss.chunk_writes.empty()) return;
+  if (ss.imm_armed && !ss.imm_posted) {
+    // Pipelined WriteImm: last chunk retired — inject the trailing imm as a
+    // synthetic chunk-0 write before finishing.
+    ss.imm_posted = true;
+    ss.chunk_writes[0] = 1;
+    post_trailing_imm(peer, cookie, ss.imm);
+    return;
   }
+  IB12X_DEBUG(host_.simulator().now(), "rank%d: pipelined send %llu complete (%u chunks)",
+              host_.rank(), (unsigned long long)cookie, ss.chunks_total);
+  finish_send(peer, cookie, req);
 }
 
 void Rendezvous::on_write_failed(int peer, const RndvStripe& st) {
@@ -856,20 +796,18 @@ void Rendezvous::on_write_failed(int peer, const RndvStripe& st) {
     throw std::runtime_error("Rendezvous: stripe retry limit exceeded to rank " +
                              std::to_string(peer));
   }
-  if (!imm_state_.empty()) {
+  const SendState& ss = send_state(st.req_id & kCookieMask);
+  if (ss.imm_armed && (ss.imm_folded || st.len == 0)) {
     // A failed imm-carrying write (folded data write, or the zero-byte
     // trailing imm) replays as an imm write: the receiver never saw the
     // immediate, and the data — if any — is idempotent to rewrite.  A dead
     // rail or empty credit pool is absorbed by post_write_imm's own scan
     // and pending queue.
-    auto im = imm_state_.find(st.req_id & kCookieMask);
-    if (im != imm_state_.end() && (im->second.folded || st.len == 0)) {
-      const Config& cfg = host_.config();
-      const std::uint32_t imm = im->second.imm;
-      host_.schedule_cpu_vci(im->second.vci, cfg.wqe_build_cpu + cfg.doorbell_cpu,
-                             [this, peer, retry, imm] { net_.post_write_imm(peer, retry, imm); });
-      return;
-    }
+    const Config& cfg = host_.config();
+    const std::uint32_t imm = ss.imm;
+    host_.schedule_cpu_vci(imm_vci(imm), cfg.wqe_build_cpu + cfg.doorbell_cpu,
+                           [this, peer, retry, imm] { net_.post_write_imm(peer, retry, imm); });
+    return;
   }
   repost_stripe(peer, retry);
 }
@@ -901,9 +839,9 @@ void Rendezvous::repost_stripe(int peer, const RndvStripe& st) {
   // completion can retire the chunk.
   const int extra = static_cast<int>(parts.size()) - 1;
   const std::uint64_t cookie = st.req_id & kCookieMask;
-  auto pit = send_progress_.find(cookie);
-  if (pit != send_progress_.end()) {
-    pit->second.chunk_writes.at(static_cast<std::uint32_t>(st.req_id >> 48)) += extra;
+  SendState& ss = send_state(cookie);
+  if (ss.pipelined()) {
+    ss.chunk_writes.at(static_cast<std::uint32_t>(st.req_id >> 48)) += extra;
   } else {
     peek_cookie(cookie)->pending_writes += extra;
   }
@@ -938,11 +876,7 @@ void Rendezvous::on_fin(const MsgHeader& hdr) {
   outstanding_.erase(oit);
   IB12X_DEBUG(host_.simulator().now(), "rank%d: FIN for cookie %llu", host_.rank(),
               (unsigned long long)hdr.receiver_cookie);
-  auto it = recv_progress_.find(hdr.receiver_cookie);
-  if (it != recv_progress_.end()) {
-    for (PinCache::Region* r : it->second.pins) pin_cache_->release(r);
-    recv_progress_.erase(it);
-  }
+  end_recv(hdr.receiver_cookie);
   host_.schedule_cpu_vci(hdr.vci, host_.config().ctl_cpu,
                          [this, req] { host_.complete_request(req); });
 }
@@ -963,12 +897,7 @@ void Rendezvous::on_done(const MsgHeader& hdr) {
   outstanding_.erase(oit);
   IB12X_DEBUG(host_.simulator().now(), "rank%d: Done for cookie %llu", host_.rank(),
               (unsigned long long)hdr.sender_cookie);
-  auto sit = send_pins_.find(hdr.sender_cookie);
-  if (sit != send_pins_.end()) {
-    pin_cache_->release(sit->second);
-    send_pins_.erase(sit);
-  }
-  record_policy(hdr.sender_cookie, req);
+  end_send(hdr.sender_cookie, req);
   host_.schedule_cpu_vci(hdr.vci, host_.config().ctl_cpu,
                          [this, req] { host_.complete_request(req); });
 }
@@ -979,8 +908,8 @@ void Rendezvous::on_imm(std::uint32_t imm_data) {
   // from the immediate itself, never from CTS-echoed header fields (which do
   // not exist on this path).  Releasing the pins here is what keeps the
   // PinCache balanced without a FIN.
-  const int vci = static_cast<int>(imm_data >> 28);
-  const std::uint64_t rcookie = imm_data & ((std::uint32_t{1} << 28) - 1);
+  const int vci = imm_vci(imm_data);
+  const std::uint64_t rcookie = imm_data & kImmCookieMask;
   auto oit = outstanding_.find(rcookie);
   if (oit == outstanding_.end()) {
     if (net_.fault_enabled()) {
@@ -993,11 +922,7 @@ void Rendezvous::on_imm(std::uint32_t imm_data) {
   outstanding_.erase(oit);
   IB12X_DEBUG(host_.simulator().now(), "rank%d: imm completion for cookie %llu vci %d",
               host_.rank(), (unsigned long long)rcookie, vci);
-  auto it = recv_progress_.find(rcookie);
-  if (it != recv_progress_.end()) {
-    for (PinCache::Region* r : it->second.pins) pin_cache_->release(r);
-    recv_progress_.erase(it);
-  }
+  end_recv(rcookie);
   host_.schedule_cpu_vci(vci, host_.config().ctl_cpu,
                          [this, req] { host_.complete_request(req); });
 }

@@ -97,78 +97,96 @@ class Rendezvous {
   using Stripe = mvx::Stripe;
 
  private:
-  /// Sender-side pipeline state, keyed by sender cookie (only present while
-  /// Config::rndv_pipeline is driving the transfer).
-  struct SendProgress {
+  /// Sender-side state of one rendezvous, keyed by sender cookie: created
+  /// with the RTS, erased when the send completes.
+  struct SendState {
+    // Protocol choice, made at RTS time.
+    RndvProto proto = RndvProto::WriteRtsCts;
+    int arm = -1;    ///< RndvPolicy arm, -1 for static selection
+    int width = 0;   ///< forced stripe width, 0 = policy default
+    sim::Time start = 0;
+    /// Sender pins: the whole buffer (one-shot writes, ReadRts) or one per
+    /// chunk (pipelined writes).
+    std::vector<PinCache::Region*> pins;
+    // Pipelined writes (Config::rndv_pipeline); chunks_total stays 0 on the
+    // one-shot and read paths.
     std::uint32_t chunks_total = 0;
-    std::uint32_t cts_seen = 0;
+    /// Chunks whose CTS has been processed; a replayed CTS (a fault-injection
+    /// retry of a control message that did arrive) is dropped here.
+    std::set<std::uint32_t> chunks_seen;
     /// Per-chunk stripes still in flight; an entry disappears when its chunk
     /// fully lands, and the map's size is the live pipeline depth.
     std::map<std::uint32_t, int> chunk_writes;
-    std::vector<PinCache::Region*> pins;
+    // WriteImm: the immediate that replaces the FIN, set once the CTS names
+    // the receiver cookie.
+    bool imm_armed = false;
+    std::uint32_t imm = 0;    ///< (vci << 28) | receiver_cookie
+    bool imm_folded = false;  ///< imm rides the single data write itself
+    bool imm_posted = false;  ///< imm already on the wire (folded or trailing)
+
+    [[nodiscard]] bool pipelined() const { return chunks_total != 0; }
   };
-  /// Receiver-side pin bookkeeping, keyed by receiver cookie (both modes).
-  struct RecvProgress {
+  /// Receiver-side state of one rendezvous, keyed by receiver cookie.
+  struct RecvState {
     std::vector<PinCache::Region*> pins;
-  };
-  /// Receiver-side read-rendezvous state, keyed by receiver cookie.  A
-  /// separate map — not new RecvProgress fields — so the default protocol's
-  /// allocation sizes stay untouched.
-  struct ReadProgress {
-    int pending = 0;                 ///< read stripes still in flight
-    std::uint64_t sender_cookie = 0; ///< echoed in the Done control message
+    // ReadRts: this side pulls, then answers the sender with Done.
+    int pending = 0;                  ///< read stripes still in flight
+    std::uint64_t sender_cookie = 0;  ///< echoed in the Done control message
     int peer = -1;
     int vci = 0;
-    std::vector<PinCache::Region*> pins;
-  };
-  /// Sender-side per-message protocol record (adaptive arm + chosen
-  /// protocol), keyed by sender cookie.  Only populated when the rendezvous
-  /// diversity machinery is active.
-  struct SendMeta {
-    RndvProto proto = RndvProto::WriteRtsCts;
-    int arm = -1;     ///< RndvPolicy arm, -1 for static selection
-    int width = 0;    ///< forced stripe width, 0 = policy default
-    sim::Time start = 0;
-  };
-  /// Sender-side WriteImm state, keyed by sender cookie.
-  struct ImmState {
-    std::uint32_t imm = 0;  ///< (vci << 28) | receiver_cookie
-    bool folded = false;    ///< imm rides the single data write itself
-    int vci = 0;
-    bool posted = false;    ///< trailing imm already on the wire
   };
 
   /// Splits `bytes` at message offset `base_off` into rail stripes following
-  /// the configured policy (even/weighted/adaptive, multi-lane pinning).
-  /// Stripe lengths never fall below min_stripe and always sum to `bytes`;
-  /// when fewer stripes than rails are cut, the base rail rotates through
-  /// the peer's cursor so all rails see load.
+  /// the configured policy (even/weighted/adaptive, multi-lane pinning) over
+  /// candidate_rails.  Stripe lengths never fall below min_stripe and always
+  /// sum to `bytes`; when fewer stripes than rails are cut, the base rail
+  /// rotates through the peer's cursor so all rails see load.
   std::vector<Stripe> plan_stripes(int peer, const Request& req, std::int64_t base_off,
                                    std::int64_t bytes);
+  /// Flat indices of the rails a transfer on `vci` may use: the VCI's slice,
+  /// or its live subset under failover.  If an outage leaves none, the whole
+  /// slice: the writes fail and the error path re-plans once one recovers.
+  std::vector<int> candidate_rails(int peer, int vci);
 
   /// Sender side of CTS: register, plan stripes and post them.  Legacy mode
   /// covers the whole message; pipelined mode runs once per chunk.
-  void start_writes(int peer, const Request& req, const MsgHeader& cts, const CtsRkeys& rkeys);
-  void start_chunk_writes(int peer, const Request& req, const MsgHeader& cts,
+  void start_writes(int peer, const Request& req, SendState& ss, const MsgHeader& cts,
+                    const CtsRkeys& rkeys);
+  void start_chunk_writes(int peer, const Request& req, SendState& ss, const MsgHeader& cts,
                           const CtsRkeys& rkeys);
   /// Sends FIN (unless the protocol elided it) and completes the local send.
   void finish_send(int peer, std::uint64_t cookie, const Request& req);
+  /// Releases the sender pins, feeds the adaptive policy the observed
+  /// completion time and drops the send's state.
+  void end_send(std::uint64_t cookie, const Request& req);
+  /// The state of an in-flight send; throws for an unknown cookie.
+  SendState& send_state(std::uint64_t cookie);
+  /// Releases the receiver pins of a write-protocol receive and drops its
+  /// state.
+  void end_recv(std::uint64_t rcookie);
   /// Re-plans a failed stripe over the live rails and posts the pieces; if
   /// no rail is alive, parks itself until the recovery interval elapses.
   void repost_stripe(int peer, const RndvStripe& st);
 
-  /// Picks the protocol (and forced width) for one outgoing rendezvous and
-  /// records the SendMeta ticket; WriteRtsCts with everything off.
-  RndvProto select_proto(int peer, std::int64_t bytes, const Request& req,
-                         std::uint64_t cookie, int* width_out);
+  /// The flat rail an RTS to `peer` goes out on (round-robin over the VCI's
+  /// slice).
+  int rts_rail(int peer, CommKind kind, int vci);
+  /// Fills the RTS of one outgoing rendezvous: claims its sequence number
+  /// and sender cookie, opens its SendState and picks its protocol.  ReadRts
+  /// pins the send buffer and fills `rkeys`; returns that pin cost (else 0).
+  sim::Time open_send(int peer, CommKind kind, std::int64_t bytes, int tag, int ctx,
+                      const Request& req, MsgHeader& hdr, CtsRkeys& rkeys);
+  /// Picks the protocol (and forced width) for one outgoing rendezvous into
+  /// `ss`; WriteRtsCts with everything off.
+  void select_proto(int peer, std::int64_t bytes, const Request& req, SendState& ss);
   /// Pins the send buffer for a ReadRts RTS and fills raddr/width/rkeys.
   /// Returns the pin cost to charge.
-  sim::Time prepare_read_rts(MsgHeader& hdr, const Request& req, std::int64_t bytes, int width,
-                             CtsRkeys& rkeys);
+  sim::Time prepare_read_rts(MsgHeader& hdr, const Request& req, std::int64_t bytes,
+                             SendState& ss, CtsRkeys& rkeys);
   /// Receiver side of a ReadRts RTS: pin, plan read stripes, post the pulls.
   void accept_read(const MsgHeader& rts, const Request& req, const CtsRkeys& rkeys);
-  /// Stripe planning over at most `width` rails of the VCI slice (0 = the
-  /// legacy full-slice plan), shared by reads and width-forced writes.
+  /// Stripe planning over at most `width` candidate rails (0 = all of
+  /// them), shared by reads and width-forced writes.
   std::vector<Stripe> plan_limited(int peer, int vci, std::int64_t base_off, std::int64_t bytes,
                                    int width);
   /// All read stripes landed: release pins, send Done, complete the receive.
@@ -177,10 +195,7 @@ class Rendezvous {
   void repost_read(int peer, const RndvStripe& st);
   /// Posts the zero-byte trailing write-with-imm once every data write of a
   /// multi-stripe WriteImm transfer has completed.
-  void post_trailing_imm(int peer, std::uint64_t cookie, const Request& req, const ImmState& im);
-  /// Feeds the adaptive policy the observed completion time and drops the
-  /// SendMeta ticket.  No-op when the machinery is off.
-  void record_policy(std::uint64_t cookie, const Request& req);
+  void post_trailing_imm(int peer, std::uint64_t cookie, std::uint32_t imm);
 
   std::uint64_t new_cookie(const Request& req);
   Request take_cookie(std::uint64_t id);
@@ -190,20 +205,10 @@ class Rendezvous {
   NetChannel& net_;
 
   std::unique_ptr<PinCache> pin_cache_;
+  /// Every live cookie, sender and receiver side alike (one counter).
   std::map<std::uint64_t, Request> outstanding_;
-  std::map<std::uint64_t, SendProgress> send_progress_;
-  /// Chunks whose CTS has been processed, keyed by sender cookie — replayed
-  /// CTSes (fault-injection retries of control messages that did arrive) are
-  /// dropped here.  Kept out of SendProgress, and only touched under fault
-  /// injection, so fault-free allocation sizes are unchanged.
-  std::map<std::uint64_t, std::set<std::uint32_t>> chunks_seen_;
-  std::map<std::uint64_t, RecvProgress> recv_progress_;
-  std::map<std::uint64_t, PinCache::Region*> send_pins_;  ///< legacy-mode sender pins
-  /// Protocol-diversity state: all empty (and never touched) while the
-  /// default static WriteRtsCts configuration runs.
-  std::map<std::uint64_t, ReadProgress> read_progress_;
-  std::map<std::uint64_t, SendMeta> send_meta_;
-  std::map<std::uint64_t, ImmState> imm_state_;
+  std::map<std::uint64_t, SendState> sends_;
+  std::map<std::uint64_t, RecvState> recvs_;
   std::unique_ptr<RndvPolicy> policy_;  ///< only with Config::rndv.adaptive
   bool rndv_active_ = false;  ///< adaptive or a non-default static protocol
   std::uint64_t next_cookie_ = 1;

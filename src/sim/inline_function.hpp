@@ -42,9 +42,14 @@ class InlineFunction {
     static_assert(alignof(Fn) <= kAlign, "over-aligned event capture");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
                   "event callables must be nothrow-movable (queue entries relocate)");
+    constexpr bool kTrivial =
+        std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>;
+    // A trivial callable relocates by copying all kCapacity bytes, so the
+    // bytes it does not occupy are zeroed rather than left indeterminate.
+    if constexpr (kTrivial) std::memset(buf_, 0, kCapacity);
     ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
     invoke_ = [](void* p) { (*static_cast<Fn*>(p))(); };
-    if constexpr (std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>) {
+    if constexpr (kTrivial) {
       manage_ = nullptr;  // relocated by memcpy, destroyed by forgetting
     } else {
       manage_ = [](void* dst, void* src) {

@@ -28,7 +28,7 @@ TEST(TagRing, TagLayoutAndReserve) {
   EXPECT_EQ(b1.tag(0), coll::TagRing::kCollectiveBit | (1 << coll::TagRing::kIndexBits));
   // Tags of different slots can never collide.
   EXPECT_NE(b0.tag(coll::TagRing::kTagsPerSlot - 1), b1.tag(0));
-  EXPECT_THROW(b0.tag(coll::TagRing::kTagsPerSlot), std::exception);
+  EXPECT_THROW((void)b0.tag(coll::TagRing::kTagsPerSlot), std::exception);
   EXPECT_EQ(ring.active(), 2);
   ring.release(b0.slot);
   ring.release(b1.slot);

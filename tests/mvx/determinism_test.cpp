@@ -8,10 +8,12 @@
 
 #include <cstddef>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "mvx/mpi.hpp"
+#include "sim/rng.hpp"
 #include "mvx_test_util.hpp"
 
 namespace ib12x::mvx {
@@ -154,6 +156,32 @@ RunDigest run_multithread_vci_workload() {
   return digest_of(w);
 }
 
+/// One 2x1 World reused for fourteen runs, 1 MiB down to 16 KiB twice.  Each
+/// run makes fresh buffers and loops sendrecv with the other rank, so whether
+/// a run's buffers hit the pin-down cache depends only on which registrations
+/// are still live.  With `pad_seed` != 0 a seeded random-size heap block is
+/// held across each run boundary, which moves where the next run's buffers
+/// land (on the brk heap or among the mmap'd blocks, by size).
+RunDigest run_fresh_buffer_sweep(std::uint64_t pad_seed) {
+  World w(ClusterSpec{2, 1}, Config::enhanced(4, Policy::EPC));
+  sim::Rng rng(pad_seed);
+  std::unique_ptr<std::byte[]> pad;
+  for (int run = 0; run < 14; ++run) {
+    const std::size_t bytes = std::size_t{1} << (20 - run % 7);
+    w.run([bytes](Communicator& c) {
+      const int peer = 1 - c.rank();
+      const std::vector<std::byte> sbuf = payload(bytes, c.rank());
+      std::vector<std::byte> rbuf(bytes);
+      for (int i = 0; i < 4; ++i) {
+        c.sendrecv(sbuf.data(), bytes, BYTE, peer, i, rbuf.data(), bytes, BYTE, peer, i);
+      }
+      EXPECT_EQ(rbuf, payload(bytes, peer));
+    });
+    if (pad_seed != 0) pad = std::make_unique<std::byte[]>(1 + rng.next_below(2 << 20));
+  }
+  return digest_of(w);
+}
+
 TEST(Determinism, RepeatedRunsAreBitIdentical) {
   const RunDigest a = run_workload(2, Config::enhanced(4, Policy::EPC));
   const RunDigest b = run_workload(2, Config::enhanced(4, Policy::EPC));
@@ -188,6 +216,16 @@ TEST(Determinism, MultiThreadVciWorkloadIsBitIdentical) {
   const RunDigest b = run_multithread_vci_workload();
   expect_bit_identical(a, b);
   EXPECT_GT(a.telemetry.at("rndv.bytes_sent"), 0.0);
+}
+
+TEST(Determinism, HeapPaddingDoesNotChangeRegistrationHits) {
+  const RunDigest plain = run_fresh_buffer_sweep(0);
+  EXPECT_GT(plain.telemetry.at("rndv.reg_cache_hits"), 0.0);
+  EXPECT_GT(plain.telemetry.at("rndv.reg_cache_misses"), 0.0);
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("pad seed " + std::to_string(seed));
+    expect_bit_identical(plain, run_fresh_buffer_sweep(seed));
+  }
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Unit tests for the rendezvous pin-down cache: exact vs interval lookup,
-// LRU eviction against the byte budget with real MR deregistration, and
-// pin-protected (zombie) entries.
+// LRU eviction against the byte budget with real MR deregistration,
+// pin-protected (zombie) entries, and entries dying with the host block they
+// cover.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "ib/fabric.hpp"
@@ -129,6 +131,60 @@ TEST(PinCache, RegistrationCostsChargePagesOnMiss) {
   cost = 0;
   c.acquire(buf.data(), 4096, &cost);
   EXPECT_EQ(cost, 50);  // interval hit
+}
+
+TEST(PinCache, FreeingARegisteredBufferRemovesItsEntry) {
+  CacheFixture fx;
+  PinCache c = fx.make(/*interval=*/true);
+  auto buf = std::make_unique<std::byte[]>(64 * 1024);
+
+  sim::Time cost = 0;
+  c.release(c.acquire(buf.get(), 64 * 1024, &cost));
+  { std::vector<std::byte> other(128 * 1024); }  // an unrelated block comes and goes
+  EXPECT_EQ(c.entries(), 1u);
+
+  buf.reset();
+  EXPECT_EQ(c.entries(), 0u);
+  EXPECT_EQ(c.resident_bytes(), 0);
+  EXPECT_EQ(fx.hca->mem().region_count(), 0u);
+
+  // A new buffer misses wherever the allocator puts it.
+  auto again = std::make_unique<std::byte[]>(64 * 1024);
+  c.release(c.acquire(again.get(), 64 * 1024, &cost));
+  EXPECT_EQ(fx.hits.value(), 0u);
+  EXPECT_EQ(fx.misses.value(), 2u);
+  EXPECT_EQ(fx.evictions.value(), 0u);  // forgetting is not eviction
+}
+
+TEST(PinCache, FreeingTheEnclosingBlockDropsAnInteriorRegistration) {
+  CacheFixture fx;
+  PinCache c = fx.make(/*interval=*/true);
+  std::vector<std::byte> block(256 * 1024);
+
+  sim::Time cost = 0;
+  c.release(c.acquire(block.data() + 4096, 32 * 1024, &cost));
+  EXPECT_EQ(c.entries(), 1u);
+
+  std::vector<std::byte>().swap(block);  // frees the storage
+  EXPECT_EQ(c.entries(), 0u);
+  EXPECT_EQ(fx.hca->mem().region_count(), 0u);
+}
+
+TEST(PinCache, BlockFreedWhilePinnedIsDeregisteredOnLastRelease) {
+  CacheFixture fx;
+  PinCache c = fx.make(/*interval=*/false);
+  auto buf = std::make_unique<std::byte[]>(64 * 1024);
+
+  sim::Time cost = 0;
+  PinCache::Region* r = c.acquire(buf.get(), 64 * 1024, &cost);
+  buf.reset();
+  // Out of the cache at once, but the hardware may still be using it.
+  EXPECT_EQ(c.entries(), 0u);
+  EXPECT_EQ(fx.hca->mem().region_count(), 1u);
+  EXPECT_NE(fx.hca->mem().translate_rkey(r->mr[0].rkey, r->base, 64 * 1024), nullptr);
+
+  c.release(r);
+  EXPECT_EQ(fx.hca->mem().region_count(), 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -164,8 +165,9 @@ TEST(Policy, FullScheduleTable) {
 // draws (rail count × live-rail mask × size × floor × weights × base offset)
 // and every plan must (a) cover the message exactly — contiguous offsets,
 // lengths summing to the byte count, (b) never cut a stripe below the floor,
-// (c) place stripes only on live rails, at most once per rail, and (d) agree
-// with the identity-rail overload modulo the live-list remap.
+// (c) place stripes only on live rails, at most once per rail, and (d) assign
+// rails by list position: the plan over rails 0..n-1, remapped through the
+// live list, is the same plan.
 TEST(Policy, StripePlanInvariantsHoldForAllLiveMasks) {
   sim::Rng rng(0x57121fe5);
   for (int iter = 0; iter < 2000; ++iter) {
@@ -226,9 +228,11 @@ TEST(Policy, StripePlanInvariantsHoldForAllLiveMasks) {
           << label() << " rail " << s.rail << " used twice";
       used.push_back(s.rail);
     }
-    // (d) the identity overload is the same plan in list-position space.
-    const std::vector<Stripe> id_plan = plan_stripes(
-        bytes, base_off, static_cast<int>(live.size()), min_stripe, weights, id_cursor);
+    // (d) the same plan in list-position space.
+    std::vector<int> positions(live.size());
+    std::iota(positions.begin(), positions.end(), 0);
+    const std::vector<Stripe> id_plan =
+        plan_stripes(bytes, base_off, positions, min_stripe, weights, id_cursor);
     ASSERT_EQ(id_plan.size(), plan.size()) << label();
     for (std::size_t i = 0; i < plan.size(); ++i) {
       EXPECT_EQ(plan[i].rail, live[static_cast<std::size_t>(id_plan[i].rail)]) << label();
@@ -241,9 +245,9 @@ TEST(Policy, StripePlanInvariantsHoldForAllLiveMasks) {
 
 TEST(Policy, StripePlanDegenerateInputs) {
   RailCursor cur;
-  EXPECT_TRUE(plan_stripes(0, 0, 4, 2048, {}, cur).empty());
-  EXPECT_TRUE(plan_stripes(-5, 0, 4, 2048, {}, cur).empty());
-  EXPECT_TRUE(plan_stripes(1 << 20, 0, 0, 2048, {}, cur).empty());
+  const std::vector<int> four = {0, 1, 2, 3};
+  EXPECT_TRUE(plan_stripes(0, 0, four, 2048, {}, cur).empty());
+  EXPECT_TRUE(plan_stripes(-5, 0, four, 2048, {}, cur).empty());
   EXPECT_TRUE(plan_stripes(1 << 20, 0, std::vector<int>{}, 2048, {}, cur).empty());
   // A sub-floor message still travels: one stripe carrying everything.
   const auto tiny = plan_stripes(100, 64, std::vector<int>{3}, 2048, {}, cur);

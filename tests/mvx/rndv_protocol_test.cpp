@@ -366,7 +366,9 @@ TEST(Adaptive, GreedyConvergesToTheBestArm) {
   const int favoured = 3;
   for (int i = 0; i < 200; ++i) {
     const int a = p.choose(0, 8192, 2, nullptr);
-    if (i >= p.arms()) EXPECT_EQ(a, favoured) << "draw " << i;
+    if (i >= p.arms()) {
+      EXPECT_EQ(a, favoured) << "draw " << i;
+    }
     p.record(0, 8192, a, a == favoured ? 10 : 1000);
   }
 }
