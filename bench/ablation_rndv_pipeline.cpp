@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   // Window of 8: deep enough to be a bandwidth (not latency) measurement,
   // shallow enough that one message's serialized registration is not fully
   // hidden behind its neighbours' wire time — the regime §3.2 argues about.
-  const int window = env_int("IB12X_RNDV_WINDOW", 8);
+  constexpr int window = 8;
 
   std::printf("Ablation — pipelined zero-copy rendezvous (cold pin-down cache, 4 rails)\n");
 

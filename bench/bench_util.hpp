@@ -113,28 +113,16 @@ struct Column {
   mvx::Config cfg;
 };
 
-/// IB12X_LEGACY_WIRING=1 pins every figure configuration to the pre-refactor
-/// transport defaults (eager all-pairs wiring, per-QP receive queues) so
-/// figure outputs can be regression-diffed byte for byte against runs from
-/// before the lazy-connect + SRQ default flip.
-inline mvx::Config apply_wiring_env(mvx::Config cfg) {
-  if (env_int("IB12X_LEGACY_WIRING", 0) != 0) {
-    cfg.lazy_connect = false;
-    cfg.use_srq = false;
-  }
-  return cfg;
-}
-
-inline Column original() { return {"orig-1QP", apply_wiring_env(mvx::Config::original())}; }
+inline Column original() { return {"orig-1QP", mvx::Config::original()}; }
 
 inline Column epc(int qps) {
   return {"EPC-" + std::to_string(qps) + "QP",
-          apply_wiring_env(mvx::Config::enhanced(qps, mvx::Policy::EPC))};
+          mvx::Config::enhanced(qps, mvx::Policy::EPC)};
 }
 
 inline Column policy_col(int qps, mvx::Policy p) {
   return {std::string(mvx::to_string(p)) + "-" + std::to_string(qps) + "QP",
-          apply_wiring_env(mvx::Config::enhanced(qps, p))};
+          mvx::Config::enhanced(qps, p)};
 }
 
 inline void emit(const harness::Table& table) {

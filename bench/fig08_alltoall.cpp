@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
   trend.add_column("EPC@1M us");
   trend.add_column("orig/EPC");
   for (int ppn : {1, 2, 4}) {
-    harness::Runner ro(mvx::ClusterSpec{2, ppn}, bench::apply_wiring_env(mvx::Config::original()), bench_params());
-    harness::Runner re(mvx::ClusterSpec{2, ppn}, bench::apply_wiring_env(mvx::Config::enhanced(4, mvx::Policy::EPC)),
+    harness::Runner ro(mvx::ClusterSpec{2, ppn}, mvx::Config::original(), bench_params());
+    harness::Runner re(mvx::ClusterSpec{2, ppn}, mvx::Config::enhanced(4, mvx::Policy::EPC),
                        bench_params());
     const double o = ro.alltoall_us(1 << 20), e = re.alltoall_us(1 << 20);
     trend.add_row("2x" + std::to_string(ppn), {o, e, o / e});

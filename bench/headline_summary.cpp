@@ -18,7 +18,7 @@ namespace {
 
 double nas_gain(nas::NasClass cls, bool is_kernel, mvx::ClusterSpec spec) {
   double secs[2];
-  const mvx::Config cfgs[2] = {bench::apply_wiring_env(mvx::Config::original()), bench::apply_wiring_env(mvx::Config::enhanced(4, mvx::Policy::EPC))};
+  const mvx::Config cfgs[2] = {mvx::Config::original(), mvx::Config::enhanced(4, mvx::Policy::EPC)};
   for (int i = 0; i < 2; ++i) {
     mvx::World w(spec, cfgs[i]);
     double s = 0;
@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
   std::printf("Headline summary — paper claims vs this reproduction\n");
   harness::BenchParams bp = bench_params();
 
-  harness::Runner orig(mvx::ClusterSpec{2, 1}, bench::apply_wiring_env(mvx::Config::original()), bp);
-  harness::Runner epc4(mvx::ClusterSpec{2, 1}, bench::apply_wiring_env(mvx::Config::enhanced(4, mvx::Policy::EPC)), bp);
+  harness::Runner orig(mvx::ClusterSpec{2, 1}, mvx::Config::original(), bp);
+  harness::Runner epc4(mvx::ClusterSpec{2, 1}, mvx::Config::enhanced(4, mvx::Policy::EPC), bp);
 
   // Latency improvement: the abstract's 41% refers to the large-message
   // ping-pong regime where striping splits the blocking message.
@@ -60,15 +60,15 @@ int main(int argc, char** argv) {
   // Bandwidth peaks are measured on fresh clusters (the protocol of
   // fig. 6/7): the bi-directional bus-contention model carries a few percent
   // of mode noise across back-to-back runs in one world.
-  const double uni_o = harness::Runner(mvx::ClusterSpec{2, 1}, bench::apply_wiring_env(mvx::Config::original()), bp)
+  const double uni_o = harness::Runner(mvx::ClusterSpec{2, 1}, mvx::Config::original(), bp)
                            .uni_bw_mbs(1 << 20);
   const double uni_e =
-      harness::Runner(mvx::ClusterSpec{2, 1}, bench::apply_wiring_env(mvx::Config::enhanced(4, mvx::Policy::EPC)), bp)
+      harness::Runner(mvx::ClusterSpec{2, 1}, mvx::Config::enhanced(4, mvx::Policy::EPC), bp)
           .uni_bw_mbs(1 << 20);
-  const double bi_o = harness::Runner(mvx::ClusterSpec{2, 1}, bench::apply_wiring_env(mvx::Config::original()), bp)
+  const double bi_o = harness::Runner(mvx::ClusterSpec{2, 1}, mvx::Config::original(), bp)
                           .bi_bw_mbs(1 << 20);
   const double bi_e =
-      harness::Runner(mvx::ClusterSpec{2, 1}, bench::apply_wiring_env(mvx::Config::enhanced(4, mvx::Policy::EPC)), bp)
+      harness::Runner(mvx::ClusterSpec{2, 1}, mvx::Config::enhanced(4, mvx::Policy::EPC), bp)
           .bi_bw_mbs(1 << 20);
   harness::print_check("uni-BW peak MB/s (paper 2745)", uni_e, 2500, 3000);
   harness::print_check("bi-BW  peak MB/s (paper 5362)", bi_e, 4900, 5800);

@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
   for (const mvx::ClusterSpec spec : {mvx::ClusterSpec{2, 1}, mvx::ClusterSpec{2, 2},
                                       mvx::ClusterSpec{2, 4}}) {
     double secs[2];
-    const mvx::Config cfgs[2] = {apply_wiring_env(mvx::Config::original()),
-                                 apply_wiring_env(mvx::Config::enhanced(4, mvx::Policy::EPC))};
+    const mvx::Config cfgs[2] = {mvx::Config::original(),
+                                 mvx::Config::enhanced(4, mvx::Policy::EPC)};
     for (int i = 0; i < 2; ++i) {
       mvx::World w(spec, cfgs[i]);
       double s = 0;

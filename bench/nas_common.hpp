@@ -32,8 +32,8 @@ inline void run_nas_figure(const char* name, nas::NasClass cls, const KernelFn& 
   double gain2 = 0;
   for (const auto& spec : layouts) {
     double secs[2] = {0, 0};
-    const mvx::Config cfgs[2] = {apply_wiring_env(mvx::Config::original()),
-                                 apply_wiring_env(mvx::Config::enhanced(4, mvx::Policy::EPC))};
+    const mvx::Config cfgs[2] = {mvx::Config::original(),
+                                 mvx::Config::enhanced(4, mvx::Policy::EPC)};
     for (int i = 0; i < 2; ++i) {
       mvx::World w(spec, cfgs[i]);
       double s = 0;

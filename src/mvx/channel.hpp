@@ -57,19 +57,11 @@ class ChannelHost {
   /// resources (credits, ring slots) free up.
   virtual sim::Waitable& progress() = 0;
 
-  /// Serializes event-context protocol work (stripe posting, CQE handling,
-  /// control processing, receive copies) on this rank's host CPU: `fn` runs
-  /// once the CPU has spent `cost` on it, queued behind earlier work.
-  virtual void schedule_cpu(sim::Time cost, std::function<void()> fn) = 0;
-
-  /// VCI-routed variant of schedule_cpu: protocol work belonging to VCI
-  /// `vci` is serialized on that VCI's own progress server instead of the
-  /// rank-wide one, so independent VCIs process completions in parallel.
-  /// Default forwards to schedule_cpu (single-channel hosts).
-  virtual void schedule_cpu_vci(int vci, sim::Time cost, std::function<void()> fn) {
-    (void)vci;
-    schedule_cpu(cost, std::move(fn));
-  }
+  /// Serializes event-context protocol work of VCI `vci` (stripe posting,
+  /// CQE handling, control processing, receive copies) on that VCI's
+  /// progress server: `fn` runs once the server has spent `cost` on it,
+  /// queued behind the VCI's earlier work.  Independent VCIs run in parallel.
+  virtual void schedule_cpu_vci(int vci, sim::Time cost, std::function<void()> fn) = 0;
   [[nodiscard]] virtual sim::Time memcpy_time(std::int64_t bytes) const = 0;
 
   /// Entry point for every sequenced inbound message (Eager/Rts): ordering,
@@ -80,38 +72,24 @@ class ChannelHost {
   /// A rendezvous stripe write finished on the wire (requester CQE).
   virtual void on_rndv_write_done(int peer, std::uint64_t req_id) = 0;
   /// A rendezvous stripe write failed (error CQE under fault injection) and
-  /// needs re-planning over the surviving rails.  Default no-op: only hosts
-  /// with failover support override it, and it can only fire when a
-  /// FaultPlan is attached.
-  virtual void on_rndv_write_failed(int peer, const RndvStripe& st) {
-    (void)peer;
-    (void)st;
-  }
-
+  /// needs re-planning over the surviving rails.
+  virtual void on_rndv_write_failed(int peer, const RndvStripe& st) = 0;
   /// A rendezvous RDMA-read stripe finished (read-rendezvous; the receiver
-  /// is the requester).  Default no-op: only hosts with the read protocol
-  /// enabled override it.
-  virtual void on_rndv_read_done(int peer, std::uint64_t req_id) {
-    (void)peer;
-    (void)req_id;
-  }
+  /// is the requester).
+  virtual void on_rndv_read_done(int peer, std::uint64_t req_id) = 0;
   /// A rendezvous RDMA-read stripe failed (error CQE under fault injection).
-  /// Same contract as on_rndv_write_failed, receiver-side.  Default no-op.
-  virtual void on_rndv_read_failed(int peer, const RndvStripe& st) {
-    (void)peer;
-    (void)st;
-  }
+  /// Same contract as on_rndv_write_failed, receiver-side.
+  virtual void on_rndv_read_failed(int peer, const RndvStripe& st) = 0;
   /// A write-with-immediate landed on this (receiving) rank: the imm word
   /// carries the packed {vci, receiver cookie} that completes the rendezvous
-  /// without a FIN.  Event context.  Default no-op.
-  virtual void on_rndv_imm(std::uint32_t imm_data) { (void)imm_data; }
+  /// without a FIN.  Event context.
+  virtual void on_rndv_imm(std::uint32_t imm_data) = 0;
 
   /// A send-side eager resource (bounce buffer, credit, rail) returned to
-  /// the pool.  Hosts with a lazy connection manager override this to flush
-  /// sends queued behind resource exhaustion; the pool is shared across
-  /// peers, so an implementation must consider every queued peer, not just
-  /// `peer`.  Event context.  Default no-op.
-  virtual void on_eager_resources_freed(int peer) { (void)peer; }
+  /// the pool: sends queued behind resource exhaustion may flush.  The pool
+  /// is shared across peers, so an implementation must consider every
+  /// queued peer, not just `peer`.  Event context.
+  virtual void on_eager_resources_freed(int peer) = 0;
 
   /// Marks `req` complete and wakes waiters.
   virtual void complete_request(const Request& req) = 0;

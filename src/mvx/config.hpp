@@ -129,11 +129,11 @@ struct Config {
   /// channels.  A VCI owns its own QP set per peer (a contiguous slice of
   /// the peer's rail vector, wired lazily per (peer, vci)), a disjoint
   /// sequence-space slice in the matcher, its own CQ-processing server
-  /// ("progress fiber") and its own control-message cursors.  `vci.threads`
-  /// modeled application threads per rank each run as a sim::Process fiber;
-  /// the mapping policy decides which VCI a thread's operations use.  The
-  /// default (count = 1, threads = 1) is bit-identical to the single-channel
-  /// substrate.
+  /// ("progress fiber") and its own control-message cursors; VCI 0 is no
+  /// different from the others.  `vci.threads` modeled application threads
+  /// per rank each run as a sim::Process fiber; the mapping policy decides
+  /// which VCI a thread's operations use.  The default is one VCI driven by
+  /// one thread.
   struct VciConfig {
     int count = 1;    ///< VCIs per rank (1..kMaxVcis)
     int threads = 1;  ///< modeled app threads per rank (>= 1)
@@ -191,13 +191,13 @@ struct Config {
   FaultConfig fault;
 
   // ---- software costs (MVAPICH-era, Power6) -------------------------------
-  sim::Time post_cpu = sim::nanoseconds(700);      ///< build WQE + ring doorbell (uncached MMIO)
-  /// Doorbell-batched posting (pipelined rendezvous only): each WQE costs
-  /// wqe_build_cpu and the uncached-MMIO doorbell is paid once per batch.
-  /// wqe_build_cpu + doorbell_cpu == post_cpu keeps a 1-stripe batch
-  /// identical to the legacy per-stripe cost.
+  /// Posting: each WQE costs wqe_build_cpu and the uncached-MMIO doorbell is
+  /// paid once per batch (the pipelined rendezvous posts a chunk's stripes
+  /// as one batch).
   sim::Time wqe_build_cpu = sim::nanoseconds(250);
   sim::Time doorbell_cpu = sim::nanoseconds(450);
+  /// Cost of posting one WQE on its own: a doorbell batch of one.
+  [[nodiscard]] sim::Time post_cpu() const { return wqe_build_cpu + doorbell_cpu; }
   sim::Time cqe_sw = sim::nanoseconds(750);        ///< poll + process one completion
   sim::Time match_cpu = sim::nanoseconds(450);     ///< per-message header processing / matching
   sim::Time ctl_cpu = sim::nanoseconds(300);       ///< control (RTS/CTS/FIN) handling

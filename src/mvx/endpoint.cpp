@@ -18,7 +18,14 @@ namespace ib12x::mvx {
 
 Endpoint::Endpoint(sim::Simulator& sim, int rank, int node, std::vector<ib::Hca*> node_hcas,
                    const Config& cfg, TelemetryRegistry& tel)
-    : sim_(sim), rank_(rank), node_(node), cfg_(cfg), tel_(tel) {
+    : sim_(sim),
+      rank_(rank),
+      node_(node),
+      cfg_(cfg),
+      tel_(tel),
+      vci_cpu_(static_cast<std::size_t>(cfg.vci.count)),
+      vci_lock_contentions_(tel.counter("vci.lock_contentions")),
+      vci_wakeups_(tel.counter("vci.progress_wakeups")) {
   matcher_ = std::make_unique<Matcher>(tel_);
   conn_ = std::make_unique<ConnManager>(*this);
   conn_->set_flush_fn([this](int peer) { flush_queued(peer); });
@@ -28,20 +35,9 @@ Endpoint::Endpoint(sim::Simulator& sim, int rank, int node, std::vector<ib::Hca*
   rndv_ = std::make_unique<Rendezvous>(*this, *net_);
   coll_engine_ = std::make_unique<coll::CollEngine>(*this);
 
-  // VCI machinery and its gated vci.* counters exist only when enabled, so
-  // the default configuration allocates nothing and snapshots are unchanged.
-  if (cfg_.vci.count > 1 || cfg_.vci.threads > 1) {
-    for (int v = 1; v < cfg_.vci.count; ++v) {
-      vci_cpu_.push_back(std::make_unique<sim::Server>());
-    }
-    if (cfg_.vci.threads > 1) {
-      vci_locked_.assign(static_cast<std::size_t>(std::max(1, cfg_.vci.count)), 0);
-    }
-    for (int v = 0; v < std::max(1, cfg_.vci.count); ++v) {
-      vci_sends_.push_back(&tel_.counter("vci.sends.v" + std::to_string(v)));
-    }
-    vci_lock_contentions_ = &tel_.counter("vci.lock_contentions");
-    vci_wakeups_ = &tel_.counter("vci.progress_wakeups");
+  if (cfg_.vci.threads > 1) vci_locked_.assign(static_cast<std::size_t>(cfg_.vci.count), 0);
+  for (int v = 0; v < cfg_.vci.count; ++v) {
+    vci_sends_.push_back(&tel_.counter("vci.sends.v" + std::to_string(v)));
   }
 }
 
@@ -58,21 +54,9 @@ void Endpoint::connect_shm(Endpoint& a, Endpoint& b) {
   ShmChannel::connect(*a.shm_, *b.shm_);
 }
 
-void Endpoint::schedule_cpu(sim::Time cost, std::function<void()> fn) {
-  auto r = cpu_.reserve(sim_.now(), sim_.now(), cost);
-  sim_.at(r.finish, std::move(fn));
-}
-
 void Endpoint::schedule_cpu_vci(int vci, sim::Time cost, std::function<void()> fn) {
-  if (vci_wakeups_ != nullptr) vci_wakeups_->inc();
-  if (vci <= 0 || vci_cpu_.empty()) {
-    // VCI 0 (and every message in the default configuration) stays on the
-    // legacy serialized server — bit-identical single-channel timing.
-    schedule_cpu(cost, std::move(fn));
-    return;
-  }
-  sim::Server& srv = *vci_cpu_.at(static_cast<std::size_t>(vci) - 1);
-  auto r = srv.reserve(sim_.now(), sim_.now(), cost);
+  vci_wakeups_.inc();
+  auto r = vci_cpu_.at(static_cast<std::size_t>(vci)).reserve(sim_.now(), sim_.now(), cost);
   sim_.at(r.finish, std::move(fn));
 }
 
@@ -113,7 +97,7 @@ void Endpoint::lock_vci(int vci) {
   if (vci_locked_.empty()) return;  // single-threaded rank: no lock modeled
   std::uint8_t& held = vci_locked_.at(static_cast<std::size_t>(vci));
   if (held != 0) {
-    if (vci_lock_contentions_ != nullptr) vci_lock_contentions_->inc();
+    vci_lock_contentions_.inc();
     process().wait_until(progress_, [&held] { return held == 0; });
   }
   held = 1;
@@ -146,7 +130,7 @@ Request Endpoint::start_send(CommKind kind, const void* buf, std::int64_t bytes,
   req->kind = static_cast<std::uint8_t>(kind);
   req->lane = lane;
   req->vci = vci_for(ctx);
-  if (!vci_sends_.empty()) vci_sends_.at(static_cast<std::size_t>(req->vci))->inc();
+  vci_sends_.at(static_cast<std::size_t>(req->vci))->inc();
 
   if (cfg_.lazy_connect && (!conn_->ready(dst) || conn_->has_queued(dst))) {
     // First contact (or a flush still in progress, which queued sends must

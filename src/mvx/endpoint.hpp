@@ -14,8 +14,8 @@
 //
 // The facade routes each send to the highest-priority channel that accepts
 // it, glues in-order arrivals into matching and protocol dispatch, and owns
-// the two cross-cutting resources: the serialized host-CPU server for
-// event-context protocol work, and the progress waitable blocking calls
+// the two cross-cutting resources: one serialized progress server per VCI
+// for event-context protocol work, and the progress waitable blocking calls
 // park on.
 //
 // Threading model: the owning rank's code runs in process context (and is
@@ -129,7 +129,6 @@ class Endpoint final : public ChannelHost {
   Matcher& matcher() override { return *matcher_; }
   TelemetryRegistry& telemetry() override { return tel_; }
   sim::Waitable& progress() override { return progress_; }
-  void schedule_cpu(sim::Time cost, std::function<void()> fn) override;
   void schedule_cpu_vci(int vci, sim::Time cost, std::function<void()> fn) override;
   [[nodiscard]] sim::Time memcpy_time(std::int64_t bytes) const override;
   void ingress(int peer, const MsgHeader& hdr, std::vector<std::byte> payload) override;
@@ -174,22 +173,19 @@ class Endpoint final : public ChannelHost {
   std::unique_ptr<Rendezvous> rndv_;
   std::unique_ptr<coll::CollEngine> coll_engine_;
 
-  sim::Server cpu_;  ///< serialized host-CPU time for event-context protocol work
   sim::Waitable progress_;
 
-  // ---- VCI state (all empty/null in the default configuration) ----
-  /// Dedicated progress servers of VCIs 1.. (VCI 0 keeps the legacy cpu_
-  /// server, so single-VCI timing is bit-identical); each serializes its own
-  /// VCI's event-context protocol work and runs in parallel with the others.
-  std::vector<std::unique_ptr<sim::Server>> vci_cpu_;
+  // ---- VCI state ----
+  /// One progress server per VCI: each serializes its own VCI's
+  /// event-context protocol work and runs in parallel with the others.
+  std::vector<sim::Server> vci_cpu_;
   /// Registered app-thread fibers, indexed by thread id.
   std::vector<sim::Process*> thread_procs_;
   /// Per-VCI lock word (allocated only when vci.threads > 1).
   std::vector<std::uint8_t> vci_locked_;
-  /// Gated vci.* counters — null/empty by default so snapshots are unchanged.
-  std::vector<Counter*> vci_sends_;
-  Counter* vci_lock_contentions_ = nullptr;
-  Counter* vci_wakeups_ = nullptr;
+  std::vector<Counter*> vci_sends_;  ///< vci.sends.v<n>, one per VCI
+  Counter& vci_lock_contentions_;
+  Counter& vci_wakeups_;
 };
 
 }  // namespace ib12x::mvx

@@ -68,7 +68,7 @@ void FastPathChannel::send(int peer, CommKind kind, const void* buf, std::int64_
   std::byte* stage = c.send_stage.data() + static_cast<std::size_t>(slot) * c.slot_bytes;
   write_header(stage, hdr);
   if (bytes > 0) std::memcpy(stage + kHeaderBytes, buf, static_cast<std::size_t>(bytes));
-  host_.process().compute(cfg.post_cpu +
+  host_.process().compute(cfg.post_cpu() +
                           host_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes));
 
   // The receiver's poll loop notices the tail flag one poll period after the
@@ -112,8 +112,9 @@ void FastPathChannel::send_evt(int peer, CommKind kind, const void* buf, std::in
   write_header(stage, hdr);
   if (bytes > 0) std::memcpy(stage + kHeaderBytes, buf, static_cast<std::size_t>(bytes));
 
-  host_.schedule_cpu(
-      cfg.post_cpu + host_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes),
+  // The fast path excludes VCIs, so its protocol work runs on VCI 0's server.
+  host_.schedule_cpu_vci(
+      0, cfg.post_cpu() + host_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes),
       [this, peer, slot, stage, bytes, req] {
         Peer& cc = peers_.at(peer);
         FastPathChannel* remote = cc.remote;
@@ -146,7 +147,7 @@ void FastPathChannel::arrival(int src, int slot) {
   // drain's CPU cost.
   FastPathChannel* remote = c.remote;
   const int me = host_.rank();
-  host_.schedule_cpu(host_.config().ctl_cpu, [remote, me] { remote->credit_return(me); });
+  host_.schedule_cpu_vci(0, host_.config().ctl_cpu, [remote, me] { remote->credit_return(me); });
 }
 
 void FastPathChannel::credit_return(int peer) {

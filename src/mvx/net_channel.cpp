@@ -28,15 +28,10 @@ NetChannel::NetChannel(ChannelHost& host, std::vector<ib::Hca*> hcas)
       qps_created_(host.telemetry().counter("conn.qps_created")),
       eager_pool_bytes_(host.telemetry().counter("eager.pool_bytes")),
       srq_replenishes_(host.telemetry().counter("srq.replenishes")),
-      srq_pool_dry_(host.telemetry().counter("srq.pool_dry")) {
+      srq_pool_dry_(host.telemetry().counter("srq.pool_dry")),
+      vci_credit_split_(host.telemetry().counter("vci.credit_split")) {
   if (static_cast<int>(hcas_.size()) > kMaxHcas) {
     throw std::invalid_argument("NetChannel: too many HCAs per node");
-  }
-  // vci.* counters exist only when the VCI machinery is enabled, so the
-  // default configuration's telemetry snapshot is unchanged.
-  const Config& cfg = host.config();
-  if (cfg.vci.count > 1 || cfg.vci.threads > 1) {
-    vci_credit_split_ = &host.telemetry().counter("vci.credit_split");
   }
   scq_.set_callback([this](const ib::Wc& wc) { on_send_cqe(wc); });
   rcq_.set_callback([this](const ib::Wc& wc) { on_recv_cqe(wc); });
@@ -50,9 +45,7 @@ void NetChannel::ensure_net_resources() {
   if (resources_ready_) return;
   resources_ready_ = true;
   const Config& cfg = host_.config();
-  if (vci_credit_split_ != nullptr) {
-    vci_credit_split_->track_max(static_cast<std::uint64_t>(rail_credits()));
-  }
+  vci_credit_split_.track_max(static_cast<std::uint64_t>(rail_credits()));
 
   // Sender-side eager bounce pool: one arena, one registration per local HCA
   // domain (MVAPICH registers its vbuf region the same way).  Host pages are
@@ -97,18 +90,6 @@ void NetChannel::ensure_net_resources() {
       pool.srq->arm_limit(cfg.srq_limit);
     }
   }
-}
-
-RailCursor& NetChannel::lane_cursor(Peer& c, int vci) {
-  return vci == 0 ? c.cursor : c.ext.at(static_cast<std::size_t>(vci) - 1).cursor;
-}
-
-RailCursor& NetChannel::lane_ctl(Peer& c, int vci) {
-  return vci == 0 ? c.ctl : c.ext.at(static_cast<std::size_t>(vci) - 1).ctl;
-}
-
-sim::Fifo<NetChannel::PendingCtl>& NetChannel::lane_pending(Peer& c, int vci) {
-  return vci == 0 ? c.pending_ctl : c.ext.at(static_cast<std::size_t>(vci) - 1).pending_ctl;
 }
 
 int NetChannel::rail_credits() const {
@@ -194,20 +175,15 @@ void NetChannel::establish(NetChannel& a, NetChannel& b) {
 
 void NetChannel::ensure_vci(int peer_rank, int vci) {
   Peer& c = peer(peer_rank);
-  while (c.wired_vcis <= vci) wire_vci_group(*this, *c.remote);
+  while (static_cast<int>(c.lanes.size()) <= vci) wire_vci_group(*this, *c.remote);
 }
 
 void NetChannel::wire_vci_group(NetChannel& a, NetChannel& b) {
   const Config& cfg = a.host_.config();
   Peer& pa = a.peer(b.host_.rank());
   Peer& pb = b.peer(a.host_.rank());
-  if (pa.wired_vcis >= 1) {
-    // Lane state for the new VCI (group 0 lives in the Peer's own members).
-    pa.ext.emplace_back();
-    pb.ext.emplace_back();
-  }
-  ++pa.wired_vcis;
-  ++pb.wired_vcis;
+  pa.lanes.emplace_back();
+  pb.lanes.emplace_back();
   ib::FaultPlan* plan = a.fault_enabled_ ? a.hcas_.front()->fabric().fault_plan() : nullptr;
 
   for (int h = 0; h < cfg.hcas_per_node; ++h) {
@@ -264,12 +240,12 @@ int NetChannel::nrails(int peer_rank) const {
 
 RailCursor& NetChannel::cursor(int peer_rank, int vci) {
   ensure_vci(peer_rank, vci);
-  return lane_cursor(peer(peer_rank), vci);
+  return peer(peer_rank).lanes[static_cast<std::size_t>(vci)].cursor;
 }
 
 RailCursor& NetChannel::ctl_cursor(int peer_rank, int vci) {
   ensure_vci(peer_rank, vci);
-  return lane_ctl(peer(peer_rank), vci);
+  return peer(peer_rank).lanes[static_cast<std::size_t>(vci)].ctl;
 }
 
 std::vector<std::int64_t> NetChannel::rail_outstanding(int peer_rank, int vci) const {
@@ -366,42 +342,27 @@ void NetChannel::post_eager(Peer& c, int peer_rank, int rail, int bounce, const 
                    .lkey = bounce_lkey_[r.hca_index]});
 }
 
-void NetChannel::send(int peer_rank, CommKind kind, const void* buf, std::int64_t bytes, int tag,
-                      int ctx, const Request& req) {
-  const int vci = req->vci;
-  ensure_vci(peer_rank, vci);
-  Peer& c = peer(peer_rank);
+int NetChannel::eager_rail(Peer& c, int peer_rank, CommKind kind, std::int64_t bytes,
+                           const Request& req) {
   const Config& cfg = host_.config();
+  const int vci = req->vci;
   const int width = cfg.rails();  // rails per VCI: the schedulable slice
   const int base = vci * width;
-  int rail;
-  if (req->lane >= 0) {
-    // Multi-lane collective transfer: pinned to its lane's rail, bypassing
-    // the policy (and leaving the policy's cursor undisturbed).
-    rail = base + req->lane % width;
-  } else {
-    Schedule s = choose_schedule(cfg.policy, kind, bytes, width, cfg.stripe_threshold,
-                                 lane_cursor(c, vci));
-    rail = base + (s.stripe ? 0 : s.rail);  // eager never stripes
-    if (cfg.policy == Policy::Adaptive) {
-      rail = base + (fault_enabled_
-                         ? least_loaded_rail(rail_outstanding(peer_rank, vci),
-                                             rail_up(peer_rank, vci))
-                         : least_loaded_rail(rail_outstanding(peer_rank, vci)));
-    }
-  }
-  if (fault_enabled_) {
-    // Failover: never start an eager send on a rail known to be down.  The
-    // schedule above keeps its cursor arithmetic (so fault-free behaviour is
-    // untouched); the dead-rail remap happens after the fact.
-    wait_any_rail_up(peer_rank, vci);
-    rail = remap_live(c, rail);
-  }
+  // Multi-lane collective transfer: pinned to its lane's rail, bypassing the
+  // policy (and leaving the policy's cursor undisturbed).
+  if (req->lane >= 0) return base + req->lane % width;
+  // The schedule runs under Adaptive too: it advances the lane cursor, which
+  // control-message placement reads.
+  const Schedule s = choose_schedule(cfg.policy, kind, bytes, width, cfg.stripe_threshold,
+                                     c.lanes[static_cast<std::size_t>(vci)].cursor);
+  if (cfg.policy != Policy::Adaptive) return base + (s.stripe ? 0 : s.rail);  // never stripes
+  return base + (fault_enabled_ ? least_loaded_rail(rail_outstanding(peer_rank, vci),
+                                                    rail_up(peer_rank, vci))
+                                : least_loaded_rail(rail_outstanding(peer_rank, vci)));
+}
 
-  int bounce = acquire_bounce_and_credit(c, rail);
-  host_.process().compute(cfg.post_cpu +
-                          host_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes));
-
+MsgHeader NetChannel::eager_header(int peer_rank, CommKind kind, std::int64_t bytes, int tag,
+                                   int ctx, int vci) {
   MsgHeader hdr;
   hdr.type = MsgType::Eager;
   hdr.kind = static_cast<std::uint8_t>(kind);
@@ -411,7 +372,28 @@ void NetChannel::send(int peer_rank, CommKind kind, const void* buf, std::int64_
   hdr.ctx = ctx;
   hdr.seq = host_.matcher().next_send_seq(peer_rank, ctx, vci);
   hdr.size = static_cast<std::uint64_t>(bytes);
-  post_eager(c, peer_rank, rail, bounce, hdr, buf, bytes);
+  return hdr;
+}
+
+void NetChannel::send(int peer_rank, CommKind kind, const void* buf, std::int64_t bytes, int tag,
+                      int ctx, const Request& req) {
+  const int vci = req->vci;
+  ensure_vci(peer_rank, vci);
+  Peer& c = peer(peer_rank);
+  int rail = eager_rail(c, peer_rank, kind, bytes, req);
+  if (fault_enabled_) {
+    // Failover: never start an eager send on a rail known to be down.  The
+    // schedule above keeps its cursor arithmetic (so fault-free behaviour is
+    // untouched); the dead-rail remap happens after the fact.
+    wait_any_rail_up(peer_rank, vci);
+    rail = remap_live(c, rail);
+  }
+
+  int bounce = acquire_bounce_and_credit(c, rail);
+  host_.process().compute(host_.config().post_cpu() +
+                          host_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes));
+  post_eager(c, peer_rank, rail, bounce, eager_header(peer_rank, kind, bytes, tag, ctx, vci), buf,
+             bytes);
 
   eager_sent_.inc();
   bytes_sent_.add(static_cast<std::uint64_t>(bytes));
@@ -430,29 +412,11 @@ bool NetChannel::try_send(int peer_rank, CommKind kind, const void* buf, std::in
   ensure_vci(peer_rank, vci);
   Peer& c = peer(peer_rank);
   const Config& cfg = host_.config();
-  const int width = cfg.rails();
-  const int base = vci * width;
-  RailCursor& cur = lane_cursor(c, vci);
+  RailCursor& cur = c.lanes[static_cast<std::size_t>(vci)].cursor;
   const RailCursor saved = cur;
-  int rail;
-  if (req->lane >= 0) {
-    rail = base + req->lane % width;
-  } else {
-    Schedule s = choose_schedule(cfg.policy, kind, bytes, width, cfg.stripe_threshold, cur);
-    rail = base + (s.stripe ? 0 : s.rail);  // eager never stripes
-    if (cfg.policy == Policy::Adaptive) {
-      rail = base + (fault_enabled_
-                         ? least_loaded_rail(rail_outstanding(peer_rank, vci),
-                                             rail_up(peer_rank, vci))
-                         : least_loaded_rail(rail_outstanding(peer_rank, vci)));
-    }
-  }
+  int rail = eager_rail(c, peer_rank, kind, bytes, req);
   if (fault_enabled_) {
-    bool any_up = false;
-    for (int i = base; i < base + width; ++i) {
-      any_up = any_up || c.rails[static_cast<std::size_t>(i)].up;
-    }
-    if (!any_up) {
+    if (live_rails(peer_rank, vci).empty()) {
       cur = saved;
       return false;
     }
@@ -467,21 +431,12 @@ bool NetChannel::try_send(int peer_rank, CommKind kind, const void* buf, std::in
   --r.credits;
   const int bounce = free_bounce_.back();
   free_bounce_.pop_back();
-
-  MsgHeader hdr;
-  hdr.type = MsgType::Eager;
-  hdr.kind = static_cast<std::uint8_t>(kind);
-  hdr.vci = static_cast<std::uint8_t>(vci);
-  hdr.src_rank = host_.rank();
-  hdr.tag = tag;
-  hdr.ctx = ctx;
   // Sequence numbers are claimed here, at dispatch, so queued sends to one
   // peer keep MPI ordering no matter when their CPU events run.
-  hdr.seq = host_.matcher().next_send_seq(peer_rank, ctx, vci);
-  hdr.size = static_cast<std::uint64_t>(bytes);
+  const MsgHeader hdr = eager_header(peer_rank, kind, bytes, tag, ctx, vci);
 
   host_.schedule_cpu_vci(
-      vci, cfg.post_cpu + host_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes),
+      vci, cfg.post_cpu() + host_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes),
       [this, peer_rank, rail, bounce, hdr, buf, bytes, req] {
         post_eager(peer(peer_rank), peer_rank, rail, bounce, hdr, buf, bytes);
         eager_sent_.inc();
@@ -502,7 +457,7 @@ void NetChannel::send_ctl_blocking(int peer_rank, int rail, const MsgHeader& hdr
     rail = remap_live(c, rail);
   }
   int bounce = acquire_bounce_and_credit(c, rail);
-  host_.process().compute(host_.config().post_cpu);
+  host_.process().compute(host_.config().post_cpu());
   post_eager(c, peer_rank, rail, bounce, hdr, rkeys,
              rkeys != nullptr ? static_cast<std::int64_t>(sizeof(CtsRkeys)) : 0);
 }
@@ -532,7 +487,7 @@ void NetChannel::post_ctl_evt(int peer_rank, int rail, const MsgHeader& hdr,
   free_bounce_.pop_back();
   const bool with_rkeys = rkeys != nullptr;
   const CtsRkeys rk = with_rkeys ? *rkeys : CtsRkeys{};
-  host_.schedule_cpu_vci(hdr.vci, host_.config().post_cpu,
+  host_.schedule_cpu_vci(hdr.vci, host_.config().post_cpu(),
                          [this, peer_rank, rail, bounce, hdr, with_rkeys, rk] {
     post_eager(peer(peer_rank), peer_rank, rail, bounce, hdr, with_rkeys ? &rk : nullptr,
                with_rkeys ? static_cast<std::int64_t>(sizeof(CtsRkeys)) : 0);
@@ -543,6 +498,7 @@ void NetChannel::send_ctl(int peer_rank, const MsgHeader& hdr, const CtsRkeys& r
   const int vci = hdr.vci;
   ensure_vci(peer_rank, vci);
   Peer& c = peer(peer_rank);
+  VciLane& lane = c.lanes[static_cast<std::size_t>(vci)];
   // Pick the first rail of the message's VCI slice (starting at the lane's
   // cursor) with a credit.  In pipeline mode control traffic rotates its own
   // cursor; the legacy protocol scans from the data cursor without advancing
@@ -550,7 +506,7 @@ void NetChannel::send_ctl(int peer_rank, const MsgHeader& hdr, const CtsRkeys& r
   const bool own_cursor = host_.config().rndv_pipeline;
   const int n = host_.config().rails();
   const int base = vci * n;
-  const int start = own_cursor ? lane_ctl(c, vci).next : lane_cursor(c, vci).next;
+  const int start = own_cursor ? lane.ctl.next : lane.cursor.next;
   int rail = -1;
   for (int i = 0; i < n; ++i) {
     int cand = base + (start + i) % n;
@@ -561,10 +517,10 @@ void NetChannel::send_ctl(int peer_rank, const MsgHeader& hdr, const CtsRkeys& r
     }
   }
   if (rail < 0 || free_bounce_.empty()) {
-    lane_pending(c, vci).emplace_back(hdr, rkeys);
+    lane.pending_ctl.emplace_back(hdr, rkeys);
     return;
   }
-  if (own_cursor) lane_ctl(c, vci).next = (rail - base + 1) % n;
+  if (own_cursor) lane.ctl.next = (rail - base + 1) % n;
   --c.rails.at(static_cast<std::size_t>(rail)).credits;  // reserve
   int bounce = free_bounce_.back();
   free_bounce_.pop_back();
@@ -580,8 +536,8 @@ void NetChannel::send_ctl(int peer_rank, const MsgHeader& hdr, const CtsRkeys& r
 
 void NetChannel::flush_pending_ctl(int peer_rank) {
   Peer& c = peer(peer_rank);
-  for (int vci = 0; vci < std::max(1, c.wired_vcis); ++vci) {
-    auto& pending = lane_pending(c, vci);
+  for (VciLane& lane : c.lanes) {
+    auto& pending = lane.pending_ctl;
     while (!pending.empty()) {
       auto [hdr, rkeys] = pending.front();
       const std::size_t before = pending.size();
@@ -786,7 +742,8 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
           // The bounce buffer still holds the wire image: replay it on a
           // live rail rather than recycling it.
           eager_retries_.inc();
-          retry_eager(sctx->peer, sctx->bounce, sctx->bytes, sctx->attempts + 1);
+          retry_eager(sctx->peer, sctx->rail / host_.config().rails(), sctx->bounce, sctx->bytes,
+                      sctx->attempts + 1);
         } else {
           free_bounce_.push_back(sctx->bounce);
         }
@@ -1009,16 +966,19 @@ void NetChannel::try_recover_rail(int peer_rank, int rail) {
   host_.progress().notify_all();
 }
 
-void NetChannel::retry_eager(int peer_rank, int bounce, std::int64_t wire_bytes, int attempts) {
+void NetChannel::retry_eager(int peer_rank, int vci, int bounce, std::int64_t wire_bytes,
+                             int attempts) {
   if (attempts > host_.config().fault.eager_retry_limit) {
     throw std::runtime_error("NetChannel: eager retry limit exceeded to rank " +
                              std::to_string(peer_rank));
   }
   Peer& c = peer(peer_rank);
-  const int n = static_cast<int>(c.rails.size());
+  const int n = host_.config().rails();
+  const int base = vci * n;
+  const int start = c.lanes[static_cast<std::size_t>(vci)].cursor.next;
   int rail = -1;
   for (int i = 0; i < n; ++i) {
-    const int cand = (c.cursor.next + i) % n;
+    const int cand = base + (start + i) % n;
     const Rail& r = c.rails[static_cast<std::size_t>(cand)];
     if (r.up && r.credits > 0) {
       rail = cand;
@@ -1027,7 +987,7 @@ void NetChannel::retry_eager(int peer_rank, int bounce, std::int64_t wire_bytes,
   }
   if (rail < 0) {
     // No live rail with credit: park until one recovers or a credit returns.
-    pending_retry_.push_back({peer_rank, bounce, wire_bytes, attempts});
+    pending_retry_.push_back({peer_rank, vci, bounce, wire_bytes, attempts});
     return;
   }
   --c.rails.at(static_cast<std::size_t>(rail)).credits;
@@ -1037,7 +997,7 @@ void NetChannel::retry_eager(int peer_rank, int bounce, std::int64_t wire_bytes,
 void NetChannel::flush_pending_retries() {
   std::vector<PendingRetry> work;
   work.swap(pending_retry_);
-  for (const PendingRetry& p : work) retry_eager(p.peer, p.bounce, p.bytes, p.attempts);
+  for (const PendingRetry& p : work) retry_eager(p.peer, p.vci, p.bounce, p.bytes, p.attempts);
 }
 
 void NetChannel::post_bounce_raw(Peer& c, int peer_rank, int rail, int bounce,

@@ -60,15 +60,15 @@ class NetChannel final : public Channel {
   /// Event-context eager send for the connection manager's queued-send
   /// flush: same rail choice as send(), but never blocks — returns false
   /// (cursor restored, nothing reserved) when no credit, bounce buffer or
-  /// live rail is available.  On success the post + copy CPU is charged via
-  /// schedule_cpu and the request completes once posted.
+  /// live rail is available.  On success the post + copy CPU is charged on
+  /// the VCI's progress server and the request completes once posted.
   bool try_send(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag, int ctx,
                 const Request& req);
 
   /// Event-context RTS support for the queued-send flush: probe_ctl_rail
   /// returns the rail (remapped to a live one under faults) on which a
   /// credit and bounce are reservable right now, or -1; post_ctl_evt then
-  /// reserves them and posts the header-only message after post_cpu.
+  /// reserves them and posts the header-only message after post_cpu().
   [[nodiscard]] int probe_ctl_rail(int peer, int rail) const;
   void post_ctl_evt(int peer, int rail, const MsgHeader& hdr, const CtsRkeys* rkeys = nullptr);
 
@@ -79,13 +79,13 @@ class NetChannel final : public Channel {
   void send_ctl(int peer, const MsgHeader& hdr, const CtsRkeys& rkeys);
 
   /// Process-context control send (RTS): blocks for credit and bounce on
-  /// `rail`, charges post_cpu, then posts the header-only message (or, for
+  /// `rail`, charges post_cpu(), then posts the header-only message (or, for
   /// a ReadRts RTS, the header plus the sender-side rkeys payload).
   void send_ctl_blocking(int peer, int rail, const MsgHeader& hdr,
                          const CtsRkeys* rkeys = nullptr);
 
   /// Rails per VCI (the schedulable width one message sees); the flat rail
-  /// vector holds wired_vcis × nrails entries.
+  /// vector holds nrails entries per wired VCI.
   [[nodiscard]] int nrails(int peer) const;
   /// Data cursor of one VCI's rail slice (local indices 0..nrails-1); wires
   /// the VCI's QP group on first use.
@@ -178,27 +178,21 @@ class NetChannel final : public Channel {
 
   using PendingCtl = std::pair<MsgHeader, CtsRkeys>;
 
-  /// Per-(peer, VCI) channel state for VCIs >= 1: each extra VCI gets its
-  /// own cursors and pending-control queue over its own rail slice.  VCI 0
-  /// keeps using the Peer's historical members, so the default single-VCI
-  /// configuration allocates and touches exactly what it always did.
+  /// Per-(peer, VCI) channel state: the cursors and pending-control queue
+  /// of one VCI's rail slice.
   struct VciLane {
     RailCursor cursor;
-    RailCursor ctl;
+    RailCursor ctl;  ///< control-traffic cursor (rndv_pipeline mode)
+    /// Control messages waiting for rail credit.
     sim::Fifo<PendingCtl> pending_ctl;
   };
 
   struct Peer {
     std::vector<Rail> rails;  ///< flat, VCI-major: VCI v owns [v·R, (v+1)·R)
-    RailCursor cursor;
-    RailCursor ctl;  ///< control-traffic cursor (rndv_pipeline mode)
-    /// Control messages waiting for rail credit.
-    sim::Fifo<PendingCtl> pending_ctl;
-    /// Lane state of VCIs 1..; empty (never allocated) at vci.count = 1.
-    std::vector<VciLane> ext;
+    /// One lane per wired VCI QP group (lanes.size() == rails.size() / R).
+    std::vector<VciLane> lanes;
     /// The peer's channel, kept for symmetric lazy VCI-group wiring.
     NetChannel* remote = nullptr;
-    int wired_vcis = 0;  ///< QP groups wired so far (rails.size() / rails())
   };
 
   /// Sender-side context attached to each send WQE via wr_id.
@@ -226,6 +220,7 @@ class NetChannel final : public Channel {
   /// rail recovers.
   struct PendingRetry {
     int peer = -1;
+    int vci = 0;
     int bounce = -1;
     std::int64_t bytes = 0;
     int attempts = 0;
@@ -240,12 +235,6 @@ class NetChannel final : public Channel {
 
   Peer& peer(int rank);
   [[nodiscard]] const Peer& peer(int rank) const;
-
-  // VCI-lane accessors: VCI 0 resolves to the Peer's own members, higher
-  // VCIs to their ext entry (wired on demand by the callers).
-  [[nodiscard]] static RailCursor& lane_cursor(Peer& c, int vci);
-  [[nodiscard]] static RailCursor& lane_ctl(Peer& c, int vci);
-  [[nodiscard]] static sim::Fifo<PendingCtl>& lane_pending(Peer& c, int vci);
 
   /// One-time lazy allocation of the shared send/receive resources: the
   /// sender bounce pool, and in SRQ mode one SRQ + preposted slot arena per
@@ -276,6 +265,14 @@ class NetChannel final : public Channel {
   [[nodiscard]] std::byte* bounce_data(int bounce) const {
     return bounce_arena_.get() + static_cast<std::size_t>(bounce) * slot_bytes_;
   }
+
+  /// The flat rail an eager message of `req` starts on, before failover
+  /// remapping: its collective lane's rail, else the policy's pick within
+  /// the request's VCI slice (advancing that lane's cursor).
+  int eager_rail(Peer& c, int peer_rank, CommKind kind, std::int64_t bytes, const Request& req);
+  /// The header of an eager message; claims its sequence number.
+  MsgHeader eager_header(int peer_rank, CommKind kind, std::int64_t bytes, int tag, int ctx,
+                         int vci);
 
   /// Sends header(+payload) on one rail, consuming a credit and a bounce
   /// buffer the caller already reserved.  Process- or event-context
@@ -313,8 +310,9 @@ class NetChannel final : public Channel {
   void schedule_recovery(int peer_rank, int rail);
   void try_recover_rail(int peer_rank, int rail);
   /// Replays a failed eager/ctl message (the bounce buffer still holds the
-  /// wire image) on a live rail, or parks it until one recovers.
-  void retry_eager(int peer_rank, int bounce, std::int64_t wire_bytes, int attempts);
+  /// wire image) on a live rail of its own VCI's slice, starting at that
+  /// lane's cursor, or parks it until one recovers.
+  void retry_eager(int peer_rank, int vci, int bounce, std::int64_t wire_bytes, int attempts);
   void flush_pending_retries();
   /// Raw re-post of an already-filled bounce buffer (credit already taken).
   void post_bounce_raw(Peer& c, int peer_rank, int rail, int bounce, std::int64_t wire_bytes,
@@ -370,9 +368,7 @@ class NetChannel final : public Channel {
   Counter& eager_pool_bytes_;  ///< eager receive-buffer bytes allocated
   Counter& srq_replenishes_;   ///< batched SRQ reposts (low-watermark events served)
   Counter& srq_pool_dry_;      ///< inbound messages stalled on an empty pool
-  /// Gated VCI counter (null in the default config so snapshots are
-  /// unchanged): per-rail credits after the split across vci.count groups.
-  Counter* vci_credit_split_ = nullptr;
+  Counter& vci_credit_split_;  ///< per-rail credits after the split across VCIs
 };
 
 }  // namespace ib12x::mvx

@@ -62,7 +62,13 @@ Rendezvous::Rendezvous(ChannelHost& host, NetChannel& net)
       cts_chunks_(host.telemetry().counter("rndv.cts_chunks")),
       pipeline_depth_(host.telemetry().counter("rndv.pipeline_depth")),
       dup_ctl_dropped_(host.telemetry().counter("rndv.dup_ctl_dropped")),
-      restriped_(host.telemetry().counter("fault.rndv_restriped")) {
+      restriped_(host.telemetry().counter("fault.rndv_restriped")),
+      read_stripes_(host.telemetry().counter("rndv.read_stripes")),
+      imm_sent_(host.telemetry().counter("rndv.imm_sent")),
+      imm_folded_(host.telemetry().counter("rndv.imm_folded")),
+      done_sent_(host.telemetry().counter("rndv.done_sent")),
+      policy_explore_(host.telemetry().counter("rndv.policy_explore")),
+      policy_exploit_(host.telemetry().counter("rndv.policy_exploit")) {
   const Config& cfg = host.config();
   PinCache::Options opts;
   opts.interval = cfg.rndv_pipeline;  // legacy mode keeps exact-pointer semantics
@@ -72,23 +78,7 @@ Rendezvous::Rendezvous(ChannelHost& host, NetChannel& net)
   opts.page_cpu = cfg.reg_page_cpu;
   pin_cache_ = std::make_unique<PinCache>(net.hcas(), opts, reg_hits_, reg_misses_,
                                           reg_evictions_);
-
-  // Protocol diversity: counters and the adaptive policy exist only when the
-  // machinery can actually run, so default-configuration telemetry snapshots
-  // are unchanged.
-  rndv_active_ =
-      cfg.rndv.adaptive || cfg.rndv.protocol != Config::RndvConfig::Protocol::WriteRtsCts;
-  if (rndv_active_) {
-    read_stripes_ = &host.telemetry().counter("rndv.read_stripes");
-    imm_sent_ = &host.telemetry().counter("rndv.imm_sent");
-    imm_folded_ = &host.telemetry().counter("rndv.imm_folded");
-    done_sent_ = &host.telemetry().counter("rndv.done_sent");
-  }
-  if (cfg.rndv.adaptive) {
-    policy_ = std::make_unique<RndvPolicy>(cfg, host.rank(), cfg.rails());
-    policy_explore_ = &host.telemetry().counter("rndv.policy_explore");
-    policy_exploit_ = &host.telemetry().counter("rndv.policy_exploit");
-  }
+  if (cfg.rndv.adaptive) policy_ = std::make_unique<RndvPolicy>(cfg, host.rank(), cfg.rails());
 }
 
 Rendezvous::~Rendezvous() = default;
@@ -122,7 +112,6 @@ Request Rendezvous::peek_cookie(std::uint64_t id) {
 // ------------------------------------------------------ protocol selection
 
 void Rendezvous::select_proto(int peer, std::int64_t bytes, const Request& req, SendState& ss) {
-  if (!rndv_active_) return;
   const Config& cfg = host_.config();
   ss.start = host_.simulator().now();
   if (policy_) {
@@ -134,7 +123,7 @@ void Rendezvous::select_proto(int peer, std::int64_t bytes, const Request& req, 
     const RndvArm& arm = policy_->arm(ss.arm);
     ss.proto = arm.proto;
     ss.width = arm.width;
-    (explored ? policy_explore_ : policy_exploit_)->inc();
+    (explored ? policy_explore_ : policy_exploit_).inc();
   } else {
     ss.proto = static_cast<RndvProto>(static_cast<std::uint8_t>(cfg.rndv.protocol));
   }
@@ -303,14 +292,14 @@ void Rendezvous::accept(const MsgHeader& rts, const Request& req,
     cts.receiver_cookie = rcookie;
     cts.raddr = reinterpret_cast<std::uint64_t>(req->recv_buf);
 
-    host_.schedule_cpu_vci(rts.vci, cost + cfg.ctl_cpu + cfg.post_cpu,
+    host_.schedule_cpu_vci(rts.vci, cost + cfg.ctl_cpu + cfg.post_cpu(),
                            [this, peer, cts, rkeys] { net_.send_ctl(peer, cts, rkeys); });
     return;
   }
 
   // Pipelined protocol: pin the target buffer chunk by chunk, streaming one
-  // CTS as each chunk's registration completes.  The schedule_cpu calls
-  // serialize on this rank's CPU, so CTS k departs after the cumulative
+  // CTS as each chunk's registration completes.  The schedule_cpu_vci calls
+  // serialize on this VCI's progress server, so CTS k departs after the cumulative
   // registration cost of chunks 0..k — the sender's first write overlaps the
   // pinning of everything after chunk 0.
   const std::uint64_t rcookie = new_cookie(req);
@@ -321,7 +310,7 @@ void Rendezvous::accept(const MsgHeader& rts, const Request& req,
   for (std::uint32_t i = 0; i < nchunks; ++i) {
     const std::int64_t off = static_cast<std::int64_t>(i) * csz;
     const std::int64_t len = total > 0 ? std::min<std::int64_t>(csz, total - off) : 0;
-    sim::Time cost = (i == 0 ? cfg.ctl_cpu : 0) + cfg.post_cpu;
+    sim::Time cost = (i == 0 ? cfg.ctl_cpu : 0) + cfg.post_cpu();
     CtsRkeys rkeys;
     if (len > 0) {
       PinCache::Region* reg = pin_cache_->acquire(
@@ -395,7 +384,7 @@ void Rendezvous::accept_read(const MsgHeader& rts, const Request& req, const Cts
   std::vector<Stripe> stripes = plan_limited(peer, vci, 0, total, static_cast<int>(rts.chunk));
   if (stripes.empty()) stripes.push_back({vci * net_.nrails(peer), 0, total});
   rs.pending = static_cast<int>(stripes.size());
-  if (read_stripes_ != nullptr) read_stripes_->add(stripes.size());
+  read_stripes_.add(stripes.size());
 
   // Reads ignore rndv_pipeline chunking: the pull is one doorbell-batched
   // shot (sender-side pinning already happened before the RTS, so there is
@@ -442,7 +431,7 @@ void Rendezvous::finish_read(std::uint64_t rcookie) {
   done.src_rank = host_.rank();
   done.sender_cookie = rp.sender_cookie;
   net_.send_ctl(rp.peer, done, CtsRkeys{});
-  if (done_sent_ != nullptr) done_sent_->inc();
+  done_sent_.inc();
   host_.complete_request(req);
 }
 
@@ -490,7 +479,7 @@ void Rendezvous::repost_read(int peer, const RndvStripe& st) {
   // Same in-flight accounting rule as write failover: the failed read was
   // counted once; k replacement pulls add k-1.
   recvs_.at(st.req_id).pending += static_cast<int>(parts.size()) - 1;
-  if (read_stripes_ != nullptr) read_stripes_->add(parts.size());
+  read_stripes_.add(parts.size());
 
   std::vector<NetChannel::RndvStripe> batch;
   batch.reserve(parts.size());
@@ -618,7 +607,7 @@ void Rendezvous::start_writes(int peer, const Request& req, SendState& ss, const
     ss.imm = imm;
     ss.imm_folded = fold;
     ss.imm_posted = fold;
-    if (fold && imm_folded_ != nullptr) imm_folded_->inc();
+    if (fold) imm_folded_.inc();
   }
 
   req->pending_writes = static_cast<int>(stripes.size());
@@ -631,7 +620,7 @@ void Rendezvous::start_writes(int peer, const Request& req, SendState& ss, const
   // round-robin for medium messages (paper §3.2).
   for (std::size_t i = 0; i < stripes.size(); ++i) {
     const Stripe st = stripes[i];
-    const sim::Time when = (i == 0 ? cost : 0) + cfg.post_cpu;
+    const sim::Time when = (i == 0 ? cost : 0) + cfg.post_cpu();
     const std::uint64_t raddr = cts.raddr;
     host_.schedule_cpu_vci(req->vci, when,
                            [this, peer, st, req_id, raddr, rkeys, lkeys, fold, imm] {
@@ -689,7 +678,7 @@ void Rendezvous::start_chunk_writes(int peer, const Request& req, SendState& ss,
   stripes_posted_.add(stripes.size());
 
   // Doorbell batching: per-stripe WQE build, one uncached-MMIO doorbell for
-  // the whole batch (instead of legacy's full post_cpu per stripe).
+  // the whole batch (instead of one-shot's full post_cpu() per stripe).
   cost += cfg.wqe_build_cpu * static_cast<std::int64_t>(stripes.size()) + cfg.doorbell_cpu;
 
   const std::uint64_t req_id = chunk_req_id(cts.sender_cookie, cts.chunk);
@@ -741,8 +730,8 @@ void Rendezvous::post_trailing_imm(int peer, std::uint64_t cookie, std::uint32_t
   wr.rail = vci * net_.nrails(peer);
   wr.len = 0;
   wr.req_id = cookie;
-  if (imm_sent_ != nullptr) imm_sent_->inc();
-  host_.schedule_cpu_vci(vci, host_.config().post_cpu,
+  imm_sent_.inc();
+  host_.schedule_cpu_vci(vci, host_.config().post_cpu(),
                          [this, peer, wr, imm] { net_.post_write_imm(peer, wr, imm); });
 }
 

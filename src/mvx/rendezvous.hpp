@@ -18,9 +18,10 @@
 //
 // Two pacing variants share the write path, selected by Config::rndv_pipeline:
 //
-//  * one-shot (legacy, the default): the receiver registers the whole target
-//    buffer before replying with a single CTS, and the sender registers its
-//    whole buffer before posting every stripe with a full post_cpu each;
+//  * one-shot (the default): the receiver registers the whole target buffer
+//    before replying with a single CTS, and the sender registers its whole
+//    buffer before posting every stripe as its own one-WQE batch
+//    (Config::post_cpu() = wqe_build_cpu + doorbell_cpu each);
 //  * pipelined zero-copy: the receiver registers the buffer in
 //    rndv_pipeline_chunk pieces and streams one CTS per chunk as its
 //    registration completes, the sender registers chunk-by-chunk behind the
@@ -28,9 +29,11 @@
 //    doorbell-batched batch (k × wqe_build_cpu + one doorbell_cpu).
 //
 // Buffer pinning goes through the PinCache (exact-pointer semantics in
-// legacy mode, interval lookup + LRU eviction in pipelined mode).  Data and
-// control movement go through the NetChannel so rail credits and
-// outstanding-byte accounting stay in one place.
+// one-shot mode, interval lookup + LRU eviction in pipelined mode).  Every
+// piece of protocol work runs on the message's VCI progress server.  Data
+// and control movement go through the NetChannel so rail credits and
+// outstanding-byte accounting stay in one place.  The rndv.* counters of
+// every protocol are registered whatever the configuration.
 #pragma once
 
 #include <cstdint>
@@ -210,7 +213,6 @@ class Rendezvous {
   std::map<std::uint64_t, SendState> sends_;
   std::map<std::uint64_t, RecvState> recvs_;
   std::unique_ptr<RndvPolicy> policy_;  ///< only with Config::rndv.adaptive
-  bool rndv_active_ = false;  ///< adaptive or a non-default static protocol
   std::uint64_t next_cookie_ = 1;
 
   Counter& rts_sent_;
@@ -223,15 +225,12 @@ class Rendezvous {
   Counter& pipeline_depth_;  ///< high-water mark of chunks in flight (track_max)
   Counter& dup_ctl_dropped_;  ///< replayed CTS/FIN duplicates discarded
   Counter& restriped_;        ///< failed stripes re-planned over live rails
-
-  // Gated counters (null in the default configuration so the telemetry
-  // snapshot of legacy runs is unchanged).
-  Counter* read_stripes_ = nullptr;    ///< rndv.read_stripes
-  Counter* imm_sent_ = nullptr;        ///< rndv.imm_sent (trailing imm posts)
-  Counter* imm_folded_ = nullptr;      ///< rndv.imm_folded (imm rode the data write)
-  Counter* done_sent_ = nullptr;       ///< rndv.done_sent
-  Counter* policy_explore_ = nullptr;  ///< rndv.policy_explore
-  Counter* policy_exploit_ = nullptr;  ///< rndv.policy_exploit
+  Counter& read_stripes_;
+  Counter& imm_sent_;        ///< trailing imm posts
+  Counter& imm_folded_;      ///< imm rode the data write
+  Counter& done_sent_;
+  Counter& policy_explore_;
+  Counter& policy_exploit_;
 };
 
 }  // namespace ib12x::mvx

@@ -46,7 +46,7 @@ void ShmChannel::send(int peer, CommKind kind, const void* buf, std::int64_t byt
     payload.assign(static_cast<const std::byte*>(buf),
                    static_cast<const std::byte*>(buf) + bytes);
   }
-  host_.process().compute(cfg.post_cpu + host_.memcpy_time(bytes));
+  host_.process().compute(cfg.post_cpu() + host_.memcpy_time(bytes));
 
   auto res = c.pipe.reserve_bytes(sim.now(), sim.now(),
                                   static_cast<std::int64_t>(kHeaderBytes) + bytes);
@@ -87,7 +87,7 @@ void ShmChannel::send_evt(int peer, CommKind kind, const void* buf, std::int64_t
   hdr.seq = host_.matcher().next_send_seq(peer, ctx, req->vci);
   hdr.size = static_cast<std::uint64_t>(bytes);
 
-  // shared_ptr, not a moved vector: schedule_cpu takes a copyable callable.
+  // shared_ptr, not a moved vector: schedule_cpu_vci takes a copyable callable.
   auto payload = std::make_shared<std::vector<std::byte>>();
   if (bytes > 0) {
     payload->assign(static_cast<const std::byte*>(buf),
@@ -95,7 +95,7 @@ void ShmChannel::send_evt(int peer, CommKind kind, const void* buf, std::int64_t
   }
 
   host_.schedule_cpu_vci(
-      req->vci, cfg.post_cpu + host_.memcpy_time(bytes), [this, peer, hdr, payload, bytes, req] {
+      req->vci, cfg.post_cpu() + host_.memcpy_time(bytes), [this, peer, hdr, payload, bytes, req] {
         Peer& c = peers_.at(peer);
         sim::Simulator& sim = host_.simulator();
         auto res = c.pipe.reserve_bytes(sim.now(), sim.now(),

@@ -25,7 +25,7 @@ class ShmChannel final : public Channel {
             const Request& req) override;
 
   /// Event-context twin of send(), for flushing sends queued behind a lazy
-  /// handshake: the copy cost is charged through schedule_cpu instead of the
+  /// handshake: the copy cost is charged through schedule_cpu_vci instead of the
   /// (unavailable) process fiber.  The pipe never refuses, so unlike the net
   /// channel's try_send this cannot fail.
   void send_evt(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag, int ctx,

@@ -207,7 +207,8 @@ TEST(ConnScaling, ConcurrentSendersHitPoolDryBackpressure) {
   Config cfg;
   cfg.srq_pool_slots = 4;
   cfg.srq_limit = 0;  // immediate repost: isolate the stall path
-  cfg.post_cpu = sim::nanoseconds(0);
+  cfg.wqe_build_cpu = sim::nanoseconds(0);  // post_cpu() = 0
+  cfg.doorbell_cpu = sim::nanoseconds(0);
   const int kMsgs = 24;
   World w(ClusterSpec{6, 1}, cfg);
   w.run([&](Communicator& c) {

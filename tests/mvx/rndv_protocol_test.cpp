@@ -198,10 +198,10 @@ TEST(RndvProtocol, TelemetryShapesPerProtocol) {
   };
 
   const harness::Table def = snapshot(P::WriteRtsCts);
-  // The default configuration's snapshot carries none of the new machinery.
-  EXPECT_EQ(table_value(def, "rndv.read_stripes"), -1.0);
-  EXPECT_EQ(table_value(def, "rndv.imm_sent"), -1.0);
-  EXPECT_EQ(table_value(def, "rndv.done_sent"), -1.0);
+  // Every protocol's counters are registered; the default uses none of them.
+  EXPECT_EQ(table_value(def, "rndv.read_stripes"), 0.0);
+  EXPECT_EQ(table_value(def, "rndv.imm_sent"), 0.0);
+  EXPECT_EQ(table_value(def, "rndv.done_sent"), 0.0);
   EXPECT_GT(table_value(def, "rndv.rts_sent"), 0.0);
 
   const harness::Table rd = snapshot(P::ReadRts);

@@ -1,6 +1,6 @@
 // Virtual communication interfaces: config validation, the per-(peer, ctx,
-// vci) matcher keys, multi-threaded ranks on dedicated vs. shared VCIs, the
-// gated vci.* telemetry, and fault soak with several VCIs live.
+// vci) matcher keys, multi-threaded ranks on dedicated vs. shared VCIs, VCI
+// symmetry, the vci.* telemetry, and fault soak with several VCIs live.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <tuple>
 #include <vector>
 
+#include "ib/fabric.hpp"
 #include "mvx/matcher.hpp"
 #include "mvx/mpi.hpp"
 #include "mvx_test_util.hpp"
@@ -271,28 +272,56 @@ TEST(VciEndToEnd, PerCommMappingRoutesByCommunicator) {
   });
 }
 
-// -------------------------------------------------------------- telemetry
-
-TEST(VciTelemetry, DefaultSnapshotHasNoVciRows) {
-  World w(ClusterSpec{2, 1}, Config{});
-  w.run([](Communicator& c) {
-    std::byte b{};
-    if (c.rank() == 0) {
-      c.send(&b, 1, BYTE, 1, 0);
-    } else {
-      c.recv(&b, 1, BYTE, 0, 0);
+TEST(VciSymmetry, EveryVciHasTheSamePingPongLatency) {
+  // Every VCI is alike: with 4 VCIs x 4 threads, a ping-pong driven by thread
+  // k alone (so on VCI k alone) takes the same virtual time for every k.
+  for (const std::size_t bytes : {std::size_t{1024}, std::size_t{64 * 1024}}) {
+    std::vector<sim::Time> elapsed;
+    for (int k = 0; k < 4; ++k) {
+      Config cfg = Config::enhanced(2, Policy::EPC);
+      cfg.vci.count = 4;
+      cfg.vci.threads = 4;
+      World w(ClusterSpec{2, 1}, cfg);
+      sim::Time t = 0;
+      w.run([&](Communicator& c) {
+        if (c.thread_id() != k) return;
+        std::vector<std::byte> buf = payload(bytes, 0, k);
+        auto round_trip = [&] {
+          if (c.rank() == 0) {
+            c.send(buf.data(), bytes, BYTE, 1, k);
+            c.recv(buf.data(), bytes, BYTE, 1, k);
+          } else {
+            c.recv(buf.data(), bytes, BYTE, 0, k);
+            c.send(buf.data(), bytes, BYTE, 0, k);
+          }
+        };
+        round_trip();  // warm-up: wires VCI k's QP group
+        const sim::Time t0 = c.now();
+        for (int i = 0; i < 10; ++i) round_trip();
+        if (c.rank() == 0) t = c.now() - t0;
+        EXPECT_EQ(buf, payload(bytes, 0, k));
+      });
+      elapsed.push_back(t);
     }
-  });
-  for (const auto& s : w.telemetry().snapshot()) {
-    EXPECT_NE(s.name.rfind("vci.", 0), 0u)
-        << s.name << " registered in the default single-VCI configuration";
+    for (int k = 1; k < 4; ++k) {
+      EXPECT_EQ(elapsed[static_cast<std::size_t>(k)], elapsed[0])
+          << bytes << " B ping-pong on VCI " << k << " vs VCI 0";
+    }
   }
 }
 
-TEST(VciTelemetry, GatedCountersSurfaceWhenEnabled) {
+// -------------------------------------------------------------- telemetry
+
+class VciTelemetry : public ::testing::TestWithParam<int> {};
+
+TEST_P(VciTelemetry, CountersCoverEveryVci) {
+  // One thread per VCI, RoundRobin: thread t drives VCI t alone, so every
+  // VCI's send counter holds exactly that thread's sends and no lock is ever
+  // contended.  The counters exist at every vci.count, 1 included.
+  const int vcis = GetParam();
   Config cfg;
-  cfg.vci.threads = 4;
-  cfg.vci.count = 4;
+  cfg.vci.threads = vcis;
+  cfg.vci.count = vcis;
   World w(ClusterSpec{2, 1}, cfg);
   constexpr int kMsgs = 16;
   w.run([&](Communicator& c) {
@@ -307,18 +336,20 @@ TEST(VciTelemetry, GatedCountersSurfaceWhenEnabled) {
     }
   });
   const auto& tel = w.telemetry();
-  std::uint64_t sends = 0;
-  for (int v = 0; v < 4; ++v) {
-    sends += tel.counter_value("vci.sends.v" + std::to_string(v));
+  for (int v = 0; v < vcis; ++v) {
+    EXPECT_EQ(tel.counter_value("vci.sends.v" + std::to_string(v)),
+              static_cast<std::uint64_t>(kMsgs))
+        << "vci " << v;
   }
-  EXPECT_EQ(sends, 4u * kMsgs);  // rank 0's four threads, kMsgs each
-  // RoundRobin puts each thread on its own VCI: every slice carries traffic.
-  for (int v = 0; v < 4; ++v) {
-    EXPECT_GT(tel.counter_value("vci.sends.v" + std::to_string(v)), 0u) << "vci " << v;
-  }
+  EXPECT_EQ(tel.counter_value("vci.lock_contentions"), 0u);
   EXPECT_GT(tel.counter_value("vci.progress_wakeups"), 0u);
   EXPECT_GT(tel.counter_value("vci.credit_split"), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(VciCount, VciTelemetry, ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::to_string(info.param);
+                         });
 
 TEST(VciTelemetry, SharedVciCountsLockContention) {
   Config cfg;
@@ -405,6 +436,35 @@ TEST(VciFaultSoak, MultiThreadMultiVciLedgerBalancesAndReproduces) {
   soak(&a);
   soak(&b);
   EXPECT_EQ(a, b) << "multi-VCI fault soak diverged between identical runs";
+}
+
+TEST(VciFaultSoak, EagerReplayStaysInItsVciSlice) {
+  // Only thread 1 sends, so only VCI 1 carries traffic.  A failed eager
+  // message is replayed within its own VCI's rail slice: VCI 0's QP never
+  // sends a byte.
+  Config cfg;
+  cfg.vci.count = 2;
+  cfg.vci.threads = 2;
+  cfg.fault.enabled = true;
+  cfg.fault.msg_error_rate = 0.1;
+  World w(ClusterSpec{2, 1}, cfg);
+  constexpr int kMsgs = 200;
+  w.run([](Communicator& c) {
+    if (c.thread_id() != 1) return;
+    for (int i = 0; i < kMsgs; ++i) {
+      if (c.rank() == 0) {
+        auto buf = payload(256, 0, i);
+        c.send(buf.data(), buf.size(), BYTE, 1, i);
+      } else {
+        std::vector<std::byte> buf(256);
+        c.recv(buf.data(), buf.size(), BYTE, 0, i);
+        ASSERT_EQ(buf, payload(256, 0, i)) << "msg " << i;
+      }
+    }
+  });
+  EXPECT_GT(w.telemetry().counter_value("fault.eager_retries"), 0u) << "no replay exercised";
+  EXPECT_EQ(w.fabric().hca(0).port_qps(0)[0]->bytes_sent(), 0u)
+      << "an eager replay left VCI 1's slice for VCI 0's QP";
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #
 # Usage: tools/aslr_determinism.sh N [build-dir]   (build-dir defaults to build)
 set -euo pipefail
+source "$(dirname "$0")/bench_lib.sh"
 
 runs=${1:?usage: $0 N [build-dir]}
 build=${2:-build}
@@ -20,11 +21,7 @@ if [[ "$(cat /proc/sys/kernel/randomize_va_space 2>/dev/null || echo 2)" == 0 ]]
 fi
 
 bins=()
-for b in "$build"/bench/fig{03..12}_* "$build"/bench/ablation_* \
-         "$build"/bench/headline_summary "$build"/bench/pallas_collectives \
-         "$build"/bench/nas_cg_nodegradation; do
-  [[ -x "$b" ]] && bins+=("$b")
-done
+while read -r rel; do bins+=("$build/$rel"); done < <(bench_binaries "$build")
 if (( ${#bins[@]} == 0 )); then
   echo "aslr_determinism: no bench binaries under $build/bench" >&2
   exit 2
@@ -37,13 +34,9 @@ trap 'rm -rf "$out"' EXIT
 run_one() {
   local bin=$1 i=$2 name
   name=$(basename "$bin")
-  "$bin" 2>&1 |
-    sed -E 's/^(sim\.wall\.[^ ]+).*/\1 <host>/' |
-    awk -v conn="$([[ $name == ablation_conn_scaling ]] && echo 1)" '
-      conn && /^[0-9]+ ranks / { $4 = "<host>" } { print }' \
-    > "$OUT/$name.$i.txt"
+  "$bin" 2>&1 | mask_host_time "$name" > "$OUT/$name.$i.txt"
 }
-export -f run_one
+export -f run_one mask_host_time
 export OUT=$out
 
 for b in "${bins[@]}"; do
