@@ -2,7 +2,8 @@
 // event-queue throughput, same-instant lane throughput, event cascades,
 // process suspend/resume cost (fiber vs. the thread-baton it replaced),
 // resource-reservation cost, end-to-end modelled message rate, the host
-// cost of a contended fat-tree alltoall, FFT kernel speed.  These guard the *wall-clock* performance of the simulator (a
+// cost of a contended fat-tree alltoall, FFT kernel speed (rows and batched
+// columns).  These guard the *wall-clock* performance of the simulator (a
 // regression here makes the figure benches slow, not wrong).
 //
 // Results are also written to BENCH_kernel.json (google-benchmark's JSON
@@ -20,6 +21,7 @@
 #include "nas/fft.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/process.hpp"
+#include "sim/rng.hpp"
 #include "sim/server.hpp"
 #include "sim/simulator.hpp"
 
@@ -237,17 +239,45 @@ void BM_FatTreeContendedAlltoall(benchmark::State& state) {
 }
 BENCHMARK(BM_FatTreeContendedAlltoall)->Unit(benchmark::kMillisecond);
 
+// Seeded points in [-0.5, 0.5), as the FT kernel's initial field.
+std::vector<nas::Complex> fft_points(std::size_t n) {
+  sim::Rng rng(7);
+  std::vector<nas::Complex> data(n);
+  for (nas::Complex& c : data) c = nas::Complex(rng.next_double() - 0.5, rng.next_double() - 0.5);
+  return data;
+}
+
+// A forward and an inverse transform per iteration keep the data finite, so
+// the loop times the arithmetic and not the NaN path; items are points
+// transformed (2n per iteration).
 void BM_Fft(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   nas::Fft fft(n);
-  std::vector<nas::Complex> data(n, nas::Complex(1.0, -0.5));
+  std::vector<nas::Complex> data = fft_points(n);
   for (auto _ : state) {
     fft.transform(data.data(), -1);
-    benchmark::DoNotOptimize(data[0]);
+    fft.transform(data.data(), +1);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.SetItemsProcessed(state.iterations() * 2 * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_Fft)->Arg(128)->Arg(4096);
+
+// The FT kernel's y-direction pass: n columns of n points, batched.
+void BM_FftColumns(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  nas::Fft fft(n);
+  std::vector<nas::Complex> data = fft_points(n * n);
+  for (auto _ : state) {
+    fft.transform_columns(data.data(), n, n, -1);
+    fft.transform_columns(data.data(), n, n, +1);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * static_cast<std::int64_t>(n * n));
+}
+BENCHMARK(BM_FftColumns)->Arg(128);
 
 }  // namespace
 

@@ -64,15 +64,14 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
   std::vector<Complex> evolved(xslab_points);
 
   auto xy_ffts = [&](std::vector<Complex>& a, int sign) {
-    // FFT along x for every (y, z) row, then along y for every (x, z) column.
+    // FFT along x for every (y, z) row, then along y for all x columns of
+    // each z-plane at once.
     for (int z = 0; z < nzl; ++z) {
       Complex* plane = a.data() + static_cast<std::size_t>(z) * ny * nx;
       for (int y = 0; y < ny; ++y) {
         fft_x.transform(plane + static_cast<std::size_t>(y) * nx, sign);
       }
-      for (int x = 0; x < nx; ++x) {
-        fft_y.transform_strided(plane + x, static_cast<std::size_t>(nx), sign);
-      }
+      fft_y.transform_columns(plane, static_cast<std::size_t>(nx), static_cast<std::size_t>(nx), sign);
     }
     comm.compute(flop_cost(static_cast<double>(nzl) * (ny * fft_x.flops() + nx * fft_y.flops()),
                            P.gflops));
@@ -94,17 +93,24 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
     comm.compute(point_cost(0.3, static_cast<std::int64_t>(slab_points)));
   };
 
+  // Rank d's share of the x-slab [xl][y][z] is z in [d·nzl, (d+1)·nzl); on
+  // the wire it is a block laid out [z][y][xl].  Both directions loop y, xl,
+  // z so that each nzl-long z run of the slab and each block row is touched
+  // while it is in cache.
+  const std::size_t zrun = static_cast<std::size_t>(nzl);
+  const std::size_t yn = static_cast<std::size_t>(ny);
+  const std::size_t xn = static_cast<std::size_t>(nxl);
+  auto slab_run = [&](int d, std::size_t y, std::size_t x) {
+    return (x * yn + y) * static_cast<std::size_t>(nz) + static_cast<std::size_t>(d) * zrun;
+  };
+
   auto unpack_to_xslab = [&](std::vector<Complex>& out) {
-    // Block from rank d covers z in [d·nzl, (d+1)·nzl); target layout [xl][y][z].
     for (int d = 0; d < p; ++d) {
       const Complex* block = recvbuf.data() + static_cast<std::size_t>(d) * block_points;
-      std::size_t in = 0;
-      for (int z = 0; z < nzl; ++z) {
-        for (int y = 0; y < ny; ++y) {
-          for (int x = 0; x < nxl; ++x) {
-            out[(static_cast<std::size_t>(x) * ny + static_cast<std::size_t>(y)) * nz +
-                static_cast<std::size_t>(d) * nzl + static_cast<std::size_t>(z)] = block[in++];
-          }
+      for (std::size_t y = 0; y < yn; ++y) {
+        for (std::size_t x = 0; x < xn; ++x) {
+          Complex* run = out.data() + slab_run(d, y, x);
+          for (std::size_t z = 0; z < zrun; ++z) run[z] = block[(z * yn + y) * xn + x];
         }
       }
     }
@@ -112,15 +118,12 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
   };
 
   auto pack_from_xslab = [&](const std::vector<Complex>& a) {
-    // Inverse of unpack_to_xslab: destination d gets z in [d·nzl, (d+1)·nzl).
-    std::size_t out = 0;
     for (int d = 0; d < p; ++d) {
-      for (int z = 0; z < nzl; ++z) {
-        for (int y = 0; y < ny; ++y) {
-          for (int x = 0; x < nxl; ++x) {
-            sendbuf[out++] = a[(static_cast<std::size_t>(x) * ny + static_cast<std::size_t>(y)) * nz +
-                               static_cast<std::size_t>(d) * nzl + static_cast<std::size_t>(z)];
-          }
+      Complex* block = sendbuf.data() + static_cast<std::size_t>(d) * block_points;
+      for (std::size_t y = 0; y < yn; ++y) {
+        for (std::size_t x = 0; x < xn; ++x) {
+          const Complex* run = a.data() + slab_run(d, y, x);
+          for (std::size_t z = 0; z < zrun; ++z) block[(z * yn + y) * xn + x] = run[z];
         }
       }
     }

@@ -30,6 +30,8 @@ IsResult run_is(Communicator& comm, const IsParams& P) {
   const std::int64_t n_local = P.total_keys / p;
   // Key range owned by rank d: [d*range, (d+1)*range).
   const std::int64_t range = (P.max_key + p - 1) / p;
+  // Owner rank of a key: k / range, by multiply (keys and range fit 32 bits).
+  const KeyDivider owner(static_cast<std::uint32_t>(range));
 
   // Deterministic key generation hashed from the *global* key index, so the
   // key multiset is identical for every process count and policy — results
@@ -68,7 +70,7 @@ IsResult run_is(Communicator& comm, const IsParams& P) {
 
     // 1. Classify keys by destination rank.
     std::fill(send_counts.begin(), send_counts.end(), 0);
-    for (std::int32_t k : keys) ++send_counts[static_cast<std::size_t>(k / range)];
+    for (std::int32_t k : keys) ++send_counts[owner(static_cast<std::uint32_t>(k))];
     comm.compute(key_cost(P.hist_ns_per_key, n_local));
 
     // 2. Exchange counts.
@@ -83,7 +85,7 @@ IsResult run_is(Communicator& comm, const IsParams& P) {
     {
       std::vector<std::int64_t> cursor = send_displs;
       for (std::int32_t k : keys) {
-        send_keys[static_cast<std::size_t>(cursor[static_cast<std::size_t>(k / range)]++)] = k;
+        send_keys[static_cast<std::size_t>(cursor[owner(static_cast<std::uint32_t>(k))]++)] = k;
       }
       comm.compute(key_cost(P.move_ns_per_key, n_local));
     }

@@ -23,6 +23,23 @@ struct IsResult {
   std::int64_t keys_moved = 0; ///< total keys this rank sent through alltoallv
 };
 
+/// Exact n / d for 32-bit n and d by one multiply and a shift (Lemire, Kaser
+/// and Kurz 2019): with M = ceil(2^64 / d), n / d = (M·n) >> 64.  At d = 1,
+/// M would be 2^64, so that case returns n.
+class KeyDivider {
+ public:
+  explicit KeyDivider(std::uint32_t d) : d_(d), m_(UINT64_MAX / d + 1) {}
+
+  std::uint32_t operator()(std::uint32_t n) const {
+    if (d_ == 1) return n;
+    return static_cast<std::uint32_t>((static_cast<__uint128_t>(m_) * n) >> 64);
+  }
+
+ private:
+  std::uint32_t d_;
+  std::uint64_t m_;
+};
+
 IsResult run_is(mvx::Communicator& comm, NasClass cls);
 IsResult run_is(mvx::Communicator& comm, const IsParams& params);
 

@@ -1,14 +1,19 @@
-// NAS kernel correctness: IS verification/determinism across configurations,
-// FT self-consistency (inverse-of-forward) and checksum invariance.
+// NAS kernel correctness: bit-exact FFT and divider arithmetic, IS
+// verification/determinism across configurations, FT self-consistency
+// (inverse-of-forward), checksum invariance and bit-exact checksums.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
+#include <cstring>
+#include <numbers>
 #include <vector>
 
 #include "mvx/mpi.hpp"
 #include "nas/fft.hpp"
 #include "nas/ft.hpp"
 #include "nas/is.hpp"
+#include "sim/rng.hpp"
 
 namespace ib12x::nas {
 namespace {
@@ -53,25 +58,105 @@ TEST(Fft, InverseRecoversInput) {
   }
 }
 
-TEST(Fft, StridedEqualsContiguous) {
-  const std::size_t n = 64, stride = 7;
+// The radix-2 kernel as first written on std::complex: the reference the
+// optimised Fft must reproduce bit for bit.
+void textbook_transform(std::vector<Complex>& data, int sign) {
+  const std::size_t n = data.size();
+  int log2n = 0;
+  while ((std::size_t{1} << log2n) < n) ++log2n;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t j = 0;
+    for (int b = 0; b < log2n; ++b) {
+      if (i & (std::size_t{1} << b)) j |= std::size_t{1} << (log2n - 1 - b);
+    }
+    if (i < j) std::swap(data[i], data[j]);
+  }
+  std::vector<Complex> twiddle(n / 2);
+  for (std::size_t k = 0; k < n / 2; ++k) {
+    const double ang = -2.0 * std::numbers::pi * static_cast<double>(k) / static_cast<double>(n);
+    twiddle[k] = Complex(std::cos(ang), std::sin(ang));
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    const std::size_t tstep = n / len;
+    for (std::size_t base = 0; base < n; base += len) {
+      for (std::size_t k = 0; k < half; ++k) {
+        Complex w = twiddle[k * tstep];
+        if (sign > 0) w = std::conj(w);
+        const Complex u = data[base + k];
+        const Complex t = w * data[base + k + half];
+        data[base + k] = u + t;
+        data[base + k + half] = u - t;
+      }
+    }
+  }
+  if (sign > 0) {
+    const double inv = 1.0 / static_cast<double>(n);
+    for (Complex& c : data) c *= inv;
+  }
+}
+
+std::vector<Complex> seeded_points(std::size_t n, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<Complex> a(n);
+  for (Complex& c : a) c = Complex(rng.next_double() - 0.5, rng.next_double() - 0.5);
+  return a;
+}
+
+TEST(Fft, MatchesTextbookRadix2BitForBit) {
+  for (std::size_t n = 2; n <= 512; n <<= 1) {
+    Fft fft(n);
+    for (int sign : {-1, +1}) {
+      std::vector<Complex> want = seeded_points(n, n * 31 + static_cast<std::uint64_t>(sign + 1));
+      std::vector<Complex> got = want;
+      textbook_transform(want, sign);
+      fft.transform(got.data(), sign);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(Complex)), 0)
+          << "n=" << n << " sign=" << sign;
+    }
+  }
+}
+
+TEST(Fft, ColumnsMatchPerColumnTransform) {
+  const std::size_t n = 64;
   Fft fft(n);
-  std::vector<Complex> packed(n), strided(n * stride);
-  for (std::size_t i = 0; i < n; ++i) {
-    packed[i] = Complex(std::cos(0.1 * static_cast<double>(i)), 0.2);
-    strided[i * stride] = packed[i];
+  for (std::size_t count : {1, 7, 128}) {
+    for (std::size_t stride : {count, count + 3}) {
+      for (int sign : {-1, +1}) {
+        const std::vector<Complex> grid = seeded_points(n * stride, count * 7 + stride);
+        std::vector<Complex> batched = grid;
+        fft.transform_columns(batched.data(), count, stride, sign);
+        for (std::size_t c = 0; c < stride; ++c) {
+          std::vector<Complex> col(n), got(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            col[i] = grid[i * stride + c];
+            got[i] = batched[i * stride + c];
+          }
+          // Columns outside the batch stay as they were.
+          if (c < count) fft.transform(col.data(), sign);
+          EXPECT_EQ(std::memcmp(got.data(), col.data(), n * sizeof(Complex)), 0)
+              << "count=" << count << " stride=" << stride << " sign=" << sign << " col=" << c;
+        }
+      }
+    }
   }
-  fft.transform(packed.data(), -1);
-  fft.transform_strided(strided.data(), stride, -1);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(strided[i * stride].real(), packed[i].real(), 1e-9);
-    EXPECT_NEAR(strided[i * stride].imag(), packed[i].imag(), 1e-9);
-  }
+  std::vector<Complex> grid(n * 4);
+  EXPECT_THROW(fft.transform_columns(grid.data(), 5, 4, -1), std::invalid_argument);
 }
 
 TEST(Fft, RejectsNonPowerOfTwo) {
   EXPECT_THROW(Fft(12), std::invalid_argument);
   EXPECT_THROW(Fft(0), std::invalid_argument);
+}
+
+TEST(NasIs, KeyDividerMatchesDivision) {
+  sim::Rng rng(17);
+  for (std::uint32_t d : {1u, 2u, 3u, 7u, 1u << 16, (1u << 31) - 1, 1u << 31}) {
+    const KeyDivider div(d);
+    std::vector<std::uint32_t> ns = {0, 1, d - 1, d, UINT32_MAX};
+    for (int i = 0; i < 1000; ++i) ns.push_back(static_cast<std::uint32_t>(rng.next_u64()));
+    for (std::uint32_t n : ns) EXPECT_EQ(div(n), n / d) << n << " / " << d;
+  }
 }
 
 TEST(NasIs, ClassSVerifiesOnLayouts) {
@@ -103,6 +188,7 @@ TEST(NasIs, ChecksumInvariantAcrossPoliciesAndQps) {
     if (!have_ref) {
       reference = checksum;
       have_ref = true;
+      EXPECT_EQ(checksum, 0xcdc4d781f928fcf0ull);
     } else {
       EXPECT_EQ(checksum, reference);
     }
@@ -162,6 +248,26 @@ TEST(NasFt, ChecksumsInvariantAcrossConfigs) {
         }
       }
     }
+  }
+}
+
+TEST(NasFt, ClassSChecksumsAreBitExact) {
+  // Host arithmetic is the textbook kernel's bit for bit, so the checksums
+  // are exact constants, not values within a tolerance.
+  const Complex want[] = {{-0x1.0785cd901756bp+6, -0x1.132c8a2908e28p+1},
+                          {-0x1.0324c00957cd3p+6, -0x1.1b8052e79a3d8p+1},
+                          {-0x1.fda64f5216722p+5, -0x1.23a0a738b4228p+1},
+                          {-0x1.f521981229566p+5, -0x1.2b8e47f1cb4bp+1}};
+  World w(ClusterSpec{2, 2}, Config::enhanced(4, Policy::EPC));
+  std::vector<Complex> cs;
+  w.run([&](mvx::Communicator& c) {
+    FtResult r = run_ft(c, NasClass::S);
+    if (c.rank() == 0) cs = r.checksums;
+  });
+  ASSERT_EQ(cs.size(), std::size(want));
+  for (std::size_t i = 0; i < cs.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&cs[i], &want[i], sizeof(Complex)), 0)
+        << "iter " << i << ": " << std::hexfloat << cs[i].real() << ", " << cs[i].imag();
   }
 }
 
