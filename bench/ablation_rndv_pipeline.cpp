@@ -1,11 +1,12 @@
-// Ablation: pipelined zero-copy rendezvous vs the one-shot protocol, under a
-// cold pin-down cache (every message in the window sends from a buffer the
-// cache has never seen, so both sides pay full chunked registration).
+// Ablation: pipelined zero-copy rendezvous (64 KiB registration chunks) vs
+// the one-shot protocol (rndv_pipeline_chunk = 0: the whole message is one
+// chunk), under a cold pin-down cache (every message in the window sends from
+// a buffer the cache has never seen, so both sides pay full registration).
 //
 // The sweep reproduces fig. 6's uni-directional window semantics on 4 rails
 // (2 HCAs × 2 ports) with the MVAPICH-era ~150 ns/page pin cost enabled in
 // BOTH columns — the comparison isolates protocol structure (chunked CTS +
-// overlapped registration + doorbell-batched posting), not the cost model.
+// registration overlapped with earlier chunks' writes), not the cost model.
 #include <cstdio>
 #include <vector>
 
@@ -16,12 +17,11 @@ using namespace ib12x::bench;
 
 namespace {
 
-mvx::Config rails4(bool pipeline, std::int64_t chunk) {
+mvx::Config rails4(std::int64_t chunk) {
   mvx::Config cfg = mvx::Config::enhanced(1, mvx::Policy::EPC);
   cfg.hcas_per_node = 2;
   cfg.ports_per_hca = 2;  // 2 HCAs × 2 ports × 1 QP = 4 rails, 2 GX+ buses
   cfg.reg_page_cpu = sim::nanoseconds(150);
-  cfg.rndv_pipeline = pipeline;
   cfg.rndv_pipeline_chunk = chunk;
   return cfg;
 }
@@ -71,8 +71,8 @@ int main(int argc, char** argv) {
   t.add_column("speedup");
   double speedup_1m = 0;
   for (std::int64_t bytes : {256L * 1024, 1024L * 1024, 4096L * 1024}) {
-    const double base = cold_uni_bw_mbs(rails4(false, 64 * 1024), bytes, window);
-    const double pipe = cold_uni_bw_mbs(rails4(true, 64 * 1024), bytes, window);
+    const double base = cold_uni_bw_mbs(rails4(0), bytes, window);
+    const double pipe = cold_uni_bw_mbs(rails4(64 * 1024), bytes, window);
     if (bytes == 1024L * 1024) speedup_1m = pipe / base;
     t.add_row(harness::size_label(bytes), {base, pipe, pipe / base});
   }
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   s.add_column("uni-BW MB/s");
   for (std::int64_t chunk : {16L * 1024, 32L * 1024, 64L * 1024, 128L * 1024, 256L * 1024}) {
     s.add_row(harness::size_label(chunk),
-              {cold_uni_bw_mbs(rails4(true, chunk), 1 << 20, window)});
+              {cold_uni_bw_mbs(rails4(chunk), 1 << 20, window)});
   }
   emit(s);
 

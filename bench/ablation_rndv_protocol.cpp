@@ -91,7 +91,6 @@ mvx::Config with_adaptive(mvx::Config cfg) {
 /// win large ones by overlapping chunk registration with the transfer —
 /// ReadRts must pin the whole sender buffer before the RTS can leave.
 mvx::Config with_pressure(mvx::Config cfg) {
-  cfg.rndv_pipeline = true;
   cfg.rndv_pipeline_chunk = 64 * 1024;
   cfg.reg_page_cpu = sim::nanoseconds(150);
   cfg.reg_cache_capacity = 128 * 1024;

@@ -84,16 +84,15 @@ struct Config {
   int eager_credits = 64;                    ///< preposted recv buffers per rail
   int send_bounce_bufs = 256;                ///< sender-side eager bounce pool
 
-  /// Pipelined zero-copy rendezvous (MVAPICH-lineage pipelined rendezvous,
-  /// Liu et al.): the receiver registers the target buffer in
-  /// `rndv_pipeline_chunk` pieces and streams one CTS per chunk as its
-  /// registration completes, so the sender's first RDMA write departs while
-  /// later chunks are still being pinned; the sender registers its own side
-  /// chunk by chunk and posts each chunk's stripes as one doorbell-batched
-  /// batch.  Off (the default) reproduces the one-shot RTS/CTS/FIN protocol
-  /// bit-for-bit, including its exact-pointer registration-cache semantics.
-  bool rndv_pipeline = false;
-  std::int64_t rndv_pipeline_chunk = 64 * 1024;  ///< per-CTS registration chunk
+  /// Rendezvous registration chunk (MVAPICH-lineage pipelined rendezvous,
+  /// Liu et al.): the receiver registers the target buffer in pieces of this
+  /// many bytes and streams one CTS per piece as its registration completes,
+  /// so the sender's first RDMA write departs while later pieces are still
+  /// being pinned; the sender registers its own side piece by piece.  0 (the
+  /// default) makes the whole message one chunk: one registration, one CTS,
+  /// the paper's one-shot RTS/CTS/FIN protocol.  Negative values are
+  /// rejected.
+  std::int64_t rndv_pipeline_chunk = 0;
 
   /// Pin-down cache byte budget (registered rendezvous buffers kept resident
   /// for reuse).  0 = unlimited (never evict — the legacy behaviour).  When

@@ -243,11 +243,6 @@ RailCursor& NetChannel::cursor(int peer_rank, int vci) {
   return peer(peer_rank).lanes[static_cast<std::size_t>(vci)].cursor;
 }
 
-RailCursor& NetChannel::ctl_cursor(int peer_rank, int vci) {
-  ensure_vci(peer_rank, vci);
-  return peer(peer_rank).lanes[static_cast<std::size_t>(vci)].ctl;
-}
-
 std::vector<std::int64_t> NetChannel::rail_outstanding(int peer_rank, int vci) const {
   const Peer& c = peer(peer_rank);
   const int n = host_.config().rails();
@@ -499,17 +494,13 @@ void NetChannel::send_ctl(int peer_rank, const MsgHeader& hdr, const CtsRkeys& r
   ensure_vci(peer_rank, vci);
   Peer& c = peer(peer_rank);
   VciLane& lane = c.lanes[static_cast<std::size_t>(vci)];
-  // Pick the first rail of the message's VCI slice (starting at the lane's
-  // cursor) with a credit.  In pipeline mode control traffic rotates its own
-  // cursor; the legacy protocol scans from the data cursor without advancing
-  // it (historical placement, kept for bit-identical legacy figures).
-  const bool own_cursor = host_.config().rndv_pipeline;
+  // Pick the first rail with a credit in the message's VCI slice, scanning
+  // from the lane's data cursor without advancing it.
   const int n = host_.config().rails();
   const int base = vci * n;
-  const int start = own_cursor ? lane.ctl.next : lane.cursor.next;
   int rail = -1;
   for (int i = 0; i < n; ++i) {
-    int cand = base + (start + i) % n;
+    int cand = base + (lane.cursor.next + i) % n;
     if (c.rails[static_cast<std::size_t>(cand)].credits > 0 &&
         (!fault_enabled_ || c.rails[static_cast<std::size_t>(cand)].up)) {
       rail = cand;
@@ -520,7 +511,6 @@ void NetChannel::send_ctl(int peer_rank, const MsgHeader& hdr, const CtsRkeys& r
     lane.pending_ctl.emplace_back(hdr, rkeys);
     return;
   }
-  if (own_cursor) lane.ctl.next = (rail - base + 1) % n;
   --c.rails.at(static_cast<std::size_t>(rail)).credits;  // reserve
   int bounce = free_bounce_.back();
   free_bounce_.pop_back();

@@ -88,13 +88,9 @@ class NetChannel final : public Channel {
   /// vector holds nrails entries per wired VCI.
   [[nodiscard]] int nrails(int peer) const;
   /// Data cursor of one VCI's rail slice (local indices 0..nrails-1); wires
-  /// the VCI's QP group on first use.
+  /// the VCI's QP group on first use.  Control traffic (RTS/CTS/FIN) reads
+  /// it to place itself but never advances it.
   [[nodiscard]] RailCursor& cursor(int peer, int vci);
-  /// Dedicated round-robin cursor for control traffic (RTS/CTS/FIN) so it
-  /// spreads over the rails without disturbing the data cursor.  Only
-  /// consulted when Config::rndv_pipeline is on; the legacy protocol keeps
-  /// its historical placement (a non-advancing copy of the data cursor).
-  [[nodiscard]] RailCursor& ctl_cursor(int peer, int vci);
   /// Per-rail outstanding bytes of one VCI's slice (the gauge the Adaptive
   /// policy balances on), indexed locally 0..nrails-1.
   [[nodiscard]] std::vector<std::int64_t> rail_outstanding(int peer, int vci) const;
@@ -110,9 +106,9 @@ class NetChannel final : public Channel {
   /// carry it; the member alias keeps NetChannel::RndvStripe spelling valid.
   using RndvStripe = mvx::RndvStripe;
   void post_write(int peer, const RndvStripe& st);
-  /// Posts a chunk's stripes as one doorbell batch: every WQE is built and
-  /// appended deferred, then each involved rail's doorbell rings once
-  /// (QueuePair::post_send_deferred / ring_doorbell).
+  /// Posts a failed stripe's re-planned pieces as one doorbell batch: every
+  /// WQE is built and appended deferred, then each involved rail's doorbell
+  /// rings once (QueuePair::post_send_deferred / ring_doorbell).
   void post_write_batch(int peer, const std::vector<RndvStripe>& sts);
 
   /// Read-rendezvous: posts one RDMA Read pulling `st.len` bytes from the
@@ -178,11 +174,10 @@ class NetChannel final : public Channel {
 
   using PendingCtl = std::pair<MsgHeader, CtsRkeys>;
 
-  /// Per-(peer, VCI) channel state: the cursors and pending-control queue
-  /// of one VCI's rail slice.
+  /// Per-(peer, VCI) channel state: the data cursor and pending-control
+  /// queue of one VCI's rail slice.
   struct VciLane {
     RailCursor cursor;
-    RailCursor ctl;  ///< control-traffic cursor (rndv_pipeline mode)
     /// Control messages waiting for rail credit.
     sim::Fifo<PendingCtl> pending_ctl;
   };

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <new>
 #include <stdexcept>
 
@@ -59,28 +60,16 @@ void PinCache::forget_everywhere(void* block, std::size_t len) noexcept {
 }
 
 PinCache::Region* PinCache::find(std::uint64_t base, std::int64_t bytes) {
-  if (opts_.interval) {
-    // Greatest entry base <= query base; a hit must cover the whole interval.
-    auto it = regions_.upper_bound(base);
-    if (it != regions_.begin()) {
-      --it;
-      Region* r = it->second.get();
-      if (r->base + static_cast<std::uint64_t>(r->len) >=
-          base + static_cast<std::uint64_t>(bytes)) {
-        return r;
-      }
-      // An exact-base entry that is too short would shadow every future
-      // lookup from this base: replace it rather than accumulate.
-      if (r->base == base) detach(r);
-    }
-    return nullptr;
+  // Greatest entry base <= query base; a hit must cover the whole interval.
+  auto it = regions_.upper_bound(base);
+  if (it == regions_.begin()) return nullptr;
+  Region* r = std::prev(it)->second.get();
+  if (r->base + static_cast<std::uint64_t>(r->len) >= base + static_cast<std::uint64_t>(bytes)) {
+    return r;
   }
-  auto it = regions_.find(base);
-  if (it == regions_.end()) return nullptr;
-  if (it->second->len >= bytes) return it->second.get();
-  // Legacy semantics: a cached entry that is too small is dropped and the
-  // buffer (cheaply) re-registered at the larger size.
-  detach(it->second.get());
+  // An entry at the same base that is too short would shadow every future
+  // lookup from this base: replace it rather than accumulate.
+  if (r->base == base) detach(r);
   return nullptr;
 }
 

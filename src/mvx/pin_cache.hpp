@@ -2,15 +2,9 @@
 // registration cache, the mechanism MVAPICH calls "dreg").
 //
 // Each entry pins one address interval in every local HCA domain.  Lookup
-// runs in one of two modes:
-//
-//  * exact mode (legacy, `rndv_pipeline=off`): a hit requires the query base
-//    to equal an entry base and the entry to be at least as long — the
-//    semantics of the seed's `std::map<const void*, RegEntry>` cache,
-//    reproduced so legacy figure outputs stay byte-identical;
-//  * interval mode (pipelined rendezvous): a send from `base+offset` inside
-//    any pinned interval is a hit, so chunked registrations and interior
-//    pointers (e.g. alltoallv slices) reuse existing pins.
+// is by interval: a send from `base+offset` inside any pinned interval is a
+// hit, so chunked registrations and interior pointers (e.g. alltoallv
+// slices) reuse existing pins.
 //
 // Entries are reference-counted: an acquire pins the interval until the
 // matching release, and LRU eviction against the `Config::reg_cache_capacity`
@@ -47,7 +41,6 @@ namespace ib12x::mvx {
 class PinCache {
  public:
   struct Options {
-    bool interval = false;          ///< interval-covering lookup (else exact-base)
     std::int64_t capacity = 0;      ///< byte budget; 0 = unlimited (never evict)
     sim::Time hit_cpu = 0;
     sim::Time miss_cpu = 0;         ///< flat part of a registration
@@ -91,9 +84,9 @@ class PinCache {
   [[nodiscard]] std::size_t entries() const { return regions_.size(); }
 
  private:
-  /// Cache hit for [base, base+bytes) under the configured lookup mode, or
-  /// nullptr.  Detaches an exact-base entry that is too short (the legacy
-  /// erase-and-re-register path) so at most one entry exists per base.
+  /// The entry covering [base, base+bytes), or nullptr.  Detaches an entry
+  /// at the same base that is too short, so at most one entry exists per
+  /// base.
   Region* find(std::uint64_t base, std::int64_t bytes);
   /// Removes `r` from the cache; deregisters now if unpinned, else marks it
   /// a zombie for the last release to collect.

@@ -18,14 +18,15 @@ namespace ib12x::mvx {
 namespace {
 
 /// Stripe-write req_ids carry the chunk index in the top 16 bits so the
-/// completion path can retire pipelined chunks individually; legacy writes
-/// use the bare cookie (cookies are sequential and never reach 2^48).
+/// completion path can retire chunks individually; chunk 0's writes carry
+/// the bare cookie (cookies are sequential and never reach 2^48).
 constexpr std::uint64_t kCookieMask = (std::uint64_t{1} << 48) - 1;
 
 std::uint64_t chunk_req_id(std::uint64_t cookie, std::uint32_t chunk) {
   return cookie | (static_cast<std::uint64_t>(chunk) << 48);
 }
 
+/// Bytes per CTS chunk: rndv_pipeline_chunk, or the whole message for 0.
 std::int64_t chunk_bytes(const Config& cfg, std::int64_t total) {
   return cfg.rndv_pipeline_chunk > 0 ? cfg.rndv_pipeline_chunk : total;
 }
@@ -71,7 +72,6 @@ Rendezvous::Rendezvous(ChannelHost& host, NetChannel& net)
       policy_exploit_(host.telemetry().counter("rndv.policy_exploit")) {
   const Config& cfg = host.config();
   PinCache::Options opts;
-  opts.interval = cfg.rndv_pipeline;  // legacy mode keeps exact-pointer semantics
   opts.capacity = cfg.reg_cache_capacity;
   opts.hit_cpu = cfg.reg_cache_hit;
   opts.miss_cpu = cfg.reg_cache_miss;
@@ -171,19 +171,12 @@ void Rendezvous::end_recv(std::uint64_t rcookie) {
 
 int Rendezvous::rts_rail(int peer, CommKind kind, int vci) {
   const Config& cfg = host_.config();
-  // Control messages round-robin over the VCI's rail slice; the data
-  // schedule is decided at CTS time by the marker-driven policy.
-  Schedule s;
-  if (cfg.rndv_pipeline) {
-    // Control traffic owns its own per-(peer, vci) cursor so RTSes rotate
-    // over the rails instead of pinning to wherever the data cursor sits.
-    s = choose_schedule(Policy::RoundRobin, kind, 0, net_.nrails(peer), cfg.stripe_threshold,
-                        net_.ctl_cursor(peer, vci));
-  } else {
-    RailCursor ctl_cursor = net_.cursor(peer, vci);  // do not disturb the data cursor
-    s = choose_schedule(Policy::RoundRobin, kind, 0, net_.nrails(peer), cfg.stripe_threshold,
-                        ctl_cursor);
-  }
+  // Control messages go where the VCI's data cursor points, read through a
+  // copy so they never advance it; the data schedule is decided at CTS time
+  // by the marker-driven policy.
+  RailCursor copy = net_.cursor(peer, vci);
+  const Schedule s =
+      choose_schedule(Policy::RoundRobin, kind, 0, net_.nrails(peer), cfg.stripe_threshold, copy);
   return vci * net_.nrails(peer) + s.rail;
 }
 
@@ -204,7 +197,7 @@ sim::Time Rendezvous::open_send(int peer, CommKind kind, std::int64_t bytes, int
   select_proto(peer, bytes, req, ss);
   hdr.proto = static_cast<std::uint8_t>(ss.proto);
   if (ss.proto == RndvProto::ReadRts) return prepare_read_rts(hdr, req, bytes, ss, rkeys);
-  if (cfg.rndv_pipeline) ss.chunks_total = chunk_count(cfg, bytes);
+  ss.chunk_writes.assign(chunk_count(cfg, bytes), -1);
   return 0;
 }
 
@@ -224,15 +217,9 @@ void Rendezvous::send_rts(int peer, CommKind kind, const void* /*buf*/, std::int
 
 bool Rendezvous::try_send_rts(int peer, CommKind kind, const void* /*buf*/, std::int64_t bytes,
                               int tag, int ctx, const Request& req) {
-  const Config& cfg = host_.config();
   const int vci = req->vci;
-  RailCursor saved{};
-  if (cfg.rndv_pipeline) saved = net_.ctl_cursor(peer, vci);  // restored if the probe fails
   const int rail = net_.probe_ctl_rail(peer, rts_rail(peer, kind, vci));
-  if (rail < 0) {
-    if (cfg.rndv_pipeline) net_.ctl_cursor(peer, vci) = saved;
-    return false;
-  }
+  if (rail < 0) return false;
 
   MsgHeader hdr;
   CtsRkeys rkeys;
@@ -270,38 +257,12 @@ void Rendezvous::accept(const MsgHeader& rts, const Request& req,
     return;
   }
 
-  if (!cfg.rndv_pipeline) {
-    // One-shot protocol: pin the whole target buffer, then a single CTS.
-    sim::Time cost = 0;
-    CtsRkeys rkeys;
-    const std::uint64_t rcookie = new_cookie(req);
-    RecvState& rs = recvs_[rcookie];
-    if (total > 0) {
-      PinCache::Region* reg = pin_cache_->acquire(req->recv_buf, total, &cost);
-      rs.pins.push_back(reg);
-      for (std::size_t h = 0; h < net_.hcas().size(); ++h) rkeys.rkey[h] = reg->mr[h].rkey;
-    }
-
-    MsgHeader cts;
-    cts.type = MsgType::Cts;
-    cts.vci = rts.vci;  // the reply stays on the message's VCI
-    cts.src_rank = host_.rank();
-    cts.ctx = rts.ctx;
-    cts.size = rts.size;
-    cts.sender_cookie = rts.sender_cookie;
-    cts.receiver_cookie = rcookie;
-    cts.raddr = reinterpret_cast<std::uint64_t>(req->recv_buf);
-
-    host_.schedule_cpu_vci(rts.vci, cost + cfg.ctl_cpu + cfg.post_cpu(),
-                           [this, peer, cts, rkeys] { net_.send_ctl(peer, cts, rkeys); });
-    return;
-  }
-
-  // Pipelined protocol: pin the target buffer chunk by chunk, streaming one
-  // CTS as each chunk's registration completes.  The schedule_cpu_vci calls
-  // serialize on this VCI's progress server, so CTS k departs after the cumulative
-  // registration cost of chunks 0..k — the sender's first write overlaps the
-  // pinning of everything after chunk 0.
+  // Pin the target buffer chunk by chunk, streaming one CTS as each chunk's
+  // registration completes (a single chunk by default: one registration,
+  // one CTS).  The schedule_cpu_vci calls serialize on this VCI's progress
+  // server, so CTS k departs after the cumulative registration cost of
+  // chunks 0..k — the sender's first write overlaps the pinning of
+  // everything after chunk 0.
   const std::uint64_t rcookie = new_cookie(req);
   RecvState& rs = recvs_[rcookie];
   const std::int64_t csz = chunk_bytes(cfg, total);
@@ -386,7 +347,7 @@ void Rendezvous::accept_read(const MsgHeader& rts, const Request& req, const Cts
   rs.pending = static_cast<int>(stripes.size());
   read_stripes_.add(stripes.size());
 
-  // Reads ignore rndv_pipeline chunking: the pull is one doorbell-batched
+  // Reads ignore rndv_pipeline_chunk: the pull is one doorbell-batched
   // shot (sender-side pinning already happened before the RTS, so there is
   // no registration pipeline to overlap with).
   cost += cfg.wqe_build_cpu * static_cast<std::int64_t>(stripes.size()) + cfg.doorbell_cpu;
@@ -513,16 +474,7 @@ void Rendezvous::on_cts(const MsgHeader& hdr, const CtsRkeys& rkeys) {
               host_.rank(), (unsigned long long)hdr.sender_cookie, (unsigned long long)hdr.size,
               (unsigned)hdr.chunk);
   req->peer_cookie = hdr.receiver_cookie;
-  SendState& ss = send_state(hdr.sender_cookie);
-  if (ss.pipelined()) {
-    start_chunk_writes(req->peer, req, ss, hdr, rkeys);
-  } else {
-    if (net_.fault_enabled() && req->pending_writes > 0) {
-      dup_ctl_dropped_.inc();  // replayed CTS while the writes are in flight
-      return;
-    }
-    start_writes(req->peer, req, ss, hdr, rkeys);
-  }
+  start_chunk_writes(req->peer, req, send_state(hdr.sender_cookie), hdr, rkeys);
 }
 
 std::vector<int> Rendezvous::candidate_rails(int peer, int vci) {
@@ -573,63 +525,75 @@ std::vector<Rendezvous::Stripe> Rendezvous::plan_stripes(int peer, const Request
   return {{rails[static_cast<std::size_t>(s.rail % n)], base_off, bytes}};
 }
 
-void Rendezvous::start_writes(int peer, const Request& req, SendState& ss, const MsgHeader& cts,
-                              const CtsRkeys& rkeys) {
+void Rendezvous::start_chunk_writes(int peer, const Request& req, SendState& ss,
+                                    const MsgHeader& cts, const CtsRkeys& rkeys) {
   const Config& cfg = host_.config();
-  const std::int64_t bytes = req->bytes;
-
-  // A forced stripe width (adaptive arm) overrides the marker policy's cut.
-  std::vector<Stripe> stripes;
-  if (ss.width > 0) {
-    stripes = plan_limited(peer, req->vci, 0, bytes, ss.width);
-    if (stripes.empty()) stripes.push_back({req->vci * net_.nrails(peer), 0, bytes});
-  } else {
-    stripes = plan_stripes(peer, req, 0, bytes);
+  int& in_flight = ss.chunk_writes.at(cts.chunk);
+  if (in_flight >= 0) {
+    dup_ctl_dropped_.inc();  // replayed CTS for a chunk already in progress
+    return;
   }
+  cts_chunks_.inc();
 
+  const std::int64_t off =
+      static_cast<std::int64_t>(cts.chunk) * chunk_bytes(cfg, req->bytes);
+  const std::int64_t len = static_cast<std::int64_t>(cts.size);
+
+  // Pin the sender-side chunk (overlapped with the receiver pinning later
+  // chunks).
   sim::Time cost = cfg.ctl_cpu;
   std::array<ib::LKey, kMaxHcas> lkeys{};
-  if (bytes > 0) {
-    PinCache::Region* reg = pin_cache_->acquire(req->send_buf, bytes, &cost);
+  if (len > 0) {
+    PinCache::Region* reg = pin_cache_->acquire(
+        static_cast<const std::byte*>(req->send_buf) + off, len, &cost);
     ss.pins.push_back(reg);
     for (int h = 0; h < kMaxHcas; ++h) lkeys[static_cast<std::size_t>(h)] = reg->mr[h].lkey;
   }
 
-  // WriteImm: a single-stripe transfer folds the immediate into the data
-  // write itself (true three-step rendezvous); multi-stripe transfers keep
-  // plain writes and append a zero-byte trailing imm once all land.
+  // A forced stripe width (adaptive arm) overrides the marker policy's cut.
+  std::vector<Stripe> stripes;
+  if (ss.width > 0) {
+    stripes = plan_limited(peer, req->vci, off, len, ss.width);
+    if (stripes.empty()) stripes.push_back({req->vci * net_.nrails(peer), off, len});
+  } else {
+    stripes = plan_stripes(peer, req, off, len);
+  }
+  in_flight = static_cast<int>(stripes.size());
+  ++ss.chunks_started;
+  pipeline_depth_.track_max(ss.chunks_started - ss.chunks_landed);
+  stripes_posted_.add(stripes.size());
+
+  // WriteImm: a message that is one chunk of one stripe folds the immediate
+  // into that data write (true three-step rendezvous); any other message
+  // moves as plain writes followed by a zero-byte trailing imm.
   bool fold = false;
-  std::uint32_t imm = 0;
-  if (ss.proto == RndvProto::WriteImm) {
-    imm = imm_word(req->vci, cts.receiver_cookie);
-    fold = stripes.size() == 1;
+  if (ss.proto == RndvProto::WriteImm && !ss.imm_armed) {
     ss.imm_armed = true;
-    ss.imm = imm;
+    ss.imm = imm_word(req->vci, cts.receiver_cookie);
+    fold = ss.chunk_writes.size() == 1 && stripes.size() == 1;
     ss.imm_folded = fold;
     ss.imm_posted = fold;
     if (fold) imm_folded_.inc();
   }
 
-  req->pending_writes = static_cast<int>(stripes.size());
-  stripes_posted_.add(stripes.size());
-  const std::uint64_t req_id = cts.sender_cookie;
-
-  // Descriptor posting is serialized on the host CPU (WQE build + doorbell
-  // per stripe), queued behind any other protocol work this rank is doing.
+  // Descriptor posting is serialized on the VCI's CPU (WQE build + doorbell
+  // per stripe: the stripes go to different QPs, each with its own
+  // doorbell), queued behind any other protocol work this rank is doing.
   // This is one of the per-stripe costs that make striping lose to
   // round-robin for medium messages (paper §3.2).
+  const std::uint64_t req_id = chunk_req_id(cts.sender_cookie, cts.chunk);
+  const std::uint64_t msg_raddr = cts.raddr - static_cast<std::uint64_t>(off);
+  const std::uint32_t imm = ss.imm;
   for (std::size_t i = 0; i < stripes.size(); ++i) {
     const Stripe st = stripes[i];
-    const sim::Time when = (i == 0 ? cost : 0) + cfg.post_cpu();
-    const std::uint64_t raddr = cts.raddr;
-    host_.schedule_cpu_vci(req->vci, when,
-                           [this, peer, st, req_id, raddr, rkeys, lkeys, fold, imm] {
-      Request req = peek_cookie(req_id);
+    host_.schedule_cpu_vci(req->vci, (i == 0 ? cost : 0) + cfg.post_cpu(),
+                           [this, peer, st, req_id, msg_raddr, rkeys, lkeys, fold, imm] {
+      Request req = peek_cookie(req_id & kCookieMask);
       NetChannel::RndvStripe wr;
       wr.rail = st.rail;
       wr.src = static_cast<const std::byte*>(req->send_buf) + st.offset;
       wr.len = st.len;
-      wr.raddr = raddr + static_cast<std::uint64_t>(st.offset);
+      wr.raddr = msg_raddr + static_cast<std::uint64_t>(st.offset);
       wr.req_id = req_id;
       wr.lkeys = lkeys;
       wr.rkeys = rkeys;
@@ -640,68 +604,6 @@ void Rendezvous::start_writes(int peer, const Request& req, SendState& ss, const
       }
     });
   }
-}
-
-void Rendezvous::start_chunk_writes(int peer, const Request& req, SendState& ss,
-                                    const MsgHeader& cts, const CtsRkeys& rkeys) {
-  const Config& cfg = host_.config();
-  if (!ss.chunks_seen.insert(cts.chunk).second) {
-    dup_ctl_dropped_.inc();  // replayed CTS for a chunk already in progress
-    return;
-  }
-  // Pipelined WriteImm: chunks move as plain writes; the FIN replacement is
-  // a zero-byte trailing imm injected when the last chunk retires.
-  if (ss.proto == RndvProto::WriteImm && !ss.imm_armed) {
-    ss.imm_armed = true;
-    ss.imm = imm_word(req->vci, cts.receiver_cookie);
-  }
-  cts_chunks_.inc();
-
-  const std::int64_t off =
-      static_cast<std::int64_t>(cts.chunk) * chunk_bytes(cfg, req->bytes);
-  const std::int64_t len = static_cast<std::int64_t>(cts.size);
-
-  // Pin the sender-side chunk (overlapped with the receiver pinning later
-  // chunks), then build all of the chunk's stripe WQEs and ring one doorbell.
-  sim::Time cost = cfg.ctl_cpu;
-  std::array<ib::LKey, kMaxHcas> lkeys{};
-  if (len > 0) {
-    PinCache::Region* reg = pin_cache_->acquire(
-        static_cast<const std::byte*>(req->send_buf) + off, len, &cost);
-    ss.pins.push_back(reg);
-    for (int h = 0; h < kMaxHcas; ++h) lkeys[static_cast<std::size_t>(h)] = reg->mr[h].lkey;
-  }
-
-  std::vector<Stripe> stripes = plan_stripes(peer, req, off, len);
-  ss.chunk_writes[cts.chunk] = static_cast<int>(stripes.size());
-  pipeline_depth_.track_max(ss.chunk_writes.size());
-  stripes_posted_.add(stripes.size());
-
-  // Doorbell batching: per-stripe WQE build, one uncached-MMIO doorbell for
-  // the whole batch (instead of one-shot's full post_cpu() per stripe).
-  cost += cfg.wqe_build_cpu * static_cast<std::int64_t>(stripes.size()) + cfg.doorbell_cpu;
-
-  const std::uint64_t req_id = chunk_req_id(cts.sender_cookie, cts.chunk);
-  const std::uint64_t chunk_base = cts.raddr;
-  host_.schedule_cpu_vci(req->vci, cost, [this, peer, stripes = std::move(stripes), req_id,
-                                          chunk_base, off, rkeys, lkeys] {
-    const std::uint64_t cookie = req_id & kCookieMask;
-    Request req = peek_cookie(cookie);
-    std::vector<NetChannel::RndvStripe> batch;
-    batch.reserve(stripes.size());
-    for (const Stripe& st : stripes) {
-      NetChannel::RndvStripe wr;
-      wr.rail = st.rail;
-      wr.src = static_cast<const std::byte*>(req->send_buf) + st.offset;
-      wr.len = st.len;
-      wr.raddr = chunk_base + static_cast<std::uint64_t>(st.offset - off);
-      wr.req_id = req_id;
-      wr.lkeys = lkeys;
-      wr.rkeys = rkeys;
-      batch.push_back(wr);
-    }
-    net_.post_write_batch(peer, batch);
-  });
 }
 
 void Rendezvous::finish_send(int peer, std::uint64_t cookie, const Request& req) {
@@ -738,43 +640,24 @@ void Rendezvous::post_trailing_imm(int peer, std::uint64_t cookie, std::uint32_t
 void Rendezvous::on_write_done(int peer, std::uint64_t req_id) {
   const std::uint64_t cookie = req_id & kCookieMask;
   SendState& ss = send_state(cookie);
-  Request req = peek_cookie(cookie);
-  if (!ss.pipelined()) {
-    // One-shot protocol: a flat count of stripes in flight.
-    IB12X_DEBUG(host_.simulator().now(), "rank%d: write CQE cookie %llu remaining %d",
-                host_.rank(), (unsigned long long)req_id, req->pending_writes - 1);
-    if (--req->pending_writes != 0) return;
+  const std::size_t chunks = ss.chunk_writes.size();
+  // Once every chunk has landed the only write left is the trailing imm.
+  if (ss.chunks_landed < chunks) {
+    int& in_flight = ss.chunk_writes.at(req_id >> 48);
+    if (in_flight <= 0) throw std::logic_error("Rendezvous: write CQE for an idle chunk");
+    if (--in_flight != 0 || ++ss.chunks_landed < chunks) return;
     if (ss.imm_armed && !ss.imm_posted) {
-      // Multi-stripe WriteImm: all data writes landed — the FIN replacement
-      // (zero-byte trailing imm) goes out now and counts as one more pending
-      // write; its CQE re-enters here and finishes.
+      // WriteImm without a folded imm: all data writes landed, so the FIN
+      // replacement (zero-byte trailing imm) goes out now; its CQE re-enters
+      // here and finishes.
       ss.imm_posted = true;
-      req->pending_writes = 1;
       post_trailing_imm(peer, cookie, ss.imm);
       return;
     }
-    finish_send(peer, cookie, req);
-    return;
   }
-
-  const auto chunk = static_cast<std::uint32_t>(req_id >> 48);
-  auto cit = ss.chunk_writes.find(chunk);
-  if (cit == ss.chunk_writes.end()) {
-    throw std::logic_error("Rendezvous: write CQE for unknown chunk");
-  }
-  if (--cit->second == 0) ss.chunk_writes.erase(cit);
-  if (ss.chunks_seen.size() != ss.chunks_total || !ss.chunk_writes.empty()) return;
-  if (ss.imm_armed && !ss.imm_posted) {
-    // Pipelined WriteImm: last chunk retired — inject the trailing imm as a
-    // synthetic chunk-0 write before finishing.
-    ss.imm_posted = true;
-    ss.chunk_writes[0] = 1;
-    post_trailing_imm(peer, cookie, ss.imm);
-    return;
-  }
-  IB12X_DEBUG(host_.simulator().now(), "rank%d: pipelined send %llu complete (%u chunks)",
-              host_.rank(), (unsigned long long)cookie, ss.chunks_total);
-  finish_send(peer, cookie, req);
+  IB12X_DEBUG(host_.simulator().now(), "rank%d: send %llu complete (%zu chunks)", host_.rank(),
+              (unsigned long long)cookie, chunks);
+  finish_send(peer, cookie, peek_cookie(cookie));
 }
 
 void Rendezvous::on_write_failed(int peer, const RndvStripe& st) {
@@ -826,14 +709,8 @@ void Rendezvous::repost_stripe(int peer, const RndvStripe& st) {
   // The failed stripe was already counted once in the in-flight bookkeeping;
   // splitting it over k live rails adds k-1 writes.  Account them before any
   // completion can retire the chunk.
-  const int extra = static_cast<int>(parts.size()) - 1;
-  const std::uint64_t cookie = st.req_id & kCookieMask;
-  SendState& ss = send_state(cookie);
-  if (ss.pipelined()) {
-    ss.chunk_writes.at(static_cast<std::uint32_t>(st.req_id >> 48)) += extra;
-  } else {
-    peek_cookie(cookie)->pending_writes += extra;
-  }
+  send_state(st.req_id & kCookieMask).chunk_writes.at(st.req_id >> 48) +=
+      static_cast<int>(parts.size()) - 1;
   stripes_posted_.add(parts.size());
 
   std::vector<NetChannel::RndvStripe> batch;

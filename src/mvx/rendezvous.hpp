@@ -16,22 +16,18 @@
 // With Config::rndv.adaptive the per-message choice moves to RndvPolicy, an
 // epsilon-greedy bandit over protocol × stripe width per (peer, size class).
 //
-// Two pacing variants share the write path, selected by Config::rndv_pipeline:
+// The write protocols have one data path, the registration pipeline of Liu
+// et al.: the receiver registers the target buffer in rndv_pipeline_chunk
+// pieces and streams one CTS per chunk as its registration completes, and
+// the sender registers each chunk behind its CTS, plans the chunk's stripes
+// and posts each stripe as soon as it is built (Config::post_cpu() =
+// wqe_build_cpu + doorbell_cpu per stripe).  The default chunk of 0 makes
+// the whole message one chunk: one registration, one CTS, one set of
+// stripes, the paper's one-shot rendezvous.
 //
-//  * one-shot (the default): the receiver registers the whole target buffer
-//    before replying with a single CTS, and the sender registers its whole
-//    buffer before posting every stripe as its own one-WQE batch
-//    (Config::post_cpu() = wqe_build_cpu + doorbell_cpu each);
-//  * pipelined zero-copy: the receiver registers the buffer in
-//    rndv_pipeline_chunk pieces and streams one CTS per chunk as its
-//    registration completes, the sender registers chunk-by-chunk behind the
-//    arriving CTSes, and each chunk's stripes are posted as one
-//    doorbell-batched batch (k × wqe_build_cpu + one doorbell_cpu).
-//
-// Buffer pinning goes through the PinCache (exact-pointer semantics in
-// one-shot mode, interval lookup + LRU eviction in pipelined mode).  Every
-// piece of protocol work runs on the message's VCI progress server.  Data
-// and control movement go through the NetChannel so rail credits and
+// Buffer pinning goes through the PinCache (interval lookup, LRU eviction).
+// Every piece of protocol work runs on the message's VCI progress server.
+// Data and control movement go through the NetChannel so rail credits and
 // outstanding-byte accounting stay in one place.  The rndv.* counters of
 // every protocol are registered whatever the configuration.
 #pragma once
@@ -39,7 +35,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "ib/verbs.hpp"
@@ -108,26 +103,21 @@ class Rendezvous {
     int arm = -1;    ///< RndvPolicy arm, -1 for static selection
     int width = 0;   ///< forced stripe width, 0 = policy default
     sim::Time start = 0;
-    /// Sender pins: the whole buffer (one-shot writes, ReadRts) or one per
-    /// chunk (pipelined writes).
+    /// Sender pins: the whole buffer (ReadRts) or one per chunk (writes).
     std::vector<PinCache::Region*> pins;
-    // Pipelined writes (Config::rndv_pipeline); chunks_total stays 0 on the
-    // one-shot and read paths.
-    std::uint32_t chunks_total = 0;
-    /// Chunks whose CTS has been processed; a replayed CTS (a fault-injection
-    /// retry of a control message that did arrive) is dropped here.
-    std::set<std::uint32_t> chunks_seen;
-    /// Per-chunk stripes still in flight; an entry disappears when its chunk
-    /// fully lands, and the map's size is the live pipeline depth.
-    std::map<std::uint32_t, int> chunk_writes;
+    /// Write protocols: the stripes in flight per chunk, -1 until the
+    /// chunk's CTS arrives.  A replayed CTS (a fault-injection retry of a
+    /// control message that did arrive) finds its entry >= 0 and is dropped.
+    /// Empty on the read path.
+    std::vector<int> chunk_writes;
+    std::uint32_t chunks_started = 0;  ///< chunks whose CTS has been processed
+    std::uint32_t chunks_landed = 0;   ///< chunks whose writes all completed
     // WriteImm: the immediate that replaces the FIN, set once the CTS names
     // the receiver cookie.
     bool imm_armed = false;
     std::uint32_t imm = 0;    ///< (vci << 28) | receiver_cookie
     bool imm_folded = false;  ///< imm rides the single data write itself
     bool imm_posted = false;  ///< imm already on the wire (folded or trailing)
-
-    [[nodiscard]] bool pipelined() const { return chunks_total != 0; }
   };
   /// Receiver-side state of one rendezvous, keyed by receiver cookie.
   struct RecvState {
@@ -151,10 +141,8 @@ class Rendezvous {
   /// slice: the writes fail and the error path re-plans once one recovers.
   std::vector<int> candidate_rails(int peer, int vci);
 
-  /// Sender side of CTS: register, plan stripes and post them.  Legacy mode
-  /// covers the whole message; pipelined mode runs once per chunk.
-  void start_writes(int peer, const Request& req, SendState& ss, const MsgHeader& cts,
-                    const CtsRkeys& rkeys);
+  /// Sender side of one chunk's CTS: register the chunk, plan its stripes
+  /// and post them.
   void start_chunk_writes(int peer, const Request& req, SendState& ss, const MsgHeader& cts,
                           const CtsRkeys& rkeys);
   /// Sends FIN (unless the protocol elided it) and completes the local send.

@@ -33,7 +33,6 @@ struct RequestState {
   std::uint8_t kind = 0;        ///< CommKind, recorded by the marker at start
   int lane = -1;                ///< multi-lane rail pin (lane % nrails); -1 = policy decides
   int vci = 0;                  ///< virtual communication interface carrying this message
-  int pending_writes = 0;       ///< outstanding rendezvous stripe writes
   std::uint64_t peer_cookie = 0;///< the other side's request cookie
 };
 

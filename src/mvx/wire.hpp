@@ -37,22 +37,22 @@ struct MsgHeader {
   std::int32_t ctx = 0;          ///< communicator context id
   std::uint32_t seq = 0;         ///< per (pair, ctx, vci) ordering number (Eager/Rts only)
   std::uint64_t size = 0;        ///< payload bytes (Eager) / full message size (Rts)
-                                 ///< / chunk bytes (pipelined Cts)
+                                 ///< / chunk bytes (Cts)
   std::uint64_t sender_cookie = 0;
   std::uint64_t receiver_cookie = 0;
-  std::uint64_t raddr = 0;       ///< Cts: receiver buffer address (chunk base when pipelined)
+  std::uint64_t raddr = 0;       ///< Cts: receiver address of the chunk
                                  ///< / ReadRts: sender buffer address
   std::uint32_t rkey = 0;        ///< Cts: receiver buffer rkey
-  std::uint32_t chunk = 0;       ///< pipelined Cts: chunk index within the message
+  std::uint32_t chunk = 0;       ///< Cts: chunk index within the message
                                  ///< / ReadRts: forced stripe width (0 = receiver's choice)
 };
 
 inline constexpr std::size_t kHeaderBytes = sizeof(MsgHeader);
 
 // The chunk and vci fields must live in what used to be padding: growing the
-// header would change eager slot sizes and memcpy charges, breaking
-// byte-identity of the legacy (rndv_pipeline=off, vci.count=1) protocol.
-static_assert(sizeof(MsgHeader) == 64, "MsgHeader grew: legacy wire timing would change");
+// header would change eager slot sizes and memcpy charges, and with them
+// every modelled message time.
+static_assert(sizeof(MsgHeader) == 64, "MsgHeader grew: modelled wire timing would change");
 
 /// Hard cap on HCAs per node the wire format supports (CTS carries one rkey
 /// per HCA domain).

@@ -116,6 +116,12 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
         " is out of range: the exploration rate is a probability.  Supported "
         "combinations: 0 <= rndv.epsilon <= 1");
   }
+  if (cfg_.rndv_pipeline_chunk < 0) {
+    throw std::invalid_argument(
+        "Config: rndv_pipeline_chunk = " + std::to_string(cfg_.rndv_pipeline_chunk) +
+        " is out of range: it is a registration chunk size in bytes.  Supported "
+        "combinations: 0 (the whole message is one chunk) or rndv_pipeline_chunk > 0");
+  }
   if (cfg_.rndv.max_width < 0 || cfg_.rndv.max_width > cfg_.rails()) {
     throw std::invalid_argument(
         "Config: rndv.max_width = " + std::to_string(cfg_.rndv.max_width) +
@@ -178,32 +184,28 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
     }
   }
 
-  // Switched-fabric telemetry.  Registered only when the topology actually
-  // routes (multi-switch shape) or arbitrates (contention), so the default
-  // crossbar-without-contention snapshot stays byte-identical to previous
-  // releases.  The queue/stall counters move only in contention mode; the
-  // hops histogram counts on every shape.
-  if (cfg_.topo.shape != ib::TopoShape::Crossbar || cfg_.topo.contention) {
-    ib::Topology* topo = &fabric_->topology();
-    tel_.gauge("fabric.switch.count",
-               [topo] { return static_cast<double>(topo->switch_count()); });
-    tel_.gauge("fabric.switch.routed_pkts",
-               [topo] { return static_cast<double>(topo->total_routed_pkts()); });
-    tel_.gauge("fabric.switch.stalls",
-               [topo] { return static_cast<double>(topo->total_stalls()); });
-    tel_.gauge("fabric.switch.drops",
-               [topo] { return static_cast<double>(topo->total_drops()); });
-    tel_.gauge("fabric.switch.queue_hwm_bytes",
-               [topo] { return static_cast<double>(topo->max_queue_hwm_bytes()); });
-    for (int h = 1; h <= ib::kMaxRouteHops; ++h) {
-      tel_.gauge("fabric.switch.hops.h" + std::to_string(h), [this, h] {
-        std::uint64_t n = 0;
-        for (const auto& node : node_hcas_) {
-          for (const ib::Hca* hca : node) n += hca->total_hops_taken(h);
-        }
-        return static_cast<double>(n);
-      });
-    }
+  // Switched-fabric telemetry, registered on every topology (a crossbar
+  // reports its one switch).  The queue/stall counters move only in
+  // contention mode; the hops histogram counts on every shape.
+  ib::Topology* topo = &fabric_->topology();
+  tel_.gauge("fabric.switch.count",
+             [topo] { return static_cast<double>(topo->switch_count()); });
+  tel_.gauge("fabric.switch.routed_pkts",
+             [topo] { return static_cast<double>(topo->total_routed_pkts()); });
+  tel_.gauge("fabric.switch.stalls",
+             [topo] { return static_cast<double>(topo->total_stalls()); });
+  tel_.gauge("fabric.switch.drops",
+             [topo] { return static_cast<double>(topo->total_drops()); });
+  tel_.gauge("fabric.switch.queue_hwm_bytes",
+             [topo] { return static_cast<double>(topo->max_queue_hwm_bytes()); });
+  for (int h = 1; h <= ib::kMaxRouteHops; ++h) {
+    tel_.gauge("fabric.switch.hops.h" + std::to_string(h), [this, h] {
+      std::uint64_t n = 0;
+      for (const auto& node : node_hcas_) {
+        for (const ib::Hca* hca : node) n += hca->total_hops_taken(h);
+      }
+      return static_cast<double>(n);
+    });
   }
 
   // Event-kernel self-telemetry.  Gauges derived from wall-clock time live

@@ -58,7 +58,7 @@ TEST(TelemetryTable, ExposesRendezvousAndDoorbellCounters) {
   // rendezvous-pipeline counters and the HCA doorbell gauge, so bench output
   // records pin-down-cache and batching behaviour alongside bandwidth.
   mvx::Config cfg = mvx::Config::enhanced(4, mvx::Policy::EPC);
-  cfg.rndv_pipeline = true;
+  cfg.rndv_pipeline_chunk = 64 * 1024;
   mvx::World w(mvx::ClusterSpec{2, 1}, cfg);
   w.run([](mvx::Communicator& c) {
     constexpr std::size_t kBytes = 1 << 20;
@@ -115,6 +115,28 @@ TEST(TelemetryTable, ExposesSwitchGaugesOnRoutedTopologies) {
   EXPECT_GT(rows["fabric.switch.hops.h1"] + rows["fabric.switch.hops.h3"] +
                 rows["fabric.switch.hops.h5"],
             0.0);
+}
+
+TEST(TelemetryTable, ExposesSwitchGaugesOnTheCrossbar) {
+  // The fabric.switch.* group is registered on every topology: the default
+  // crossbar reports its one switch and a one-hop path for every packet.
+  mvx::World w(mvx::ClusterSpec{2, 1}, mvx::Config{});
+  w.run([](mvx::Communicator& c) {
+    std::vector<std::byte> buf(64);
+    if (c.rank() == 0) {
+      c.send(buf.data(), buf.size(), mvx::BYTE, 1, 0);
+    } else {
+      c.recv(buf.data(), buf.size(), mvx::BYTE, 0, 0);
+    }
+  });
+
+  const Table t = telemetry_table(w);
+  std::map<std::string, double> rows;
+  for (std::size_t i = 0; i < t.row_count(); ++i) rows[t.row_label(i)] = t.value(i, 0);
+  ASSERT_TRUE(rows.count("fabric.switch.count"));
+  EXPECT_EQ(rows["fabric.switch.count"], 1.0);
+  EXPECT_GT(rows["fabric.switch.hops.h1"], 0.0);
+  EXPECT_EQ(rows["fabric.switch.stalls"], 0.0);
 }
 
 TEST(TelemetryTable, ExposesVciCountersWhenEnabled) {

@@ -1,4 +1,4 @@
-// Unit tests for the rendezvous pin-down cache: exact vs interval lookup,
+// Unit tests for the rendezvous pin-down cache: interval lookup,
 // LRU eviction against the byte budget with real MR deregistration,
 // pin-protected (zombie) entries, and entries dying with the host block they
 // cover.
@@ -25,9 +25,8 @@ struct CacheFixture {
   Counter& misses = tel.counter("misses");
   Counter& evictions = tel.counter("evictions");
 
-  PinCache make(bool interval, std::int64_t capacity = 0) {
+  PinCache make(std::int64_t capacity = 0) {
     PinCache::Options o;
-    o.interval = interval;
     o.capacity = capacity;
     return PinCache(hcas, o, hits, misses, evictions);
   }
@@ -35,7 +34,7 @@ struct CacheFixture {
 
 TEST(PinCache, IntervalHitFromInteriorPointer) {
   CacheFixture fx;
-  PinCache c = fx.make(/*interval=*/true);
+  PinCache c = fx.make();
   std::vector<std::byte> buf(1 << 20);
 
   sim::Time cost = 0;
@@ -53,26 +52,9 @@ TEST(PinCache, IntervalHitFromInteriorPointer) {
   EXPECT_EQ(fx.misses.value(), 2u);
 }
 
-TEST(PinCache, ExactModeMissesInteriorPointer) {
-  CacheFixture fx;
-  PinCache c = fx.make(/*interval=*/false);
-  std::vector<std::byte> buf(64 * 1024);
-
-  sim::Time cost = 0;
-  c.acquire(buf.data(), 64 * 1024, &cost);
-  // Legacy exact-pointer cache: same bytes, different base → miss.
-  c.acquire(buf.data() + 1024, 32 * 1024, &cost);
-  EXPECT_EQ(fx.hits.value(), 0u);
-  EXPECT_EQ(fx.misses.value(), 2u);
-
-  // Same base, fits → hit; same base, larger → re-registration.
-  c.acquire(buf.data(), 16 * 1024, &cost);
-  EXPECT_EQ(fx.hits.value(), 1u);
-}
-
 TEST(PinCache, LruEvictionDeregistersUnpinned) {
   CacheFixture fx;
-  PinCache c = fx.make(/*interval=*/true, /*capacity=*/256 * 1024);
+  PinCache c = fx.make(/*capacity=*/256 * 1024);
   std::vector<std::vector<std::byte>> bufs;
   for (int i = 0; i < 8; ++i) bufs.emplace_back(64 * 1024);
 
@@ -95,7 +77,7 @@ TEST(PinCache, LruEvictionDeregistersUnpinned) {
 
 TEST(PinCache, PinnedRegionsSurviveEvictionUntilRelease) {
   CacheFixture fx;
-  PinCache c = fx.make(/*interval=*/true, /*capacity=*/64 * 1024);
+  PinCache c = fx.make(/*capacity=*/64 * 1024);
   std::vector<std::byte> a(64 * 1024), b(64 * 1024);
 
   sim::Time cost = 0;
@@ -118,7 +100,6 @@ TEST(PinCache, PinnedRegionsSurviveEvictionUntilRelease) {
 TEST(PinCache, RegistrationCostsChargePagesOnMiss) {
   CacheFixture fx;
   PinCache::Options o;
-  o.interval = true;
   o.hit_cpu = 50;
   o.miss_cpu = 450;
   o.page_cpu = 100;
@@ -135,7 +116,7 @@ TEST(PinCache, RegistrationCostsChargePagesOnMiss) {
 
 TEST(PinCache, FreeingARegisteredBufferRemovesItsEntry) {
   CacheFixture fx;
-  PinCache c = fx.make(/*interval=*/true);
+  PinCache c = fx.make();
   auto buf = std::make_unique<std::byte[]>(64 * 1024);
 
   sim::Time cost = 0;
@@ -158,7 +139,7 @@ TEST(PinCache, FreeingARegisteredBufferRemovesItsEntry) {
 
 TEST(PinCache, FreeingTheEnclosingBlockDropsAnInteriorRegistration) {
   CacheFixture fx;
-  PinCache c = fx.make(/*interval=*/true);
+  PinCache c = fx.make();
   std::vector<std::byte> block(256 * 1024);
 
   sim::Time cost = 0;
@@ -172,7 +153,7 @@ TEST(PinCache, FreeingTheEnclosingBlockDropsAnInteriorRegistration) {
 
 TEST(PinCache, BlockFreedWhilePinnedIsDeregisteredOnLastRelease) {
   CacheFixture fx;
-  PinCache c = fx.make(/*interval=*/false);
+  PinCache c = fx.make();
   auto buf = std::make_unique<std::byte[]>(64 * 1024);
 
   sim::Time cost = 0;

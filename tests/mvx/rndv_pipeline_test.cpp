@@ -1,7 +1,7 @@
 // Pipelined zero-copy rendezvous: correctness across sizes and policies,
-// chunked-CTS accounting, pin-down cache reuse and eviction under a byte
-// budget, doorbell batching, and the stripe-planning fixes (weighted clamp,
-// base-rail rotation).
+// chunked-CTS accounting, the one-chunk default, pin-down cache reuse and
+// eviction under a byte budget, doorbell batching of read pulls, and the
+// stripe-planning fixes (weighted clamp, base-rail rotation).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -19,7 +19,7 @@ using testutil::payload;
 
 Config pipelined(int qps, Policy p) {
   Config cfg = Config::enhanced(qps, p);
-  cfg.rndv_pipeline = true;
+  cfg.rndv_pipeline_chunk = 64 * 1024;
   return cfg;
 }
 
@@ -85,8 +85,7 @@ TEST(RndvPipeline, StreamsOneCtsPerChunk) {
   });
   EXPECT_EQ(w.telemetry().counter_value("rndv.cts_chunks"), 16u);
   EXPECT_GE(w.telemetry().counter_value("rndv.pipeline_depth"), 1u);
-  // Blocking EPC traffic stripes each chunk; doorbell batching must ring
-  // far fewer doorbells than WQEs for those writes.
+  // Blocking EPC traffic stripes each chunk over several rails.
   EXPECT_GT(w.telemetry().counter_value("rndv.stripes_posted"), 16u);
 }
 
@@ -149,12 +148,13 @@ TEST(RndvPipeline, EvictionBoundsRegionCountOverManySends) {
 }
 
 TEST(RndvPipeline, StripeBatchesPostDeferredAndRingPerInvolvedQp) {
-  // Blocking EPC stripes every 256 KiB chunk over 4 rails.  Each batch is
-  // built with post_send_deferred and published by one ring per involved QP
-  // (one doorbell_cpu per batch on the CPU side); the hardware counter is
-  // visible through the fabric and never exceeds the WQEs it published.
-  Config cfg = pipelined(4, Policy::EPC);
-  cfg.rndv_pipeline_chunk = 256 * 1024;
+  // ReadRts pulls: the receiver stripes the 1 MiB read over 4 rails as one
+  // batch, built with post_send_deferred and published by one ring per
+  // involved QP (one doorbell_cpu per batch on the CPU side).  The hardware
+  // counter of the pulling HCA is visible through the fabric and never
+  // exceeds the WQEs it published.
+  Config cfg = Config::enhanced(4, Policy::EPC);
+  cfg.rndv.protocol = Config::RndvConfig::Protocol::ReadRts;
   World w(ClusterSpec{2, 1}, cfg);
   w.run([](Communicator& c) {
     const std::size_t n = 1 << 20;
@@ -167,27 +167,34 @@ TEST(RndvPipeline, StripeBatchesPostDeferredAndRingPerInvolvedQp) {
       EXPECT_EQ(got, payload(n, 0));
     }
   });
-  EXPECT_GT(w.fabric().hca(0).total_doorbells(), 0u);
-  EXPECT_LE(w.fabric().hca(0).total_doorbells(), w.fabric().hca(0).total_wqes_serviced());
+  EXPECT_GE(w.telemetry().counter_value("rndv.read_stripes"), 4u);
+  const ib::Hca& puller = w.fabric().hca(1);
+  EXPECT_GT(puller.total_doorbells(), 0u);
+  EXPECT_LE(puller.total_doorbells(), puller.total_wqes_serviced());
 }
 
-TEST(RndvPipeline, LegacySwitchReproducesOneShotProtocol) {
-  // rndv_pipeline=off must not even register the new chunk machinery.
+TEST(RndvPipeline, DefaultIsOneCtsPerMessage) {
+  // rndv_pipeline_chunk = 0 makes every message one chunk: one CTS per
+  // rendezvous, whatever its size, and never more than one chunk in flight.
   Config cfg = Config::enhanced(4, Policy::EPC);
+  ASSERT_EQ(cfg.rndv_pipeline_chunk, 0);
   World w(ClusterSpec{2, 1}, cfg);
-  w.run([](Communicator& c) {
-    const std::size_t n = 1 << 20;
-    if (c.rank() == 0) {
-      auto data = payload(n, 0);
-      c.send(data.data(), n, BYTE, 1, 0);
-    } else {
-      std::vector<std::byte> got(n);
-      c.recv(got.data(), n, BYTE, 0, 0);
-      EXPECT_EQ(got, payload(n, 0));
+  const std::vector<std::size_t> sizes = {16384, 100000, 1 << 20, (1 << 20) + 1};
+  w.run([&](Communicator& c) {
+    for (std::size_t n : sizes) {
+      if (c.rank() == 0) {
+        auto data = payload(n, 0);
+        c.send(data.data(), n, BYTE, 1, 0);
+      } else {
+        std::vector<std::byte> got(n);
+        c.recv(got.data(), n, BYTE, 0, 0);
+        EXPECT_EQ(got, payload(n, 0)) << "n=" << n;
+      }
     }
   });
-  EXPECT_EQ(w.telemetry().counter_value("rndv.cts_chunks"), 0u);
-  EXPECT_EQ(w.telemetry().counter_value("rndv.pipeline_depth"), 0u);
+  EXPECT_EQ(w.telemetry().counter_value("rndv.rts_sent"), sizes.size());
+  EXPECT_EQ(w.telemetry().counter_value("rndv.cts_chunks"), sizes.size());
+  EXPECT_EQ(w.telemetry().counter_value("rndv.pipeline_depth"), 1u);
 }
 
 TEST(StripePlanning, WeightedClampNeverCutsBelowMinStripe) {

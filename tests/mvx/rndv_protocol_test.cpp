@@ -2,9 +2,9 @@
 // scheduler's property tests.
 //
 // The oracle (RndvProtocol suite) runs the same seeded mixed-size traffic
-// under each wire protocol — WriteRtsCts, ReadRts, WriteImm, each with and
-// without the pipelined pacing variant — and asserts what must NOT vary with
-// the protocol choice:
+// under each wire protocol — WriteRtsCts, ReadRts, WriteImm, each with
+// whole-message and 64 KiB registration chunks — and asserts what must NOT
+// vary with the protocol choice:
 //   1. every payload is byte-exact;
 //   2. matcher-visible ordering: wildcard receives observe each sender's
 //      messages in posting order, and all protocols deliver the identical
@@ -150,9 +150,9 @@ double table_value(const harness::Table& t, const std::string& name) {
   return -1.0;
 }
 
-void set_protocol(Config& cfg, Config::RndvConfig::Protocol p, bool pipelined) {
+void set_protocol(Config& cfg, Config::RndvConfig::Protocol p, std::int64_t chunk) {
   cfg.rndv.protocol = p;
-  cfg.rndv_pipeline = pipelined;
+  cfg.rndv_pipeline_chunk = chunk;
 }
 
 TEST(RndvProtocol, EquivalenceOracleAcrossProtocols) {
@@ -160,10 +160,10 @@ TEST(RndvProtocol, EquivalenceOracleAcrossProtocols) {
   const std::uint64_t seed = 0x0eac1e5eed;
   const int messages = 36;
   std::vector<TrafficResult> runs;
-  for (bool pipelined : {false, true}) {
+  for (std::int64_t chunk : {0, 64 * 1024}) {
     for (P p : {P::WriteRtsCts, P::ReadRts, P::WriteImm}) {
       runs.push_back(run_traffic(seed, messages,
-                                 [&](Config& cfg) { set_protocol(cfg, p, pipelined); }));
+                                 [&](Config& cfg) { set_protocol(cfg, p, chunk); }));
     }
   }
   const auto plan = make_plan(seed, 4, messages);
@@ -192,7 +192,7 @@ TEST(RndvProtocol, TelemetryShapesPerProtocol) {
   const std::uint64_t seed = 0x7e1e7ab1e;
   auto snapshot = [&](P p) {
     harness::Table t("empty", "metric");
-    run_traffic(seed, 24, [&](Config& cfg) { set_protocol(cfg, p, false); },
+    run_traffic(seed, 24, [&](Config& cfg) { set_protocol(cfg, p, 0); },
                 [&](World& w) { t = harness::telemetry_table(w); });
     return t;
   };
@@ -222,9 +222,9 @@ TEST(RndvProtocol, WriteImmElidesFinAcrossVcis) {
   // so completion must run entirely off the immediate word — including on a
   // non-zero VCI — and the PinCache references must still come back (the
   // eviction counter can only move when released pins reach zero).
-  for (bool pipelined : {false, true}) {
+  for (std::int64_t chunk : {0, 64 * 1024}) {
     Config cfg = make_rails_config();
-    set_protocol(cfg, Config::RndvConfig::Protocol::WriteImm, pipelined);
+    set_protocol(cfg, Config::RndvConfig::Protocol::WriteImm, chunk);
     cfg.vci.count = 2;
     cfg.vci.mapping = Config::VciConfig::Mapping::PerComm;
     cfg.stripe_threshold = 64 * 1024;     // keep a one-stripe (folded-imm) regime open
@@ -249,7 +249,7 @@ TEST(RndvProtocol, WriteImmElidesFinAcrossVcis) {
               keep.emplace_back(n);
               comm->recv(keep.back().data(), n, BYTE, 0, tag);
               ASSERT_EQ(keep.back(), payload(n, 0, tag))
-                  << "pipelined=" << pipelined << " tag " << tag;
+                  << "chunk=" << chunk << " tag " << tag;
             }
           }
         }
@@ -257,17 +257,14 @@ TEST(RndvProtocol, WriteImmElidesFinAcrossVcis) {
       c.barrier();
     });
     auto& tel = w.telemetry();
-    // One-shot mode folds the imm into a single-stripe data write; pipelined
-    // mode always appends the zero-byte trailing imm, even for one chunk.
-    if (pipelined) {
-      EXPECT_EQ(tel.counter_value("rndv.imm_folded"), 0u);
-    } else {
-      EXPECT_GT(tel.counter_value("rndv.imm_folded"), 0u);
-    }
-    EXPECT_GT(tel.counter_value("rndv.imm_sent"), 0u) << "pipelined=" << pipelined;
+    // The 32 KiB message is one chunk of one stripe at either chunk size, so
+    // its imm rides the data write; the striped one appends the zero-byte
+    // trailing imm.
+    EXPECT_GT(tel.counter_value("rndv.imm_folded"), 0u) << "chunk=" << chunk;
+    EXPECT_GT(tel.counter_value("rndv.imm_sent"), 0u) << "chunk=" << chunk;
     // Distinct payload buffers every round under a small budget: evictions
     // prove the elided-FIN path released its receiver- and sender-side pins.
-    EXPECT_GT(tel.counter_value("rndv.reg_cache_evictions"), 0u) << "pipelined=" << pipelined;
+    EXPECT_GT(tel.counter_value("rndv.reg_cache_evictions"), 0u) << "chunk=" << chunk;
   }
 }
 
@@ -283,6 +280,45 @@ TEST(RndvProtocol, ConfigValidationRejectsBadKnobs) {
     cfg.rndv.max_width = 2;
     EXPECT_THROW(World(pair, cfg), std::invalid_argument);
   }
+  {
+    Config cfg;
+    cfg.rndv_pipeline_chunk = -1;
+    try {
+      World w(pair, cfg);
+      ADD_FAILURE() << "a negative rndv_pipeline_chunk was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("rndv_pipeline_chunk"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(RndvProtocol, ForcedWidthHoldsForEveryChunk) {
+  // The adaptive arm's forced stripe width must cut every chunk of a
+  // pipelined write, or the bandit is credited for widths it never used.
+  // With max_width = 1 every write arm is one stripe wide: one stripe per
+  // CTS chunk.
+  Config cfg = Config::enhanced(4, Policy::EPC);
+  cfg.rndv_pipeline_chunk = 64 * 1024;
+  cfg.rndv.adaptive = true;
+  cfg.rndv.max_width = 1;
+  World w(ClusterSpec{2, 1}, cfg);
+  w.run([](Communicator& c) {
+    const std::size_t n = 1 << 20;
+    for (int i = 0; i < 20; ++i) {
+      if (c.rank() == 0) {
+        auto data = payload(n, 0, i);
+        c.send(data.data(), n, BYTE, 1, i);
+      } else {
+        std::vector<std::byte> got(n);
+        c.recv(got.data(), n, BYTE, 0, i);
+        ASSERT_EQ(got, payload(n, 0, i)) << "msg " << i;
+      }
+    }
+  });
+  const std::uint64_t chunks = w.telemetry().counter_value("rndv.cts_chunks");
+  EXPECT_GT(chunks, 0u);
+  EXPECT_EQ(w.telemetry().counter_value("rndv.stripes_posted"), chunks);
 }
 
 // ---------------------------------------------------------------- Adaptive

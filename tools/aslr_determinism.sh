@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Runs every figure, ablation and summary bench N times with address-space
-# randomisation on and fails if any binary prints more than one distinct
-# output.  A run's result must be a function of its Config, workload and
+# Runs every figure, ablation and summary bench, and policy_explorer, N
+# times with address-space randomisation on and fails if any binary prints
+# more than one distinct output.  A run's result must be a function of its Config, workload and
 # seed, never of where the host allocator or the loader put things.
 #
 # Host-time figures are masked before comparing: the `sim.wall.*` telemetry

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Runs every bench binary that tools/aslr_determinism.sh covers, plus
-# examples/policy_explorer, from two build trees, masks host-time figures
-# the same way, prints the differences and exits 1 on any.  Use it to check
+# Runs every bench binary that tools/aslr_determinism.sh covers from two
+# build trees, masks host-time figures the same way, prints the differences
+# and exits 1 on any.  Use it to check
 # that a change leaves every simulated result as it was: build the parent
 # commit in one tree and the change in the other.
 #
@@ -14,7 +14,6 @@ b=${2:?usage: $0 BUILD_A BUILD_B}
 
 rels=()
 while read -r rel; do rels+=("$rel"); done < <(bench_binaries "$a")
-rels+=(examples/policy_explorer)
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT

@@ -1,12 +1,12 @@
 # Shared by tools/aslr_determinism.sh and tools/bench_diff.sh; source it.
 
-# Prints, one per line, the figure, ablation and summary bench binaries
-# under build tree $1 (paths relative to it).
+# Prints, one per line, the figure, ablation and summary bench binaries and
+# examples/policy_explorer under build tree $1 (paths relative to it).
 bench_binaries() {
   local build=$1 b
   for b in "$build"/bench/fig{03..12}_* "$build"/bench/ablation_* \
            "$build"/bench/headline_summary "$build"/bench/pallas_collectives \
-           "$build"/bench/nas_cg_nodegradation; do
+           "$build"/bench/nas_cg_nodegradation "$build"/examples/policy_explorer; do
     [[ -x "$b" ]] && printf '%s\n' "${b#"$build"/}"
   done
   return 0
