@@ -4,7 +4,6 @@
 // marker lets collective traffic stripe, unlike user-level non-blocking
 // traffic; round robin and the single-rail original trail behind.
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -24,16 +23,16 @@ int main(int argc, char** argv) {
   const auto sizes = harness::pow2_sizes(16 * 1024, 1 << 20);
 
   harness::Table t("MPI_Alltoall time per call (us), 2x4", "bytes/dest");
-  std::vector<std::unique_ptr<harness::Runner>> runners;
+  std::vector<std::vector<double>> us;  // one sweep per column, one Runner at a time
   for (const Column& c : cols) {
     t.add_column(c.label);
-    runners.push_back(std::make_unique<harness::Runner>(mvx::ClusterSpec{2, 4}, c.cfg,
-                                                        bench_params()));
+    harness::Runner r(mvx::ClusterSpec{2, 4}, c.cfg, bench_params());
+    us.push_back(r.alltoall_us(sizes));
   }
-  for (auto bytes : sizes) {
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
     std::vector<double> row;
-    for (auto& r : runners) row.push_back(r->alltoall_us(bytes));
-    t.add_row(harness::size_label(bytes), row);
+    for (const auto& col : us) row.push_back(col[i]);
+    t.add_row(harness::size_label(sizes[i]), row);
   }
   emit(t);
 
@@ -49,10 +48,12 @@ int main(int argc, char** argv) {
   trend.add_column("EPC@1M us");
   trend.add_column("orig/EPC");
   for (int ppn : {1, 2, 4}) {
-    harness::Runner ro(mvx::ClusterSpec{2, ppn}, mvx::Config::original(), bench_params());
-    harness::Runner re(mvx::ClusterSpec{2, ppn}, mvx::Config::enhanced(4, mvx::Policy::EPC),
-                       bench_params());
-    const double o = ro.alltoall_us(1 << 20), e = re.alltoall_us(1 << 20);
+    // One Runner (and its alltoall buffers) alive at a time.
+    auto at_1m = [ppn](const mvx::Config& cfg) {
+      return harness::Runner(mvx::ClusterSpec{2, ppn}, cfg, bench_params()).alltoall_us(1 << 20);
+    };
+    const double o = at_1m(mvx::Config::original());
+    const double e = at_1m(mvx::Config::enhanced(4, mvx::Policy::EPC));
     trend.add_row("2x" + std::to_string(ppn), {o, e, o / e});
   }
   emit(trend);

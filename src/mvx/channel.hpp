@@ -18,6 +18,7 @@
 
 #include "ib/types.hpp"
 #include "mvx/config.hpp"
+#include "mvx/payload.hpp"
 #include "mvx/request.hpp"
 #include "mvx/wire.hpp"
 #include "sim/process.hpp"
@@ -63,10 +64,12 @@ class ChannelHost {
   /// queued behind the VCI's earlier work.  Independent VCIs run in parallel.
   virtual void schedule_cpu_vci(int vci, sim::Time cost, std::function<void()> fn) = 0;
   [[nodiscard]] virtual sim::Time memcpy_time(std::int64_t bytes) const = 0;
+  /// The World's pool that every eager payload copy is made in.
+  virtual PayloadPool& payloads() = 0;
 
   /// Entry point for every sequenced inbound message (Eager/Rts): ordering,
   /// matching, and protocol dispatch.  Event context.
-  virtual void ingress(int peer, const MsgHeader& hdr, std::vector<std::byte> payload) = 0;
+  virtual void ingress(int peer, const MsgHeader& hdr, Payload payload) = 0;
   /// Rendezvous control arrival (Cts/Fin) from the net channel.
   virtual void on_ctl(const MsgHeader& hdr, const CtsRkeys& rkeys) = 0;
   /// A rendezvous stripe write finished on the wire (requester CQE).

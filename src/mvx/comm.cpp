@@ -24,7 +24,7 @@ bool Communicator::try_self_recv(void* buf, std::size_t bytes, int tag, int ctx,
     if (it->ctx != ctx) continue;
     if (tag != ANY_TAG && it->tag != tag) continue;
     if (it->data.size() > bytes) throw std::runtime_error("recv: self-message truncation");
-    std::memcpy(buf, it->data.data(), it->data.size());
+    if (!it->data.empty()) std::memcpy(buf, it->data.data(), it->data.size());
     if (st != nullptr) *st = {my_index_, it->tag, static_cast<std::int64_t>(it->data.size())};
     self_q_.erase(it);
     return true;
@@ -40,8 +40,7 @@ Request Communicator::isend_kind(CommKind kind, const void* buf, std::size_t byt
     SelfMsg m;
     m.tag = tag;
     m.ctx = ctx;
-    m.data.assign(static_cast<const std::byte*>(buf),
-                  static_cast<const std::byte*>(buf) + bytes);
+    m.data = world_->payloads().copy(buf, bytes);
     compute(sim::transfer_time(static_cast<std::int64_t>(bytes), ep_->config().memcpy_gbps));
     self_q_.push_back(std::move(m));
     Request r = make_request();

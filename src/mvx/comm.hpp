@@ -145,7 +145,7 @@ class Communicator {
   struct SelfMsg {
     int tag;
     int ctx;
-    std::vector<std::byte> data;
+    Payload data;
   };
   std::vector<SelfMsg> self_q_;
   bool try_self_recv(void* buf, std::size_t bytes, int tag, int ctx, Status* st);

@@ -16,13 +16,26 @@
 
 namespace ib12x::mvx {
 
+namespace {
+
+/// The sender-side rkeys a ReadRts RTS carries as its payload; zeros for the
+/// write protocols, whose RTS has none.
+CtsRkeys read_rkeys(const Payload& payload) {
+  CtsRkeys rkeys;
+  if (payload.size() >= sizeof(rkeys)) std::memcpy(&rkeys, payload.data(), sizeof(rkeys));
+  return rkeys;
+}
+
+}  // namespace
+
 Endpoint::Endpoint(sim::Simulator& sim, int rank, int node, std::vector<ib::Hca*> node_hcas,
-                   const Config& cfg, TelemetryRegistry& tel)
+                   const Config& cfg, TelemetryRegistry& tel, PayloadPool& payloads)
     : sim_(sim),
       rank_(rank),
       node_(node),
       cfg_(cfg),
       tel_(tel),
+      payloads_(payloads),
       vci_cpu_(static_cast<std::size_t>(cfg.vci.count)),
       vci_lock_contentions_(tel.counter("vci.lock_contentions")),
       vci_wakeups_(tel.counter("vci.progress_wakeups")) {
@@ -205,7 +218,7 @@ Request Endpoint::start_recv(void* buf, std::int64_t capacity, int src, int tag,
         throw std::runtime_error("start_recv: message truncation (unexpected rendezvous)");
       }
       process().compute(cfg_.match_cpu);
-      rndv_->accept(hdr, req, msg->payload);
+      rndv_->accept(hdr, req, read_rkeys(msg->payload));
     }
     unlock_vci(issue_vci);
     return req;
@@ -230,7 +243,7 @@ void Endpoint::probe(int src, int tag, int ctx, Status* st) {
 
 // --------------------------------------------------- inbound glue (events)
 
-void Endpoint::ingress(int peer, const MsgHeader& hdr, std::vector<std::byte> payload) {
+void Endpoint::ingress(int peer, const MsgHeader& hdr, Payload payload) {
   for (Matcher::Inbound& m : matcher_->sequence(peer, hdr, std::move(payload))) {
     Request req = matcher_->match_posted(m.hdr);
     if (req == nullptr) {
@@ -249,12 +262,9 @@ void Endpoint::ingress(int peer, const MsgHeader& hdr, std::vector<std::byte> pa
         throw std::runtime_error("recv: message truncation (rendezvous)");
       }
       const MsgHeader rts = m.hdr;
-      // A ReadRts RTS carries the sender's rkeys as payload; move it into the
-      // lambda so accept() can hand it to the read path.
-      schedule_cpu_vci(rts.vci, cfg_.match_cpu,
-                       [this, rts, req, payload = std::move(m.payload)] {
-                         rndv_->accept(rts, req, payload);
-                       });
+      schedule_cpu_vci(rts.vci, cfg_.match_cpu, [this, rts, req, rkeys = read_rkeys(m.payload)] {
+        rndv_->accept(rts, req, rkeys);
+      });
     }
   }
 }

@@ -58,7 +58,7 @@ class TelemetryRegistry;
 class Endpoint final : public ChannelHost {
  public:
   Endpoint(sim::Simulator& sim, int rank, int node, std::vector<ib::Hca*> node_hcas,
-           const Config& cfg, TelemetryRegistry& tel);
+           const Config& cfg, TelemetryRegistry& tel, PayloadPool& payloads);
   ~Endpoint();
 
   Endpoint(const Endpoint&) = delete;
@@ -131,7 +131,8 @@ class Endpoint final : public ChannelHost {
   sim::Waitable& progress() override { return progress_; }
   void schedule_cpu_vci(int vci, sim::Time cost, std::function<void()> fn) override;
   [[nodiscard]] sim::Time memcpy_time(std::int64_t bytes) const override;
-  void ingress(int peer, const MsgHeader& hdr, std::vector<std::byte> payload) override;
+  PayloadPool& payloads() override { return payloads_; }
+  void ingress(int peer, const MsgHeader& hdr, Payload payload) override;
   void on_ctl(const MsgHeader& hdr, const CtsRkeys& rkeys) override;
   void on_rndv_write_done(int peer, std::uint64_t req_id) override;
   void on_rndv_write_failed(int peer, const RndvStripe& st) override;
@@ -163,6 +164,7 @@ class Endpoint final : public ChannelHost {
   int node_;
   Config cfg_;
   TelemetryRegistry& tel_;
+  PayloadPool& payloads_;
   sim::Process* proc_ = nullptr;
 
   std::unique_ptr<Matcher> matcher_;

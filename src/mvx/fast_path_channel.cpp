@@ -137,11 +137,7 @@ void FastPathChannel::arrival(int src, int slot) {
   Peer& c = peers_.at(src);
   const std::byte* base = c.recv_ring.data() + static_cast<std::size_t>(slot) * c.slot_bytes;
   MsgHeader hdr = read_header(base);
-  std::vector<std::byte> payload;
-  if (hdr.size > 0) {
-    payload.assign(base + kHeaderBytes, base + kHeaderBytes + hdr.size);
-  }
-  host_.ingress(src, hdr, std::move(payload));
+  host_.ingress(src, hdr, host_.payloads().copy(base + kHeaderBytes, hdr.size));
   // The payload is copied out; the slot is free.  Credit return is
   // piggybacked on reverse traffic in MVAPICH — modelled as free after the
   // drain's CPU cost.

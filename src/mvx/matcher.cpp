@@ -28,7 +28,7 @@ std::uint32_t Matcher::next_send_seq(int peer, int ctx, int vci) {
 }
 
 std::vector<Matcher::Inbound> Matcher::sequence(int peer, const MsgHeader& hdr,
-                                                std::vector<std::byte> payload) {
+                                                Payload payload) {
   std::vector<Inbound> ready;
   const int vci = hdr.vci;
   std::uint32_t& next = next_seq_[seq_key(peer, hdr.ctx, vci)];

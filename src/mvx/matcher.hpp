@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "mvx/payload.hpp"
 #include "mvx/request.hpp"
 #include "mvx/telemetry.hpp"
 #include "mvx/wire.hpp"
@@ -39,7 +40,7 @@ class Matcher {
   /// A sequenced inbound message (Eager payload or Rts) awaiting matching.
   struct Inbound {
     MsgHeader hdr;
-    std::vector<std::byte> payload;
+    Payload payload;
   };
 
   // ---- sender side ----
@@ -53,7 +54,7 @@ class Matcher {
   /// order: empty if `hdr.seq` is ahead of its turn (the message is parked
   /// until the gap closes), otherwise the message itself followed by any
   /// previously parked messages that became contiguous.
-  std::vector<Inbound> sequence(int peer, const MsgHeader& hdr, std::vector<std::byte> payload);
+  std::vector<Inbound> sequence(int peer, const MsgHeader& hdr, Payload payload);
 
   // ---- receive side, step 2: matching ----
 

@@ -822,14 +822,13 @@ void NetChannel::on_recv_cqe(const ib::Wc& wc) {
     switch (hdr.type) {
       case MsgType::Eager:
       case MsgType::Rts: {
-        std::vector<std::byte> copy;
-        if (hdr.type == MsgType::Eager && hdr.size > 0) {
-          copy.assign(payload, payload + hdr.size);
-        } else if (hdr.type == MsgType::Rts &&
-                   hdr.proto == static_cast<std::uint8_t>(RndvProto::ReadRts)) {
+        Payload copy;
+        if (hdr.type == MsgType::Eager) {
+          copy = host_.payloads().copy(payload, hdr.size);
+        } else if (hdr.proto == static_cast<std::uint8_t>(RndvProto::ReadRts)) {
           // A ReadRts RTS carries the sender-side rkeys; thread them through
           // the matcher so accept() can post the reads.
-          copy.assign(payload, payload + sizeof(CtsRkeys));
+          copy = host_.payloads().copy(payload, sizeof(CtsRkeys));
         }
         host_.ingress(hdr.src_rank, hdr, std::move(copy));
         break;

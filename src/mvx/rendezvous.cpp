@@ -235,8 +235,7 @@ bool Rendezvous::try_send_rts(int peer, CommKind kind, const void* /*buf*/, std:
   return true;
 }
 
-void Rendezvous::accept(const MsgHeader& rts, const Request& req,
-                        const std::vector<std::byte>& payload) {
+void Rendezvous::accept(const MsgHeader& rts, const Request& req, const CtsRkeys& read_rkeys) {
   req->status = {rts.src_rank, rts.tag, static_cast<std::int64_t>(rts.size)};
   req->peer = rts.src_rank;
 
@@ -249,11 +248,7 @@ void Rendezvous::accept(const MsgHeader& rts, const Request& req,
     // and the receiver pulls.  WriteRtsCts and WriteImm are receiver-
     // identical (pin + CTS); the imm-vs-FIN difference only shows at
     // completion time.
-    CtsRkeys rkeys;
-    if (payload.size() >= sizeof(CtsRkeys)) {
-      std::memcpy(&rkeys, payload.data(), sizeof(rkeys));
-    }
-    accept_read(rts, req, rkeys);
+    accept_read(rts, req, read_rkeys);
     return;
   }
 

@@ -67,9 +67,8 @@ class Rendezvous {
 
   /// Receiver side of a matched RTS: dispatches on the RTS's protocol field.
   /// Write protocols register the buffer and reply CTS; ReadRts pulls the
-  /// payload by RDMA Read using the rkeys carried in `payload`.
-  void accept(const MsgHeader& rts, const Request& req,
-              const std::vector<std::byte>& payload = {});
+  /// payload by RDMA Read using `read_rkeys`, the rkeys its RTS carried.
+  void accept(const MsgHeader& rts, const Request& req, const CtsRkeys& read_rkeys = {});
 
   /// CTS arrival at the sender (event context, CPU already charged).
   void on_cts(const MsgHeader& hdr, const CtsRkeys& rkeys);

@@ -41,11 +41,7 @@ void ShmChannel::send(int peer, CommKind kind, const void* buf, std::int64_t byt
   hdr.size = static_cast<std::uint64_t>(bytes);
 
   // Copy into the (modelled) shared segment; the sender's CPU does this.
-  std::vector<std::byte> payload;
-  if (bytes > 0) {
-    payload.assign(static_cast<const std::byte*>(buf),
-                   static_cast<const std::byte*>(buf) + bytes);
-  }
+  Payload payload = host_.payloads().copy(buf, static_cast<std::size_t>(bytes));
   host_.process().compute(cfg.post_cpu() + host_.memcpy_time(bytes));
 
   auto res = c.pipe.reserve_bytes(sim.now(), sim.now(),
@@ -57,7 +53,7 @@ void ShmChannel::send(int peer, CommKind kind, const void* buf, std::int64_t byt
     ShmChannel* remote;
     int src;
     MsgHeader hdr;
-    std::vector<std::byte> payload;
+    Payload payload;
   };
   auto d = std::make_unique<Delivery>(
       Delivery{c.remote, host_.rank(), hdr, std::move(payload)});
@@ -87,12 +83,9 @@ void ShmChannel::send_evt(int peer, CommKind kind, const void* buf, std::int64_t
   hdr.seq = host_.matcher().next_send_seq(peer, ctx, req->vci);
   hdr.size = static_cast<std::uint64_t>(bytes);
 
-  // shared_ptr, not a moved vector: schedule_cpu_vci takes a copyable callable.
-  auto payload = std::make_shared<std::vector<std::byte>>();
-  if (bytes > 0) {
-    payload->assign(static_cast<const std::byte*>(buf),
-                    static_cast<const std::byte*>(buf) + bytes);
-  }
+  // shared_ptr, not a moved Payload: schedule_cpu_vci takes a copyable callable.
+  auto payload =
+      std::make_shared<Payload>(host_.payloads().copy(buf, static_cast<std::size_t>(bytes)));
 
   host_.schedule_cpu_vci(
       req->vci, cfg.post_cpu() + host_.memcpy_time(bytes), [this, peer, hdr, payload, bytes, req] {
@@ -107,7 +100,7 @@ void ShmChannel::send_evt(int peer, CommKind kind, const void* buf, std::int64_t
           ShmChannel* remote;
           int src;
           MsgHeader hdr;
-          std::shared_ptr<std::vector<std::byte>> payload;
+          std::shared_ptr<Payload> payload;
         };
         auto d = std::make_unique<Delivery>(Delivery{c.remote, host_.rank(), hdr, payload});
         sim.at(deliver_at, [d = std::move(d)]() mutable {
@@ -119,7 +112,7 @@ void ShmChannel::send_evt(int peer, CommKind kind, const void* buf, std::int64_t
       });
 }
 
-void ShmChannel::deliver(int src, MsgHeader hdr, std::vector<std::byte> payload) {
+void ShmChannel::deliver(int src, MsgHeader hdr, Payload payload) {
   host_.ingress(src, hdr, std::move(payload));
 }
 

@@ -38,7 +38,7 @@ class ShmChannel final : public Channel {
   };
 
   /// Delivery on the receiving side (invoked by the sender's event).
-  void deliver(int src, MsgHeader hdr, std::vector<std::byte> payload);
+  void deliver(int src, MsgHeader hdr, Payload payload);
 
   std::map<int, Peer> peers_;
   Counter& sent_;

@@ -23,12 +23,14 @@ namespace {
 
 /// Pins glibc's mmap threshold at its 128 KiB default.  The *dynamic*
 /// threshold rises after the first free of a large mmap'd block and moves
-/// later large payload and staging buffers onto the brk heap, which returns
-/// freed memory to the kernel far less readily.  Measured with perfbench on
-/// a 4-vCPU VM, dropping this call raised peak RSS from about 181 MB to as
-/// much as 245 MB on coll_fattree64 and from 127 to 160 MB on nas_is_ft,
-/// depending on the seed.  Results do not depend on it: pin-down cache
-/// entries die with their buffers (pin_cache.hpp).  No-op off glibc.
+/// later large buffers onto the brk heap, which returns freed memory to the
+/// kernel far less readily.  Eager payloads of 128 KiB and up no longer
+/// touch the heap (payload.hpp), but user, collective and staging buffers
+/// still do.  Measured with perfbench on a 4-vCPU VM, with the payload pool
+/// in place, dropping this call raised coll_fattree64's peak RSS from
+/// 180-182 MB to 199-252 MB over seeds 1, 2 and 4242 (nas_is_ft: 80-83 MB
+/// either way).  Results do not depend on it: pin-down cache entries die
+/// with their buffers (pin_cache.hpp).  No-op off glibc.
 void pin_host_allocator_policy() {
 #if defined(__GLIBC__)
   static const bool once = [] {
@@ -166,7 +168,7 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
     const int node = r / spec_.procs_per_node;
     eps_.push_back(std::make_unique<Endpoint>(sim_, r, node,
                                               node_hcas_[static_cast<std::size_t>(node)], cfg_,
-                                              tel_));
+                                              tel_, payloads_));
   }
 
   // Hardware-layer gauges, sampled when a telemetry snapshot is taken.

@@ -9,18 +9,35 @@ namespace ib12x::nas {
 
 namespace {
 
+// A complex number as one 2-double vector (re, im).  The vector butterfly
+// forms the scalar one's products and sums lane by lane, so its bits are the
+// same: with w = (wr, wi) and b = (br, bi),
+//   t = (wr, wr)·b + (-wi, wi)·(bi, br) = (wr·br - wi·bi, wr·bi + wi·br),
+// since x + (-y) is x - y exactly.
+typedef double v2d __attribute__((vector_size(16)));
+
+inline v2d load(const double* p) {
+  v2d v;
+  __builtin_memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline void store(double* p, v2d v) { __builtin_memcpy(p, &v, sizeof(v)); }
+
 // One radix-2 butterfly on (re, im) pairs a and b with twiddle (wr, wi):
 // t = w·b, a ← a + t, b ← a - t.
 inline void butterfly(double* a, double* b, double wr, double wi) {
-  const double br = b[0], bi = b[1];
-  const double tr = wr * br - wi * bi;
-  const double ti = wr * bi + wi * br;
-  const double ar = a[0], ai = a[1];
-  a[0] = ar + tr;
-  a[1] = ai + ti;
-  b[0] = ar - tr;
-  b[1] = ai - ti;
+  const v2d wr2 = {wr, wr}, wi2 = {-wi, wi};
+  const v2d bv = load(b);
+  const v2d t = wr2 * bv + wi2 * __builtin_shufflevector(bv, bv, 1, 0);
+  const v2d av = load(a);
+  store(a, av + t);
+  store(b, av - t);
 }
+
+// Below this span a stage loops twiddle-outer, so that its inner loop runs
+// over the n/2h groups instead of the few twiddles of one group.
+constexpr std::size_t kTwiddleOuterBelow = 8;
 
 }  // namespace
 
@@ -63,6 +80,15 @@ void Fft::transform(Complex* data, int sign) const {
   double* d = reinterpret_cast<double*>(data);
   for (std::size_t half = 1; half < n; half <<= 1) {
     const double* w = twiddles(sign) + 2 * (half - 1);
+    if (half < kTwiddleOuterBelow) {
+      for (std::size_t k = 0; k < half; ++k) {
+        for (std::size_t base = 0; base < n; base += 2 * half) {
+          double* a = d + 2 * (base + k);
+          butterfly(a, a + 2 * half, w[2 * k], w[2 * k + 1]);
+        }
+      }
+      continue;
+    }
     for (std::size_t base = 0; base < n; base += 2 * half) {
       double* a = d + 2 * base;
       double* b = a + 2 * half;

@@ -3,9 +3,10 @@
 //
 // The arithmetic is the textbook kernel's, bit for bit: bit-reversal
 // permutation, then per stage t = w·b, (a + t, a - t), and a final 1/n
-// scale on the inverse.  The complex product is written out on doubles
-// (wr·br - wi·bi, wr·bi + wi·br), the same products and sums std::complex
-// forms for finite operands, without its NaN recovery path.
+// scale on the inverse.  The complex product is written out lane by lane on
+// 2-double vectors (wr·br - wi·bi, wr·bi + wi·br), the same products and
+// sums std::complex forms for finite operands, without its NaN recovery
+// path.
 #pragma once
 
 #include <complex>

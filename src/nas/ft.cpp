@@ -26,6 +26,19 @@ sim::Time point_cost(double ns_per_point, std::int64_t points) {
 
 }  // namespace
 
+std::vector<double> ft_evolve_factors(const FtParams& P, int iter) {
+  const double alpha = 1e-6;
+  const double t = static_cast<double>(iter);
+  // The products run left to right with K last, as in the per-point
+  // exp(-4π²·α·t·(kx² + ky² + kz²)), whose sum of integer squares is exact:
+  // each entry has that factor's bits.
+  const double c = -4.0 * std::numbers::pi * std::numbers::pi * alpha * t;
+  const int kmax = (P.nx / 2) * (P.nx / 2) + (P.ny / 2) * (P.ny / 2) + (P.nz / 2) * (P.nz / 2);
+  std::vector<double> decay(static_cast<std::size_t>(kmax) + 1);
+  for (int k = 0; k <= kmax; ++k) decay[static_cast<std::size_t>(k)] = std::exp(c * k);
+  return decay;
+}
+
 FtResult run_ft(Communicator& comm, NasClass cls) { return run_ft(comm, ft_params(cls)); }
 
 FtResult run_ft(Communicator& comm, const FtParams& P) {
@@ -45,23 +58,24 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
   Fft fft_y(static_cast<std::size_t>(ny));
   Fft fft_z(static_cast<std::size_t>(nz));
 
-  // u0: initial condition on z-slabs, layout [z][y][x].  Seeded per *global*
-  // z-plane so the field is identical for every process decomposition —
-  // checksums can then be compared bit-for-bit across layouts and policies.
-  std::vector<Complex> u0(slab_points);
+  // The z-slab field, layout [z][y][x]: u0, its forward x/y FFTs, and later
+  // each iteration's inverse transform.  u0 is seeded per *global* z-plane
+  // so the field is identical for every process decomposition — checksums
+  // can then be compared bit-for-bit across layouts and policies.
+  std::vector<Complex> zslab(slab_points);
   for (int z = 0; z < nzl; ++z) {
     sim::Rng rng(0xf7 + static_cast<std::uint64_t>(r * nzl + z) * 104729);
-    Complex* plane = u0.data() + static_cast<std::size_t>(z) * ny * nx;
+    Complex* plane = zslab.data() + static_cast<std::size_t>(z) * ny * nx;
     for (std::size_t i = 0; i < static_cast<std::size_t>(ny) * nx; ++i) {
       plane[i] = Complex(rng.next_double() - 0.5, rng.next_double() - 0.5);
     }
   }
 
-  std::vector<Complex> work(slab_points);
   std::vector<Complex> sendbuf(slab_points);
+  // recvbuf also holds each iteration's evolved spectrum: it is packed into
+  // sendbuf before the alltoall writes recvbuf again.
   std::vector<Complex> recvbuf(xslab_points);
-  std::vector<Complex> spectrum(xslab_points);  // [xl][y][z]
-  std::vector<Complex> evolved(xslab_points);
+  std::vector<Complex> spectrum(xslab_points);  // x-slab, layout [xl][z][y]
 
   auto xy_ffts = [&](std::vector<Complex>& a, int sign) {
     // FFT along x for every (y, z) row, then along y for all x columns of
@@ -93,24 +107,24 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
     comm.compute(point_cost(0.3, static_cast<std::int64_t>(slab_points)));
   };
 
-  // Rank d's share of the x-slab [xl][y][z] is z in [d·nzl, (d+1)·nzl); on
-  // the wire it is a block laid out [z][y][xl].  Both directions loop y, xl,
-  // z so that each nzl-long z run of the slab and each block row is touched
-  // while it is in cache.
-  const std::size_t zrun = static_cast<std::size_t>(nzl);
+  // Rank d's share of the x-slab [xl][z][y] is z in [d·nzl, (d+1)·nzl); on
+  // the wire it is a block laid out [z][y][xl].  Both directions loop z, xl,
+  // y: one z-plane of the block stays in cache while each xl writes or reads
+  // one contiguous y run of the slab.
   const std::size_t yn = static_cast<std::size_t>(ny);
   const std::size_t xn = static_cast<std::size_t>(nxl);
-  auto slab_run = [&](int d, std::size_t y, std::size_t x) {
-    return (x * yn + y) * static_cast<std::size_t>(nz) + static_cast<std::size_t>(d) * zrun;
+  auto slab_run = [&](int d, std::size_t z, std::size_t x) {
+    return (x * static_cast<std::size_t>(nz) + static_cast<std::size_t>(d * nzl) + z) * yn;
   };
 
   auto unpack_to_xslab = [&](std::vector<Complex>& out) {
     for (int d = 0; d < p; ++d) {
       const Complex* block = recvbuf.data() + static_cast<std::size_t>(d) * block_points;
-      for (std::size_t y = 0; y < yn; ++y) {
+      for (std::size_t z = 0; z < static_cast<std::size_t>(nzl); ++z) {
+        const Complex* plane = block + z * yn * xn;
         for (std::size_t x = 0; x < xn; ++x) {
-          Complex* run = out.data() + slab_run(d, y, x);
-          for (std::size_t z = 0; z < zrun; ++z) run[z] = block[(z * yn + y) * xn + x];
+          Complex* run = out.data() + slab_run(d, z, x);
+          for (std::size_t y = 0; y < yn; ++y) run[y] = plane[y * xn + x];
         }
       }
     }
@@ -120,10 +134,11 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
   auto pack_from_xslab = [&](const std::vector<Complex>& a) {
     for (int d = 0; d < p; ++d) {
       Complex* block = sendbuf.data() + static_cast<std::size_t>(d) * block_points;
-      for (std::size_t y = 0; y < yn; ++y) {
+      for (std::size_t z = 0; z < static_cast<std::size_t>(nzl); ++z) {
+        Complex* plane = block + z * yn * xn;
         for (std::size_t x = 0; x < xn; ++x) {
-          const Complex* run = a.data() + slab_run(d, y, x);
-          for (std::size_t z = 0; z < zrun; ++z) block[(z * yn + y) * xn + x] = run[z];
+          const Complex* run = a.data() + slab_run(d, z, x);
+          for (std::size_t y = 0; y < yn; ++y) plane[y * xn + x] = run[y];
         }
       }
     }
@@ -148,11 +163,9 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
   };
 
   auto z_ffts = [&](std::vector<Complex>& a, int sign) {
+    // Each xl plane [z][y] holds the z-lines of all its y as columns.
     for (int x = 0; x < nxl; ++x) {
-      for (int y = 0; y < ny; ++y) {
-        fft_z.transform(a.data() + (static_cast<std::size_t>(x) * ny + static_cast<std::size_t>(y)) * nz,
-                        sign);
-      }
+      fft_z.transform_columns(a.data() + static_cast<std::size_t>(x) * nz * ny, yn, yn, sign);
     }
     comm.compute(flop_cost(static_cast<double>(nxl) * ny * fft_z.flops(), P.gflops));
   };
@@ -162,40 +175,37 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
   const sim::Time t0 = comm.now();
 
   // ---- forward 3-D FFT (once) ----
-  work = u0;
-  xy_ffts(work, -1);
-  pack_for_transpose(work);
+  xy_ffts(zslab, -1);
+  pack_for_transpose(zslab);
   comm.alltoall(sendbuf.data(), recvbuf.data(), block_points, COMPLEX);
   unpack_to_xslab(spectrum);
   z_ffts(spectrum, -1);
 
-  // Pre-compute the evolution exponents exp(-4π²α|k|²) for one timestep.
-  const double alpha = 1e-6;
-  std::vector<double> ez(static_cast<std::size_t>(nz)), ey(static_cast<std::size_t>(ny)),
-      ex(static_cast<std::size_t>(nx));
+  // Squared wave numbers |k|² per axis, as integers: a point's |k|² is their
+  // exact sum and indexes the per-iteration evolve table.
   auto wave2 = [](int i, int n) {
     const int k = i <= n / 2 ? i : i - n;
-    return static_cast<double>(k) * k;
+    return k * k;
   };
-  for (int i = 0; i < nx; ++i) ex[static_cast<std::size_t>(i)] = wave2(i, nx);
-  for (int i = 0; i < ny; ++i) ey[static_cast<std::size_t>(i)] = wave2(i, ny);
-  for (int i = 0; i < nz; ++i) ez[static_cast<std::size_t>(i)] = wave2(i, nz);
+  std::vector<int> kx2(static_cast<std::size_t>(nx)), ky2(static_cast<std::size_t>(ny)),
+      kz2(static_cast<std::size_t>(nz));
+  for (int i = 0; i < nx; ++i) kx2[static_cast<std::size_t>(i)] = wave2(i, nx);
+  for (int i = 0; i < ny; ++i) ky2[static_cast<std::size_t>(i)] = wave2(i, ny);
+  for (int i = 0; i < nz; ++i) kz2[static_cast<std::size_t>(i)] = wave2(i, nz);
 
-  std::vector<Complex> inv_zslab(slab_points);
+  std::vector<Complex>& evolved = recvbuf;
   for (int iter = 1; iter <= P.iterations; ++iter) {
     // evolve: ũ(k, t) = u(k) · exp(-4π²α|k|²·t)
-    const double t = static_cast<double>(iter);
+    const std::vector<double> decay = ft_evolve_factors(P, iter);
     for (int x = 0; x < nxl; ++x) {
-      const double kx2 = ex[static_cast<std::size_t>(r * nxl + x)];
-      for (int y = 0; y < ny; ++y) {
-        const double ky2 = ey[static_cast<std::size_t>(y)];
-        Complex* row = spectrum.data() + (static_cast<std::size_t>(x) * ny + static_cast<std::size_t>(y)) * nz;
-        Complex* out = evolved.data() + (static_cast<std::size_t>(x) * ny + static_cast<std::size_t>(y)) * nz;
-        for (int z = 0; z < nz; ++z) {
-          const double factor =
-              std::exp(-4.0 * std::numbers::pi * std::numbers::pi * alpha * t *
-                       (kx2 + ky2 + ez[static_cast<std::size_t>(z)]));
-          out[static_cast<std::size_t>(z)] = row[static_cast<std::size_t>(z)] * factor;
+      const int kx = kx2[static_cast<std::size_t>(r * nxl + x)];
+      for (int z = 0; z < nz; ++z) {
+        const int kxz = kx + kz2[static_cast<std::size_t>(z)];
+        const std::size_t at = (static_cast<std::size_t>(x) * nz + static_cast<std::size_t>(z)) * yn;
+        const Complex* row = spectrum.data() + at;
+        Complex* out = evolved.data() + at;
+        for (std::size_t y = 0; y < yn; ++y) {
+          out[y] = row[y] * decay[static_cast<std::size_t>(kxz + ky2[y])];
         }
       }
     }
@@ -205,8 +215,8 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
     z_ffts(evolved, +1);
     pack_from_xslab(evolved);
     comm.alltoall(sendbuf.data(), recvbuf.data(), block_points, COMPLEX);
-    unpack_to_zslab(inv_zslab);
-    xy_ffts(inv_zslab, +1);
+    unpack_to_zslab(zslab);
+    xy_ffts(zslab, +1);
 
     // checksum: 1024 strided samples of the physical-space solution.
     Complex local_sum(0, 0);
@@ -215,10 +225,10 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
       const int yg = (3 * j) % ny;
       const int zg = j % nz;
       if (zg / nzl == r) {
-        local_sum += inv_zslab[(static_cast<std::size_t>(zg % nzl) * ny +
-                                static_cast<std::size_t>(yg)) *
-                                   nx +
-                               static_cast<std::size_t>(xg)];
+        local_sum += zslab[(static_cast<std::size_t>(zg % nzl) * ny +
+                            static_cast<std::size_t>(yg)) *
+                               nx +
+                           static_cast<std::size_t>(xg)];
       }
     }
     Complex global_sum(0, 0);

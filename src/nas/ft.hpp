@@ -23,6 +23,11 @@ struct FtResult {
 };
 
 FtResult run_ft(mvx::Communicator& comm, NasClass cls);
+
+/// The evolve step's factors exp(-4π²α·K·iter) for every integer K = |k|²
+/// the grid of `params` holds, indexed by K.
+std::vector<double> ft_evolve_factors(const FtParams& params, int iter);
+
 FtResult run_ft(mvx::Communicator& comm, const FtParams& params);
 
 }  // namespace ib12x::nas

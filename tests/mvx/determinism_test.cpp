@@ -25,6 +25,7 @@ struct RunDigest {
   std::uint64_t events = 0;
   std::uint64_t scheduled = 0;
   sim::Time end_time = 0;
+  std::size_t pool_free_bytes = 0;  ///< payload blocks waiting for reuse
   std::map<std::string, double> telemetry;
 };
 
@@ -33,6 +34,7 @@ RunDigest digest_of(World& w) {
   d.events = w.simulator().events_processed();
   d.scheduled = w.simulator().events_scheduled();
   d.end_time = w.end_time();
+  d.pool_free_bytes = w.payloads().free_bytes();
   for (const auto& s : w.telemetry().snapshot()) {
     if (s.name.rfind("sim.wall.", 0) == 0) continue;  // host-speed gauges
     d.telemetry[s.name] = s.value;
@@ -44,6 +46,7 @@ void expect_bit_identical(const RunDigest& a, const RunDigest& b) {
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.scheduled, b.scheduled);
   EXPECT_EQ(a.end_time, b.end_time);
+  EXPECT_EQ(a.pool_free_bytes, b.pool_free_bytes);
 
   ASSERT_EQ(a.telemetry.size(), b.telemetry.size());
   for (const auto& [name, value] : a.telemetry) {
@@ -156,26 +159,31 @@ RunDigest run_multithread_vci_workload() {
   return digest_of(w);
 }
 
-/// One 2x1 World reused for fourteen runs, 1 MiB down to 16 KiB twice.  Each
-/// run makes fresh buffers and loops sendrecv with the other rank, so whether
-/// a run's buffers hit the pin-down cache depends only on which registrations
-/// are still live.  With `pad_seed` != 0 a seeded random-size heap block is
-/// held across each run boundary, which moves where the next run's buffers
-/// land (on the brk heap or among the mmap'd blocks, by size).
-RunDigest run_fresh_buffer_sweep(std::uint64_t pad_seed) {
-  World w(ClusterSpec{2, 1}, Config::enhanced(4, Policy::EPC));
+/// One World of 2 nodes x `procs_per_node` reused for fourteen runs, 1 MiB
+/// down to 16 KiB twice.  Each run makes fresh buffers and loops sendrecv
+/// with partners rank^1, rank^2, ...: at 2x1 the one partner is across the
+/// network, at 2x2 rank^1 is on the same node (shm) and rank^2 across the
+/// network.  Whether a run's buffers hit the pin-down cache depends only on
+/// which registrations are still live.  With `pad_seed` != 0 a seeded
+/// random-size heap block is held across each run boundary, which moves
+/// where the next run's buffers land (on the brk heap or among the mmap'd
+/// blocks, by size).
+RunDigest run_fresh_buffer_sweep(std::uint64_t pad_seed, int procs_per_node = 1) {
+  World w(ClusterSpec{2, procs_per_node}, Config::enhanced(4, Policy::EPC));
   sim::Rng rng(pad_seed);
   std::unique_ptr<std::byte[]> pad;
   for (int run = 0; run < 14; ++run) {
     const std::size_t bytes = std::size_t{1} << (20 - run % 7);
     w.run([bytes](Communicator& c) {
-      const int peer = 1 - c.rank();
-      const std::vector<std::byte> sbuf = payload(bytes, c.rank());
-      std::vector<std::byte> rbuf(bytes);
-      for (int i = 0; i < 4; ++i) {
-        c.sendrecv(sbuf.data(), bytes, BYTE, peer, i, rbuf.data(), bytes, BYTE, peer, i);
+      for (int bit = 1; bit < c.size(); bit <<= 1) {
+        const int peer = c.rank() ^ bit;
+        const std::vector<std::byte> sbuf = payload(bytes, c.rank());
+        std::vector<std::byte> rbuf(bytes);
+        for (int i = 0; i < 4; ++i) {
+          c.sendrecv(sbuf.data(), bytes, BYTE, peer, i, rbuf.data(), bytes, BYTE, peer, i);
+        }
+        EXPECT_EQ(rbuf, payload(bytes, peer));
       }
-      EXPECT_EQ(rbuf, payload(bytes, peer));
     });
     if (pad_seed != 0) pad = std::make_unique<std::byte[]>(1 + rng.next_below(2 << 20));
   }
@@ -225,6 +233,19 @@ TEST(Determinism, HeapPaddingDoesNotChangeRegistrationHits) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE("pad seed " + std::to_string(seed));
     expect_bit_identical(plain, run_fresh_buffer_sweep(seed));
+  }
+}
+
+TEST(Determinism, HeapPaddingDoesNotChangeRecycledShmPayloads) {
+  // At 2x2 the same-node exchanges copy payloads of 128 KiB and up into the
+  // World's recycled payload blocks.
+  const RunDigest plain = run_fresh_buffer_sweep(0, /*procs_per_node=*/2);
+  EXPECT_GT(plain.telemetry.at("shm.bytes_sent"), 0.0);
+  EXPECT_GT(plain.pool_free_bytes, 0u);
+  EXPECT_GT(plain.telemetry.at("rndv.reg_cache_hits"), 0.0);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("pad seed " + std::to_string(seed));
+    expect_bit_identical(plain, run_fresh_buffer_sweep(seed, /*procs_per_node=*/2));
   }
 }
 

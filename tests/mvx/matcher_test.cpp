@@ -119,13 +119,15 @@ TEST(Matcher, SendSeqCountsPerPeerCtx) {
 }
 
 TEST(Matcher, ProbeSeesUnexpectedWithoutConsuming) {
+  PayloadPool pool;  // outlives the matcher's queued payloads
   TelemetryRegistry tel;
   Matcher m(tel);
 
   Status st;
   EXPECT_FALSE(m.iprobe(-1, -1, 0, &st));
 
-  m.store_unexpected({eager(3, 9, 0, 0, /*size=*/256), std::vector<std::byte>(256)});
+  const std::vector<std::byte> bytes(256);
+  m.store_unexpected({eager(3, 9, 0, 0, /*size=*/256), pool.copy(bytes.data(), bytes.size())});
   EXPECT_FALSE(m.iprobe(3, 8, 0, &st));  // tag mismatch
   EXPECT_FALSE(m.iprobe(3, 9, 1, &st));  // ctx mismatch
 

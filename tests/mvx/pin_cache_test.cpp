@@ -9,6 +9,7 @@
 
 #include "ib/fabric.hpp"
 #include "ib/hca.hpp"
+#include "mvx/payload.hpp"
 #include "mvx/pin_cache.hpp"
 #include "sim/simulator.hpp"
 
@@ -149,6 +150,34 @@ TEST(PinCache, FreeingTheEnclosingBlockDropsAnInteriorRegistration) {
   std::vector<std::byte>().swap(block);  // frees the storage
   EXPECT_EQ(c.entries(), 0u);
   EXPECT_EQ(fx.hca->mem().region_count(), 0u);
+}
+
+TEST(PinCache, RecycledPayloadBlockForgetsItsRegistration) {
+  CacheFixture fx;
+  PinCache c = fx.make();
+  PayloadPool pool;
+  const std::vector<std::byte> bytes(256 * 1024);
+
+  // The first payload maps a block; once consumed, the next one reuses it.
+  const std::byte* block = pool.copy(bytes.data(), bytes.size()).data();
+  Payload p = pool.copy(bytes.data(), bytes.size());
+  ASSERT_EQ(p.data(), block);
+
+  sim::Time cost = 0;
+  c.release(c.acquire(p.data() + 4096, 64 * 1024, &cost));
+  EXPECT_EQ(c.entries(), 1u);
+
+  p = Payload();  // consumed: the block goes back on the free list
+  EXPECT_EQ(pool.free_bytes(), bytes.size());
+  EXPECT_EQ(c.entries(), 0u);
+  EXPECT_EQ(fx.hca->mem().region_count(), 0u);
+
+  // The block's next payload is a different buffer: it misses.
+  Payload q = pool.copy(bytes.data(), bytes.size());
+  ASSERT_EQ(q.data(), block);
+  c.release(c.acquire(q.data() + 4096, 64 * 1024, &cost));
+  EXPECT_EQ(fx.hits.value(), 0u);
+  EXPECT_EQ(fx.misses.value(), 2u);
 }
 
 TEST(PinCache, BlockFreedWhilePinnedIsDeregisteredOnLastRelease) {

@@ -271,6 +271,62 @@ TEST(NasFt, ClassSChecksumsAreBitExact) {
   }
 }
 
+// Class A on 2x4 ranks, EPC-4QP: the shape of the NAS figures and of the
+// benchmark's nas_is_ft workload.  The constants are the host kernels'
+// exact results; a kernel change that moves any bit fails here.
+TEST(NasIs, ClassAChecksumIsBitExact) {
+  World w(ClusterSpec{2, 4}, Config::enhanced(4, Policy::EPC));
+  IsResult r0;
+  w.run([&](mvx::Communicator& c) {
+    IsResult r = run_is(c, NasClass::A);
+    if (c.rank() == 0) r0 = r;
+  });
+  EXPECT_TRUE(r0.verified);
+  EXPECT_EQ(r0.checksum, 0xdb141409a92cf918ull) << std::hex << r0.checksum;
+}
+
+TEST(NasFt, ClassAChecksumsAreBitExact) {
+  const Complex want[] = {{0x1.1573b0e327d78p+2, 0x1.ac1559794e14cp+3},
+                          {0x1.b86929a99c118p+0, 0x1.e2a4d843b0aa2p+3},
+                          {-0x1.5670ebac33c4p-2, 0x1.01c23c7f2c2d1p+4},
+                          {-0x1.f29d98bf4cb3p+0, 0x1.0a09b85965022p+4},
+                          {-0x1.9b1bf9bf1f67p+1, 0x1.0c3c5b2068476p+4},
+                          {-0x1.0cb5b41bc66bcp+2, 0x1.09f46564686a1p+4}};
+  World w(ClusterSpec{2, 4}, Config::enhanced(4, Policy::EPC));
+  std::vector<Complex> cs;
+  w.run([&](mvx::Communicator& c) {
+    FtResult r = run_ft(c, NasClass::A);
+    if (c.rank() == 0) cs = r.checksums;
+  });
+  ASSERT_EQ(cs.size(), std::size(want));
+  for (std::size_t i = 0; i < cs.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&cs[i], &want[i], sizeof(Complex)), 0)
+        << "iter " << i << ": " << std::hexfloat << cs[i].real() << ", " << cs[i].imag();
+  }
+}
+
+TEST(NasFt, EvolveTableMatchesDirectExp) {
+  // The table replaced one exp per grid point, whose argument was the same
+  // constant times the exact double |k|² = K; every entry must carry the
+  // direct call's bits.
+  const double alpha = 1e-6;
+  for (NasClass cls : {NasClass::S, NasClass::A}) {
+    const FtParams P = ft_params(cls);
+    const int kmax = (P.nx / 2) * (P.nx / 2) + (P.ny / 2) * (P.ny / 2) + (P.nz / 2) * (P.nz / 2);
+    for (int iter = 1; iter <= P.iterations; ++iter) {
+      const std::vector<double> decay = ft_evolve_factors(P, iter);
+      ASSERT_EQ(decay.size(), static_cast<std::size_t>(kmax) + 1);
+      const double t = static_cast<double>(iter);
+      for (int k = 0; k <= kmax; ++k) {
+        const double want =
+            std::exp(-4.0 * std::numbers::pi * std::numbers::pi * alpha * t * static_cast<double>(k));
+        ASSERT_EQ(std::memcmp(&decay[static_cast<std::size_t>(k)], &want, sizeof(double)), 0)
+            << "class " << to_string(cls) << " iter " << iter << " K " << k;
+      }
+    }
+  }
+}
+
 TEST(NasFt, ChecksumDecaysMonotonically) {
   // The evolution factor exp(-4π²α|k|²t) damps the field each step, so the
   // checksum magnitude must shrink over iterations.
