@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
   for (const Column& c : cols) {
     t.add_column(c.label);
     harness::Runner r(mvx::ClusterSpec{2, 4}, c.cfg, bench_params());
-    us.push_back(r.alltoall_us(sizes));
+    us.emplace_back();
+    for (auto bytes : sizes) us.back().push_back(r.alltoall_us(bytes));
   }
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     std::vector<double> row;

@@ -40,11 +40,10 @@ int main() {
   for (const auto& [name, pol] : policies) {
     harness::Runner r(mvx::ClusterSpec{2, 1}, mvx::Config::enhanced(4, pol), bp);
     harness::Runner ra(mvx::ClusterSpec{2, 2}, mvx::Config::enhanced(4, pol), bp);
-    const std::vector<double> a2a = ra.alltoall_us(sizes);
     for (std::size_t i = 0; i < sizes.size(); ++i) {
       cells[i].lat.push_back(r.latency_us(sizes[i]));
       cells[i].bw.push_back(r.uni_bw_mbs(sizes[i]));
-      cells[i].a2a.push_back(a2a[i]);
+      cells[i].a2a.push_back(ra.alltoall_us(sizes[i]));
     }
     if (pol == mvx::Policy::EPC) {
       epc_telemetry = harness::telemetry_table(

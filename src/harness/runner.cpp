@@ -95,7 +95,10 @@ double Runner::bi_bw_mbs(std::int64_t bytes) {
   return result;
 }
 
-void Runner::reserve_alltoall(std::int64_t bytes) {
+double Runner::alltoall_us(std::int64_t bytes) {
+  double result = 0;
+  const int iters = bp_.a2a_iters, skip = bp_.a2a_skip;
+  // Grow the per-rank buffers to this size; they are never shrunk.
   const auto ranks = static_cast<std::size_t>(world_.ranks());
   const std::size_t len = static_cast<std::size_t>(bytes) * ranks;
   a2a_send_.resize(ranks);
@@ -104,19 +107,6 @@ void Runner::reserve_alltoall(std::int64_t bytes) {
     if (a2a_send_[r].size() < len) a2a_send_[r].resize(len);
     if (a2a_recv_[r].size() < len) a2a_recv_[r].resize(len);
   }
-}
-
-std::vector<double> Runner::alltoall_us(const std::vector<std::int64_t>& sizes) {
-  if (!sizes.empty()) reserve_alltoall(*std::max_element(sizes.begin(), sizes.end()));
-  std::vector<double> us;
-  for (std::int64_t bytes : sizes) us.push_back(alltoall_us(bytes));
-  return us;
-}
-
-double Runner::alltoall_us(std::int64_t bytes) {
-  double result = 0;
-  const int iters = bp_.a2a_iters, skip = bp_.a2a_skip;
-  reserve_alltoall(bytes);
   world_.run([&](Communicator& c) {
     const std::size_t per = static_cast<std::size_t>(bytes);
     std::byte* sendbuf = a2a_send_[static_cast<std::size_t>(c.rank())].data();

@@ -50,16 +50,10 @@ class Runner {
   /// Average MPI_Alltoall completion time in microseconds for `bytes` per
   /// destination, over all ranks of the cluster.
   double alltoall_us(std::int64_t bytes);
-  /// alltoall_us of each of `sizes`, in order, with the ranks' buffers sized
-  /// once for the largest.
-  std::vector<double> alltoall_us(const std::vector<std::int64_t>& sizes);
 
   mvx::World& world() { return world_; }
 
  private:
-  /// Grows every rank's alltoall buffers to `bytes` per destination.
-  void reserve_alltoall(std::int64_t bytes);
-
   mvx::World world_;
   BenchParams bp_;
   /// Per-rank alltoall send and receive buffers, reused across runs.

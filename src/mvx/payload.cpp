@@ -45,14 +45,15 @@ Payload PayloadPool::copy(const void* src, std::size_t bytes) {
     auto& list = free_[static_cast<std::size_t>(c)];
     live_bytes_ += class_bytes(c);
     if (list.empty()) {
+      // Make room under the new high-water mark before mapping the block.
+      live_hwm_ = std::max(live_hwm_, live_bytes_);
+      trim();
       void* p = mmap(nullptr, class_bytes(c), PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
       if (p == MAP_FAILED) throw std::bad_alloc();
       block = static_cast<std::byte*>(p);
       // A free list never outgrows its class, so release() cannot allocate.
       list.reserve(++blocks_[static_cast<std::size_t>(c)]);
-      live_hwm_ = std::max(live_hwm_, live_bytes_);
-      trim();
     } else {
       block = list.back();
       list.pop_back();

@@ -14,11 +14,11 @@
 // the way Liu et al.'s MPICH2-over-IB recycles its pre-registered copy
 // buffers, so its pages fault in once per World instead of once per message.
 // The blocks the pool holds, live and free, never exceed the high-water mark
-// of its live bytes: a block mapped for a class whose free list is empty
-// first unmaps free blocks of other classes until they fit.  Smaller payloads are exact-size heap
-// blocks that go back to the heap, whose own bins recycle them (pooling them
-// in power-of-two classes too raised coll_fattree64's peak RSS from 181 to
-// 188-192 MB).
+// of its live bytes: before it maps a block for a class whose free list is
+// empty, the pool unmaps free blocks of other classes until the new block
+// fits.  Smaller payloads are exact-size heap blocks that go back to the
+// heap, whose own bins recycle them (pooling them in power-of-two classes too
+// raised coll_fattree64's peak RSS from 181 to 188-192 MB).
 //
 // The pin-down rule of pin_cache.hpp holds for pool blocks as for heap
 // buffers: a block that goes back on a free list, or back to the kernel,

@@ -27,6 +27,9 @@ IsResult run_is(Communicator& comm, const IsParams& P) {
   const int p = comm.size();
   const int r = comm.rank();
   if (P.total_keys % p != 0) throw std::invalid_argument("run_is: ranks must divide total keys");
+  if (P.max_key <= 0 || (P.max_key & (P.max_key - 1)) != 0) {
+    throw std::invalid_argument("run_is: max_key must be a power of two");
+  }
   const std::int64_t n_local = P.total_keys / p;
   // Key range owned by rank d: [d*range, (d+1)*range).
   const std::int64_t range = (P.max_key + p - 1) / p;
@@ -36,15 +39,14 @@ IsResult run_is(Communicator& comm, const IsParams& P) {
   // Deterministic key generation hashed from the *global* key index, so the
   // key multiset is identical for every process count and policy — results
   // can be compared bit-for-bit across configurations.
-  // Every class has a power-of-two max_key, where z % max_key is a mask.
-  const auto max_key = static_cast<std::uint64_t>(P.max_key);
-  const bool pow2 = (max_key & (max_key - 1)) == 0;
-  auto hashed_key = [max_key, pow2](std::uint64_t global_index) {
+  // max_key is a power of two, so z % max_key is a mask.
+  const auto key_mask = static_cast<std::uint64_t>(P.max_key - 1);
+  auto hashed_key = [key_mask](std::uint64_t global_index) {
     std::uint64_t z = global_index + 0x9e3779b97f4a7c15ull;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     z ^= z >> 31;
-    return static_cast<std::int32_t>(pow2 ? z & (max_key - 1) : z % max_key);
+    return static_cast<std::int32_t>(z & key_mask);
   };
   std::vector<std::int32_t> keys(static_cast<std::size_t>(n_local));
   for (std::int64_t i = 0; i < n_local; ++i) {

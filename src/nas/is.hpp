@@ -40,6 +40,8 @@ class KeyDivider {
   std::uint64_t m_;
 };
 
+/// Throws std::invalid_argument unless the ranks divide total_keys and
+/// max_key is a power of two.
 IsResult run_is(mvx::Communicator& comm, NasClass cls);
 IsResult run_is(mvx::Communicator& comm, const IsParams& params);
 

@@ -341,6 +341,13 @@ TEST(NasFt, ChecksumDecaysMonotonically) {
   }
 }
 
+TEST(NasIs, RejectsNonPowerOfTwoMaxKey) {
+  World w(ClusterSpec{2, 1}, Config{});
+  IsParams params = is_params(NasClass::S);
+  params.max_key = 3 << 10;
+  EXPECT_THROW(w.run([&](mvx::Communicator& c) { run_is(c, params); }), std::invalid_argument);
+}
+
 TEST(NasFt, RejectsBadDecomposition) {
   World w(ClusterSpec{3, 1}, Config{});
   EXPECT_THROW(w.run([](mvx::Communicator& c) { run_ft(c, NasClass::S); }),

@@ -10,8 +10,10 @@
 # exceeds the parent's IQR (gap / IQR > 1).
 #
 # Each tree is a source checkout (git archive or clone) and builds its own
-# perfbench into <tree>/.bench_build.  The run length is BENCHMARK.json's
-# run_seconds of the change tree.
+# perfbench into <tree>/.bench_build, whatever CARGO_TARGET_DIR says (a shared
+# build directory would keep the first tree's configuration and run one
+# binary on both sides).  The run length is BENCHMARK.json's run_seconds of
+# the change tree.
 #
 # Usage: tools/perf_pairs.sh PARENT_TREE CHANGE_TREE WORKLOAD N [SEED]
 set -euo pipefail
@@ -31,8 +33,9 @@ trap 'rm -rf "$out"' EXIT
 # One measurement: the result line plus the digest lines, one file per run.
 measure() {
   local tree=$1 file=$2
-  (cd "$tree" && python3 perfbench/run.py --workload "$workload" --seed "$seed" \
-    --seconds "$seconds" 2>/dev/null) | grep -E '^(digest |\{)' > "$file"
+  (cd "$tree" && CARGO_TARGET_DIR="$tree/.bench_build" python3 perfbench/run.py \
+    --workload "$workload" --seed "$seed" --seconds "$seconds" 2>/dev/null) |
+    grep -E '^(digest |\{)' > "$file"
 }
 
 for ((i = 0; i < pairs; ++i)); do
