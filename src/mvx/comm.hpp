@@ -19,6 +19,7 @@
 #include "mvx/endpoint.hpp"
 #include "mvx/policy.hpp"
 #include "mvx/request.hpp"
+#include "sim/host_pool.hpp"
 #include "sim/time.hpp"
 
 namespace ib12x::mvx {
@@ -117,6 +118,16 @@ class Communicator {
   [[nodiscard]] double wtime() const { return sim::to_s(now()); }
   /// Charges virtual compute time to this rank (models application work).
   void compute(sim::Time t);
+  /// Charges `t` exactly as compute(t) does while `work()` runs on a host
+  /// worker thread (sim/host_pool.hpp, whose job contract `work` must keep),
+  /// then joins it: `work`'s effects are visible on return, and an exception
+  /// it threw is rethrown here, after the charge.
+  template <typename Work>
+  void compute(sim::Time t, Work&& work) {
+    sim::HostJob job(work);
+    compute(t);
+    job.join();
+  }
 
   [[nodiscard]] Endpoint& endpoint() const { return *ep_; }
 

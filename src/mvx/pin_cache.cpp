@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "ib/hca.hpp"
+#include "sim/host_pool.hpp"
 
 namespace ib12x::mvx {
 
@@ -16,8 +17,12 @@ namespace {
 constexpr std::int64_t kPageBytes = 4096;
 
 // The live caches and the smallest length any of them ever registered: a
-// freed block shorter than that cannot hold an entry.  The simulator runs on
-// one OS thread, so these are plain globals.
+// freed block shorter than that cannot hold an entry.  Only the simulator's
+// thread reads or writes them, so they are plain globals: a free on a host
+// worker thread (sim/host_pool.hpp) returns before touching them.  That is
+// sound under the job contract — a job frees only blocks it allocated
+// itself, and such a block was never handed to an MPI call, so it cannot
+// hold an entry.
 PinCache* g_live = nullptr;
 std::size_t g_min_len = SIZE_MAX;
 // Set while a cache mutates itself or forgets a block: the frees this causes
@@ -53,7 +58,7 @@ void PinCache::forget(const void* base, std::size_t len) {
 }
 
 void PinCache::forget_everywhere(void* block, std::size_t len) noexcept {
-  if (g_live == nullptr || g_busy || block == nullptr) return;
+  if (sim::on_host_worker() || g_live == nullptr || g_busy || block == nullptr) return;
   if (len == 0) len = malloc_usable_size(block);
   if (len < g_min_len) return;
   for (PinCache* c = g_live; c != nullptr; c = c->next_live_) c->forget(block, len);

@@ -78,6 +78,7 @@ class PinCache {
   /// Called by the operator delete replacements before `block` returns to
   /// malloc: every live cache forgets the entries inside it.  `len` 0 means
   /// the size is unknown (unsized delete) and is asked of the allocator.
+  /// Returns at once on a host worker thread (sim::on_host_worker()).
   static void forget_everywhere(void* block, std::size_t len) noexcept;
 
   [[nodiscard]] std::int64_t resident_bytes() const { return resident_bytes_; }

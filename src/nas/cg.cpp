@@ -105,23 +105,25 @@ CgResult run_cg(Communicator& comm, const CgParams& P) {
   std::vector<double> x_full(static_cast<std::size_t>(P.n), 0.0);
   std::vector<double> ones(static_cast<std::size_t>(P.n), 1.0);
   auto matvec = [&](const std::vector<double>& full_in, std::vector<double>& local_out) {
-    for (std::int64_t i = 0; i < nloc; ++i) {
-      double acc = 0;
-      for (std::int64_t k = row_ptr[static_cast<std::size_t>(i)];
-           k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-        acc += val[static_cast<std::size_t>(k)] *
-               full_in[static_cast<std::size_t>(col_idx[static_cast<std::size_t>(k)])];
+    comm.compute(flop_cost(P.flop_ns, 2.0 * static_cast<double>(col_idx.size())), [&] {
+      for (std::int64_t i = 0; i < nloc; ++i) {
+        double acc = 0;
+        for (std::int64_t k = row_ptr[static_cast<std::size_t>(i)];
+             k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
+          acc += val[static_cast<std::size_t>(k)] *
+                 full_in[static_cast<std::size_t>(col_idx[static_cast<std::size_t>(k)])];
+        }
+        local_out[static_cast<std::size_t>(i)] = acc;
       }
-      local_out[static_cast<std::size_t>(i)] = acc;
-    }
-    comm.compute(flop_cost(P.flop_ns, 2.0 * static_cast<double>(col_idx.size())));
+    });
   };
   auto dot = [&](const std::vector<double>& a, const std::vector<double>& b) {
     double local = 0;
-    for (std::int64_t i = 0; i < nloc; ++i) {
-      local += a[static_cast<std::size_t>(i)] * b[static_cast<std::size_t>(i)];
-    }
-    comm.compute(flop_cost(P.flop_ns, 2.0 * static_cast<double>(nloc)));
+    comm.compute(flop_cost(P.flop_ns, 2.0 * static_cast<double>(nloc)), [&] {
+      for (std::int64_t i = 0; i < nloc; ++i) {
+        local += a[static_cast<std::size_t>(i)] * b[static_cast<std::size_t>(i)];
+      }
+    });
     double global = 0;
     comm.allreduce(&local, &global, 1, DOUBLE, Op::Sum);
     return global;
@@ -150,20 +152,22 @@ CgResult run_cg(Communicator& comm, const CgParams& P) {
                     DOUBLE);
     matvec(dir_full, q);
     const double alpha = rho / dot(dir, q);
-    for (std::int64_t i = 0; i < nloc; ++i) {
-      x_loc[static_cast<std::size_t>(i)] += alpha * dir[static_cast<std::size_t>(i)];
-      res[static_cast<std::size_t>(i)] -= alpha * q[static_cast<std::size_t>(i)];
-    }
-    comm.compute(flop_cost(P.flop_ns, 4.0 * static_cast<double>(nloc)));
+    comm.compute(flop_cost(P.flop_ns, 4.0 * static_cast<double>(nloc)), [&] {
+      for (std::int64_t i = 0; i < nloc; ++i) {
+        x_loc[static_cast<std::size_t>(i)] += alpha * dir[static_cast<std::size_t>(i)];
+        res[static_cast<std::size_t>(i)] -= alpha * q[static_cast<std::size_t>(i)];
+      }
+    });
     const double rho_new = dot(res, res);
     if (rho_new > rho * 1.0001) monotone = false;
     const double beta = rho_new / rho;
     rho = rho_new;
-    for (std::int64_t i = 0; i < nloc; ++i) {
-      dir[static_cast<std::size_t>(i)] = res[static_cast<std::size_t>(i)] +
-                                         beta * dir[static_cast<std::size_t>(i)];
-    }
-    comm.compute(flop_cost(P.flop_ns, 2.0 * static_cast<double>(nloc)));
+    comm.compute(flop_cost(P.flop_ns, 2.0 * static_cast<double>(nloc)), [&] {
+      for (std::int64_t i = 0; i < nloc; ++i) {
+        dir[static_cast<std::size_t>(i)] = res[static_cast<std::size_t>(i)] +
+                                           beta * dir[static_cast<std::size_t>(i)];
+      }
+    });
   }
 
   result.seconds = sim::to_s(comm.now() - t0);

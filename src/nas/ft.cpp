@@ -26,7 +26,7 @@ sim::Time point_cost(double ns_per_point, std::int64_t points) {
 
 }  // namespace
 
-std::vector<double> ft_evolve_factors(const FtParams& P, int iter) {
+void ft_evolve_factors(const FtParams& P, int iter, std::vector<double>& decay) {
   const double alpha = 1e-6;
   const double t = static_cast<double>(iter);
   // The products run left to right with K last, as in the per-point
@@ -34,9 +34,8 @@ std::vector<double> ft_evolve_factors(const FtParams& P, int iter) {
   // each entry has that factor's bits.
   const double c = -4.0 * std::numbers::pi * std::numbers::pi * alpha * t;
   const int kmax = (P.nx / 2) * (P.nx / 2) + (P.ny / 2) * (P.ny / 2) + (P.nz / 2) * (P.nz / 2);
-  std::vector<double> decay(static_cast<std::size_t>(kmax) + 1);
+  decay.resize(static_cast<std::size_t>(kmax) + 1);
   for (int k = 0; k <= kmax; ++k) decay[static_cast<std::size_t>(k)] = std::exp(c * k);
-  return decay;
 }
 
 FtResult run_ft(Communicator& comm, NasClass cls) { return run_ft(comm, ft_params(cls)); }
@@ -77,34 +76,40 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
   std::vector<Complex> recvbuf(xslab_points);
   std::vector<Complex> spectrum(xslab_points);  // x-slab, layout [xl][z][y]
 
+  // The compute phases' host jobs may touch these buffers: every exchange
+  // below is a blocking collective, so no request references them then.
   auto xy_ffts = [&](std::vector<Complex>& a, int sign) {
     // FFT along x for every (y, z) row, then along y for all x columns of
     // each z-plane at once.
-    for (int z = 0; z < nzl; ++z) {
-      Complex* plane = a.data() + static_cast<std::size_t>(z) * ny * nx;
-      for (int y = 0; y < ny; ++y) {
-        fft_x.transform(plane + static_cast<std::size_t>(y) * nx, sign);
-      }
-      fft_y.transform_columns(plane, static_cast<std::size_t>(nx), static_cast<std::size_t>(nx), sign);
-    }
-    comm.compute(flop_cost(static_cast<double>(nzl) * (ny * fft_x.flops() + nx * fft_y.flops()),
-                           P.gflops));
+    comm.compute(
+        flop_cost(static_cast<double>(nzl) * (ny * fft_x.flops() + nx * fft_y.flops()), P.gflops),
+        [&] {
+          for (int z = 0; z < nzl; ++z) {
+            Complex* plane = a.data() + static_cast<std::size_t>(z) * ny * nx;
+            for (int y = 0; y < ny; ++y) {
+              fft_x.transform(plane + static_cast<std::size_t>(y) * nx, sign);
+            }
+            fft_y.transform_columns(plane, static_cast<std::size_t>(nx),
+                                    static_cast<std::size_t>(nx), sign);
+          }
+        });
   };
 
   auto pack_for_transpose = [&](const std::vector<Complex>& a) {
     // Destination d gets x in [d·nxl, (d+1)·nxl), all y, all local z.
-    std::size_t out = 0;
-    for (int d = 0; d < p; ++d) {
-      for (int z = 0; z < nzl; ++z) {
-        for (int y = 0; y < ny; ++y) {
-          const Complex* row =
-              a.data() + (static_cast<std::size_t>(z) * ny + static_cast<std::size_t>(y)) * nx +
-              static_cast<std::size_t>(d) * nxl;
-          for (int x = 0; x < nxl; ++x) sendbuf[out++] = row[x];
+    comm.compute(point_cost(0.3, static_cast<std::int64_t>(slab_points)), [&] {
+      std::size_t out = 0;
+      for (int d = 0; d < p; ++d) {
+        for (int z = 0; z < nzl; ++z) {
+          for (int y = 0; y < ny; ++y) {
+            const Complex* row =
+                a.data() + (static_cast<std::size_t>(z) * ny + static_cast<std::size_t>(y)) * nx +
+                static_cast<std::size_t>(d) * nxl;
+            for (int x = 0; x < nxl; ++x) sendbuf[out++] = row[x];
+          }
         }
       }
-    }
-    comm.compute(point_cost(0.3, static_cast<std::int64_t>(slab_points)));
+    });
   };
 
   // Rank d's share of the x-slab [xl][z][y] is z in [d·nzl, (d+1)·nzl); on
@@ -118,56 +123,61 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
   };
 
   auto unpack_to_xslab = [&](std::vector<Complex>& out) {
-    for (int d = 0; d < p; ++d) {
-      const Complex* block = recvbuf.data() + static_cast<std::size_t>(d) * block_points;
-      for (std::size_t z = 0; z < static_cast<std::size_t>(nzl); ++z) {
-        const Complex* plane = block + z * yn * xn;
-        for (std::size_t x = 0; x < xn; ++x) {
-          Complex* run = out.data() + slab_run(d, z, x);
-          for (std::size_t y = 0; y < yn; ++y) run[y] = plane[y * xn + x];
+    comm.compute(point_cost(0.3, static_cast<std::int64_t>(xslab_points)), [&] {
+      for (int d = 0; d < p; ++d) {
+        const Complex* block = recvbuf.data() + static_cast<std::size_t>(d) * block_points;
+        for (std::size_t z = 0; z < static_cast<std::size_t>(nzl); ++z) {
+          const Complex* plane = block + z * yn * xn;
+          for (std::size_t x = 0; x < xn; ++x) {
+            Complex* run = out.data() + slab_run(d, z, x);
+            for (std::size_t y = 0; y < yn; ++y) run[y] = plane[y * xn + x];
+          }
         }
       }
-    }
-    comm.compute(point_cost(0.3, static_cast<std::int64_t>(xslab_points)));
+    });
   };
 
   auto pack_from_xslab = [&](const std::vector<Complex>& a) {
-    for (int d = 0; d < p; ++d) {
-      Complex* block = sendbuf.data() + static_cast<std::size_t>(d) * block_points;
-      for (std::size_t z = 0; z < static_cast<std::size_t>(nzl); ++z) {
-        Complex* plane = block + z * yn * xn;
-        for (std::size_t x = 0; x < xn; ++x) {
-          const Complex* run = a.data() + slab_run(d, z, x);
-          for (std::size_t y = 0; y < yn; ++y) plane[y * xn + x] = run[y];
+    comm.compute(point_cost(0.3, static_cast<std::int64_t>(xslab_points)), [&] {
+      for (int d = 0; d < p; ++d) {
+        Complex* block = sendbuf.data() + static_cast<std::size_t>(d) * block_points;
+        for (std::size_t z = 0; z < static_cast<std::size_t>(nzl); ++z) {
+          Complex* plane = block + z * yn * xn;
+          for (std::size_t x = 0; x < xn; ++x) {
+            const Complex* run = a.data() + slab_run(d, z, x);
+            for (std::size_t y = 0; y < yn; ++y) plane[y * xn + x] = run[y];
+          }
         }
       }
-    }
-    comm.compute(point_cost(0.3, static_cast<std::int64_t>(xslab_points)));
+    });
   };
 
   auto unpack_to_zslab = [&](std::vector<Complex>& out) {
     // Block from rank d covers x in [d·nxl, (d+1)·nxl).
-    for (int d = 0; d < p; ++d) {
-      const Complex* block = recvbuf.data() + static_cast<std::size_t>(d) * block_points;
-      std::size_t in = 0;
-      for (int z = 0; z < nzl; ++z) {
-        for (int y = 0; y < ny; ++y) {
-          Complex* row =
-              out.data() + (static_cast<std::size_t>(z) * ny + static_cast<std::size_t>(y)) * nx +
-              static_cast<std::size_t>(d) * nxl;
-          for (int x = 0; x < nxl; ++x) row[x] = block[in++];
+    comm.compute(point_cost(0.3, static_cast<std::int64_t>(slab_points)), [&] {
+      for (int d = 0; d < p; ++d) {
+        const Complex* block = recvbuf.data() + static_cast<std::size_t>(d) * block_points;
+        std::size_t in = 0;
+        for (int z = 0; z < nzl; ++z) {
+          for (int y = 0; y < ny; ++y) {
+            Complex* row =
+                out.data() +
+                (static_cast<std::size_t>(z) * ny + static_cast<std::size_t>(y)) * nx +
+                static_cast<std::size_t>(d) * nxl;
+            for (int x = 0; x < nxl; ++x) row[x] = block[in++];
+          }
         }
       }
-    }
-    comm.compute(point_cost(0.3, static_cast<std::int64_t>(slab_points)));
+    });
   };
 
   auto z_ffts = [&](std::vector<Complex>& a, int sign) {
     // Each xl plane [z][y] holds the z-lines of all its y as columns.
-    for (int x = 0; x < nxl; ++x) {
-      fft_z.transform_columns(a.data() + static_cast<std::size_t>(x) * nz * ny, yn, yn, sign);
-    }
-    comm.compute(flop_cost(static_cast<double>(nxl) * ny * fft_z.flops(), P.gflops));
+    comm.compute(flop_cost(static_cast<double>(nxl) * ny * fft_z.flops(), P.gflops), [&] {
+      for (int x = 0; x < nxl; ++x) {
+        fft_z.transform_columns(a.data() + static_cast<std::size_t>(x) * nz * ny, yn, yn, sign);
+      }
+    });
   };
 
   FtResult result;
@@ -194,22 +204,26 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
   for (int i = 0; i < nz; ++i) kz2[static_cast<std::size_t>(i)] = wave2(i, nz);
 
   std::vector<Complex>& evolved = recvbuf;
+  std::vector<double> decay;
+  ft_evolve_factors(P, 0, decay);  // sized here, so the evolve job allocates nothing
   for (int iter = 1; iter <= P.iterations; ++iter) {
     // evolve: ũ(k, t) = u(k) · exp(-4π²α|k|²·t)
-    const std::vector<double> decay = ft_evolve_factors(P, iter);
-    for (int x = 0; x < nxl; ++x) {
-      const int kx = kx2[static_cast<std::size_t>(r * nxl + x)];
-      for (int z = 0; z < nz; ++z) {
-        const int kxz = kx + kz2[static_cast<std::size_t>(z)];
-        const std::size_t at = (static_cast<std::size_t>(x) * nz + static_cast<std::size_t>(z)) * yn;
-        const Complex* row = spectrum.data() + at;
-        Complex* out = evolved.data() + at;
-        for (std::size_t y = 0; y < yn; ++y) {
-          out[y] = row[y] * decay[static_cast<std::size_t>(kxz + ky2[y])];
+    comm.compute(point_cost(P.evolve_ns_per_point, static_cast<std::int64_t>(xslab_points)), [&] {
+      ft_evolve_factors(P, iter, decay);
+      for (int x = 0; x < nxl; ++x) {
+        const int kx = kx2[static_cast<std::size_t>(r * nxl + x)];
+        for (int z = 0; z < nz; ++z) {
+          const int kxz = kx + kz2[static_cast<std::size_t>(z)];
+          const std::size_t at =
+              (static_cast<std::size_t>(x) * nz + static_cast<std::size_t>(z)) * yn;
+          const Complex* row = spectrum.data() + at;
+          Complex* out = evolved.data() + at;
+          for (std::size_t y = 0; y < yn; ++y) {
+            out[y] = row[y] * decay[static_cast<std::size_t>(kxz + ky2[y])];
+          }
         }
       }
-    }
-    comm.compute(point_cost(P.evolve_ns_per_point, static_cast<std::int64_t>(xslab_points)));
+    });
 
     // inverse 3-D FFT: z-FFTs, transpose back, y- and x-FFTs.
     z_ffts(evolved, +1);

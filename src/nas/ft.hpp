@@ -24,9 +24,10 @@ struct FtResult {
 
 FtResult run_ft(mvx::Communicator& comm, NasClass cls);
 
-/// The evolve step's factors exp(-4π²α·K·iter) for every integer K = |k|²
-/// the grid of `params` holds, indexed by K.
-std::vector<double> ft_evolve_factors(const FtParams& params, int iter);
+/// Fills `decay` with the evolve step's factors exp(-4π²α·K·iter) for every
+/// integer K = |k|² the grid of `params` holds, indexed by K.  Allocates
+/// only when `decay`'s capacity is short of that.
+void ft_evolve_factors(const FtParams& params, int iter, std::vector<double>& decay);
 
 FtResult run_ft(mvx::Communicator& comm, const FtParams& params);
 

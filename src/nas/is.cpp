@@ -66,6 +66,7 @@ IsResult run_is(Communicator& comm, const IsParams& P) {
   std::vector<std::int32_t> send_keys(static_cast<std::size_t>(n_local));
   std::vector<std::int32_t> recv_keys;
   std::vector<std::int32_t> local_counts(static_cast<std::size_t>(range));
+  std::vector<std::int64_t> cursor(static_cast<std::size_t>(p));
 
   for (int iter = 0; iter < P.iterations; ++iter) {
     // NPB perturbs one key per iteration so the work cannot be cached.
@@ -74,9 +75,10 @@ IsResult run_is(Communicator& comm, const IsParams& P) {
                                   P.max_key);
 
     // 1. Classify keys by destination rank.
-    std::fill(send_counts.begin(), send_counts.end(), 0);
-    for (std::int32_t k : keys) ++send_counts[owner(static_cast<std::uint32_t>(k))];
-    comm.compute(key_cost(P.hist_ns_per_key, n_local));
+    comm.compute(key_cost(P.hist_ns_per_key, n_local), [&] {
+      std::fill(send_counts.begin(), send_counts.end(), 0);
+      for (std::int32_t k : keys) ++send_counts[owner(static_cast<std::uint32_t>(k))];
+    });
 
     // 2. Exchange counts.
     std::fill(send_displs.begin(), send_displs.end(), 0);
@@ -87,13 +89,12 @@ IsResult run_is(Communicator& comm, const IsParams& P) {
     comm.alltoall(send_counts.data(), recv_counts.data(), 1, INT64);
 
     // 3. Pack keys per destination.
-    {
-      std::vector<std::int64_t> cursor = send_displs;
+    comm.compute(key_cost(P.move_ns_per_key, n_local), [&] {
+      std::copy(send_displs.begin(), send_displs.end(), cursor.begin());
       for (std::int32_t k : keys) {
         send_keys[static_cast<std::size_t>(cursor[owner(static_cast<std::uint32_t>(k))]++)] = k;
       }
-      comm.compute(key_cost(P.move_ns_per_key, n_local));
-    }
+    });
 
     // 4. Redistribute keys.
     std::int64_t total_recv = 0;
@@ -106,15 +107,24 @@ IsResult run_is(Communicator& comm, const IsParams& P) {
                    recv_displs, INT32);
     result.keys_moved += n_local;
 
-    // 5. Local ranking (counting sort over this rank's key range).
-    std::fill(local_counts.begin(), local_counts.end(), 0);
-    const std::int32_t base = static_cast<std::int32_t>(r) * static_cast<std::int32_t>(range);
-    for (std::int32_t k : recv_keys) {
-      const std::int64_t off = k - base;
-      if (off < 0 || off >= range) throw std::runtime_error("run_is: misrouted key");
-      ++local_counts[static_cast<std::size_t>(off)];
-    }
-    comm.compute(key_cost(P.rank_ns_per_key, total_recv));
+    // 5. Local ranking (counting sort over this rank's key range).  A
+    //    misrouted key stops the count and is reported after the join: an
+    //    exception thrown by the job would carry a message block the job
+    //    allocated and the rank frees, which the job contract rules out.
+    bool misrouted = false;
+    comm.compute(key_cost(P.rank_ns_per_key, total_recv), [&] {
+      std::fill(local_counts.begin(), local_counts.end(), 0);
+      const std::int32_t base = static_cast<std::int32_t>(r) * static_cast<std::int32_t>(range);
+      for (std::int32_t k : recv_keys) {
+        const std::int64_t off = k - base;
+        if (off < 0 || off >= range) {
+          misrouted = true;
+          return;
+        }
+        ++local_counts[static_cast<std::size_t>(off)];
+      }
+    });
+    if (misrouted) throw std::runtime_error("run_is: misrouted key");
   }
 
   result.seconds = sim::to_s(comm.now() - t0);

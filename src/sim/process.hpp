@@ -4,8 +4,8 @@
 // handed between the driver (the event loop) and the process by plain
 // user-space context switches, so a suspend/resume round trip costs two
 // swapcontext calls and nothing else — no mutexes, no condvars, no kernel
-// entries.  Exactly one piece of code runs at a time, so model state needs no
-// locking and runs are bit-reproducible.
+// entries.  Exactly one piece of model code runs at a time, so model state
+// needs no locking and runs are bit-reproducible.
 //
 // Inside the process body, virtual time advances only through explicit calls:
 //   compute(d)   — charge d picoseconds of CPU work

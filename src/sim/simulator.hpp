@@ -1,10 +1,11 @@
 // The simulation kernel: a virtual clock plus the deterministic event queue.
 //
-// The kernel is strictly single-threaded: exactly one piece of model code
-// runs at a time (either an event handler, or one simulated process — see
-// process.hpp — which runs on a fiber and hands control back to the event
-// loop at every suspension point).  No locking is needed around the queue or
-// the clock.
+// Model code is single-threaded: exactly one piece of it runs at a time
+// (either an event handler, or one simulated process — see process.hpp —
+// which runs on a fiber and hands control back to the event loop at every
+// suspension point), all on one OS thread.  No locking is needed around the
+// queue or the clock.  Application arithmetic alone may run on host worker
+// threads (host_pool.hpp): it schedules no events and reads no model state.
 //
 // Besides virtual time the kernel tracks its own wall-clock throughput
 // (events/sec, fiber switches/sec, kernel allocations) so the simulation

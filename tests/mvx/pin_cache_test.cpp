@@ -1,16 +1,19 @@
 // Unit tests for the rendezvous pin-down cache: interval lookup,
 // LRU eviction against the byte budget with real MR deregistration,
-// pin-protected (zombie) entries, and entries dying with the host block they
-// cover.
+// pin-protected (zombie) entries, entries dying with the host block they
+// cover, and host-job frees that leave the cache alone.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "ib/fabric.hpp"
 #include "ib/hca.hpp"
 #include "mvx/payload.hpp"
 #include "mvx/pin_cache.hpp"
+#include "sim/host_pool.hpp"
 #include "sim/simulator.hpp"
 
 namespace ib12x::mvx {
@@ -195,6 +198,41 @@ TEST(PinCache, BlockFreedWhilePinnedIsDeregisteredOnLastRelease) {
 
   c.release(r);
   EXPECT_EQ(fx.hca->mem().region_count(), 0u);
+}
+
+TEST(PinCache, JobFreesLeaveTheCacheUnchanged) {
+  // A host job's frees return before the delete hook walks the caches; the
+  // job contract makes that safe, since a block a job allocates and frees
+  // was never registered.
+  CacheFixture fx;
+  PinCache c = fx.make();
+  std::vector<std::byte> a(64 * 1024), b(256 * 1024);
+  sim::Time cost = 0;
+  c.release(c.acquire(a.data(), 64 * 1024, &cost));
+  c.release(c.acquire(b.data() + 4096, 32 * 1024, &cost));
+  const std::size_t entries = c.entries();
+  const std::int64_t resident = c.resident_bytes();
+
+  std::atomic<bool> started{false}, release{false};
+  const bool workers = std::thread::hardware_concurrency() > 1;
+  bool on_worker = false;
+  auto grow = [&] {
+    on_worker = sim::on_host_worker();
+    started = true;
+    while (workers && !release) std::this_thread::yield();
+    std::vector<std::byte> v;
+    for (std::size_t n = 1; n <= (1u << 20); n *= 2) v.resize(n);  // frees each smaller block
+  };
+  sim::HostJob job(grow);
+  // Nothing joins yet, so with workers only one of them can start the job.
+  while (!started) std::this_thread::yield();
+  release = true;
+  job.join();
+
+  EXPECT_EQ(on_worker, workers);
+  EXPECT_EQ(c.entries(), entries);
+  EXPECT_EQ(c.resident_bytes(), resident);
+  EXPECT_EQ(fx.hca->mem().region_count(), entries);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
-// CG kernel: SPD convergence, determinism across configurations, and the
-// paper's "no degradation" property.
+// CG kernel: SPD convergence, determinism across configurations, pinned
+// class S bits, and the paper's "no degradation" property.
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "mvx/mpi.hpp"
 #include "nas/cg.hpp"
@@ -39,6 +41,27 @@ TEST(NasCg, ChecksumInvariantAcrossConfigs) {
   const double c = run_once({2, 1}, Config::enhanced(2, Policy::RoundRobin), NasClass::S).checksum;
   EXPECT_DOUBLE_EQ(a, b);
   EXPECT_DOUBLE_EQ(a, c);
+}
+
+TEST(NasCg, ClassSChecksumIsBitExact) {
+  // Pinned bits: the invariance test above would pass a change that moved
+  // every configuration the same way.  The checksum sums a solution within
+  // rounding of the ones vector; the residual carries every iteration's
+  // arithmetic, and its last bits follow the layout's allreduce order.
+  struct Want {
+    ClusterSpec spec;
+    double residual;
+  };
+  for (const Want& w : {Want{{2, 2}, 0x1.d1dbaaf72ecebp-67}, Want{{2, 1}, 0x1.d1dbaaf72ecb6p-67},
+                        Want{{2, 4}, 0x1.d1dbaaf72ece1p-67}}) {
+    const CgResult r = run_once(w.spec, Config::enhanced(4, Policy::EPC), NasClass::S);
+    const double checksum = 0x1.5ep+10;
+    EXPECT_EQ(std::memcmp(&r.checksum, &checksum, sizeof(double)), 0)
+        << w.spec.nodes << "x" << w.spec.procs_per_node << ": " << std::hexfloat << r.checksum;
+    EXPECT_EQ(std::memcmp(&r.final_residual, &w.residual, sizeof(double)), 0)
+        << w.spec.nodes << "x" << w.spec.procs_per_node << ": " << std::hexfloat
+        << r.final_residual;
+  }
 }
 
 TEST(NasCg, NoDegradationUnderEpc) {

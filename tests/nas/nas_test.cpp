@@ -314,7 +314,8 @@ TEST(NasFt, EvolveTableMatchesDirectExp) {
     const FtParams P = ft_params(cls);
     const int kmax = (P.nx / 2) * (P.nx / 2) + (P.ny / 2) * (P.ny / 2) + (P.nz / 2) * (P.nz / 2);
     for (int iter = 1; iter <= P.iterations; ++iter) {
-      const std::vector<double> decay = ft_evolve_factors(P, iter);
+      std::vector<double> decay;
+      ft_evolve_factors(P, iter, decay);
       ASSERT_EQ(decay.size(), static_cast<std::size_t>(kmax) + 1);
       const double t = static_cast<double>(iter);
       for (int k = 0; k <= kmax; ++k) {
