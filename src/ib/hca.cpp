@@ -748,7 +748,6 @@ void Port::finish_transfer(std::unique_ptr<Transfer> st, sim::Time delivered,
         std::memcpy(reinterpret_cast<std::byte*>(raw->wr.remote_addr), raw->wr.src,
                     raw->wr.length);
       }
-      if (raw->wr.delivered_cb) raw->wr.delivered_cb();
     });
     if (!st->wr.signaled) {
       // Keep the Transfer alive until the delivery event has consumed it.
@@ -807,7 +806,6 @@ bool Port::deliver(QueuePair* dst_qp, const SendWr& wr, QpNum src_qp_num) {
       std::byte* dstp = hca_->mem().translate_rkey(wr.rkey, wr.remote_addr, wr.length);
       std::memcpy(dstp, wr.src, wr.length);
     }
-    if (wr.delivered_cb) wr.delivered_cb();
     if (!consumes_recv) return true;  // plain RDMA write: invisible to the responder
   }
 

@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "sim/time.hpp"
 
@@ -38,12 +37,6 @@ struct SendWr {
   std::uint32_t imm_data = 0;
   /// Unsignaled sends produce no completion (used for credit piggybacking).
   bool signaled = true;
-  /// Optional simulator affordance for RDMA writes: invoked (in event
-  /// context) the instant the data is placed in remote host memory.  Models
-  /// a remote polling loop noticing the write's tail flag — real verbs has
-  /// no such callback, but a polled RDMA fast-path channel behaves exactly
-  /// this way and simulating the poll loop itself would add nothing.
-  std::function<void()> delivered_cb = {};
 };
 
 struct RecvWr {

@@ -1,14 +1,15 @@
 // The channel layer of the decomposed ADI endpoint (paper fig. 2).
 //
-// A Channel moves bytes to a set of peers over one transport; the endpoint
-// is a thin facade that routes each send to the highest-priority channel
-// that accepts it (shm → RDMA fast path → net) and glues inbound arrivals
-// back into the matcher and the rendezvous protocol.
+// Two transports move bytes to peers: ShmChannel within a node and
+// NetChannel (rails, credits, eager protocol, rendezvous data movement)
+// between nodes.  The endpoint is a thin facade that routes each send to
+// the shm channel when it reaches the peer and to the net channel
+// otherwise, and glues inbound arrivals back into the matcher and the
+// rendezvous protocol.
 //
 // Channels never see the Endpoint class itself — only the narrow
 // ChannelHost surface below — so each transport is independently testable
-// and replaceable, and new transports slot in without touching the facade's
-// callers (Communicator / Collectives).
+// and the facade's callers (Communicator / Collectives) never see them.
 #pragma once
 
 #include <array>
@@ -55,7 +56,7 @@ class ChannelHost {
   virtual Matcher& matcher() = 0;
   virtual TelemetryRegistry& telemetry() = 0;
   /// The progress waitable blocking calls park on; channels notify it when
-  /// resources (credits, ring slots) free up.
+  /// resources (credits, bounce buffers) free up.
   virtual sim::Waitable& progress() = 0;
 
   /// Serializes event-context protocol work of VCI `vci` (stripe posting,
@@ -99,28 +100,6 @@ class ChannelHost {
 
  protected:
   ~ChannelHost() = default;
-};
-
-/// One transport to a set of peers.
-class Channel {
- public:
-  explicit Channel(ChannelHost& host) : host_(host) {}
-  virtual ~Channel() = default;
-
-  Channel(const Channel&) = delete;
-  Channel& operator=(const Channel&) = delete;
-
-  /// True if this channel can carry `bytes` to `peer` right now (routing is
-  /// re-evaluated per message, so e.g. fast-path exhaustion falls through to
-  /// the net channel).
-  [[nodiscard]] virtual bool accepts(int peer, std::int64_t bytes) const = 0;
-
-  /// Starts one message.  Process context; may block on channel resources.
-  virtual void send(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag,
-                    int ctx, const Request& req) = 0;
-
- protected:
-  ChannelHost& host_;
 };
 
 }  // namespace ib12x::mvx

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "ib/params.hpp"
 #include "ib/topology.hpp"
@@ -38,10 +37,6 @@ struct Config {
   /// Rails per peer pair.
   [[nodiscard]] int rails() const { return hcas_per_node * ports_per_hca * qps_per_port; }
 
-  /// WeightedStriping: per-rail stripe weights (empty = equal).  Shorter
-  /// vectors repeat cyclically over the rails.
-  std::vector<double> rail_weights;
-
   /// Take inbound eager buffers from one shared receive queue per HCA
   /// instead of per-QP receive queues (same protocol, O(1) instead of
   /// O(peers) buffer memory — the SRQ mechanism of §2.1).  On by default
@@ -57,20 +52,12 @@ struct Config {
   /// immediately after its CQE (no batching).
   int srq_limit = 32;
 
-  /// Establish connections (QPs, rails, fast-path rings) to a peer on first
-  /// send or first matched receive instead of all-pairs at startup, via a
-  /// modelled out-of-band handshake of `conn_setup_latency`.  Sends posted
-  /// before the handshake completes queue per peer and flush FIFO.
+  /// Establish connections (QPs and rails) to a peer on first send or first
+  /// matched receive instead of all-pairs at startup, via a modelled
+  /// out-of-band handshake of `conn_setup_latency`.  Sends posted before the
+  /// handshake completes queue per peer and flush FIFO.
   bool lazy_connect = true;
   sim::Time conn_setup_latency = sim::microseconds(25.0);
-
-  /// MVAPICH's adaptive RDMA fast path: small eager messages are RDMA-written
-  /// into a per-peer ring the receiver polls, bypassing the responder's
-  /// receive-descriptor and CQE processing.
-  bool use_rdma_fast_path = false;
-  int fast_path_slots = 32;            ///< ring depth per peer direction
-  std::int64_t fast_path_max = 1024;   ///< payload cutoff for the fast path
-  sim::Time poll_delay = sim::nanoseconds(100);  ///< poll-loop discovery granularity
 
   // ---- collective algorithm selection (MVAPICH-era tuning) ---------------
   /// Algorithm forcing, Auto crossovers and multi-lane knobs; the registry
@@ -81,7 +68,10 @@ struct Config {
   std::int64_t rndv_threshold = 16 * 1024;   ///< eager/rendezvous switch (paper §3.3)
   std::int64_t stripe_threshold = 16 * 1024; ///< striping cutoff (same value in the paper)
   std::int64_t min_stripe = 2048;            ///< never cut stripes below this
-  int eager_credits = 64;                    ///< preposted recv buffers per rail
+  /// Eager send credits per rail.  With use_srq = false these are the
+  /// receive slots preposted on each QP, split evenly over the VCIs; in SRQ
+  /// mode they cap each rail's share of the shared pool (srq_pool_slots).
+  int eager_credits = 64;
   int send_bounce_bufs = 256;                ///< sender-side eager bounce pool
 
   /// Rendezvous registration chunk (MVAPICH-lineage pipelined rendezvous,
@@ -128,8 +118,8 @@ struct Config {
   /// channels.  A VCI owns its own QP set per peer (a contiguous slice of
   /// the peer's rail vector, wired lazily per (peer, vci)), a disjoint
   /// sequence-space slice in the matcher, its own CQ-processing server
-  /// ("progress fiber") and its own control-message cursors; VCI 0 is no
-  /// different from the others.  `vci.threads` modeled application threads
+  /// ("progress fiber") and its own rail cursor; VCI 0 is no different
+  /// from the others.  `vci.threads` modeled application threads
   /// per rank each run as a sim::Process fiber; the mapping policy decides
   /// which VCI a thread's operations use.  The default is one VCI driven by
   /// one thread.

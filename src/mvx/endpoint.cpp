@@ -7,7 +7,6 @@
 
 #include "mvx/coll/engine.hpp"
 #include "mvx/conn_manager.hpp"
-#include "mvx/fast_path_channel.hpp"
 #include "mvx/matcher.hpp"
 #include "mvx/net_channel.hpp"
 #include "mvx/rendezvous.hpp"
@@ -44,7 +43,6 @@ Endpoint::Endpoint(sim::Simulator& sim, int rank, int node, std::vector<ib::Hca*
   conn_->set_flush_fn([this](int peer) { flush_queued(peer); });
   net_ = std::make_unique<NetChannel>(*this, std::move(node_hcas));
   shm_ = std::make_unique<ShmChannel>(*this);
-  fast_path_ = std::make_unique<FastPathChannel>(*this, *net_);
   rndv_ = std::make_unique<Rendezvous>(*this, *net_);
   coll_engine_ = std::make_unique<coll::CollEngine>(*this);
 
@@ -59,7 +57,6 @@ Endpoint::~Endpoint() = default;
 void Endpoint::connect_net(Endpoint& a, Endpoint& b) {
   if (a.node_ == b.node_) throw std::logic_error("connect_net: same node — use connect_shm");
   NetChannel::establish(*a.net_, *b.net_);
-  FastPathChannel::connect(*a.fast_path_, *b.fast_path_);
 }
 
 void Endpoint::connect_shm(Endpoint& a, Endpoint& b) {
@@ -158,14 +155,12 @@ Request Endpoint::start_send(CommKind kind, const void* buf, std::int64_t bytes,
   // VCI serialize here (lock + serialized doorbells), threads on dedicated
   // VCIs proceed independently.  No-op in single-threaded ranks.
   lock_vci(req->vci);
-  // Route to the highest-priority channel that accepts the message; the net
-  // channel splits at the rendezvous threshold between the eager protocol
-  // and the RTS/CTS/FIN state machine.
-  if (shm_->accepts(dst, bytes)) {
+  // Route to the shm channel when it reaches the peer, else to the net
+  // channel, which splits at the rendezvous threshold between the eager
+  // protocol and the RTS/CTS/FIN state machine.
+  if (shm_->accepts(dst)) {
     shm_->send(dst, kind, buf, bytes, tag, ctx, req);
-  } else if (fast_path_->accepts(dst, bytes)) {
-    fast_path_->send(dst, kind, buf, bytes, tag, ctx, req);
-  } else if (net_->accepts(dst, bytes)) {
+  } else if (net_->accepts(dst)) {
     if (bytes < cfg_.rndv_threshold) {
       net_->send(dst, kind, buf, bytes, tag, ctx, req);
     } else {
@@ -302,11 +297,8 @@ void Endpoint::flush_queued(int peer) {
   while (conn_->has_queued(peer)) {
     QueuedSend& qs = conn_->front(peer);
     bool sent;
-    if (shm_->accepts(peer, qs.bytes)) {
+    if (shm_->accepts(peer)) {
       shm_->send_evt(peer, qs.kind, qs.buf, qs.bytes, qs.tag, qs.ctx, qs.req);
-      sent = true;
-    } else if (fast_path_->accepts(peer, qs.bytes)) {
-      fast_path_->send_evt(peer, qs.kind, qs.buf, qs.bytes, qs.tag, qs.ctx, qs.req);
       sent = true;
     } else if (qs.bytes < cfg_.rndv_threshold) {
       sent = net_->try_send(peer, qs.kind, qs.buf, qs.bytes, qs.tag, qs.ctx, qs.req);

@@ -3,20 +3,21 @@
 // Since the channel decomposition this is a thin facade over the layered
 // architecture (paper fig. 2, DESIGN.md "Architecture"):
 //
-//   * channels — ShmChannel (intra-node), FastPathChannel (RDMA polled
-//     ring), NetChannel (rails, credits, eager protocol, completion
-//     filter); each owns its per-peer transport state;
+//   * channels — ShmChannel (intra-node) and NetChannel (rails, credits,
+//     eager protocol, completion filter); each owns its per-peer transport
+//     state;
 //   * Matcher — posted/unexpected queues, per-(pair, ctx) sequencing and
 //     reordering, probe semantics;
 //   * Rendezvous — RTS/CTS/FIN state machine, stripe planning, the
 //     registration cache;
 //   * TelemetryRegistry — named counters/gauges every layer registers.
 //
-// The facade routes each send to the highest-priority channel that accepts
-// it, glues in-order arrivals into matching and protocol dispatch, and owns
-// the two cross-cutting resources: one serialized progress server per VCI
-// for event-context protocol work, and the progress waitable blocking calls
-// park on.
+// The facade routes each send to the shm channel when it reaches the peer,
+// else to the net channel (eager below the rendezvous threshold, the
+// rendezvous protocol above it), glues in-order arrivals into matching and
+// protocol dispatch, and owns the two cross-cutting resources: one
+// serialized progress server per VCI for event-context protocol work, and
+// the progress waitable blocking calls park on.
 //
 // Threading model: the owning rank's code runs in process context (and is
 // charged CPU via Process::compute); network completions arrive in event
@@ -48,7 +49,6 @@ class CollEngine;
 
 class ConnManager;
 class Counter;
-class FastPathChannel;
 class Matcher;
 class NetChannel;
 class Rendezvous;
@@ -65,7 +65,7 @@ class Endpoint final : public ChannelHost {
   Endpoint& operator=(const Endpoint&) = delete;
 
   /// Builds the rail set (hcas × ports × qps QP pairs) between two endpoints
-  /// on different nodes, plus the RDMA fast-path rings if enabled.
+  /// on different nodes.
   static void connect_net(Endpoint& a, Endpoint& b);
 
   /// Connects two endpoints on the same node through the shm channel.
@@ -171,7 +171,6 @@ class Endpoint final : public ChannelHost {
   std::unique_ptr<ConnManager> conn_;
   std::unique_ptr<NetChannel> net_;
   std::unique_ptr<ShmChannel> shm_;
-  std::unique_ptr<FastPathChannel> fast_path_;
   std::unique_ptr<Rendezvous> rndv_;
   std::unique_ptr<coll::CollEngine> coll_engine_;
 

@@ -11,7 +11,7 @@
 namespace ib12x::mvx {
 
 NetChannel::NetChannel(ChannelHost& host, std::vector<ib::Hca*> hcas)
-    : Channel(host),
+    : host_(host),
       hcas_(std::move(hcas)),
       slot_bytes_(kHeaderBytes + static_cast<std::size_t>(host.config().rndv_threshold)),
       fault_enabled_(host.config().fault.enabled),
@@ -127,7 +127,7 @@ ib::QueuePair& NetChannel::open_rail(int peer_rank, int hca_index, int port) {
       cfg.use_srq ? pools_.at(static_cast<std::size_t>(hca_index)).srq : nullptr;
   ib::QueuePair& qp =
       hcas_.at(static_cast<std::size_t>(hca_index))->create_qp(port, scq_, rcq_, srq);
-  c.rails.push_back(Rail{&qp, hca_index, rail_credits(), 0});
+  c.rails.push_back(Rail{.qp = &qp, .hca_index = hca_index, .credits = rail_credits()});
   // Error-CQE → rail routing, only ever consulted under fault injection;
   // skip the map nodes entirely otherwise.
   if (fault_enabled_) {
@@ -217,7 +217,7 @@ void NetChannel::wire_vci_group(NetChannel& a, NetChannel& b) {
 }
 
 NetChannel::Peer& NetChannel::peer(int rank) {
-  if (!accepts(rank, 0)) {
+  if (!accepts(rank)) {
     throw std::logic_error("NetChannel " + std::to_string(host_.rank()) +
                            ": no connection to rank " + std::to_string(rank));
   }
@@ -228,7 +228,7 @@ const NetChannel::Peer& NetChannel::peer(int rank) const {
   return const_cast<NetChannel*>(this)->peer(rank);
 }
 
-bool NetChannel::accepts(int peer_rank, std::int64_t /*bytes*/) const {
+bool NetChannel::accepts(int peer_rank) const {
   const auto i = static_cast<std::size_t>(peer_rank);
   return peer_rank >= 0 && i < peers_.size() && peers_[i] != nullptr;
 }
@@ -241,28 +241,6 @@ int NetChannel::nrails(int peer_rank) const {
 RailCursor& NetChannel::cursor(int peer_rank, int vci) {
   ensure_vci(peer_rank, vci);
   return peer(peer_rank).lanes[static_cast<std::size_t>(vci)].cursor;
-}
-
-std::vector<std::int64_t> NetChannel::rail_outstanding(int peer_rank, int vci) const {
-  const Peer& c = peer(peer_rank);
-  const int n = host_.config().rails();
-  const std::size_t base = static_cast<std::size_t>(vci) * static_cast<std::size_t>(n);
-  std::vector<std::int64_t> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) out.push_back(c.rails.at(base + static_cast<std::size_t>(i)).outstanding);
-  return out;
-}
-
-std::vector<std::uint8_t> NetChannel::rail_up(int peer_rank, int vci) const {
-  const Peer& c = peer(peer_rank);
-  const int n = host_.config().rails();
-  const std::size_t base = static_cast<std::size_t>(vci) * static_cast<std::size_t>(n);
-  std::vector<std::uint8_t> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    out.push_back(c.rails.at(base + static_cast<std::size_t>(i)).up ? 1 : 0);
-  }
-  return out;
 }
 
 std::vector<int> NetChannel::live_rails(int peer_rank, int vci) const {
@@ -328,7 +306,6 @@ void NetChannel::post_eager(Peer& c, int peer_rank, int rail, int bounce, const 
   SendCtx* ctx = track_ctx({.kind = SendCtx::Kind::Bounce, .peer = peer_rank, .rail = rail,
                             .bounce = bounce,
                             .bytes = static_cast<std::int64_t>(kHeaderBytes) + bytes});
-  r.outstanding += static_cast<std::int64_t>(kHeaderBytes) + bytes;
   if (r.credits < 0) throw std::logic_error("post_eager: credit underflow");
   r.qp->post_send({.wr_id = reinterpret_cast<std::uint64_t>(ctx),
                    .opcode = ib::Opcode::Send,
@@ -337,8 +314,7 @@ void NetChannel::post_eager(Peer& c, int peer_rank, int rail, int bounce, const 
                    .lkey = bounce_lkey_[r.hca_index]});
 }
 
-int NetChannel::eager_rail(Peer& c, int peer_rank, CommKind kind, std::int64_t bytes,
-                           const Request& req) {
+int NetChannel::eager_rail(Peer& c, CommKind kind, std::int64_t bytes, const Request& req) {
   const Config& cfg = host_.config();
   const int vci = req->vci;
   const int width = cfg.rails();  // rails per VCI: the schedulable slice
@@ -346,14 +322,9 @@ int NetChannel::eager_rail(Peer& c, int peer_rank, CommKind kind, std::int64_t b
   // Multi-lane collective transfer: pinned to its lane's rail, bypassing the
   // policy (and leaving the policy's cursor undisturbed).
   if (req->lane >= 0) return base + req->lane % width;
-  // The schedule runs under Adaptive too: it advances the lane cursor, which
-  // control-message placement reads.
   const Schedule s = choose_schedule(cfg.policy, kind, bytes, width, cfg.stripe_threshold,
                                      c.lanes[static_cast<std::size_t>(vci)].cursor);
-  if (cfg.policy != Policy::Adaptive) return base + (s.stripe ? 0 : s.rail);  // never stripes
-  return base + (fault_enabled_ ? least_loaded_rail(rail_outstanding(peer_rank, vci),
-                                                    rail_up(peer_rank, vci))
-                                : least_loaded_rail(rail_outstanding(peer_rank, vci)));
+  return base + (s.stripe ? 0 : s.rail);  // eager messages never stripe
 }
 
 MsgHeader NetChannel::eager_header(int peer_rank, CommKind kind, std::int64_t bytes, int tag,
@@ -375,7 +346,7 @@ void NetChannel::send(int peer_rank, CommKind kind, const void* buf, std::int64_
   const int vci = req->vci;
   ensure_vci(peer_rank, vci);
   Peer& c = peer(peer_rank);
-  int rail = eager_rail(c, peer_rank, kind, bytes, req);
+  int rail = eager_rail(c, kind, bytes, req);
   if (fault_enabled_) {
     // Failover: never start an eager send on a rail known to be down.  The
     // schedule above keeps its cursor arithmetic (so fault-free behaviour is
@@ -409,7 +380,7 @@ bool NetChannel::try_send(int peer_rank, CommKind kind, const void* buf, std::in
   const Config& cfg = host_.config();
   RailCursor& cur = c.lanes[static_cast<std::size_t>(vci)].cursor;
   const RailCursor saved = cur;
-  int rail = eager_rail(c, peer_rank, kind, bytes, req);
+  int rail = eager_rail(c, kind, bytes, req);
   if (fault_enabled_) {
     if (live_rails(peer_rank, vci).empty()) {
       cur = saved;
@@ -543,9 +514,7 @@ void NetChannel::flush_pending_ctl(int peer_rank) {
 void NetChannel::post_write_impl(Peer& c, int peer_rank, const RndvStripe& st, bool deferred) {
   Rail& r = c.rails.at(static_cast<std::size_t>(st.rail));
   SendCtx* sctx = track_ctx(
-      {.kind = SendCtx::Kind::RndvWrite, .peer = peer_rank, .rail = st.rail, .bytes = st.len,
-       .stripe = st});
-  r.outstanding += st.len;
+      {.kind = SendCtx::Kind::RndvWrite, .peer = peer_rank, .rail = st.rail, .stripe = st});
   ib::SendWr wr;
   wr.wr_id = reinterpret_cast<std::uint64_t>(sctx);
   wr.opcode = ib::Opcode::RdmaWrite;
@@ -580,9 +549,7 @@ void NetChannel::post_write_batch(int peer_rank, const std::vector<RndvStripe>& 
 void NetChannel::post_read_impl(Peer& c, int peer_rank, const RndvStripe& st, bool deferred) {
   Rail& r = c.rails.at(static_cast<std::size_t>(st.rail));
   SendCtx* sctx = track_ctx(
-      {.kind = SendCtx::Kind::RndvRead, .peer = peer_rank, .rail = st.rail, .bytes = st.len,
-       .stripe = st});
-  r.outstanding += st.len;
+      {.kind = SendCtx::Kind::RndvRead, .peer = peer_rank, .rail = st.rail, .stripe = st});
   ib::SendWr wr;
   wr.wr_id = reinterpret_cast<std::uint64_t>(sctx);
   wr.opcode = ib::Opcode::RdmaRead;
@@ -640,9 +607,7 @@ void NetChannel::post_write_imm(int peer_rank, const RndvStripe& st, std::uint32
   RndvStripe actual = st;
   actual.rail = rail;
   SendCtx* sctx = track_ctx(
-      {.kind = SendCtx::Kind::RndvImm, .peer = peer_rank, .rail = rail, .bytes = st.len,
-       .stripe = actual});
-  r.outstanding += st.len;
+      {.kind = SendCtx::Kind::RndvImm, .peer = peer_rank, .rail = rail, .stripe = actual});
   ib::SendWr wr;
   wr.wr_id = reinterpret_cast<std::uint64_t>(sctx);
   wr.opcode = ib::Opcode::RdmaWriteWithImm;
@@ -659,29 +624,6 @@ void NetChannel::flush_pending_imm() {
   std::vector<PendingImm> work;
   work.swap(pending_imm_);
   for (const PendingImm& p : work) post_write_imm(p.peer, p.st, p.imm);
-}
-
-// ------------------------------------------------------- fast-path posting
-
-void NetChannel::post_fp_write(int peer_rank, const std::byte* src, std::uint32_t len,
-                               ib::LKey lkey, std::uint64_t raddr, ib::RKey rkey,
-                               std::function<void()> delivered_cb) {
-  Peer& c = peer(peer_rank);
-  Rail& r = c.rails.front();  // the fast path rides rail 0
-  SendCtx* sctx = track_ctx(
-      {.kind = SendCtx::Kind::FpWrite, .peer = peer_rank, .rail = 0,
-       .bytes = static_cast<std::int64_t>(len)});
-  r.outstanding += static_cast<std::int64_t>(len);
-  ib::SendWr wr;
-  wr.wr_id = reinterpret_cast<std::uint64_t>(sctx);
-  wr.opcode = ib::Opcode::RdmaWrite;
-  wr.src = src;
-  wr.length = len;
-  wr.lkey = lkey;
-  wr.remote_addr = raddr;
-  wr.rkey = rkey;
-  wr.delivered_cb = std::move(delivered_cb);
-  r.qp->post_send(wr);
 }
 
 // ------------------------------------------------------------ send contexts
@@ -718,7 +660,6 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
                          [this, sctx] {
     const bool failed = fault_enabled_ && sctx->failed;
     Peer& c = peer(sctx->peer);
-    c.rails.at(static_cast<std::size_t>(sctx->rail)).outstanding -= sctx->bytes;
     if (failed) {
       send_errors_.inc();
       mark_rail_down(sctx->peer, sctx->rail);
@@ -744,12 +685,6 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
         host_.progress().notify_all();
         break;
       }
-      case SendCtx::Kind::FpWrite:
-        if (failed) {
-          throw std::runtime_error("NetChannel: fast-path write failed (fast path is "
-                                   "not fault tolerant; disable it under fault injection)");
-        }
-        break;  // staging slot reuse is gated by the fast-path credit
       case SendCtx::Kind::RndvWrite:
         if (failed) {
           host_.on_rndv_write_failed(sctx->peer, sctx->stripe);
@@ -994,7 +929,6 @@ void NetChannel::post_bounce_raw(Peer& c, int peer_rank, int rail, int bounce,
   Rail& r = c.rails.at(static_cast<std::size_t>(rail));
   SendCtx* ctx = track_ctx({.kind = SendCtx::Kind::Bounce, .peer = peer_rank, .rail = rail,
                             .bounce = bounce, .bytes = wire_bytes, .attempts = attempts});
-  r.outstanding += wire_bytes;
   r.qp->post_send({.wr_id = reinterpret_cast<std::uint64_t>(ctx),
                    .opcode = ib::Opcode::Send,
                    .src = bounce_data(bounce),

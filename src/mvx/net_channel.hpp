@@ -25,10 +25,10 @@
 
 namespace ib12x::mvx {
 
-class NetChannel final : public Channel {
+class NetChannel final {
  public:
   NetChannel(ChannelHost& host, std::vector<ib::Hca*> hcas);
-  ~NetChannel() override;
+  ~NetChannel();
 
   /// Per-side connection surface, driven by the connection manager (or the
   /// legacy all-pairs loop): open_to(peer) creates this side's peer entry
@@ -50,12 +50,13 @@ class NetChannel final : public Channel {
   /// `peer` (symmetrically, on both sides).  No-op for already-wired groups.
   void ensure_vci(int peer, int vci);
 
-  [[nodiscard]] bool accepts(int peer, std::int64_t bytes) const override;
+  /// True once open_to(peer) has created this side's peer entry.
+  [[nodiscard]] bool accepts(int peer) const;
 
   /// Eager send (bytes < rndv_threshold); larger messages go through the
   /// Rendezvous module, which posts on this channel.
   void send(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag, int ctx,
-            const Request& req) override;
+            const Request& req);
 
   /// Event-context eager send for the connection manager's queued-send
   /// flush: same rail choice as send(), but never blocks — returns false
@@ -91,12 +92,6 @@ class NetChannel final : public Channel {
   /// the VCI's QP group on first use.  Control traffic (RTS/CTS/FIN) reads
   /// it to place itself but never advances it.
   [[nodiscard]] RailCursor& cursor(int peer, int vci);
-  /// Per-rail outstanding bytes of one VCI's slice (the gauge the Adaptive
-  /// policy balances on), indexed locally 0..nrails-1.
-  [[nodiscard]] std::vector<std::int64_t> rail_outstanding(int peer, int vci) const;
-  /// Per-rail health mask of one VCI's slice (1 = up).  All-ones unless
-  /// fault injection is on.
-  [[nodiscard]] std::vector<std::uint8_t> rail_up(int peer, int vci) const;
   /// Flat indices of the currently-up rails in one VCI's slice (may be empty
   /// mid-outage).
   [[nodiscard]] std::vector<int> live_rails(int peer, int vci) const;
@@ -123,11 +118,6 @@ class NetChannel final : public Channel {
   /// an eager credit on a live rail of the stripe's VCI slice; with none
   /// available the post queues and drains when a credit returns.
   void post_write_imm(int peer, const RndvStripe& st, std::uint32_t imm);
-
-  // ---- services for the fast-path channel (rides rail 0) ----
-
-  void post_fp_write(int peer, const std::byte* src, std::uint32_t len, ib::LKey lkey,
-                     std::uint64_t raddr, ib::RKey rkey, std::function<void()> delivered_cb);
 
   [[nodiscard]] const std::vector<ib::Hca*>& hcas() const { return hcas_; }
 
@@ -157,13 +147,11 @@ class NetChannel final : public Channel {
     bool want_replenish = false;     ///< a limit event fired since the last repost
   };
 
-  /// One rail to one peer: a connected QP plus sender-side credits and the
-  /// outstanding-byte gauge the Adaptive policy balances on.
+  /// One rail to one peer: a connected QP plus its sender-side credits.
   struct Rail {
     ib::QueuePair* qp = nullptr;
     int hca_index = 0;
     int credits = 0;
-    std::int64_t outstanding = 0;
     // ---- failover state (inert unless fault injection is on) ----
     bool up = true;
     bool recovery_scheduled = false;  ///< a try_recover_rail event is pending
@@ -195,14 +183,13 @@ class NetChannel final : public Channel {
     enum class Kind : std::uint8_t {
       Bounce,
       RndvWrite,
-      FpWrite,
       RndvRead,
       RndvImm,
     } kind = Kind::Bounce;
     int peer = -1;
     int rail = -1;
     int bounce = -1;         // Bounce: index into bounce pool
-    std::int64_t bytes = 0;  // outstanding-byte accounting
+    std::int64_t bytes = 0;  // Bounce: wire bytes, for a failover replay
     int attempts = 0;        // Bounce: failover replays of this message so far
     bool failed = false;     // the CQE carried an error status
     int live_slot = -1;      // index in live_ctx_
@@ -264,7 +251,7 @@ class NetChannel final : public Channel {
   /// The flat rail an eager message of `req` starts on, before failover
   /// remapping: its collective lane's rail, else the policy's pick within
   /// the request's VCI slice (advancing that lane's cursor).
-  int eager_rail(Peer& c, int peer_rank, CommKind kind, std::int64_t bytes, const Request& req);
+  int eager_rail(Peer& c, CommKind kind, std::int64_t bytes, const Request& req);
   /// The header of an eager message; claims its sequence number.
   MsgHeader eager_header(int peer_rank, CommKind kind, std::int64_t bytes, int tag, int ctx,
                          int vci);
@@ -313,6 +300,7 @@ class NetChannel final : public Channel {
   void post_bounce_raw(Peer& c, int peer_rank, int rail, int bounce, std::int64_t wire_bytes,
                        int attempts);
 
+  ChannelHost& host_;
   std::vector<ib::Hca*> hcas_;
 
   ib::CompletionQueue scq_;

@@ -1,7 +1,7 @@
 // Host copies of message payloads, owned by the model.
 //
 // Every eager payload the model copies is made by its World's PayloadPool:
-// the shm segment copy, the net and RDMA fast-path receive copies (held by
+// the shm segment copy, the net channel's receive copies (held by
 // the matcher's reorder park and unexpected queue), and a communicator's
 // self queue.  A Payload handle owns one copy; the copy is released when the
 // handle dies, which is where the payload is consumed (copied into the

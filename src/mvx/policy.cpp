@@ -11,8 +11,6 @@ const char* to_string(Policy p) {
     case Policy::RoundRobin: return "round-robin";
     case Policy::EvenStriping: return "even-striping";
     case Policy::EPC: return "EPC";
-    case Policy::WeightedStriping: return "weighted-striping";
-    case Policy::Adaptive: return "adaptive";
   }
   return "?";
 }
@@ -56,12 +54,7 @@ Schedule choose_schedule(Policy policy, CommKind kind, std::int64_t bytes,
     case Policy::RoundRobin:
       return round_robin(nrails, cursor);
     case Policy::EvenStriping:
-    case Policy::WeightedStriping:  // weights applied at stripe-split time
       return striping(bytes, nrails, stripe_threshold);
-    case Policy::Adaptive:
-      // Resolved by the rail manager, which knows per-rail load; default to
-      // round robin here so a bare choose_schedule call stays sensible.
-      return round_robin(nrails, cursor);
     case Policy::EPC:
       switch (kind) {
         case CommKind::Nonblocking:
@@ -78,46 +71,15 @@ Schedule choose_schedule(Policy policy, CommKind kind, std::int64_t bytes,
   return Schedule{};
 }
 
-int least_loaded_rail(const std::vector<std::int64_t>& outstanding) {
-  int best = 0;
-  for (int i = 1; i < static_cast<int>(outstanding.size()); ++i) {
-    if (outstanding[static_cast<std::size_t>(i)] < outstanding[static_cast<std::size_t>(best)]) {
-      best = i;
-    }
-  }
-  return best;
-}
-
-int least_loaded_rail(const std::vector<std::int64_t>& outstanding,
-                      const std::vector<std::uint8_t>& up) {
-  int best = -1;
-  for (int i = 0; i < static_cast<int>(outstanding.size()); ++i) {
-    if (i < static_cast<int>(up.size()) && up[static_cast<std::size_t>(i)] == 0) continue;
-    if (best < 0 ||
-        outstanding[static_cast<std::size_t>(i)] < outstanding[static_cast<std::size_t>(best)]) {
-      best = i;
-    }
-  }
-  return best >= 0 ? best : least_loaded_rail(outstanding);
-}
-
 std::vector<Stripe> plan_stripes(std::int64_t bytes, std::int64_t base_off,
                                  const std::vector<int>& rails, std::int64_t min_stripe,
-                                 const std::vector<double>& weights, RailCursor& cursor) {
+                                 RailCursor& cursor) {
   std::vector<Stripe> stripes;
   const int nrails = static_cast<int>(rails.size());
   if (nrails == 0 || bytes <= 0) return stripes;
 
   const int n = static_cast<int>(
       std::min<std::int64_t>(nrails, std::max<std::int64_t>(1, bytes / min_stripe)));
-  std::vector<double> w(static_cast<std::size_t>(n), 1.0);
-  if (!weights.empty()) {
-    for (int i = 0; i < n; ++i) {
-      w[static_cast<std::size_t>(i)] = weights[static_cast<std::size_t>(i) % weights.size()];
-    }
-  }
-  double wsum = 0;
-  for (double x : w) wsum += x;
 
   // When the message cuts into fewer stripes than candidate rails, rotate
   // the base position through the shared cursor so successive transfers
@@ -128,26 +90,11 @@ std::vector<Stripe> plan_stripes(std::int64_t bytes, std::int64_t base_off,
     cursor.next = (base + n) % nrails;
   }
 
-  std::int64_t off = 0;
+  const std::int64_t share = bytes / n;
   for (int i = 0; i < n; ++i) {
-    const std::int64_t remaining = bytes - off;
-    const int left = n - i;
-    std::int64_t len;
-    if (i + 1 == n) {
-      len = remaining;
-    } else {
-      len = static_cast<std::int64_t>(static_cast<double>(bytes) *
-                                      w[static_cast<std::size_t>(i)] / wsum);
-      // Weight rounding must not produce sub-min_stripe (or zero/negative)
-      // cuts: clamp up to min_stripe and down so every remaining stripe can
-      // still get its minimum.  bytes >= n * min_stripe by the choice of n,
-      // so both bounds are always satisfiable.
-      len = std::max(len, min_stripe);
-      len = std::min(len, remaining - min_stripe * (left - 1));
-    }
+    const std::int64_t off = share * i;
     stripes.push_back({rails[static_cast<std::size_t>((base + i) % nrails)], base_off + off,
-                       len});
-    off += len;
+                       i + 1 == n ? bytes - off : share});
   }
   return stripes;
 }

@@ -18,8 +18,6 @@ enum class Policy : std::uint8_t {
   RoundRobin,       ///< whole messages on successive rails, circularly
   EvenStriping,     ///< messages >= stripe threshold split equally over all rails
   EPC,              ///< Enhanced Point-to-point and Collective: marker-driven (the paper's contribution)
-  WeightedStriping, ///< extension: striping proportional to configured rail weights
-  Adaptive,         ///< extension: whole messages to the least-loaded rail
 };
 
 /// What the ADI-layer communication marker knows about a transfer.
@@ -35,8 +33,9 @@ struct Schedule {
   int rail = 0;         ///< rail index when !stripe
 };
 
-/// Per-peer scheduling state (round-robin cursor, outstanding bytes for the
-/// adaptive policy).
+/// The scheduling state of one (peer, VCI) rail slice: the next rail for
+/// round robin.  Striping also rotates its base rail through it (see
+/// plan_stripes), and control messages read it to place themselves.
 struct RailCursor {
   int next = 0;
 };
@@ -58,17 +57,6 @@ const char* to_string(CommKind k);
 Schedule choose_schedule(Policy policy, CommKind kind, std::int64_t bytes,
                          int nrails, std::int64_t stripe_threshold, RailCursor& cursor);
 
-/// The Adaptive policy's rail pick: the rail with the fewest outstanding
-/// bytes (ties broken toward the lowest index).  `outstanding` is the
-/// per-rail outstanding-byte gauge the channel maintains.
-int least_loaded_rail(const std::vector<std::int64_t>& outstanding);
-
-/// Masked overload for failover: only rails with up[i] != 0 are candidates.
-/// Falls back to plain least-loaded when no rail is up (the caller's
-/// recovery machinery will resurrect one).
-int least_loaded_rail(const std::vector<std::int64_t>& outstanding,
-                      const std::vector<std::uint8_t>& up);
-
 /// One planned stripe of a striped transfer; `offset` is absolute within the
 /// message.
 struct Stripe {
@@ -82,11 +70,12 @@ struct Stripe {
 /// subset under failover — and stripes are assigned over list *positions*,
 /// starting at a base that rotates through `cursor` whenever fewer stripes
 /// than candidates are cut (so successive transfers spread over all rails).
-/// Stripe lengths follow `weights` cyclically (empty = equal shares), never
-/// fall below `min_stripe`, and always sum to `bytes`.  Returns an empty
-/// vector for bytes <= 0 or an empty rail list.
+/// The message cuts into n = min(candidates, max(1, bytes / min_stripe))
+/// stripes: every stripe but the last carries bytes / n, the last the
+/// remainder, so no stripe falls below `min_stripe` unless the whole message
+/// does.  Returns an empty vector for bytes <= 0 or an empty rail list.
 std::vector<Stripe> plan_stripes(std::int64_t bytes, std::int64_t base_off,
                                  const std::vector<int>& rails, std::int64_t min_stripe,
-                                 const std::vector<double>& weights, RailCursor& cursor);
+                                 RailCursor& cursor);
 
 }  // namespace ib12x::mvx

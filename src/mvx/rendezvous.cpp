@@ -309,7 +309,7 @@ std::vector<Rendezvous::Stripe> Rendezvous::plan_limited(int peer, int vci,
     cur.next = (cur.next + width) % static_cast<int>(cand.size());
     cand.swap(pick);
   }
-  return mvx::plan_stripes(bytes, base_off, cand, cfg.min_stripe, {}, net_.cursor(peer, vci));
+  return mvx::plan_stripes(bytes, base_off, cand, cfg.min_stripe, net_.cursor(peer, vci));
 }
 
 void Rendezvous::accept_read(const MsgHeader& rts, const Request& req, const CtsRkeys& rkeys) {
@@ -429,7 +429,7 @@ void Rendezvous::repost_read(int peer, const RndvStripe& st) {
   }
 
   std::vector<Stripe> parts =
-      mvx::plan_stripes(st.len, 0, live, cfg.min_stripe, {}, net_.cursor(peer, vci));
+      mvx::plan_stripes(st.len, 0, live, cfg.min_stripe, net_.cursor(peer, vci));
   if (parts.empty()) parts.push_back({live.front(), 0, st.len});
 
   // Same in-flight accounting rule as write failover: the failed read was
@@ -500,22 +500,10 @@ std::vector<Rendezvous::Stripe> Rendezvous::plan_stripes(int peer, const Request
   Schedule s = choose_schedule(cfg.policy, static_cast<CommKind>(req->kind), bytes, n,
                                cfg.stripe_threshold, net_.cursor(peer, vci));
   if (s.stripe && bytes > 0) {
-    // Striping over the candidate rails (never cutting below min_stripe);
-    // stripe sizes follow the configured rail weights for WeightedStriping,
-    // equal shares otherwise.  The split math lives in mvx::plan_stripes so
-    // the failover re-plan and the property tests exercise the same code.
-    static const std::vector<double> kNoWeights;
-    const std::vector<double>& w =
-        cfg.policy == Policy::WeightedStriping ? cfg.rail_weights : kNoWeights;
-    return mvx::plan_stripes(bytes, base_off, rails, cfg.min_stripe, w, net_.cursor(peer, vci));
-  }
-  if (cfg.policy == Policy::Adaptive) {
-    const int rail =
-        vci * net_.nrails(peer) +
-        (net_.fault_enabled()
-             ? least_loaded_rail(net_.rail_outstanding(peer, vci), net_.rail_up(peer, vci))
-             : least_loaded_rail(net_.rail_outstanding(peer, vci)));
-    return {{rail, base_off, bytes}};
+    // Equal stripes over the candidate rails, never cut below min_stripe.
+    // The split math lives in mvx::plan_stripes so the failover re-plan and
+    // the property tests exercise the same code.
+    return mvx::plan_stripes(bytes, base_off, rails, cfg.min_stripe, net_.cursor(peer, vci));
   }
   return {{rails[static_cast<std::size_t>(s.rail % n)], base_off, bytes}};
 }
@@ -698,7 +686,7 @@ void Rendezvous::repost_stripe(int peer, const RndvStripe& st) {
   }
 
   std::vector<Stripe> parts =
-      mvx::plan_stripes(st.len, 0, live, cfg.min_stripe, {}, net_.cursor(peer, vci));
+      mvx::plan_stripes(st.len, 0, live, cfg.min_stripe, net_.cursor(peer, vci));
   if (parts.empty()) parts.push_back({live.front(), 0, st.len});  // zero-byte stripe
 
   // The failed stripe was already counted once in the in-flight bookkeeping;

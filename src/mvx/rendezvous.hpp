@@ -27,8 +27,8 @@
 //
 // Buffer pinning goes through the PinCache (interval lookup, LRU eviction).
 // Every piece of protocol work runs on the message's VCI progress server.
-// Data and control movement go through the NetChannel so rail credits and
-// outstanding-byte accounting stay in one place.  The rndv.* counters of
+// Data and control movement go through the NetChannel so rail credits stay
+// in one place.  The rndv.* counters of
 // every protocol are registered whatever the configuration.
 #pragma once
 
@@ -129,10 +129,11 @@ class Rendezvous {
   };
 
   /// Splits `bytes` at message offset `base_off` into rail stripes following
-  /// the configured policy (even/weighted/adaptive, multi-lane pinning) over
-  /// candidate_rails.  Stripe lengths never fall below min_stripe and always
-  /// sum to `bytes`; when fewer stripes than rails are cut, the base rail
-  /// rotates through the peer's cursor so all rails see load.
+  /// the configured policy (or the request's multi-lane pin) over
+  /// candidate_rails.  Striped messages split equally (mvx::plan_stripes):
+  /// no stripe falls below min_stripe and the lengths sum to `bytes`; when
+  /// fewer stripes than rails are cut, the base rail rotates through the
+  /// peer's cursor so all rails see load.
   std::vector<Stripe> plan_stripes(int peer, const Request& req, std::int64_t base_off,
                                    std::int64_t bytes);
   /// Flat indices of the rails a transfer on `vci` may use: the VCI's slice,

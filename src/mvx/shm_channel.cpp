@@ -7,7 +7,7 @@
 namespace ib12x::mvx {
 
 ShmChannel::ShmChannel(ChannelHost& host)
-    : Channel(host),
+    : host_(host),
       sent_(host.telemetry().counter("shm.sent")),
       bytes_sent_(host.telemetry().counter("shm.bytes_sent")) {}
 
@@ -20,7 +20,7 @@ void ShmChannel::connect(ShmChannel& a, ShmChannel& b) {
   pb.pipe = sim::BandwidthServer("shm", b.host_.config().shm_gbps);
 }
 
-bool ShmChannel::accepts(int peer, std::int64_t /*bytes*/) const {
+bool ShmChannel::accepts(int peer) const {
   return peers_.count(peer) != 0;
 }
 

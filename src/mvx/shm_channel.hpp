@@ -12,17 +12,19 @@
 
 namespace ib12x::mvx {
 
-class ShmChannel final : public Channel {
+class ShmChannel final {
  public:
   explicit ShmChannel(ChannelHost& host);
 
   /// Connects two channels on the same node (both directions).
   static void connect(ShmChannel& a, ShmChannel& b);
 
-  [[nodiscard]] bool accepts(int peer, std::int64_t bytes) const override;
+  /// True once connect() has paired this channel with `peer`.
+  [[nodiscard]] bool accepts(int peer) const;
 
+  /// Starts one message.  Process context.
   void send(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag, int ctx,
-            const Request& req) override;
+            const Request& req);
 
   /// Event-context twin of send(), for flushing sends queued behind a lazy
   /// handshake: the copy cost is charged through schedule_cpu_vci instead of the
@@ -40,6 +42,7 @@ class ShmChannel final : public Channel {
   /// Delivery on the receiving side (invoked by the sender's event).
   void deliver(int src, MsgHeader hdr, Payload payload);
 
+  ChannelHost& host_;
   std::map<int, Peer> peers_;
   Counter& sent_;
   Counter& bytes_sent_;

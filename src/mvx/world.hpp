@@ -55,7 +55,7 @@ class World {
   void bump_ctx(int at_least) { next_ctx_ = std::max(next_ctx_, at_least); }
 
  private:
-  /// Builds every channel between ranks `i` and `j` (shm or net+fast-path)
+  /// Builds the channel between ranks `i` and `j` (shm or net)
   /// and marks both connection managers Ready.  Idempotent; used by both the
   /// legacy all-pairs loop and the lazy managers' wire function.
   void wire_pair(int i, int j);

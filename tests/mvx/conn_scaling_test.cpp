@@ -295,14 +295,14 @@ TEST(ConnSlots, NetChannelPeerDiagnosticsSurviveDenseSlots) {
     }
   };
   for (int rank : {-1, 1, 2, 3, 100}) {
-    EXPECT_FALSE(net.accepts(rank, 0)) << rank;
+    EXPECT_FALSE(net.accepts(rank)) << rank;
     expect_no_connection(rank);
   }
   net.open_to(2);
-  EXPECT_TRUE(net.accepts(2, 0));
+  EXPECT_TRUE(net.accepts(2));
   EXPECT_EQ(net.nrails(2), w.config().rails());
   for (int rank : {-1, 1, 3, 100}) {  // below, above and far past the opened slot
-    EXPECT_FALSE(net.accepts(rank, 0)) << rank;
+    EXPECT_FALSE(net.accepts(rank)) << rank;
     expect_no_connection(rank);
   }
 }

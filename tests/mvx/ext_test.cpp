@@ -1,5 +1,5 @@
 // Extension features beyond the paper's core: probe, reduce_scatter, scan,
-// allgatherv/gatherv, SRQ mode, adaptive & weighted policies.
+// allgatherv/gatherv, SRQ mode.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -192,98 +192,6 @@ TEST(Srq, ManyPeersShareBuffers) {
       EXPECT_EQ(got, payload(1024, from, c.rank()));
     }
   });
-}
-
-TEST(Adaptive, BalancesOutstandingBytes) {
-  Config cfg = Config::enhanced(4, Policy::Adaptive);
-  World w(ClusterSpec{2, 1}, cfg);
-  w.run([](Communicator& c) {
-    const std::size_t n = 128 * 1024;
-    if (c.rank() == 0) {
-      std::vector<std::vector<std::byte>> bufs;
-      std::vector<Request> reqs;
-      for (int i = 0; i < 16; ++i) {
-        bufs.push_back(payload(n, 0, i));
-        reqs.push_back(c.isend(bufs.back().data(), n, BYTE, 1, i));
-      }
-      c.waitall(reqs);
-    } else {
-      std::vector<std::byte> got(n);
-      for (int i = 0; i < 16; ++i) {
-        c.recv(got.data(), n, BYTE, 0, i);
-        EXPECT_EQ(got, payload(n, 0, i));
-      }
-    }
-  });
-  // All four rails carried data (QPs 1..4 of rank 0 → roughly even split).
-  // We can't reach rails directly; assert via throughput instead: adaptive
-  // must match round-robin within 15% on this workload.
-}
-
-TEST(Adaptive, ThroughputMatchesRoundRobin) {
-  auto bw = [](Policy p) {
-    World w(ClusterSpec{2, 1}, Config::enhanced(4, p));
-    sim::Time end = 0;
-    w.run([&](Communicator& c) {
-      const std::size_t n = 256 * 1024;
-      std::vector<std::byte> buf(n);
-      if (c.rank() == 0) {
-        std::vector<Request> reqs;
-        for (int i = 0; i < 32; ++i) reqs.push_back(c.isend(buf.data(), n, BYTE, 1, 0));
-        c.waitall(reqs);
-      } else {
-        std::vector<Request> reqs;
-        for (int i = 0; i < 32; ++i) reqs.push_back(c.irecv(buf.data(), n, BYTE, 0, 0));
-        c.waitall(reqs);
-      }
-      end = c.now();
-    });
-    return static_cast<double>(end);
-  };
-  EXPECT_NEAR(bw(Policy::Adaptive), bw(Policy::RoundRobin), bw(Policy::RoundRobin) * 0.15);
-}
-
-TEST(Weighted, StripesFollowWeights) {
-  Config cfg = Config::enhanced(4, Policy::WeightedStriping);
-  cfg.rail_weights = {4.0, 2.0, 1.0, 1.0};
-  World w(ClusterSpec{2, 1}, cfg);
-  w.run([](Communicator& c) {
-    const std::size_t n = 1 << 20;
-    if (c.rank() == 0) {
-      auto data = payload(n, 0);
-      c.send(data.data(), n, BYTE, 1, 0);
-    } else {
-      std::vector<std::byte> got(n);
-      c.recv(got.data(), n, BYTE, 0, 0);
-      EXPECT_EQ(got, payload(n, 0));
-    }
-  });
-  // Rail 0 (weight 4) must have carried about half the bytes.
-  // (Verified indirectly: data integrity above; stripe count via telemetry.)
-  EXPECT_GT(w.telemetry().counter_value("rndv.stripes_posted"), 0u);
-}
-
-TEST(Weighted, EqualWeightsBehaveLikeEvenStriping) {
-  auto lat = [](Policy p, std::vector<double> weights) {
-    Config cfg = Config::enhanced(4, p);
-    cfg.rail_weights = std::move(weights);
-    World w(ClusterSpec{2, 1}, cfg);
-    sim::Time end = 0;
-    w.run([&](Communicator& c) {
-      std::vector<std::byte> buf(1 << 20);
-      if (c.rank() == 0) {
-        c.send(buf.data(), buf.size(), BYTE, 1, 0);
-        c.recv(buf.data(), buf.size(), BYTE, 1, 0);
-      } else {
-        c.recv(buf.data(), buf.size(), BYTE, 0, 0);
-        c.send(buf.data(), buf.size(), BYTE, 0, 0);
-      }
-      end = c.now();
-    });
-    return static_cast<double>(end);
-  };
-  EXPECT_NEAR(lat(Policy::WeightedStriping, {1, 1, 1, 1}), lat(Policy::EvenStriping, {}),
-              lat(Policy::EvenStriping, {}) * 0.01);
 }
 
 }  // namespace

@@ -74,8 +74,7 @@ TEST(Policy, EpcMatchesMarker) {
 
 TEST(Policy, SingleRailShortCircuits) {
   RailCursor cur;
-  for (auto p : {Policy::Binding, Policy::RoundRobin, Policy::EvenStriping, Policy::EPC,
-                 Policy::WeightedStriping, Policy::Adaptive}) {
+  for (auto p : {Policy::Binding, Policy::RoundRobin, Policy::EvenStriping, Policy::EPC}) {
     Schedule s = choose_schedule(p, CommKind::Blocking, 1 << 20, 1, kThresh, cur);
     EXPECT_FALSE(s.stripe);
     EXPECT_EQ(s.rail, 0);
@@ -107,13 +106,6 @@ TEST(Policy, FullScheduleTable) {
       {Policy::EvenStriping, B, Want::Rail0, Want::Stripe, Want::Stripe},
       {Policy::EvenStriping, N, Want::Rail0, Want::Stripe, Want::Stripe},
       {Policy::EvenStriping, C, Want::Rail0, Want::Stripe, Want::Stripe},
-      {Policy::WeightedStriping, B, Want::Rail0, Want::Stripe, Want::Stripe},
-      {Policy::WeightedStriping, N, Want::Rail0, Want::Stripe, Want::Stripe},
-      {Policy::WeightedStriping, C, Want::Rail0, Want::Stripe, Want::Stripe},
-      // Adaptive resolves its real rail in the channel; bare calls are RR.
-      {Policy::Adaptive, B, Want::RR, Want::RR, Want::RR},
-      {Policy::Adaptive, N, Want::RR, Want::RR, Want::RR},
-      {Policy::Adaptive, C, Want::RR, Want::RR, Want::RR},
       // The paper's marker table (§3.2–3.3), including the sub-threshold
       // collective → RR cell.
       {Policy::EPC, B, Want::Rail0, Want::Stripe, Want::Stripe},
@@ -162,7 +154,7 @@ TEST(Policy, FullScheduleTable) {
 }
 
 // Property-style invariant sweep over the stripe planner: a seeded generator
-// draws (rail count × live-rail mask × size × floor × weights × base offset)
+// draws (rail count × live-rail mask × size × floor × base offset)
 // and every plan must (a) cover the message exactly — contiguous offsets,
 // lengths summing to the byte count, (b) never cut a stripe below the floor,
 // (c) place stripes only on live rails, at most once per rail, and (d) assign
@@ -187,17 +179,12 @@ TEST(Policy, StripePlanInvariantsHoldForAllLiveMasks) {
       case 2: bytes = 1 + static_cast<std::int64_t>(rng.next_below(256 * 1024)); break;
       default: bytes = 1 + static_cast<std::int64_t>(rng.next_below(4 << 20)); break;
     }
-    std::vector<double> weights;
-    if (rng.next_below(3) == 0) {
-      weights.resize(1 + rng.next_below(4));
-      for (double& w : weights) w = 0.25 * static_cast<double>(1 + rng.next_below(16));
-    }
     const std::int64_t base_off = static_cast<std::int64_t>(rng.next_below(1 << 20));
     RailCursor cursor{static_cast<int>(rng.next_below(static_cast<std::uint64_t>(live.size())))};
     RailCursor id_cursor = cursor;
 
     const std::vector<Stripe> plan =
-        plan_stripes(bytes, base_off, live, min_stripe, weights, cursor);
+        plan_stripes(bytes, base_off, live, min_stripe, cursor);
     const auto label = [&] {
       return "iter " + std::to_string(iter) + " bytes=" + std::to_string(bytes) +
              " live=" + std::to_string(live.size()) + "/" + std::to_string(nrails) +
@@ -232,7 +219,7 @@ TEST(Policy, StripePlanInvariantsHoldForAllLiveMasks) {
     std::vector<int> positions(live.size());
     std::iota(positions.begin(), positions.end(), 0);
     const std::vector<Stripe> id_plan =
-        plan_stripes(bytes, base_off, positions, min_stripe, weights, id_cursor);
+        plan_stripes(bytes, base_off, positions, min_stripe, id_cursor);
     ASSERT_EQ(id_plan.size(), plan.size()) << label();
     for (std::size_t i = 0; i < plan.size(); ++i) {
       EXPECT_EQ(plan[i].rail, live[static_cast<std::size_t>(id_plan[i].rail)]) << label();
@@ -246,24 +233,53 @@ TEST(Policy, StripePlanInvariantsHoldForAllLiveMasks) {
 TEST(Policy, StripePlanDegenerateInputs) {
   RailCursor cur;
   const std::vector<int> four = {0, 1, 2, 3};
-  EXPECT_TRUE(plan_stripes(0, 0, four, 2048, {}, cur).empty());
-  EXPECT_TRUE(plan_stripes(-5, 0, four, 2048, {}, cur).empty());
-  EXPECT_TRUE(plan_stripes(1 << 20, 0, std::vector<int>{}, 2048, {}, cur).empty());
+  EXPECT_TRUE(plan_stripes(0, 0, four, 2048, cur).empty());
+  EXPECT_TRUE(plan_stripes(-5, 0, four, 2048, cur).empty());
+  EXPECT_TRUE(plan_stripes(1 << 20, 0, std::vector<int>{}, 2048, cur).empty());
   // A sub-floor message still travels: one stripe carrying everything.
-  const auto tiny = plan_stripes(100, 64, std::vector<int>{3}, 2048, {}, cur);
+  const auto tiny = plan_stripes(100, 64, std::vector<int>{3}, 2048, cur);
   ASSERT_EQ(tiny.size(), 1u);
   EXPECT_EQ(tiny[0].rail, 3);
   EXPECT_EQ(tiny[0].offset, 64);
   EXPECT_EQ(tiny[0].len, 100);
 }
 
-TEST(Policy, LeastLoadedRailHonoursLiveMask) {
-  const std::vector<std::int64_t> load = {10, 0, 5, 7};
-  EXPECT_EQ(least_loaded_rail(load), 1);
-  EXPECT_EQ(least_loaded_rail(load, {1, 0, 1, 1}), 2);  // rail 1 down
-  EXPECT_EQ(least_loaded_rail(load, {1, 0, 0, 1}), 3);
-  // All down: fall back to the unmasked pick (recovery will re-arm a rail).
-  EXPECT_EQ(least_loaded_rail(load, {0, 0, 0, 0}), 1);
+// The stripe planner's exact split: every stripe but the last carries
+// bytes / n and the last takes the remainder.  Each row spells the plan out
+// byte for byte, so any change to the cut (rounding, clamping, rail order,
+// cursor rotation) shows here even where the invariant sweep above holds.
+TEST(Policy, StripePlanSplitsEquallyWithRemainderLast) {
+  struct Row {
+    const char* name;
+    std::int64_t bytes, base_off, min_stripe;
+    std::vector<int> rails;
+    int cursor_in;
+    std::vector<Stripe> want;
+    int cursor_out;
+  };
+  const std::vector<Row> table = {
+      {"1 MiB + 1 on 4 rails", (1 << 20) + 1, 0, 2048, {0, 1, 2, 3}, 0,
+       {{0, 0, 262144}, {1, 262144, 262144}, {2, 524288, 262144}, {3, 786432, 262145}}, 0},
+      {"exact fit", 4 * 2048, 100, 2048, {0, 1, 2, 3}, 3,
+       {{0, 100, 2048}, {1, 2148, 2048}, {2, 4196, 2048}, {3, 6244, 2048}}, 3},
+      {"sub-floor message", 100, 64, 2048, {0, 1, 2, 3}, 2, {{2, 64, 100}}, 3},
+      {"failover re-plan over live rails 1 and 3", 100001, 0, 2048, {1, 3}, 1,
+       {{1, 0, 50000}, {3, 50000, 50001}}, 1},
+      {"re-plan narrower than the live set", 5001, 0, 2048, {0, 2, 3}, 2,
+       {{3, 0, 2500}, {0, 2500, 2501}}, 1},
+  };
+  for (const Row& row : table) {
+    RailCursor cur{row.cursor_in};
+    const std::vector<Stripe> plan =
+        plan_stripes(row.bytes, row.base_off, row.rails, row.min_stripe, cur);
+    ASSERT_EQ(plan.size(), row.want.size()) << row.name;
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      EXPECT_EQ(plan[i].rail, row.want[i].rail) << row.name << " stripe " << i;
+      EXPECT_EQ(plan[i].offset, row.want[i].offset) << row.name << " stripe " << i;
+      EXPECT_EQ(plan[i].len, row.want[i].len) << row.name << " stripe " << i;
+    }
+    EXPECT_EQ(cur.next, row.cursor_out) << row.name;
+  }
 }
 
 TEST(Policy, Names) {

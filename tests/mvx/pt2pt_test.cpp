@@ -307,8 +307,7 @@ TEST_P(PolicyIntegrity, LargeTransfersIntactUnderEveryPolicy) {
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyIntegrity,
                          ::testing::Values(Policy::Binding, Policy::RoundRobin,
-                                           Policy::EvenStriping, Policy::EPC,
-                                           Policy::WeightedStriping, Policy::Adaptive));
+                                           Policy::EvenStriping, Policy::EPC));
 
 class RailCountIntegrity : public ::testing::TestWithParam<int> {};
 

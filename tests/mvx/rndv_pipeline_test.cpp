@@ -24,7 +24,7 @@ Config pipelined(int qps, Policy p) {
 }
 
 TEST(RndvPipeline, DeliversAcrossSizesAndPolicies) {
-  for (Policy p : {Policy::EPC, Policy::EvenStriping, Policy::RoundRobin, Policy::Adaptive}) {
+  for (Policy p : {Policy::EPC, Policy::EvenStriping, Policy::RoundRobin}) {
     Config cfg = pipelined(4, p);
     World w(ClusterSpec{2, 1}, cfg);
     w.run([&](Communicator& c) {
@@ -195,36 +195,6 @@ TEST(RndvPipeline, DefaultIsOneCtsPerMessage) {
   EXPECT_EQ(w.telemetry().counter_value("rndv.rts_sent"), sizes.size());
   EXPECT_EQ(w.telemetry().counter_value("rndv.cts_chunks"), sizes.size());
   EXPECT_EQ(w.telemetry().counter_value("rndv.pipeline_depth"), 1u);
-}
-
-TEST(StripePlanning, WeightedClampNeverCutsBelowMinStripe) {
-  // Extreme weights used to round one stripe to ~0 bytes (or push the
-  // running offset past the end).  Delivery must stay correct and every
-  // rail must carry at least a header's worth of data.
-  Config cfg = Config::enhanced(1, Policy::WeightedStriping);
-  cfg.hcas_per_node = 2;
-  cfg.ports_per_hca = 2;  // rail i ↔ (hca i/2, port i%2): per-rail tx visible
-  cfg.rail_weights = {1000.0, 0.001, 1.0, 0.001};
-  World w(ClusterSpec{2, 1}, cfg);
-  const std::size_t n = 1 << 20;
-  w.run([&](Communicator& c) {
-    if (c.rank() == 0) {
-      auto data = payload(n, 0);
-      c.send(data.data(), n, BYTE, 1, 0);
-    } else {
-      std::vector<std::byte> got(n);
-      c.recv(got.data(), n, BYTE, 0, 0);
-      EXPECT_EQ(got, payload(n, 0));
-    }
-  });
-  // All four rails saw a stripe of at least min_stripe data bytes.
-  for (int h = 0; h < 2; ++h) {
-    for (int p = 0; p < 2; ++p) {
-      EXPECT_GE(w.fabric().hca(h).port(p).bytes_tx(),
-                static_cast<std::uint64_t>(cfg.min_stripe))
-          << "rail h" << h << "p" << p;
-    }
-  }
 }
 
 TEST(StripePlanning, BaseRailRotatesWhenFewerStripesThanRails) {

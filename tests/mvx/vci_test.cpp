@@ -65,17 +65,6 @@ TEST(VciConfig, EagerCreditSplitRoundingToZeroNamesBothFields) {
   expect_ctor_names(cfg, {"vci.count", "eager_credits", "Supported"});
 }
 
-TEST(VciConfig, FastPathConflictsWithVcis) {
-  Config cfg;
-  cfg.use_rdma_fast_path = true;
-  cfg.vci.count = 2;
-  expect_ctor_names(cfg, {"vci.count", "use_rdma_fast_path", "Supported"});
-  Config threads;
-  threads.use_rdma_fast_path = true;
-  threads.vci.threads = 2;
-  expect_ctor_names(threads, {"vci.threads", "use_rdma_fast_path", "Supported"});
-}
-
 TEST(VciConfig, DefaultsAndGatedShapesConstruct) {
   World def(ClusterSpec{2, 1}, Config{});
   Config on;
