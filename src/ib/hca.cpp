@@ -13,19 +13,36 @@ namespace ib12x::ib {
 
 // ---------------------------------------------------------------- SRQ / QP
 
-void SharedReceiveQueue::post(const RecvWr& wr) {
-  if (static_cast<int>(queue_.size()) >= capacity_) {
+void SharedReceiveQueue::attach_buffers(const Buffers& b) {
+  if (bufs_.count != 0 || credits_ != 0) {
+    throw std::logic_error("SharedReceiveQueue::attach_buffers: pool already attached");
+  }
+  bufs_ = b;
+  // Released buffers stack up at the back; the first bind takes buffer 0.
+  free_.resize(b.count);
+  for (std::uint32_t i = 0; i < b.count; ++i) free_[i] = b.count - 1 - i;
+}
+
+void SharedReceiveQueue::post() {
+  if (credits_ >= capacity_ ||
+      static_cast<std::size_t>(credits_) + buffers_held() >= bufs_.count) {
     throw std::runtime_error("SharedReceiveQueue overflow");
   }
-  queue_.push_back(wr);
+  ++credits_;
   if (!stalled_.empty()) drain_stalled();
 }
 
-bool SharedReceiveQueue::pop(RecvWr& out) {
-  if (queue_.empty()) return false;
-  out = queue_.front();
-  queue_.pop_front();
-  if (armed_ && static_cast<int>(queue_.size()) < limit_) {
+void SharedReceiveQueue::release(std::uint32_t index) {
+  if (index >= bufs_.count || free_.size() >= bufs_.count) {
+    throw std::logic_error("SharedReceiveQueue::release: buffer " + std::to_string(index) +
+                           " is not held");
+  }
+  free_.push_back(index);
+}
+
+void SharedReceiveQueue::pop() {
+  --credits_;
+  if (armed_ && credits_ < limit_) {
     // Verbs semantics: the limit event is asynchronous (it surfaces on the
     // async event channel, not inline with the consuming work request) and
     // one-shot — it disarms until the consumer re-arms after reposting.
@@ -36,7 +53,18 @@ bool SharedReceiveQueue::pop(RecvWr& out) {
       sim.at(sim.now(), limit_handler_);
     }
   }
-  return true;
+}
+
+std::uint32_t SharedReceiveQueue::bind(std::uint32_t length) {
+  if (length > bufs_.stride) {
+    throw std::runtime_error("SRQ: inbound Send of " + std::to_string(length) +
+                             " bytes larger than its " + std::to_string(bufs_.stride) +
+                             "-byte receive buffers");
+  }
+  // post() keeps WQEs within the free buffers, so a popped WQE finds one.
+  const std::uint32_t index = free_.back();
+  free_.pop_back();
+  return index;
 }
 
 void SharedReceiveQueue::arm_limit(int limit) {
@@ -65,7 +93,7 @@ void SharedReceiveQueue::drain_stalled() {
   // state) rotates to the back — its sender already completed successfully,
   // so dropping it would lose data; it redelivers once the QP recovers.
   std::size_t scan = stalled_.size();
-  while (scan-- > 0 && !queue_.empty()) {
+  while (scan-- > 0 && credits_ > 0) {
     Stalled s = std::move(stalled_.front());
     stalled_.pop_front();
     if (s.dst->state() != QpState::Ready) {
@@ -180,17 +208,10 @@ void QueuePair::transition_to_error() {
 void QueuePair::reset() { state_ = QpState::Ready; }
 
 RecvWr QueuePair::take_recv_wqe() {
-  RecvWr wr;
-  if (srq_ != nullptr) {
-    if (!srq_->pop(wr)) {
-      throw std::runtime_error("QP " + std::to_string(num_) + ": inbound message with empty SRQ (RNR)");
-    }
-    return wr;
-  }
   if (rq_.empty()) {
     throw std::runtime_error("QP " + std::to_string(num_) + ": inbound message with empty RQ (RNR)");
   }
-  wr = rq_.front();
+  RecvWr wr = rq_.front();
   rq_.pop_front();
   return wr;
 }
@@ -822,7 +843,7 @@ bool Port::deliver(QueuePair* dst_qp, const SendWr& wr, QpNum src_qp_num) {
     if (dst_qp->srq_ != nullptr) {
       if (dst_qp->srq_->pending() == 0) {
         // Shared pool ran dry: RNR backpressure, not an error.  The message
-        // parks (payload copied) and redelivers FIFO as slots are reposted —
+        // parks (payload copied) and redelivers FIFO as WQEs are reposted —
         // the responder's RNR NAK + requester retry loop, collapsed.
         dst_qp->srq_->stall(dst_qp, wr, src_qp_num);
         return true;
@@ -838,15 +859,32 @@ bool Port::deliver(QueuePair* dst_qp, const SendWr& wr, QpNum src_qp_num) {
     }
   }
 
-  RecvWr rwr = dst_qp->take_recv_wqe();
-  if (wr.opcode == Opcode::Send) {
-    if (wr.length > rwr.length) {
-      throw std::runtime_error("QP " + std::to_string(dst_qp->num()) +
-                               ": inbound Send larger than posted receive buffer");
+  Wc wc;
+  if (dst_qp->srq_ != nullptr) {
+    // The buffer binds now, not at post: the most recently released one.
+    SharedReceiveQueue& srq = *dst_qp->srq_;
+    srq.pop();
+    wc.wr_id = srq.bufs_.wr_id;
+    if (wr.opcode == Opcode::Send) {
+      wc.buf = srq.bind(wr.length);
+      if (wr.length > 0) {
+        std::byte* dstp = srq.buffer(wc.buf);
+        hca_->mem().check_lkey(srq.bufs_.lkey, dstp, wr.length);
+        std::memcpy(dstp, wr.src, wr.length);
+      }
     }
-    if (wr.length > 0) {
-      hca_->mem().check_lkey(rwr.lkey, rwr.dst, wr.length);
-      std::memcpy(rwr.dst, wr.src, wr.length);
+  } else {
+    const RecvWr rwr = dst_qp->take_recv_wqe();
+    wc.wr_id = rwr.wr_id;
+    if (wr.opcode == Opcode::Send) {
+      if (wr.length > rwr.length) {
+        throw std::runtime_error("QP " + std::to_string(dst_qp->num()) +
+                                 ": inbound Send larger than posted receive buffer");
+      }
+      if (wr.length > 0) {
+        hca_->mem().check_lkey(rwr.lkey, rwr.dst, wr.length);
+        std::memcpy(rwr.dst, wr.src, wr.length);
+      }
     }
   }
 
@@ -856,8 +894,6 @@ bool Port::deliver(QueuePair* dst_qp, const SendWr& wr, QpNum src_qp_num) {
   // recycling past the sender's credit return and fabricate RNRs).
   const sim::Time cqe_time =
       now + P.cqe_delay + sim::transfer_time(P.cqe_bus_bytes, hca_->bus().dir_rate());
-  Wc wc;
-  wc.wr_id = rwr.wr_id;
   wc.opcode = WcOpcode::RecvComplete;
   wc.byte_len = wr.length;
   wc.qp_num = dst_qp->num();

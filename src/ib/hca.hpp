@@ -46,24 +46,56 @@ struct Transfer;  // per-message pipeline state (hca.cpp)
 /// entered on an injected link/QP fault and flushes both work queues.
 enum class QpState : std::uint8_t { Ready, Error };
 
-/// Receive queue shared between QPs on one HCA (verbs SRQ), including the
-/// two behaviours the scaled eager path needs:
+/// Receive queue shared between QPs on one HCA (verbs SRQ).  Its WQEs are
+/// credits: post() adds one, and an inbound Send or RDMA-write-with-immediate
+/// consumes one.  The receive buffers are not named by the WQEs.  The
+/// consumer hands the SRQ one registered arena (attach_buffers) and a Send
+/// binds a buffer of it when it is delivered, not when its WQE was posted:
+/// the most recently released one (LIFO).  The receive completion names the
+/// buffer (Wc::buf) and the consumer hands it back with release() once it has
+/// read the message.  The host then backs only as many buffers as are ever
+/// held between delivery and release at once, not the whole arena.  A write
+/// with immediate binds no buffer.
+///
+/// Two behaviours the scaled eager path needs:
 ///
 ///  * the `srq_limit` low-watermark event (IBV_EVENT_SRQ_LIMIT_REACHED): when
 ///    a pop leaves fewer than `limit` WQEs and the limit is armed, the handler
 ///    fires once asynchronously and the limit disarms until re-armed — the
-///    consumer's cue to batch-repost drained slots;
+///    consumer's cue to batch-repost drained WQEs;
 ///  * RNR backpressure: an inbound message that meets an empty SRQ is parked
 ///    (payload copied — the sender's bounce buffer recycles at its CQE) and
-///    redelivered FIFO as new WQEs are posted, modelling the responder's
-///    RNR NAK + requester retry without fabricating an error.
+///    redelivered FIFO as new WQEs are posted, binding its buffer then.  This
+///    models the responder's RNR NAK + requester retry without fabricating an
+///    error.
 class SharedReceiveQueue {
  public:
+  /// The buffer pool of an SRQ: `count` buffers of `stride` bytes from
+  /// `base`, registered under `lkey`.  Every receive completion of the SRQ
+  /// carries `wr_id`.
+  struct Buffers {
+    std::byte* base = nullptr;
+    std::uint32_t stride = 0;
+    std::uint32_t count = 0;
+    LKey lkey = 0;
+    std::uint64_t wr_id = 0;
+  };
+
   SharedReceiveQueue(Hca& hca, int capacity) : hca_(&hca), capacity_(capacity) {}
 
-  void post(const RecvWr& wr);
-  bool pop(RecvWr& out);
-  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  /// Hands over the buffer pool, once, before the first post.
+  void attach_buffers(const Buffers& b);
+  /// Posts one receive WQE (a credit).  Posted WQEs plus held buffers may not
+  /// exceed the pool, so every Send that finds a WQE also finds a buffer.
+  void post();
+  /// Returns buffer `index` (a receive completion's Wc::buf) to the pool.
+  void release(std::uint32_t index);
+  [[nodiscard]] std::byte* buffer(std::uint32_t index) const {
+    return bufs_.base + static_cast<std::size_t>(index) * bufs_.stride;
+  }
+  [[nodiscard]] std::size_t pending() const { return static_cast<std::size_t>(credits_); }
+  /// Buffers bound to a delivered message and not yet released.
+  [[nodiscard]] std::size_t buffers_held() const { return bufs_.count - free_.size(); }
 
   /// Handler for the asynchronous limit-reached event (fires from the event
   /// queue, never from inside pop()).
@@ -88,6 +120,11 @@ class SharedReceiveQueue {
  private:
   friend class Port;
 
+  /// Consumes one posted WQE (Port::deliver checked pending() first).
+  void pop();
+  /// Binds the most recently released buffer to an inbound Send of `length`
+  /// bytes and returns its index (Port::deliver).
+  std::uint32_t bind(std::uint32_t length);
   /// Parks one inbound message until a WQE is posted (Port::deliver).
   void stall(QueuePair* dst, const SendWr& wr, QpNum src_qp_num);
   /// Redelivers the oldest stalled message; called after each post while
@@ -103,7 +140,9 @@ class SharedReceiveQueue {
 
   Hca* hca_;
   int capacity_;
-  std::deque<RecvWr> queue_;
+  int credits_ = 0;
+  Buffers bufs_;
+  std::vector<std::uint32_t> free_;  ///< released buffers, most recent last
   std::deque<Stalled> stalled_;
   std::function<void()> limit_handler_;
   std::function<void()> stall_hook_;
@@ -163,7 +202,7 @@ class QueuePair {
       : port_(&port), scq_(&scq), rcq_(&rcq), srq_(srq), num_(num),
         recv_engine_idx_(recv_engine_idx) {}
 
-  /// Takes a receive WQE for an inbound message (QP RQ, or SRQ if attached).
+  /// Takes a receive WQE for an inbound message from the QP's own RQ.
   RecvWr take_recv_wqe();
 
   Port* port_;

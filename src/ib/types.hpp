@@ -73,16 +73,23 @@ inline const char* to_string(WcStatus s) {
   return "?";
 }
 
-/// Work completion.
+/// Wc::buf of a completion that names no SRQ buffer.
+inline constexpr std::uint32_t kNoBuf = ~std::uint32_t{0};
+
+/// Work completion.  40 bytes: the responder's receive-CQE event captures it
+/// with its QP pointer in the kernel's 48-byte in-place event storage.
 struct Wc {
   std::uint64_t wr_id = 0;
   WcOpcode opcode = WcOpcode::SendComplete;
   WcStatus status = WcStatus::Success;
+  bool has_imm = false;
   std::uint32_t byte_len = 0;
   QpNum qp_num = 0;      ///< local QP this completion belongs to
   QpNum src_qp = 0;      ///< remote QP (receive completions)
-  bool has_imm = false;
   std::uint32_t imm_data = 0;
+  /// SRQ buffer an inbound Send landed in (SharedReceiveQueue::buffer), or
+  /// kNoBuf; the consumer releases it once it has read the message.
+  std::uint32_t buf = kNoBuf;
   sim::Time timestamp = 0;
 };
 

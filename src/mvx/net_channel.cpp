@@ -58,8 +58,11 @@ void NetChannel::ensure_net_resources() {
   }
   for (std::size_t i = 0; i < nbounce; ++i) free_bounce_.push_back(static_cast<int>(i));
 
-  // SRQ mode: one shared receive queue + one pooled slot arena per local
-  // HCA — the receive-buffer footprint is O(1) in the peer count.
+  // SRQ mode: one shared receive queue + one pooled receive arena per local
+  // HCA — the receive-buffer footprint is O(1) in the peer count.  The SRQ
+  // binds an arena buffer to a Send when it arrives and the CQE handler
+  // releases it, LIFO, so the host backs only the buffers ever in flight
+  // between delivery and CQE at once; the modelled pool keeps its full size.
   if (!cfg.use_srq) return;
   const int slots = std::max(1, cfg.srq_pool_slots);
   pools_.resize(hcas_.size());
@@ -68,21 +71,14 @@ void NetChannel::ensure_net_resources() {
     pool.srq = &hcas_[h]->create_srq();
     const std::size_t arena_bytes = static_cast<std::size_t>(slots) * slot_bytes_;
     pool.arena = std::make_unique_for_overwrite<std::byte[]>(arena_bytes);
-    pool.lkey = hcas_[h]->mem().register_memory(pool.arena.get(), arena_bytes).lkey;
+    pool.srq->attach_buffers(
+        {.base = pool.arena.get(),
+         .stride = static_cast<std::uint32_t>(slot_bytes_),
+         .count = static_cast<std::uint32_t>(slots),
+         .lkey = hcas_[h]->mem().register_memory(pool.arena.get(), arena_bytes).lkey,
+         .wr_id = h});
     eager_pool_bytes_.add(arena_bytes);
-    for (int i = 0; i < slots; ++i) {
-      auto slot = std::make_unique<RecvSlot>();
-      slot->srq = pool.srq;
-      slot->data = pool.arena.get() + static_cast<std::size_t>(i) * slot_bytes_;
-      slot->len = static_cast<std::uint32_t>(slot_bytes_);
-      slot->lkey = pool.lkey;
-      slot->hca = static_cast<int>(h);
-      pool.srq->post({.wr_id = reinterpret_cast<std::uint64_t>(slot.get()),
-                      .dst = slot->data,
-                      .length = slot->len,
-                      .lkey = slot->lkey});
-      recv_slots_.push_back(std::move(slot));
-    }
+    for (int i = 0; i < slots; ++i) pool.srq->post();
     const int hca_index = static_cast<int>(h);
     pool.srq->set_stall_hook([this] { srq_pool_dry_.inc(); });
     if (cfg.srq_limit > 0) {
@@ -137,27 +133,27 @@ ib::QueuePair& NetChannel::open_rail(int peer_rank, int hca_index, int port) {
   return qp;
 }
 
-void NetChannel::prepost_rail(ib::QueuePair& qp, int hca_index, int peer_rank) {
+void NetChannel::prepost_rail(ib::QueuePair& qp) {
   const Config& cfg = host_.config();
-  if (cfg.use_srq) return;  // pooled slots were preposted once per HCA
+  if (cfg.use_srq) return;  // pooled WQEs were posted once per HCA
   for (int i = 0; i < rail_credits(); ++i) {
     auto slot = std::make_unique<RecvSlot>();
     slot->buf = std::make_unique_for_overwrite<std::byte[]>(slot_bytes_);
-    slot->data = slot->buf.get();
-    slot->len = static_cast<std::uint32_t>(slot_bytes_);
-    slot->peer = peer_rank;
-    slot->hca = hca_index;
     // Receive buffers only need registration in the domain of the HCA the
     // QP lives on.
-    slot->lkey = qp.port().hca().mem().register_memory(slot->data, slot_bytes_).lkey;
+    slot->lkey = qp.port().hca().mem().register_memory(slot->buf.get(), slot_bytes_).lkey;
     slot->qp = &qp;
-    qp.post_recv({.wr_id = reinterpret_cast<std::uint64_t>(slot.get()),
-                  .dst = slot->data,
-                  .length = slot->len,
-                  .lkey = slot->lkey});
+    post_slot(*slot);
     eager_pool_bytes_.add(slot_bytes_);
     recv_slots_.push_back(std::move(slot));
   }
+}
+
+void NetChannel::post_slot(RecvSlot& slot) {
+  slot.qp->post_recv({.wr_id = reinterpret_cast<std::uint64_t>(&slot),
+                      .dst = slot.buf.get(),
+                      .length = static_cast<std::uint32_t>(slot_bytes_),
+                      .lkey = slot.lkey});
 }
 
 void NetChannel::establish(NetChannel& a, NetChannel& b) {
@@ -194,8 +190,8 @@ void NetChannel::wire_vci_group(NetChannel& a, NetChannel& b) {
         ib::Fabric::connect(qa, qb);
         a.rail_up_.inc();
         b.rail_up_.inc();
-        a.prepost_rail(qa, h, b.host_.rank());
-        b.prepost_rail(qb, h, a.host_.rank());
+        a.prepost_rail(qa);
+        b.prepost_rail(qb);
         if (plan != nullptr) {
           // Lazy wiring can land inside a link-down window: a QP created
           // behind a dead port starts in the error state (its rail parks and
@@ -720,24 +716,15 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
 }
 
 void NetChannel::on_recv_cqe(const ib::Wc& wc) {
-  auto* slot = reinterpret_cast<RecvSlot*>(wc.wr_id);
+  // SRQ mode: wr_id names the local HCA's pool.  Per-QP RQ mode: the slot.
+  HcaPool* pool = pools_.empty() ? nullptr : &pools_[static_cast<std::size_t>(wc.wr_id)];
+  auto* slot = pool != nullptr ? nullptr : reinterpret_cast<RecvSlot*>(wc.wr_id);
   if (wc.status != ib::WcStatus::Success) {
+    // Only a per-QP RQ flushes: an SRQ's WQEs outlive a dying QP.  The flushed
+    // slot holds no message; park it on its rail until the rail recovers.
     recv_flushes_.inc();
     auto it = qp_rail_.find(wc.qp_num);
-    if (slot->srq != nullptr) {
-      // Pooled slot flushed through a dying QP: the SRQ itself is healthy, so
-      // the slot goes straight back to the shared pool while the rail parks.
-      slot->srq->post({.wr_id = wc.wr_id, .dst = slot->data, .length = slot->len,
-                       .lkey = slot->lkey});
-      if (it != qp_rail_.end()) {
-        const auto [peer_rank, rail] = it->second;
-        mark_rail_down(peer_rank, rail);
-      }
-      return;
-    }
-    // Flushed per-QP receive WQE: the buffer holds no message.  Park the slot
-    // on its rail; it is reposted when the rail recovers.
-    if (it == qp_rail_.end()) {
+    if (slot == nullptr || it == qp_rail_.end()) {
       throw std::logic_error("NetChannel: flush CQE from unknown QP");
     }
     const auto [peer_rank, rail] = it->second;
@@ -747,12 +734,13 @@ void NetChannel::on_recv_cqe(const ib::Wc& wc) {
   }
   if (wc.has_imm) {
     // Write-with-imm rendezvous completion: the payload landed directly in
-    // the matched user buffer, this slot was only consumed for the immediate
-    // — there is no header to parse.  The slot recycles below as usual.
+    // the matched user buffer, this WQE was only consumed for the immediate
+    // — there is no header to parse and no buffer to release.
     host_.on_rndv_imm(wc.imm_data);
   } else {
-    MsgHeader hdr = read_header(slot->data);
-    const std::byte* payload = slot->data + kHeaderBytes;
+    const std::byte* data = pool != nullptr ? pool->srq->buffer(wc.buf) : slot->buf.get();
+    MsgHeader hdr = read_header(data);
+    const std::byte* payload = data + kHeaderBytes;
 
     switch (hdr.type) {
       case MsgType::Eager:
@@ -782,25 +770,22 @@ void NetChannel::on_recv_cqe(const ib::Wc& wc) {
     }
   }
 
-  if (slot->srq != nullptr && host_.config().srq_limit > 0) {
-    // Drained pooled slot: hold it for the batched low-watermark repost
-    // (verbs srq_limit) instead of reposting per CQE.
-    HcaPool& pool = pools_.at(static_cast<std::size_t>(slot->hca));
-    pool.drained.push_back(slot);
-    if (pool.want_replenish) try_replenish(slot->hca);
+  if (pool == nullptr) {
+    // Recycle the receive slot immediately (MVAPICH reposts vbufs eagerly;
+    // the sender's credit only returns with its CQE, which is always later).
+    post_slot(*slot);
     return;
   }
-  // Recycle the receive slot immediately (MVAPICH reposts vbufs eagerly; the
-  // sender's credit only returns with its CQE, which is always later).
-  const ib::RecvWr repost{.wr_id = wc.wr_id,
-                          .dst = slot->data,
-                          .length = slot->len,
-                          .lkey = slot->lkey};
-  if (slot->srq != nullptr) {
-    slot->srq->post(repost);
-  } else {
-    slot->qp->post_recv(repost);
+  // The message is read: its buffer goes back before any WQE is reposted.
+  if (wc.buf != ib::kNoBuf) pool->srq->release(wc.buf);
+  if (host_.config().srq_limit > 0) {
+    // Drained pooled WQE: hold it for the batched low-watermark repost
+    // (verbs srq_limit) instead of reposting per CQE.
+    ++pool->drained;
+    if (pool->want_replenish) try_replenish(static_cast<int>(wc.wr_id));
+    return;
   }
+  pool->srq->post();
 }
 
 void NetChannel::on_srq_limit(int hca_index) {
@@ -810,16 +795,10 @@ void NetChannel::on_srq_limit(int hca_index) {
 
 void NetChannel::try_replenish(int hca_index) {
   HcaPool& pool = pools_.at(static_cast<std::size_t>(hca_index));
-  if (!pool.want_replenish || pool.drained.empty()) return;
+  if (!pool.want_replenish || pool.drained == 0) return;
   pool.want_replenish = false;
-  std::vector<RecvSlot*> batch;
-  batch.swap(pool.drained);
-  for (RecvSlot* slot : batch) {
-    pool.srq->post({.wr_id = reinterpret_cast<std::uint64_t>(slot),
-                    .dst = slot->data,
-                    .length = slot->len,
-                    .lkey = slot->lkey});
-  }
+  const int batch = std::exchange(pool.drained, 0);
+  for (int i = 0; i < batch; ++i) pool.srq->post();
   srq_replenishes_.inc();
   const int limit = host_.config().srq_limit;
   pool.srq->arm_limit(limit);
@@ -867,17 +846,7 @@ void NetChannel::try_recover_rail(int peer_rank, int rail) {
   if (r.up) return;
   r.up = true;
   rail_recovered_.inc();
-  for (RecvSlot* slot : r.parked) {
-    const ib::RecvWr wr{.wr_id = reinterpret_cast<std::uint64_t>(slot),
-                        .dst = slot->data,
-                        .length = slot->len,
-                        .lkey = slot->lkey};
-    if (slot->srq != nullptr) {
-      slot->srq->post(wr);
-    } else {
-      slot->qp->post_recv(wr);
-    }
-  }
+  for (RecvSlot* slot : r.parked) post_slot(*slot);
   r.parked.clear();
   // Messages that stalled on a dry pool while this QP was in error are
   // parked inside the SRQ; the recovered QP will not see another post unless

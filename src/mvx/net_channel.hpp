@@ -122,29 +122,23 @@ class NetChannel final {
   [[nodiscard]] const std::vector<ib::Hca*>& hcas() const { return hcas_; }
 
  private:
-  /// A preposted receive slot; recycled after each inbound message.  Per-QP
-  /// RQ slots own their buffer (`buf`); SRQ slots point into the per-HCA
-  /// pool arena and belong to no peer.
+  /// Per-QP RQ mode: a preposted receive slot that owns its buffer and is
+  /// reposted on its QP after each inbound message.
   struct RecvSlot {
-    ib::QueuePair* qp = nullptr;            ///< repost target (per-QP RQ mode)
-    ib::SharedReceiveQueue* srq = nullptr;  ///< repost target (SRQ mode)
-    std::byte* data = nullptr;
-    std::uint32_t len = 0;
-    std::unique_ptr<std::byte[]> buf;  ///< backing store in per-QP RQ mode only
+    ib::QueuePair* qp = nullptr;
+    std::unique_ptr<std::byte[]> buf;
     ib::LKey lkey = 0;
-    int peer = -1;  ///< owning peer (per-QP RQ mode); -1 for pooled slots
-    int hca = 0;
   };
 
   /// SRQ mode: the pooled eager receive side of one local HCA — the shared
-  /// receive queue, one registered arena of srq_pool_slots slots, and the
-  /// batched-replenish state driven by the srq_limit low-watermark event.
+  /// receive queue, the registered arena of srq_pool_slots buffers it binds
+  /// at delivery, and the batched-replenish state driven by the srq_limit
+  /// low-watermark event.
   struct HcaPool {
     ib::SharedReceiveQueue* srq = nullptr;
     std::unique_ptr<std::byte[]> arena;
-    ib::LKey lkey = 0;
-    std::vector<RecvSlot*> drained;  ///< consumed slots awaiting batched repost
-    bool want_replenish = false;     ///< a limit event fired since the last repost
+    int drained = 0;              ///< consumed WQEs awaiting batched repost
+    bool want_replenish = false;  ///< a limit event fired since the last repost
   };
 
   /// One rail to one peer: a connected QP plus its sender-side credits.
@@ -156,7 +150,7 @@ class NetChannel final {
     bool up = true;
     bool recovery_scheduled = false;  ///< a try_recover_rail event is pending
     int recovery_polls = 0;           ///< consecutive still-down probes (bounded)
-    /// Receive slots flushed when the rail died; reposted on recovery.
+    /// Per-QP RQ slots flushed when the rail died; reposted on recovery.
     std::vector<RecvSlot*> parked = {};
   };
 
@@ -219,22 +213,24 @@ class NetChannel final {
   [[nodiscard]] const Peer& peer(int rank) const;
 
   /// One-time lazy allocation of the shared send/receive resources: the
-  /// sender bounce pool, and in SRQ mode one SRQ + preposted slot arena per
-  /// local HCA.  Runs at the first open_to — a rank that never touches the
+  /// sender bounce pool, and in SRQ mode one SRQ and the receive arena it
+  /// binds buffers from per local HCA.  Runs at the first open_to — a rank that never touches the
   /// network allocates nothing.
   void ensure_net_resources();
   /// Creates one rail QP towards `peer` (bookkeeping only; the caller wires
   /// it to the remote side via ib::Fabric::connect).
   ib::QueuePair& open_rail(int peer, int hca_index, int port);
-  /// Per-QP RQ mode: preposts eager_credits owned slots on `qp`.  No-op in
-  /// SRQ mode, where the pooled arena is preposted once per HCA.
-  void prepost_rail(ib::QueuePair& qp, int hca_index, int peer);
+  /// Per-QP RQ mode: preposts rail_credits() owned slots on `qp`.  No-op in
+  /// SRQ mode, where the pool's WQEs are posted once per HCA.
+  void prepost_rail(ib::QueuePair& qp);
+  /// Posts per-QP RQ slot `slot` on its QP.
+  void post_slot(RecvSlot& slot);
   /// Per-rail credits: eager_credits in per-QP RQ mode; re-derived from the
   /// shared pool (srq_pool_slots spread over the rail count) in SRQ mode.
   [[nodiscard]] int rail_credits() const;
 
   /// SRQ low-watermark machinery: the async limit event marks the pool
-  /// wanting a replenish; try_replenish batch-reposts every drained slot and
+  /// wanting a replenish; try_replenish batch-reposts every drained WQE and
   /// re-arms once both conditions hold.
   void on_srq_limit(int hca_index);
   void try_replenish(int hca_index);
@@ -309,7 +305,7 @@ class NetChannel final {
   /// Indexed by peer rank; null for a rank this side never opened.  Each
   /// Peer is its own allocation, so references survive the vector growing.
   std::vector<std::unique_ptr<Peer>> peers_;
-  std::vector<std::unique_ptr<RecvSlot>> recv_slots_;
+  std::vector<std::unique_ptr<RecvSlot>> recv_slots_;  ///< per-QP RQ mode only
   std::vector<HcaPool> pools_;  ///< per local HCA, SRQ mode only
 
   /// Eager slot size: header plus the largest eager payload.

@@ -26,11 +26,12 @@ namespace {
 /// later large buffers onto the brk heap, which returns freed memory to the
 /// kernel far less readily.  Eager payloads of 128 KiB and up no longer
 /// touch the heap (payload.hpp), but user, collective and staging buffers
-/// still do.  Measured with perfbench on a 4-vCPU VM, with the payload pool
-/// in place, dropping this call raised coll_fattree64's peak RSS from
-/// 180-182 MB to 199-252 MB over seeds 1, 2 and 4242 (nas_is_ft: 80-83 MB
-/// either way).  Results do not depend on it: pin-down cache entries die
-/// with their buffers (pin_cache.hpp).  No-op off glibc.
+/// still do.  Measured with perfbench on a 4-vCPU VM over seeds 1, 2 and
+/// 4242, with the payload pool in place and SRQ slots bound at delivery,
+/// dropping this call raised peak RSS from 101-103 to 107-113 MB on
+/// coll_fattree64, from 58 to 58-112 MB on nas_is_ft and from 138-139 to
+/// 139 MB on pt2pt_paper.  Results do not depend on it: pin-down cache
+/// entries die with their buffers (pin_cache.hpp).  No-op off glibc.
 void pin_host_allocator_policy() {
 #if defined(__GLIBC__)
   static const bool once = [] {

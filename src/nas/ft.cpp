@@ -57,24 +57,24 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
   Fft fft_y(static_cast<std::size_t>(ny));
   Fft fft_z(static_cast<std::size_t>(nz));
 
-  // The z-slab field, layout [z][y][x]: u0, its forward x/y FFTs, and later
-  // each iteration's inverse transform.  u0 is seeded per *global* z-plane
-  // so the field is identical for every process decomposition — checksums
-  // can then be compared bit-for-bit across layouts and policies.
-  std::vector<Complex> zslab(slab_points);
+  // Three slabs of nx·ny·nz/p points each.  recvbuf first holds u0 as a
+  // z-slab, layout [z][y][x]: the first pack reads it before the alltoall
+  // overwrites it.  u0 is seeded per *global* z-plane so the field is
+  // identical for every process decomposition — checksums can then be
+  // compared bit-for-bit across layouts and policies.  Later recvbuf holds
+  // each iteration's evolved spectrum, packed into sendbuf before the
+  // alltoall writes recvbuf again; after that alltoall sendbuf takes the
+  // z-slab back for the inverse x/y FFTs and the checksum.
+  std::vector<Complex> sendbuf(slab_points);
+  std::vector<Complex> recvbuf(xslab_points);
+  std::vector<Complex> spectrum(xslab_points);  // x-slab, layout [xl][z][y]
   for (int z = 0; z < nzl; ++z) {
     sim::Rng rng(0xf7 + static_cast<std::uint64_t>(r * nzl + z) * 104729);
-    Complex* plane = zslab.data() + static_cast<std::size_t>(z) * ny * nx;
+    Complex* plane = recvbuf.data() + static_cast<std::size_t>(z) * ny * nx;
     for (std::size_t i = 0; i < static_cast<std::size_t>(ny) * nx; ++i) {
       plane[i] = Complex(rng.next_double() - 0.5, rng.next_double() - 0.5);
     }
   }
-
-  std::vector<Complex> sendbuf(slab_points);
-  // recvbuf also holds each iteration's evolved spectrum: it is packed into
-  // sendbuf before the alltoall writes recvbuf again.
-  std::vector<Complex> recvbuf(xslab_points);
-  std::vector<Complex> spectrum(xslab_points);  // x-slab, layout [xl][z][y]
 
   // The compute phases' host jobs may touch these buffers: every exchange
   // below is a blocking collective, so no request references them then.
@@ -185,8 +185,8 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
   const sim::Time t0 = comm.now();
 
   // ---- forward 3-D FFT (once) ----
-  xy_ffts(zslab, -1);
-  pack_for_transpose(zslab);
+  xy_ffts(recvbuf, -1);
+  pack_for_transpose(recvbuf);
   comm.alltoall(sendbuf.data(), recvbuf.data(), block_points, COMPLEX);
   unpack_to_xslab(spectrum);
   z_ffts(spectrum, -1);
@@ -229,8 +229,8 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
     z_ffts(evolved, +1);
     pack_from_xslab(evolved);
     comm.alltoall(sendbuf.data(), recvbuf.data(), block_points, COMPLEX);
-    unpack_to_zslab(zslab);
-    xy_ffts(zslab, +1);
+    unpack_to_zslab(sendbuf);
+    xy_ffts(sendbuf, +1);
 
     // checksum: 1024 strided samples of the physical-space solution.
     Complex local_sum(0, 0);
@@ -239,10 +239,9 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
       const int yg = (3 * j) % ny;
       const int zg = j % nz;
       if (zg / nzl == r) {
-        local_sum += zslab[(static_cast<std::size_t>(zg % nzl) * ny +
-                            static_cast<std::size_t>(yg)) *
-                               nx +
-                           static_cast<std::size_t>(xg)];
+        const std::size_t row =
+            static_cast<std::size_t>(zg % nzl) * ny + static_cast<std::size_t>(yg);
+        local_sum += sendbuf[row * nx + static_cast<std::size_t>(xg)];
       }
     }
     Complex global_sum(0, 0);

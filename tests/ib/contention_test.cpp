@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -100,19 +101,24 @@ TEST(Contention, SrqSharedAcrossQps) {
   Fabric::connect(qa2, qb2);
 
   auto src = pattern_buffer(128);
-  std::vector<std::byte> d1(128), d2(128);
+  std::vector<std::byte> arena(2 * 128);
   auto src_mr = f.a.hca->mem().register_memory(src.data(), src.size());
-  auto m1 = f.b.hca->mem().register_memory(d1.data(), d1.size());
-  auto m2 = f.b.hca->mem().register_memory(d2.data(), d2.size());
-  srq.post({.wr_id = 1, .dst = d1.data(), .length = 128, .lkey = m1.lkey});
-  srq.post({.wr_id = 2, .dst = d2.data(), .length = 128, .lkey = m2.lkey});
+  auto arena_mr = f.b.hca->mem().register_memory(arena.data(), arena.size());
+  srq.attach_buffers(
+      {.base = arena.data(), .stride = 128, .count = 2, .lkey = arena_mr.lkey, .wr_id = 7});
+  srq.post();
+  srq.post();
 
   qa1.post_send({.wr_id = 10, .opcode = Opcode::Send, .src = src.data(), .length = 128, .lkey = src_mr.lkey});
   qa2.post_send({.wr_id = 11, .opcode = Opcode::Send, .src = src.data(), .length = 128, .lkey = src_mr.lkey});
   f.sim.run();
   Wc wc;
   int got = 0;
-  while (f.b.rcq.poll(wc)) ++got;
+  while (f.b.rcq.poll(wc)) {
+    ++got;
+    EXPECT_EQ(wc.wr_id, 7u);
+    EXPECT_EQ(std::memcmp(srq.buffer(wc.buf), src.data(), 128), 0);
+  }
   EXPECT_EQ(got, 2);
   EXPECT_EQ(srq.pending(), 0u);
 }
