@@ -73,5 +73,5 @@ int main(int argc, char** argv) {
                        a2a.value(4, 1) / a2a.value(4, 0), 1.0, 5.0);
   harness::print_check("rabenseifner/recdbl @256K doubles (<1)", ar.value(3, 1) / ar.value(3, 0),
                        0.2, 1.0);
-  return 0;
+  return harness::checks_status();
 }

@@ -126,5 +126,5 @@ int main(int argc, char** argv) {
                        wired256.qps / lazy256.qps, 10.0, 1e9);
   harness::print_check("message-rate ratio @ 64 ranks (lazy+SRQ / wired)",
                        rate_lazy / rate_wired, 0.7, 1.5);
-  return 0;
+  return harness::checks_status();
 }

@@ -32,5 +32,5 @@ int main(int argc, char** argv) {
 
   harness::print_check("1-engine: 4QP EPC == orig (no parallelism to exploit)",
                        t.value(0, 0) / t.value(0, 1), 0.9, 1.1);
-  return 0;
+  return harness::checks_status();
 }

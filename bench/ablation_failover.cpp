@@ -109,5 +109,5 @@ int main(int argc, char** argv) {
   harness::print_check("degraded / healthy BW (one of two buses left)",
                        during.mbs / before.mbs, 0.30, 0.85);
   harness::print_check("recovered / healthy BW", after.mbs / before.mbs, 0.90, 1.10);
-  return 0;
+  return harness::checks_status();
 }

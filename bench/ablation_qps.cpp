@@ -32,5 +32,5 @@ int main(int argc, char** argv) {
                        1.4, 2.0);
   harness::print_check("uni-BW 8QP / 4QP (flat beyond engine count)",
                        t.value(5, 0) / t.value(3, 0), 0.9, 1.1);
-  return 0;
+  return harness::checks_status();
 }

@@ -47,5 +47,5 @@ int main(int argc, char** argv) {
                        t.value(3, 1) / t.value(1, 1), 0.95, 1.1);
   harness::print_check("2 HCAs / 1 HCA uni-BW ratio (~2)", t.value(4, 1) / t.value(1, 1), 1.6,
                        2.1);
-  return 0;
+  return harness::checks_status();
 }

@@ -194,5 +194,5 @@ int main(int argc, char** argv) {
   harness::print_check("uniform: adaptive / best-static throughput", uniform_ratio, 0.95, 1e9);
   harness::print_check("skewed: adaptive / best-static throughput", skewed_ratio, 1.0, 1e9);
   harness::print_check("faulty: adaptive / best-static throughput", faulty_ratio, 1.0, 1e9);
-  return 0;
+  return harness::checks_status();
 }

@@ -155,5 +155,5 @@ int main(int argc, char** argv) {
                        xbar_hot256 / df_hot256, 1.15, 1e9);
   harness::print_check("crossbar / fat-tree hot-spot queue depth @ 256 ranks",
                        xbar_hwm256 / ft_hwm256, 2.0, 1e9);
-  return 0;
+  return harness::checks_status();
 }

@@ -122,5 +122,5 @@ int main(int argc, char** argv) {
                        dedicated4 / shared4, 2.0, 1e9);
   harness::print_check("shared mapping: 8-thread / 1-thread message rate (flatline)",
                        flat8 / flat1, 0.0, 1.5);
-  return 0;
+  return harness::checks_status();
 }

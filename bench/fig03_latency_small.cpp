@@ -33,5 +33,5 @@ int main(int argc, char** argv) {
   // Paper-shape check: EPC-4QP within 5% of original at 8 bytes.
   const double orig8 = t.value(3, 0), epc8 = t.value(3, 3);
   harness::print_check("EPC-4QP / orig latency ratio @8B (~1.0)", epc8 / orig8, 0.95, 1.05);
-  return 0;
+  return harness::checks_status();
 }

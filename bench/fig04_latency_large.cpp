@@ -46,5 +46,5 @@ int main(int argc, char** argv) {
                        45);
   harness::print_check("EPC-4QP / striping-4QP ratio @1M (~1.0)", epc4 / stripe, 0.95, 1.05);
   harness::print_check("round-robin / orig ratio @1M (~1.0)", rr / orig, 0.90, 1.10);
-  return 0;
+  return harness::checks_status();
 }

@@ -44,5 +44,5 @@ int main(int argc, char** argv) {
                        t.value(7, 2) / t.value(7, 0), 0.85, 1.35);
   harness::print_check("EPC-4QP == RR-4QP @4K (ratio ~1)", t.value(r8k - 1, 2) / t.value(r8k - 1, 3),
                        0.95, 1.05);
-  return 0;
+  return harness::checks_status();
 }

@@ -45,5 +45,5 @@ int main(int argc, char** argv) {
                        t.value(0, 2) / t.value(0, 1), 1.08, 3.0);
   harness::print_check("EPC / striping @1M (converged, ~1)", t.value(last, 2) / t.value(last, 1),
                        0.93, 1.07);
-  return 0;
+  return harness::checks_status();
 }

@@ -40,5 +40,5 @@ int main(int argc, char** argv) {
   harness::print_check("EPC-4QP bi-BW peak MB/s @1M (paper 5362)", t.value(last, 2), 4900, 5800);
   harness::print_check("EPC gain over orig @1M, % (paper ~63)",
                        (t.value(last, 2) / t.value(last, 0) - 1) * 100, 45, 85);
-  return 0;
+  return harness::checks_status();
 }

@@ -68,5 +68,5 @@ int main(int argc, char** argv) {
                        t.value(last, 0) / t.value(last, 3), 1.0, 3.0);
   harness::print_check("orig / EPC alltoall @1M 2x1 (engine effect, >1.3)",
                        trend.value(0, 2), 1.3, 3.0);
-  return 0;
+  return harness::checks_status();
 }

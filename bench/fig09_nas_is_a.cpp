@@ -14,5 +14,5 @@ int main(int argc, char** argv) {
                           return r.seconds;
                         },
                         /*paper_gain band ~13%:*/ 7, 19);
-  return 0;
+  return harness::checks_status();
 }

@@ -13,5 +13,5 @@ int main(int argc, char** argv) {
                           return r.seconds;
                         },
                         /*paper_gain band ~9%:*/ 5, 15);
-  return 0;
+  return harness::checks_status();
 }

@@ -13,5 +13,5 @@ int main(int argc, char** argv) {
                           return r.seconds;
                         },
                         /*paper_gain band 5-7%:*/ 3, 11);
-  return 0;
+  return harness::checks_status();
 }

@@ -93,5 +93,5 @@ int main(int argc, char** argv) {
   std::printf("\n");
   harness::telemetry_table(epc4.world(), "EPC 4-rail per-layer telemetry (micro-bench runs)")
       .print();
-  return 0;
+  return harness::checks_status();
 }

@@ -42,5 +42,5 @@ int main(int argc, char** argv) {
   }
   emit(t);
   harness::print_check("worst-case EPC slowdown % (paper: none observed)", worst, -100, 1.0);
-  return 0;
+  return harness::checks_status();
 }

@@ -253,5 +253,5 @@ int main(int argc, char** argv) {
     std::printf("\nBarrier: orig %.2f us, EPC-4QP %.2f us\n", o, e);
     harness::print_check("barrier EPC/orig ratio (~1, no penalty)", e / o, 0.9, 1.1);
   }
-  return 0;
+  return harness::checks_status();
 }

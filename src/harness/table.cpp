@@ -42,10 +42,22 @@ std::string size_label(std::int64_t bytes) {
   return std::to_string(bytes);
 }
 
+namespace {
+int g_checks_failed = 0;  ///< out-of-band print_check calls in this process
+}  // namespace
+
 void print_check(const char* what, double measured, double paper_lo, double paper_hi) {
   const bool ok = measured >= paper_lo && measured <= paper_hi;
+  if (!ok) ++g_checks_failed;
   std::printf("  check %-46s measured %10.2f   paper-band [%.2f, %.2f]   %s\n", what, measured,
               paper_lo, paper_hi, ok ? "OK" : "OUT-OF-BAND");
+}
+
+int checks_status() {
+  if (g_checks_failed == 0) return 0;
+  std::fflush(stdout);
+  std::fprintf(stderr, "%d check(s) out of band\n", g_checks_failed);
+  return 1;
 }
 
 }  // namespace ib12x::harness

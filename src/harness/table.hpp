@@ -54,7 +54,14 @@ class Table {
 /// "1K", "64K", "1M" labels like the paper's figure axes.
 std::string size_label(std::int64_t bytes);
 
-/// Prints a `paper vs measured` check line used by EXPERIMENTS.md.
+/// Prints a `paper vs measured` check line used by EXPERIMENTS.md, and
+/// records the check as failed when `measured` lies outside the band.
 void print_check(const char* what, double measured, double paper_lo, double paper_hi);
+
+/// A bench's exit status: 0 when every print_check so far was in band, else
+/// 1, after naming the count of out-of-band checks on stderr.  Every bench
+/// that prints checks returns this from main, so a figure that leaves its
+/// paper band fails the run.
+int checks_status();
 
 }  // namespace ib12x::harness

@@ -15,7 +15,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "ib/types.hpp"
 #include "mvx/config.hpp"
@@ -63,7 +62,10 @@ class ChannelHost {
   /// CQE handling, control processing, receive copies) on that VCI's
   /// progress server: `fn` runs once the server has spent `cost` on it,
   /// queued behind the VCI's earlier work.  Independent VCIs run in parallel.
-  virtual void schedule_cpu_vci(int vci, sim::Time cost, std::function<void()> fn) = 0;
+  /// `fn` is a kernel event, so its capture must fit the event's 48-byte
+  /// in-place storage: capture ids and pointers, and box (sim::boxed) only a
+  /// capture that cannot shrink, such as one holding a MsgHeader.
+  virtual void schedule_cpu_vci(int vci, sim::Time cost, sim::Event fn) = 0;
   [[nodiscard]] virtual sim::Time memcpy_time(std::int64_t bytes) const = 0;
   /// The World's pool that every eager payload copy is made in.
   virtual PayloadPool& payloads() = 0;

@@ -16,12 +16,27 @@ struct CollEngine::Exec {
   struct Round {
     int deps_left = 0;
     bool issued = false;
-    bool done = false;
     std::vector<Request> pending;  ///< posted transfers of this round
+    /// pending[0 .. next_pending) are known complete (completion is
+    /// monotone, so no later check needs to look at them again).
+    std::size_t next_pending = 0;
+
+    /// True once every posted transfer of this issued round has completed.
+    /// Reads only, so it may serve a wait predicate.
+    [[nodiscard]] bool transfers_done() const {
+      for (std::size_t i = next_pending; i < pending.size(); ++i) {
+        if (!pending[i]->done) return false;
+      }
+      return true;
+    }
   };
   std::vector<Round> rounds;
   std::vector<std::vector<int>> dependents;
   int left = 0;  ///< rounds not yet done
+  /// The rounds that can move, ascending: issued rounds not yet done, and
+  /// rounds not issued whose dependencies are all done.  Every other round
+  /// is done, or waits on a round in here.
+  std::vector<int> frontier;
 };
 
 CollEngine::CollEngine(Endpoint& ep)
@@ -62,36 +77,42 @@ void CollEngine::issue_round(Exec& e, int r) {
 
 bool CollEngine::step(Exec& e) {
   // Drive to a local fixpoint: completing a round can unblock others, and a
-  // freshly issued all-local round completes immediately.
+  // freshly issued all-local round completes immediately.  Each pass visits
+  // the frontier in index order, which is the order a scan of every round
+  // would act in: the rounds it skips are done, or wait on a lower-indexed
+  // round, and a round that completes only unblocks higher-indexed ones
+  // (deps always point back), which join the frontier ahead of the cursor.
   bool moved = true;
   while (moved) {
     moved = false;
-    const int n = static_cast<int>(e.rounds.size());
-    for (int r = 0; r < n; ++r) {
+    std::size_t i = 0;
+    while (i < e.frontier.size()) {
+      const int r = e.frontier[i];
       Exec::Round& round = e.rounds[static_cast<std::size_t>(r)];
-      if (!round.issued && round.deps_left == 0) {
+      if (!round.issued) {
         issue_round(e, r);
         moved = true;
       }
-      if (round.issued && !round.done) {
-        bool all_done = true;
-        for (const Request& q : round.pending) {
-          if (!q->done) {
-            all_done = false;
-            break;
-          }
-        }
-        if (all_done) {
-          round.done = true;
-          round.pending.clear();
-          --e.left;
-          rounds_done_.inc();
-          for (int d : e.dependents[static_cast<std::size_t>(r)]) {
-            --e.rounds[static_cast<std::size_t>(d)].deps_left;
-          }
-          moved = true;
+      while (round.next_pending < round.pending.size() &&
+             round.pending[round.next_pending]->done) {
+        ++round.next_pending;
+      }
+      if (round.next_pending != round.pending.size()) {
+        ++i;
+        continue;
+      }
+      round.pending.clear();
+      e.frontier.erase(e.frontier.begin() + static_cast<std::ptrdiff_t>(i));
+      --e.left;
+      rounds_done_.inc();
+      for (int d : e.dependents[static_cast<std::size_t>(r)]) {
+        if (--e.rounds[static_cast<std::size_t>(d)].deps_left == 0) {
+          e.frontier.insert(std::upper_bound(e.frontier.begin() + static_cast<std::ptrdiff_t>(i),
+                                             e.frontier.end(), d),
+                            d);
         }
       }
+      moved = true;
     }
   }
   return e.left == 0;
@@ -116,6 +137,7 @@ Request CollEngine::launch(CollSchedule sched) {
   for (int r = 0; r < n; ++r) {
     e->rounds[static_cast<std::size_t>(r)].deps_left =
         static_cast<int>(rounds[static_cast<std::size_t>(r)].deps.size());
+    if (rounds[static_cast<std::size_t>(r)].deps.empty()) e->frontier.push_back(r);
     for (int d : rounds[static_cast<std::size_t>(r)].deps) {
       e->dependents[static_cast<std::size_t>(d)].push_back(r);
     }
@@ -133,21 +155,11 @@ Request CollEngine::launch(CollSchedule sched) {
 }
 
 bool CollEngine::poll_ready() const {
+  // Would step() move any exec?  Only frontier rounds can make it.
   for (const auto& e : active_) {
-    const int n = static_cast<int>(e->rounds.size());
-    for (int r = 0; r < n; ++r) {
+    for (int r : e->frontier) {
       const Exec::Round& round = e->rounds[static_cast<std::size_t>(r)];
-      if (!round.issued && round.deps_left == 0) return true;
-      if (round.issued && !round.done) {
-        bool all_done = true;
-        for (const Request& q : round.pending) {
-          if (!q->done) {
-            all_done = false;
-            break;
-          }
-        }
-        if (all_done) return true;
-      }
+      if (!round.issued || round.transfers_done()) return true;
     }
   }
   return false;

@@ -11,9 +11,11 @@
 // Request.  That fiber is what makes collectives *non-blocking*: the rank's
 // own fiber can sit in compute() while its iallreduce keeps moving.
 //
-// Execution is deterministic: execs and rounds are scanned in creation/index
-// order, and all posts happen from fiber context in a fixed order, so runs
-// remain bit-reproducible.
+// Execution is deterministic: execs are scanned in creation order and rounds
+// act in index order (each exec keeps a sorted frontier of the rounds that
+// can move, so finished and blocked rounds cost nothing), and all posts
+// happen from fiber context in a fixed order, so runs remain
+// bit-reproducible.
 #pragma once
 
 #include <memory>
@@ -72,6 +74,10 @@ class CollEngine {
   /// when the whole schedule has finished.
   bool step(Exec& e);
   void finish(Exec& e);
+  /// The progress fiber's wait predicate: true when step() would move some
+  /// exec.  A pure read, cheap enough to run on every progress notify: it
+  /// looks only at each exec's frontier (rounds issuable or in flight) and
+  /// at their transfers not yet seen complete, never at finished rounds.
   [[nodiscard]] bool poll_ready() const;
   void run_ready();
 

@@ -103,17 +103,15 @@ int Communicator::waitany(const std::vector<Request>& reqs) {
     if (r != nullptr) any = true;
   }
   if (!any) return -1;
-  int idx = -1;
-  ep_->process().wait_until(ep_->progress(), [&] {
+  auto first_done = [&reqs] {
     for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (reqs[i] != nullptr && reqs[i]->done) {
-        idx = static_cast<int>(i);
-        return true;
-      }
+      if (reqs[i] != nullptr && reqs[i]->done) return static_cast<int>(i);
     }
-    return false;
-  });
-  return idx;
+    return -1;
+  };
+  // The predicate only reads; the index is taken once the fiber runs again.
+  ep_->process().wait_until(ep_->progress(), [&] { return first_done() >= 0; });
+  return first_done();
 }
 
 std::vector<int> Communicator::waitsome(const std::vector<Request>& reqs) {
@@ -123,13 +121,15 @@ std::vector<int> Communicator::waitsome(const std::vector<Request>& reqs) {
     if (r != nullptr) any = true;
   }
   if (!any) return done;
-  ep_->process().wait_until(ep_->progress(), [&] {
-    done.clear();
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (reqs[i] != nullptr && reqs[i]->done) done.push_back(static_cast<int>(i));
+  ep_->process().wait_until(ep_->progress(), [&reqs] {
+    for (const Request& r : reqs) {
+      if (r != nullptr && r->done) return true;
     }
-    return !done.empty();
+    return false;
   });
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    if (reqs[i] != nullptr && reqs[i]->done) done.push_back(static_cast<int>(i));
+  }
   return done;
 }
 

@@ -64,7 +64,7 @@ void Endpoint::connect_shm(Endpoint& a, Endpoint& b) {
   ShmChannel::connect(*a.shm_, *b.shm_);
 }
 
-void Endpoint::schedule_cpu_vci(int vci, sim::Time cost, std::function<void()> fn) {
+void Endpoint::schedule_cpu_vci(int vci, sim::Time cost, sim::Event fn) {
   vci_wakeups_.inc();
   auto r = vci_cpu_.at(static_cast<std::size_t>(vci)).reserve(sim_.now(), sim_.now(), cost);
   sim_.at(r.finish, std::move(fn));
@@ -233,7 +233,10 @@ bool Endpoint::iprobe(int src, int tag, int ctx, Status* st) {
 }
 
 void Endpoint::probe(int src, int tag, int ctx, Status* st) {
-  process().wait_until(progress_, [&] { return iprobe(src, tag, ctx, st); });
+  // The predicate runs in event context while this fiber is suspended, so it
+  // must not write the caller's Status; fill it once the fiber runs again.
+  process().wait_until(progress_, [&] { return iprobe(src, tag, ctx, nullptr); });
+  iprobe(src, tag, ctx, st);
 }
 
 // --------------------------------------------------- inbound glue (events)
@@ -256,9 +259,10 @@ void Endpoint::ingress(int peer, const MsgHeader& hdr, Payload payload) {
       if (static_cast<std::int64_t>(m.hdr.size) > req->bytes) {
         throw std::runtime_error("recv: message truncation (rendezvous)");
       }
-      const MsgHeader rts = m.hdr;
-      schedule_cpu_vci(rts.vci, cfg_.match_cpu, [this, rts, req, rkeys = read_rkeys(m.payload)] {
-        rndv_->accept(rts, req, rkeys);
+      const std::uint32_t slot = parked_ctl_.put({m.hdr, read_rkeys(m.payload), req});
+      schedule_cpu_vci(m.hdr.vci, cfg_.match_cpu, [this, slot] {
+        const ParkedCtl rts = parked_ctl_.take(slot);
+        rndv_->accept(rts.hdr, rts.req, rts.rkeys);
       });
     }
   }
@@ -267,7 +271,11 @@ void Endpoint::ingress(int peer, const MsgHeader& hdr, Payload payload) {
 void Endpoint::on_ctl(const MsgHeader& hdr, const CtsRkeys& rkeys) {
   if (hdr.type == MsgType::Cts) {
     // CTS handling consumes host CPU before the stripes are posted.
-    schedule_cpu_vci(hdr.vci, cfg_.ctl_cpu, [this, hdr, rkeys] { rndv_->on_cts(hdr, rkeys); });
+    const std::uint32_t slot = parked_ctl_.put({hdr, rkeys, nullptr});
+    schedule_cpu_vci(hdr.vci, cfg_.ctl_cpu, [this, slot] {
+      const ParkedCtl cts = parked_ctl_.take(slot);
+      rndv_->on_cts(cts.hdr, cts.rkeys);
+    });
   } else if (hdr.type == MsgType::Done) {
     rndv_->on_done(hdr);
   } else {  // Fin

@@ -36,6 +36,7 @@
 #include "sim/process.hpp"
 #include "sim/server.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slab.hpp"
 
 namespace ib12x::ib {
 class Hca;
@@ -129,7 +130,7 @@ class Endpoint final : public ChannelHost {
   Matcher& matcher() override { return *matcher_; }
   TelemetryRegistry& telemetry() override { return tel_; }
   sim::Waitable& progress() override { return progress_; }
-  void schedule_cpu_vci(int vci, sim::Time cost, std::function<void()> fn) override;
+  void schedule_cpu_vci(int vci, sim::Time cost, sim::Event fn) override;
   [[nodiscard]] sim::Time memcpy_time(std::int64_t bytes) const override;
   PayloadPool& payloads() override { return payloads_; }
   void ingress(int peer, const MsgHeader& hdr, Payload payload) override;
@@ -175,6 +176,16 @@ class Endpoint final : public ChannelHost {
   std::unique_ptr<coll::CollEngine> coll_engine_;
 
   sim::Waitable progress_;
+
+  /// An inbound RTS or CTS waiting out its CPU charge on a VCI progress
+  /// server: the header does not fit an event capture, so the event carries
+  /// the slot id instead.
+  struct ParkedCtl {
+    MsgHeader hdr;
+    CtsRkeys rkeys;
+    Request req;  ///< the matched receive (RTS only)
+  };
+  sim::Slab<ParkedCtl> parked_ctl_;
 
   // ---- VCI state ----
   /// One progress server per VCI: each serializes its own VCI's

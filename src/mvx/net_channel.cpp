@@ -399,12 +399,12 @@ bool NetChannel::try_send(int peer_rank, CommKind kind, const void* buf, std::in
 
   host_.schedule_cpu_vci(
       vci, cfg.post_cpu() + host_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes),
-      [this, peer_rank, rail, bounce, hdr, buf, bytes, req] {
+      sim::boxed([this, peer_rank, rail, bounce, hdr, buf, bytes, req] {
         post_eager(peer(peer_rank), peer_rank, rail, bounce, hdr, buf, bytes);
         eager_sent_.inc();
         bytes_sent_.add(static_cast<std::uint64_t>(bytes));
         host_.complete_request(req);
-      });
+      }));
   return true;
 }
 
@@ -450,10 +450,10 @@ void NetChannel::post_ctl_evt(int peer_rank, int rail, const MsgHeader& hdr,
   const bool with_rkeys = rkeys != nullptr;
   const CtsRkeys rk = with_rkeys ? *rkeys : CtsRkeys{};
   host_.schedule_cpu_vci(hdr.vci, host_.config().post_cpu(),
-                         [this, peer_rank, rail, bounce, hdr, with_rkeys, rk] {
+                         sim::boxed([this, peer_rank, rail, bounce, hdr, with_rkeys, rk] {
     post_eager(peer(peer_rank), peer_rank, rail, bounce, hdr, with_rkeys ? &rk : nullptr,
                with_rkeys ? static_cast<std::int64_t>(sizeof(CtsRkeys)) : 0);
-  });
+  }));
 }
 
 void NetChannel::send_ctl(int peer_rank, const MsgHeader& hdr, const CtsRkeys& rkeys) {
@@ -625,7 +625,13 @@ void NetChannel::flush_pending_imm() {
 // ------------------------------------------------------------ send contexts
 
 NetChannel::SendCtx* NetChannel::track_ctx(const SendCtx& ctx) {
-  live_ctx_.push_back(std::make_unique<SendCtx>(ctx));
+  if (free_ctx_.empty()) {
+    live_ctx_.push_back(std::make_unique<SendCtx>(ctx));
+  } else {
+    live_ctx_.push_back(std::move(free_ctx_.back()));
+    free_ctx_.pop_back();
+    *live_ctx_.back() = ctx;
+  }
   SendCtx* p = live_ctx_.back().get();
   p->live_slot = static_cast<int>(live_ctx_.size()) - 1;
   return p;
@@ -634,7 +640,7 @@ NetChannel::SendCtx* NetChannel::track_ctx(const SendCtx& ctx) {
 void NetChannel::retire_ctx(SendCtx* ctx) {
   // Swap-remove: the last context takes over the retired one's slot.
   const auto slot = static_cast<std::size_t>(ctx->live_slot);
-  std::unique_ptr<SendCtx> done = std::move(live_ctx_[slot]);
+  free_ctx_.push_back(std::move(live_ctx_[slot]));
   if (slot + 1 != live_ctx_.size()) {
     live_ctx_[slot] = std::move(live_ctx_.back());
     live_ctx_[slot]->live_slot = static_cast<int>(slot);

@@ -265,10 +265,10 @@ class NetChannel final {
   void flush_pending_ctl(int peer_rank);
   void flush_pending_imm();
 
-  /// Allocates a SendCtx owned by live_ctx_ until retire_ctx; the WQE's
-  /// wr_id carries a raw alias.
+  /// Hands out a SendCtx owned by live_ctx_ until retire_ctx, reusing a
+  /// retired one when there is one; the WQE's wr_id carries a raw alias.
   SendCtx* track_ctx(const SendCtx& ctx);
-  /// Frees a context whose CQE has been processed.
+  /// Moves a context whose CQE has been processed to the free list.
   void retire_ctx(SendCtx* ctx);
 
   void on_send_cqe(const ib::Wc& wc);
@@ -332,6 +332,9 @@ class NetChannel final {
   /// A run that aborts with sends in flight leaves the rest here for the
   /// destructor.
   std::vector<std::unique_ptr<SendCtx>> live_ctx_;
+  /// Retired contexts kept for reuse: one allocation per peak in-flight
+  /// WQE rather than one per WQE.
+  std::vector<std::unique_ptr<SendCtx>> free_ctx_;
 
   Counter& eager_sent_;
   Counter& ctl_sent_;

@@ -7,6 +7,7 @@
 #include <iterator>
 #include <new>
 #include <stdexcept>
+#include <utility>
 
 #include "ib/hca.hpp"
 #include "sim/host_pool.hpp"
@@ -52,9 +53,10 @@ PinCache::~PinCache() {
 void PinCache::forget(const void* base, std::size_t len) {
   BusyScope busy;
   const auto lo = reinterpret_cast<std::uint64_t>(base);
-  for (auto it = regions_.lower_bound(lo); it != regions_.end() && it->first - lo < len;) {
-    detach((it++)->second.get());
-  }
+  const SlotIt first = lower_bound(lo);
+  SlotIt last = first;
+  while (last != regions_.end() && last->base - lo < len) detach(*last++);
+  regions_.erase(first, last);
 }
 
 void PinCache::forget_everywhere(void* block, std::size_t len) noexcept {
@@ -64,17 +66,31 @@ void PinCache::forget_everywhere(void* block, std::size_t len) noexcept {
   for (PinCache* c = g_live; c != nullptr; c = c->next_live_) c->forget(block, len);
 }
 
+PinCache::SlotIt PinCache::lower_bound(std::uint64_t base) {
+  return std::lower_bound(regions_.begin(), regions_.end(), base,
+                          [](const Slot& s, std::uint64_t b) { return s.base < b; });
+}
+
+PinCache::SlotIt PinCache::upper_bound(std::uint64_t base) {
+  return std::upper_bound(regions_.begin(), regions_.end(), base,
+                          [](std::uint64_t b, const Slot& s) { return b < s.base; });
+}
+
 PinCache::Region* PinCache::find(std::uint64_t base, std::int64_t bytes) {
   // Greatest entry base <= query base; a hit must cover the whole interval.
-  auto it = regions_.upper_bound(base);
+  const SlotIt it = upper_bound(base);
   if (it == regions_.begin()) return nullptr;
-  Region* r = std::prev(it)->second.get();
+  const SlotIt prev = std::prev(it);
+  Region* r = prev->region.get();
   if (r->base + static_cast<std::uint64_t>(r->len) >= base + static_cast<std::uint64_t>(bytes)) {
     return r;
   }
   // An entry at the same base that is too short would shadow every future
   // lookup from this base: replace it rather than accumulate.
-  if (r->base == base) detach(r);
+  if (r->base == base) {
+    detach(*prev);
+    regions_.erase(prev);
+  }
   return nullptr;
 }
 
@@ -85,27 +101,30 @@ PinCache::Region* PinCache::acquire(const void* buf, std::int64_t bytes, sim::Ti
     *cpu_cost += opts_.hit_cpu;
     hits_.inc();
     ++r->pins;
-    lru_.splice(lru_.end(), lru_, r->lru);  // most recently used
+    if (opts_.capacity > 0) lru_.splice(lru_.end(), lru_, r->lru);  // most recently used
     return r;
   }
 
-  auto reg = std::make_unique<Region>();
-  reg->base = base;
-  reg->len = bytes;
+  const SlotIt at = lower_bound(base);
+  if (at != regions_.end() && at->base == base) {
+    throw std::logic_error("PinCache: duplicate base after failed lookup");
+  }
+  const SlotIt slot = regions_.emplace(at);
+  slot->base = base;
+  slot->region = std::make_unique<Region>();
+  Region* r = slot->region.get();
+  r->base = base;
+  r->len = bytes;
   for (std::size_t h = 0; h < hcas_.size(); ++h) {
-    reg->mr[h] = hcas_[h]->mem().register_memory(const_cast<void*>(buf),
-                                                 static_cast<std::size_t>(bytes));
+    r->mr[h] = hcas_[h]->mem().register_memory(const_cast<void*>(buf),
+                                               static_cast<std::size_t>(bytes));
   }
   const std::int64_t pages = (bytes + kPageBytes - 1) / kPageBytes;
   *cpu_cost += opts_.miss_cpu + opts_.page_cpu * pages;
   misses_.inc();
   g_min_len = std::min(g_min_len, static_cast<std::size_t>(bytes));
-
-  Region* r = reg.get();
-  auto [it, inserted] = regions_.emplace(base, std::move(reg));
-  if (!inserted) throw std::logic_error("PinCache: duplicate base after failed lookup");
   r->pins = 1;
-  r->lru = lru_.insert(lru_.end(), base);
+  if (opts_.capacity > 0) r->lru = lru_.insert(lru_.end(), r);
   resident_bytes_ += bytes;
   evict_to_capacity();
   return r;
@@ -124,21 +143,20 @@ void PinCache::release(Region* r) {
   }
 }
 
-void PinCache::detach(Region* r) {
-  lru_.erase(r->lru);
+void PinCache::detach(Slot& slot) {
+  Region* r = slot.region.get();
+  if (opts_.capacity > 0) lru_.erase(r->lru);
   resident_bytes_ -= r->len;
-  auto it = regions_.find(r->base);
   if (r->pins == 0) {
     deregister(r);
-    regions_.erase(it);
+    slot.region.reset();
     return;
   }
   // Still referenced by in-flight RDMA: keep the registration alive until
   // the last release (delayed deregistration).  Region* handles stay valid —
-  // the node just moves from the map to the zombie list.
+  // the region just moves from the index to the zombie list.
   r->zombie = true;
-  zombies_.push_back(std::move(it->second));
-  regions_.erase(it);
+  zombies_.push_back(std::move(slot.region));
 }
 
 void PinCache::deregister(Region* r) {
@@ -149,7 +167,7 @@ void PinCache::evict_to_capacity() {
   if (opts_.capacity <= 0) return;
   auto it = lru_.begin();
   while (resident_bytes_ > opts_.capacity && it != lru_.end()) {
-    Region* r = regions_.at(*it).get();
+    Region* r = *it;
     if (r->pins > 0) {
       ++it;  // never evict an interval the hardware may still be writing from
       continue;
@@ -157,7 +175,7 @@ void PinCache::evict_to_capacity() {
     it = lru_.erase(it);
     resident_bytes_ -= r->len;
     deregister(r);
-    regions_.erase(r->base);
+    regions_.erase(lower_bound(r->base));
     evictions_.inc();
   }
 }

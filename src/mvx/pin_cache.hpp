@@ -23,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -54,7 +53,7 @@ class PinCache {
     ib::MemoryRegion mr[kMaxHcas];
     int pins = 0;
     bool zombie = false;  ///< evicted while pinned; deregister on last release
-    std::list<std::uint64_t>::iterator lru;
+    std::list<Region*>::iterator lru;  ///< valid only while capacity > 0
   };
 
   PinCache(const std::vector<ib::Hca*>& hcas, const Options& opts, Counter& hits,
@@ -85,13 +84,25 @@ class PinCache {
   [[nodiscard]] std::size_t entries() const { return regions_.size(); }
 
  private:
+  /// One index entry: the region's base kept beside the pointer, so a
+  /// lookup's binary search reads one contiguous array.
+  struct Slot {
+    std::uint64_t base;
+    std::unique_ptr<Region> region;
+  };
+  using SlotIt = std::vector<Slot>::iterator;
+
+  /// The first entry whose base is >= / > `base`.
+  SlotIt lower_bound(std::uint64_t base);
+  SlotIt upper_bound(std::uint64_t base);
   /// The entry covering [base, base+bytes), or nullptr.  Detaches an entry
   /// at the same base that is too short, so at most one entry exists per
   /// base.
   Region* find(std::uint64_t base, std::int64_t bytes);
-  /// Removes `r` from the cache; deregisters now if unpinned, else marks it
-  /// a zombie for the last release to collect.
-  void detach(Region* r);
+  /// Takes the region of `slot` out of the cache (the caller erases the
+  /// slot); deregisters now if unpinned, else keeps it as a zombie for the
+  /// last release to collect.
+  void detach(Slot& slot);
   void deregister(Region* r);
   void evict_to_capacity();
 
@@ -100,9 +111,11 @@ class PinCache {
 
   // Regions live on the heap so the Region* handles acquire hands out stay
   // valid across detachment (a pinned entry replaced or evicted moves to
-  // zombies_ without changing address).
-  std::map<std::uint64_t, std::unique_ptr<Region>> regions_;  ///< by base address
-  std::list<std::uint64_t> lru_;  ///< front = least recently used
+  // zombies_ without changing address) and across index inserts.
+  std::vector<Slot> regions_;  ///< sorted by base address
+  /// Front = least recently used.  Kept only when the capacity can evict
+  /// (capacity > 0); an unlimited cache never reads it.
+  std::list<Region*> lru_;
   std::vector<std::unique_ptr<Region>> zombies_;
   std::int64_t resident_bytes_ = 0;
 

@@ -285,8 +285,11 @@ void Rendezvous::accept(const MsgHeader& rts, const Request& req, const CtsRkeys
     cts.receiver_cookie = rcookie;
     cts.raddr = base + static_cast<std::uint64_t>(off);
     cts.chunk = i;
-    host_.schedule_cpu_vci(rts.vci, cost,
-                           [this, peer, cts, rkeys] { net_.send_ctl(peer, cts, rkeys); });
+    const std::uint32_t slot = parked_cts_.put({cts, rkeys});
+    host_.schedule_cpu_vci(rts.vci, cost, [this, peer, slot] {
+      const ParkedCts p = parked_cts_.take(slot);
+      net_.send_ctl(peer, p.hdr, p.rkeys);
+    });
   }
 }
 
@@ -568,18 +571,22 @@ void Rendezvous::start_chunk_writes(int peer, const Request& req, SendState& ss,
   const std::uint64_t msg_raddr = cts.raddr - static_cast<std::uint64_t>(off);
   const std::uint32_t imm = ss.imm;
   for (std::size_t i = 0; i < stripes.size(); ++i) {
-    const Stripe st = stripes[i];
+    const Stripe& st = stripes[i];
+    NetChannel::RndvStripe wr;
+    wr.rail = st.rail;
+    wr.src = static_cast<const std::byte*>(req->send_buf) + st.offset;
+    wr.len = st.len;
+    wr.raddr = msg_raddr + static_cast<std::uint64_t>(st.offset);
+    wr.req_id = req_id;
+    wr.lkeys = lkeys;
+    wr.rkeys = rkeys;
+    const std::uint32_t slot = parked_stripes_.put(wr);
     host_.schedule_cpu_vci(req->vci, (i == 0 ? cost : 0) + cfg.post_cpu(),
-                           [this, peer, st, req_id, msg_raddr, rkeys, lkeys, fold, imm] {
-      Request req = peek_cookie(req_id & kCookieMask);
-      NetChannel::RndvStripe wr;
-      wr.rail = st.rail;
-      wr.src = static_cast<const std::byte*>(req->send_buf) + st.offset;
-      wr.len = st.len;
-      wr.raddr = msg_raddr + static_cast<std::uint64_t>(st.offset);
-      wr.req_id = req_id;
-      wr.lkeys = lkeys;
-      wr.rkeys = rkeys;
+                           [this, peer, slot, fold, imm] {
+      const NetChannel::RndvStripe wr = parked_stripes_.take(slot);
+      // The stripe was built when it was scheduled; its send must still be
+      // in flight when it is posted.
+      (void)peek_cookie(wr.req_id & kCookieMask);
       if (fold) {
         net_.post_write_imm(peer, wr, imm);
       } else {
@@ -611,13 +618,14 @@ void Rendezvous::post_trailing_imm(int peer, std::uint64_t cookie, std::uint32_t
   // Zero-byte write-with-imm: consumes a receiver slot but carries no data;
   // post_write_imm scans the VCI slice for a live rail with a credit.
   const int vci = imm_vci(imm);
-  NetChannel::RndvStripe wr;
-  wr.rail = vci * net_.nrails(peer);
-  wr.len = 0;
-  wr.req_id = cookie;
   imm_sent_.inc();
-  host_.schedule_cpu_vci(vci, host_.config().post_cpu(),
-                         [this, peer, wr, imm] { net_.post_write_imm(peer, wr, imm); });
+  host_.schedule_cpu_vci(vci, host_.config().post_cpu(), [this, peer, vci, cookie, imm] {
+    NetChannel::RndvStripe wr;
+    wr.rail = vci * net_.nrails(peer);
+    wr.len = 0;
+    wr.req_id = cookie;
+    net_.post_write_imm(peer, wr, imm);
+  });
 }
 
 void Rendezvous::on_write_done(int peer, std::uint64_t req_id) {
@@ -661,7 +669,9 @@ void Rendezvous::on_write_failed(int peer, const RndvStripe& st) {
     const Config& cfg = host_.config();
     const std::uint32_t imm = ss.imm;
     host_.schedule_cpu_vci(imm_vci(imm), cfg.wqe_build_cpu + cfg.doorbell_cpu,
-                           [this, peer, retry, imm] { net_.post_write_imm(peer, retry, imm); });
+                           sim::boxed([this, peer, retry, imm] {
+                             net_.post_write_imm(peer, retry, imm);
+                           }));
     return;
   }
   repost_stripe(peer, retry);

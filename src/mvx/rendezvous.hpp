@@ -42,6 +42,7 @@
 #include "mvx/pin_cache.hpp"
 #include "mvx/rndv_policy.hpp"
 #include "mvx/telemetry.hpp"
+#include "sim/slab.hpp"
 
 namespace ib12x::mvx {
 
@@ -196,6 +197,15 @@ class Rendezvous {
   NetChannel& net_;
 
   std::unique_ptr<PinCache> pin_cache_;
+  /// CTS messages and stripe descriptors waiting out their CPU charge on a
+  /// VCI progress server; the events carry slot ids (neither fits an event
+  /// capture).
+  struct ParkedCts {
+    MsgHeader hdr;
+    CtsRkeys rkeys;
+  };
+  sim::Slab<ParkedCts> parked_cts_;
+  sim::Slab<RndvStripe> parked_stripes_;
   /// Every live cookie, sender and receiver side alike (one counter).
   std::map<std::uint64_t, Request> outstanding_;
   std::map<std::uint64_t, SendState> sends_;

@@ -1,10 +1,25 @@
 #include "mvx/shm_channel.hpp"
 
+#include <memory>
 #include <utility>
 
 #include "mvx/matcher.hpp"
 
 namespace ib12x::mvx {
+
+namespace {
+
+/// One message in flight through the shared segment.  Header + payload
+/// exceed the kernel's 48-byte in-place event storage, so they travel in one
+/// heap block that the events own and hand on by pointer.
+struct Delivery {
+  ShmChannel* remote;
+  int src;
+  MsgHeader hdr;
+  Payload payload;
+};
+
+}  // namespace
 
 ShmChannel::ShmChannel(ChannelHost& host)
     : host_(host),
@@ -47,17 +62,9 @@ void ShmChannel::send(int peer, CommKind kind, const void* buf, std::int64_t byt
   auto res = c.pipe.reserve_bytes(sim.now(), sim.now(),
                                   static_cast<std::int64_t>(kHeaderBytes) + bytes);
   const sim::Time deliver_at = res.finish + cfg.shm_latency;
-  // Header + payload exceed the kernel's in-place event storage; box them in
-  // one heap block and let the event own it.
-  struct Delivery {
-    ShmChannel* remote;
-    int src;
-    MsgHeader hdr;
-    Payload payload;
-  };
   auto d = std::make_unique<Delivery>(
       Delivery{c.remote, host_.rank(), hdr, std::move(payload)});
-  sim.at(deliver_at, [d = std::move(d)]() mutable {
+  sim.at(deliver_at, [d = std::move(d)] {
     d->remote->deliver(d->src, d->hdr, std::move(d->payload));
   });
 
@@ -83,28 +90,25 @@ void ShmChannel::send_evt(int peer, CommKind kind, const void* buf, std::int64_t
   hdr.seq = host_.matcher().next_send_seq(peer, ctx, req->vci);
   hdr.size = static_cast<std::uint64_t>(bytes);
 
-  // shared_ptr, not a moved Payload: schedule_cpu_vci takes a copyable callable.
-  auto payload =
-      std::make_shared<Payload>(host_.payloads().copy(buf, static_cast<std::size_t>(bytes)));
+  // The copy is made now; the delivery block (header and payload) moves
+  // into the CPU event and from there into the arrival event, so the
+  // message costs one allocation.  Its peer channel is resolved when the
+  // CPU event runs.
+  auto d = std::make_unique<Delivery>(Delivery{
+      nullptr, host_.rank(), hdr, host_.payloads().copy(buf, static_cast<std::size_t>(bytes))});
 
   host_.schedule_cpu_vci(
-      req->vci, cfg.post_cpu() + host_.memcpy_time(bytes), [this, peer, hdr, payload, bytes, req] {
+      req->vci, cfg.post_cpu() + host_.memcpy_time(bytes),
+      [this, peer, req, d = std::move(d)]() mutable {
         Peer& c = peers_.at(peer);
         sim::Simulator& sim = host_.simulator();
+        const auto bytes = static_cast<std::int64_t>(d->hdr.size);
         auto res = c.pipe.reserve_bytes(sim.now(), sim.now(),
                                         static_cast<std::int64_t>(kHeaderBytes) + bytes);
         const sim::Time deliver_at = res.finish + host_.config().shm_latency;
-        // Header + shared payload exceed the kernel's in-place event storage;
-        // box them so the event captures one pointer (see send()).
-        struct Delivery {
-          ShmChannel* remote;
-          int src;
-          MsgHeader hdr;
-          std::shared_ptr<Payload> payload;
-        };
-        auto d = std::make_unique<Delivery>(Delivery{c.remote, host_.rank(), hdr, payload});
-        sim.at(deliver_at, [d = std::move(d)]() mutable {
-          d->remote->deliver(d->src, d->hdr, std::move(*d->payload));
+        d->remote = c.remote;
+        sim.at(deliver_at, [d = std::move(d)] {
+          d->remote->deliver(d->src, d->hdr, std::move(d->payload));
         });
         sent_.inc();
         bytes_sent_.add(static_cast<std::uint64_t>(bytes));

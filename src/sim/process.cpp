@@ -5,14 +5,27 @@
 
 namespace ib12x::sim {
 
+Waitable::~Waitable() {
+  for (const Waiter& w : waiters_) w.proc->blocked_on_ = nullptr;
+}
+
 void Waitable::notify_all() {
-  // Waiters re-register if their predicate still fails, so the list is
-  // consumed wholesale.  Swap first: a woken process may wait again on this
-  // same Waitable before notify_all returns is impossible (it resumes via a
-  // scheduled event), but an event handler may notify twice.
-  std::vector<Process*> ready;
-  ready.swap(waiters_);
-  for (Process* p : ready) p->wake();
+  // Compacts in place, keeping registration order.  Nothing here can touch
+  // the list again: predicates are pure reads, and wake() only schedules an
+  // event (the woken fiber re-registers, if at all, when that event runs).
+  std::size_t kept = 0;
+  for (const Waiter& w : waiters_) {
+    if (w.ready == nullptr || w.ready(w.pred)) {
+      w.proc->wake();
+    } else {
+      waiters_[kept++] = w;
+    }
+  }
+  waiters_.resize(kept);
+}
+
+void Waitable::remove(const Process* p) {
+  std::erase_if(waiters_, [p](const Waiter& w) { return w.proc == p; });
 }
 
 Process::Process(Simulator& sim, int id, std::string name, Body body)
@@ -22,7 +35,11 @@ Process::Process(Simulator& sim, int id, std::string name, Body body)
 Process::~Process() {
   if (state_ != State::Finished) {
     // Tear down a stuck/blocked process: resume it with the kill flag set;
-    // its next suspend point throws Killed and unwinds the fiber stack.
+    // its next suspend point throws Killed and unwinds the fiber stack —
+    // and with it the predicate its waiter entry points at, so the entry
+    // goes first.
+    if (blocked_on_ != nullptr) blocked_on_->remove(this);
+    blocked_on_ = nullptr;
     kill_requested_ = true;
     resume();
   }
@@ -77,15 +94,16 @@ void Process::compute(Time d) {
 
 void Process::yield() { compute(0); }
 
-void Process::wait(Waitable& w) {
+void Process::block_on(Waitable& w, bool (*ready)(void*), void* pred) {
   state_ = State::Blocked;
-  w.waiters_.push_back(this);
+  blocked_on_ = &w;
+  w.waiters_.push_back({this, ready, pred});
   suspend_to_driver();
 }
 
 void Process::wake() {
-  if (state_ != State::Blocked) return;
   state_ = State::Runnable;
+  blocked_on_ = nullptr;
   sim_.after(0, [this] { resume(); });
 }
 

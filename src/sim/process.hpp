@@ -8,9 +8,10 @@
 // needs no locking and runs are bit-reproducible.
 //
 // Inside the process body, virtual time advances only through explicit calls:
-//   compute(d)   — charge d picoseconds of CPU work
-//   wait(w)      — block until Waitable w is notified from event context
-//   yield()      — let all events scheduled for the current instant run
+//   compute(d)          — charge d picoseconds of CPU work
+//   wait(w)             — block until Waitable w is notified
+//   wait_until(w, pred) — block until a notify of w finds pred() true
+//   yield()             — let all events scheduled for the current instant run
 #pragma once
 
 #include <exception>
@@ -30,15 +31,40 @@ class Process;
 /// A wake-up channel.  Processes block on it; event handlers notify it.
 /// There is no memory: a notify with no waiters is a no-op, so callers must
 /// always wait in a predicate loop (Process::wait_until does this).
+///
+/// Each waiter is stored with its predicate.  notify_all evaluates the
+/// predicates where it is called — in event context, or on the notifying
+/// fiber — and resumes only the waiters whose predicate holds, so a notify
+/// that changes nothing a waiter cares about costs no context switch.  A
+/// predicate must therefore be a pure read of model state: it runs while its
+/// own fiber is suspended, and may run any number of times per wake-up.  A
+/// plain wait() has no predicate and is woken by every notify.
 class Waitable {
  public:
-  /// Wakes every currently-blocked waiter (they resume at the current
-  /// simulation time, in registration order).  Event/driver context only.
+  Waitable() = default;
+  Waitable(const Waitable&) = delete;
+  Waitable& operator=(const Waitable&) = delete;
+  /// Detaches any processes still blocked here (they are torn down later).
+  ~Waitable();
+
+  /// Schedules every blocked waiter whose predicate holds (or that has none)
+  /// to resume at the current simulation time, in registration order; the
+  /// others stay registered in place.  Never switches fibers itself.
   void notify_all();
+
+  /// Processes currently registered (blocked) on this waitable.
+  [[nodiscard]] std::size_t waiting() const { return waiters_.size(); }
 
  private:
   friend class Process;
-  std::vector<Process*> waiters_;
+  struct Waiter {
+    Process* proc;
+    bool (*ready)(void*);  ///< nullptr for a plain wait()
+    void* pred;            ///< the predicate object on the waiter's fiber stack
+  };
+  void remove(const Process* p);
+
+  std::vector<Waiter> waiters_;  ///< registration order; storage is reused
 };
 
 class Process {
@@ -81,21 +107,22 @@ class Process {
   void yield();
 
   /// Suspends until `w` is notified.
-  void wait(Waitable& w);
+  void wait(Waitable& w) { block_on(w, nullptr, nullptr); }
 
-  /// Waits (re-checking after every notify) until `pred()` holds.
+  /// Suspends until `pred()` holds.  `pred` must be a pure read (see
+  /// Waitable): notify_all evaluates it without resuming this fiber, and
+  /// the fiber re-checks it on resumption, since another fiber resumed at
+  /// the same instant may have changed the state again.
   template <typename Pred>
   void wait_until(Waitable& w, Pred pred) {
-    while (!pred()) wait(w);
+    while (!pred()) {
+      block_on(w, [](void* p) { return static_cast<bool>((*static_cast<Pred*>(p))()); },
+               &pred);
+    }
   }
 
-  // ---- callable only from event/driver context ----
-
-  /// If the process is blocked, schedules it to resume at the current time.
-  /// No-op otherwise (the waiter re-checks its predicate anyway).
-  void wake();
-
  private:
+  friend class Waitable;
   enum class State { Created, Runnable, Running, Blocked, Finished };
 
   /// Thrown through the body's stack when the runtime tears down a process
@@ -103,6 +130,10 @@ class Process {
   struct Killed {};
 
   void fiber_main();
+  void block_on(Waitable& w, bool (*ready)(void*), void* pred);
+  /// Called by Waitable::notify_all on a blocked waiter: schedules it to
+  /// resume at the current time.
+  void wake();
   void resume();             // driver side: switch into the fiber until it suspends
   void suspend_to_driver();  // process side: switch back to the event loop
 
@@ -113,6 +144,7 @@ class Process {
 
   bool kill_requested_ = false;
   State state_ = State::Created;
+  Waitable* blocked_on_ = nullptr;  ///< where this process is registered, if anywhere
   std::exception_ptr error_;
   Fiber fiber_;
 

@@ -1,6 +1,6 @@
-// Bench-harness plumbing: the table printer, size labels, sweep helper, and
-// the Runner's measurement semantics (determinism, steady-state skipping,
-// direction accounting).
+// Bench-harness plumbing: the table printer, band checks, size labels, the
+// sweep helper, and the Runner's measurement semantics (determinism,
+// steady-state skipping, direction accounting).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -35,6 +35,18 @@ TEST(Table, CsvOutput) {
   t.print_csv(mem, 2);
   std::fclose(mem);
   EXPECT_STREQ(buf, "size,col\n8,1.25\n");
+}
+
+TEST(PrintCheck, OutOfBandCheckFailsTheRun) {
+  // One process-wide tally: in-band checks leave the status at 0, and one
+  // out-of-band check makes it 1 for the rest of the process.
+  print_check("in band", 1.0, 0.5, 1.5);
+  print_check("on the floor", 30.0, 30.0, 40.0);
+  EXPECT_EQ(checks_status(), 0);
+  print_check("below the floor", 29.99, 30.0, 40.0);
+  EXPECT_EQ(checks_status(), 1);
+  print_check("in band again", 1.0, 0.5, 1.5);
+  EXPECT_EQ(checks_status(), 1);
 }
 
 TEST(SizeLabel, HumanUnits) {

@@ -8,6 +8,8 @@
 #include <cstring>
 #include <vector>
 
+#include "mvx/coll/engine.hpp"
+#include "mvx/coll/schedule.hpp"
 #include "mvx/coll/tags.hpp"
 #include "mvx/mpi.hpp"
 #include "mvx_test_util.hpp"
@@ -395,6 +397,85 @@ TEST(WaitAnySome, WaitanyOnCollectiveRequests) {
     c.waitall(reqs);
     EXPECT_EQ(sum, p);
   });
+}
+
+// ------------------------------------------------------------- issue order
+
+/// Runs a hand-built schedule on both ranks of a 2x1 world and returns, per
+/// rank, the round indices in the order the engine issued them.  Five
+/// chains of different speeds share the DAG: A (64 KiB rendezvous 0 -> 1),
+/// B (256 B eager 1 -> 0) and C (local only) are joined by barrier round X;
+/// after it D (256 B eager 0 -> 1) and E (64 KiB rendezvous 1 -> 0) run side
+/// by side until a last barrier Z.  Each round first appends its index to a byte log (three
+/// Copy ops shift it by one), then posts its transfer.
+std::vector<std::vector<int>> multi_chain_issue_order() {
+  enum : int { A0, B0, C0, A1, B1, C1, A2, B2, X, D0, E0, D1, E1, D2, Z, kRounds };
+  struct Xfer {
+    int from;  ///< sending rank; -1 for a local-only round
+    std::int64_t bytes;
+  };
+  const std::vector<Xfer> xfer = {
+      {0, 65536}, {1, 256}, {-1, 0}, {0, 65536}, {1, 256},   {-1, 0}, {0, 65536}, {1, 256},
+      {0, 256},   {0, 256}, {1, 65536}, {0, 256}, {1, 65536}, {0, 256}, {1, 256}};
+  std::vector<std::vector<int>> order(2);
+  World w(ClusterSpec{2, 1}, Config::enhanced(4, Policy::EPC));
+  w.run([&](Communicator& c) {
+    const int me = c.rank();
+    const int peer = 1 - me;
+    std::vector<std::uint8_t> log(kRounds, 0), tmp(kRounds, 0), ids(kRounds);
+    std::vector<std::vector<std::byte>> bufs;
+    coll::CollSchedule s;
+    s.ctx = 77;  // a context no communicator of this world uses
+    bufs.reserve(kRounds);
+    // `idx` is the index the schedule gave the round just added.
+    auto fill = [&](int r, int idx) {
+      ASSERT_EQ(idx, r);
+      ids[static_cast<std::size_t>(r)] = static_cast<std::uint8_t>(r + 1);
+      s.copy(r, tmp.data(), log.data(), kRounds - 1);
+      s.copy(r, log.data() + 1, tmp.data(), kRounds - 1);
+      s.copy(r, log.data(), &ids[static_cast<std::size_t>(r)], 1);
+      const Xfer& x = xfer[static_cast<std::size_t>(r)];
+      if (x.from < 0) return;
+      bufs.emplace_back(static_cast<std::size_t>(x.bytes), std::byte{0});
+      if (x.from == me) {
+        s.isend(r, peer, 100 + r, bufs.back().data(), x.bytes);
+      } else {
+        s.irecv(r, peer, 100 + r, bufs.back().data(), x.bytes);
+      }
+    };
+    fill(A0, s.add_round());
+    fill(B0, s.add_round());
+    fill(C0, s.add_round());
+    fill(A1, s.add_round({A0}));
+    fill(B1, s.add_round({B0}));
+    fill(C1, s.add_round({C0}));
+    fill(A2, s.add_round({A1}));
+    fill(B2, s.add_round({B1}));
+    fill(X, s.add_barrier_round());
+    fill(D0, s.add_round({X}));
+    fill(E0, s.add_round({X}));
+    fill(D1, s.add_round({D0}));
+    fill(E1, s.add_round({E0}));
+    fill(D2, s.add_round({D1}));
+    fill(Z, s.add_barrier_round());
+    c.endpoint().wait(c.endpoint().coll_engine().launch(std::move(s)));
+    for (int i = kRounds - 1; i >= 0; --i) {
+      order[static_cast<std::size_t>(me)].push_back(log[static_cast<std::size_t>(i)] - 1);
+    }
+  });
+  return order;
+}
+
+TEST(CollEngine, MultiChainIssueOrderIsFixed) {
+  // Recorded from the engine that rescanned every round and every request
+  // on each pass; skipping finished rounds and requests must not move it.
+  // C1 goes before B1 (C is local, so C1 unblocks within the first pass),
+  // B2 before A1 (B is eager, A rendezvous), and D2 before E1 after the
+  // barrier.
+  const std::vector<int> want = {0, 1, 2, 5, 4, 7, 3, 6, 8, 9, 10, 11, 13, 12, 14};
+  const std::vector<std::vector<int>> order = multi_chain_issue_order();
+  EXPECT_EQ(order[0], want);
+  EXPECT_EQ(order[1], want);
 }
 
 }  // namespace

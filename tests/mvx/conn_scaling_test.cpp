@@ -163,6 +163,45 @@ TEST(ConnScaling, RendezvousFirstContact) {
   EXPECT_GE(w.telemetry().counter_value("rndv.rts_sent"), 1u);
 }
 
+TEST(ConnScaling, ShmPeersWiredWhileASendIsSuspended) {
+  // One node of eight ranks.  Rank 0 streams shm sends to rank 1; each
+  // suspends rank 0's fiber while its copy is charged.  Meanwhile ranks
+  // 2..7 make first contact with rank 0 at staggered times, so their
+  // handshakes complete, and add shm peers to rank 0's channel, while a
+  // send holds its peer entry.  The entry must survive (the ASan build
+  // checks the memory; every build checks the payloads).
+  const int kPerNode = 8;
+  const int kStream = 200;
+  const std::size_t bytes = 8 * 1024;
+  World w(ClusterSpec{1, kPerNode}, Config::original());
+  ASSERT_TRUE(w.config().lazy_connect);
+  w.run([&](Communicator& c) {
+    if (c.rank() == 0) {
+      for (int i = 0; i < kStream; ++i) {
+        const std::vector<std::byte> out = payload(bytes, 0, i);
+        c.send(out.data(), out.size(), BYTE, 1, 4);
+      }
+      for (int src = 2; src < kPerNode; ++src) {
+        std::vector<std::byte> in(64);
+        c.recv(in.data(), in.size(), BYTE, src, 6);
+        ASSERT_EQ(in, payload(64, src, 6));
+      }
+    } else if (c.rank() == 1) {
+      for (int i = 0; i < kStream; ++i) {
+        std::vector<std::byte> in(bytes);
+        c.recv(in.data(), in.size(), BYTE, 0, 4);
+        ASSERT_EQ(in, payload(bytes, 0, i)) << "message " << i;
+      }
+    } else {
+      c.compute(sim::microseconds(15.0 * (c.rank() - 1)));
+      const std::vector<std::byte> out = payload(64, c.rank(), 6);
+      c.send(out.data(), out.size(), BYTE, 0, 6);
+    }
+  });
+  EXPECT_EQ(w.telemetry().counter_value("conn.established"),
+            static_cast<std::uint64_t>(2 * (kPerNode - 1)));
+}
+
 TEST(ConnScaling, SrqReplenishesOnLowWatermark) {
   // A burst deep enough to drain the pool below srq_limit must trigger the
   // asynchronous limit event and at least one batched repost.  The burst is

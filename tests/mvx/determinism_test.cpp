@@ -194,8 +194,13 @@ TEST(Determinism, RepeatedRunsAreBitIdentical) {
   const RunDigest a = run_workload(2, Config::enhanced(4, Policy::EPC));
   const RunDigest b = run_workload(2, Config::enhanced(4, Policy::EPC));
   expect_bit_identical(a, b);
-  // Sanity: the workload actually exercised the kernel's fast paths.
-  EXPECT_GT(a.telemetry.at("sim.events"), 1000.0);
+  // Sanity: the workload did real work (108 WQEs) and exercised the
+  // kernel's fast paths.  The work floor counts modelled WQEs, not kernel
+  // events: the event count is the simulator's own cost and falls whenever
+  // the kernel gets cheaper (946 events here once waiters resume only on a
+  // true predicate).
+  EXPECT_GT(a.telemetry.at("ib.wqes_serviced"), 100.0);
+  EXPECT_GT(a.telemetry.at("sim.events"), 0.0);
   EXPECT_GT(a.telemetry.at("sim.lane_events"), 0.0);
   EXPECT_GT(a.telemetry.at("sim.fiber_switches"), 0.0);
 }

@@ -1,5 +1,6 @@
-// Unit tests for the rendezvous pin-down cache: interval lookup,
-// LRU eviction against the byte budget with real MR deregistration,
+// Unit tests for the rendezvous pin-down cache: interval lookup, the
+// replacement of a short entry at the same base, LRU eviction against the
+// byte budget with real MR deregistration,
 // pin-protected (zombie) entries, entries dying with the host block they
 // cover, and host-job frees that leave the cache alone.
 #include <gtest/gtest.h>
@@ -77,6 +78,45 @@ TEST(PinCache, LruEvictionDeregistersUnpinned) {
   EXPECT_LE(c.resident_bytes(), 256 * 1024);
   // Every evicted interval was really deregistered from the HCA domain.
   EXPECT_EQ(fx.hca->mem().region_count(), c.entries());
+}
+
+TEST(PinCache, EvictionFollowsLeastRecentUse) {
+  CacheFixture fx;
+  PinCache c = fx.make(/*capacity=*/3 * 64 * 1024);
+  std::vector<std::vector<std::byte>> bufs;
+  for (int i = 0; i < 4; ++i) bufs.emplace_back(64 * 1024);
+
+  sim::Time cost = 0;
+  for (int i = 0; i < 3; ++i) c.release(c.acquire(bufs[i].data(), 64 * 1024, &cost));
+  // A hit refreshes buffer 0, so buffer 1 is now the least recently used.
+  c.release(c.acquire(bufs[0].data(), 64 * 1024, &cost));
+  c.release(c.acquire(bufs[3].data(), 64 * 1024, &cost));  // one over budget
+  EXPECT_EQ(fx.evictions.value(), 1u);
+  EXPECT_EQ(c.entries(), 3u);
+
+  const std::uint64_t hits = fx.hits.value();
+  c.release(c.acquire(bufs[0].data(), 64 * 1024, &cost));
+  c.release(c.acquire(bufs[2].data(), 64 * 1024, &cost));
+  EXPECT_EQ(fx.hits.value(), hits + 2);  // 0 and 2 stayed
+  const std::uint64_t misses = fx.misses.value();
+  c.release(c.acquire(bufs[1].data(), 64 * 1024, &cost));
+  EXPECT_EQ(fx.misses.value(), misses + 1);  // 1 was the one evicted
+}
+
+TEST(PinCache, ShortEntryAtTheSameBaseIsReplaced) {
+  CacheFixture fx;
+  PinCache c = fx.make();
+  std::vector<std::byte> buf(64 * 1024);
+
+  sim::Time cost = 0;
+  c.release(c.acquire(buf.data(), 4096, &cost));
+  PinCache::Region* r = c.acquire(buf.data(), 64 * 1024, &cost);  // longer: a miss
+  EXPECT_EQ(fx.misses.value(), 2u);
+  EXPECT_EQ(r->len, 64 * 1024);
+  // The short entry was deregistered, not kept beside the long one.
+  EXPECT_EQ(c.entries(), 1u);
+  EXPECT_EQ(fx.hca->mem().region_count(), 1u);
+  c.release(r);
 }
 
 TEST(PinCache, PinnedRegionsSurviveEvictionUntilRelease) {
