@@ -50,6 +50,9 @@ class Fabric {
 
   QpNum next_qp_num() { return next_qp_num_++; }
 
+  /// Pipeline state of every WQE in flight on this fabric.
+  [[nodiscard]] TransferPool& transfers() { return transfers_; }
+
  private:
   sim::Simulator& sim_;
   HcaParams hca_params_;
@@ -57,6 +60,7 @@ class Fabric {
   std::unique_ptr<Topology> topology_;
   std::vector<std::unique_ptr<Hca>> hcas_;
   std::unique_ptr<FaultPlan> fault_;
+  TransferPool transfers_;
   QpNum next_qp_num_ = 1;
 };
 

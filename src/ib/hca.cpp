@@ -21,6 +21,7 @@ void SharedReceiveQueue::attach_buffers(const Buffers& b) {
   // Released buffers stack up at the back; the first bind takes buffer 0.
   free_.resize(b.count);
   for (std::uint32_t i = 0; i < b.count; ++i) free_[i] = b.count - 1 - i;
+  held_.assign(b.count, false);
 }
 
 void SharedReceiveQueue::post() {
@@ -33,10 +34,11 @@ void SharedReceiveQueue::post() {
 }
 
 void SharedReceiveQueue::release(std::uint32_t index) {
-  if (index >= bufs_.count || free_.size() >= bufs_.count) {
+  if (index >= bufs_.count || !held_[index]) {
     throw std::logic_error("SharedReceiveQueue::release: buffer " + std::to_string(index) +
                            " is not held");
   }
+  held_[index] = false;
   free_.push_back(index);
 }
 
@@ -64,6 +66,7 @@ std::uint32_t SharedReceiveQueue::bind(std::uint32_t length) {
   // post() keeps WQEs within the free buffers, so a popped WQE finds one.
   const std::uint32_t index = free_.back();
   free_.pop_back();
+  held_[index] = true;
   return index;
 }
 
@@ -218,10 +221,11 @@ RecvWr QueuePair::take_recv_wqe() {
 
 // ----------------------------------------------------------------- Transfer
 
-/// Per-message pipeline state.  Allocated once when an engine picks up a
-/// WQE and handed stage to stage through the event queue; the stage events
-/// capture only {Port*, unique_ptr<Transfer>} so they fit the kernel's
-/// 48-byte in-place event storage (SendWr alone is larger than that).
+/// Per-message pipeline state.  Taken from the fabric's TransferPool when an
+/// engine picks up a WQE and handed stage to stage through the event queue;
+/// the stage events capture only {Port* or Switch*, Transfer*}, so they fit
+/// the kernel's 48-byte in-place event storage (SendWr alone is larger than
+/// that) and relocate by memcpy.
 struct Transfer {
   SendWr wr;
   QueuePair* qp = nullptr;   ///< requester QP
@@ -247,7 +251,41 @@ struct Transfer {
   // here: the topology's route table holds one per (src lid, dst lid), and
   // each stage that needs it reads that entry.
   sim::Time bus_last = 0, eng_last = 0, tx_last = 0, dl_last = 0, re_last = 0;
+  sim::Time cqe_time = 0;  ///< requester CQE of a signaled WQE (finish_transfer)
 };
+
+namespace {
+
+constexpr std::size_t kTransfersPerChunk = 64;
+
+/// Places a read response in requester host memory: read_respond stashed the
+/// requester-local destination in remote_addr and pointed src at the
+/// responder's data.
+void land_read_response(const SendWr& wr) {
+  if (wr.length > 0) std::memcpy(reinterpret_cast<std::byte*>(wr.remote_addr), wr.src, wr.length);
+}
+
+}  // namespace
+
+TransferPool::TransferPool() = default;
+TransferPool::~TransferPool() = default;
+
+Transfer* TransferPool::acquire() {
+  if (free_.empty()) {
+    chunks_.push_back(std::make_unique<Transfer[]>(kTransfersPerChunk));
+    Transfer* chunk = chunks_.back().get();
+    // Reversed, so the chunk's first record is handed out first.
+    for (std::size_t i = kTransfersPerChunk; i-- > 0;) free_.push_back(&chunk[i]);
+  }
+  Transfer* t = free_.back();
+  free_.pop_back();
+  *t = Transfer{};
+  return t;
+}
+
+std::size_t TransferPool::in_use() const {
+  return chunks_.size() * kTransfersPerChunk - free_.size();
+}
 
 // --------------------------------------------------------------------- Port
 
@@ -371,7 +409,7 @@ void Port::service(QueuePair* qp, int eng) {
     auto fetch = engine.reserve_time(now, now, P.wqe_fetch);
     sim.at(fetch.finish, [this, eng, qp] { engine_done(eng, qp); });
 
-    auto st = std::make_unique<Transfer>();
+    Transfer* st = hca_->fabric().transfers().acquire();
     // Response orientation: data flows responder → requester, so the source
     // fields name the responder and the destination fields the requester.
     // st->wr keeps the caller's pointer roles (src = local destination);
@@ -385,7 +423,7 @@ void Port::service(QueuePair* qp, int eng) {
     st->wr = std::move(wr);
     Port* rp = &dport;
     const sim::Time t_req = fetch.finish + route.fwd_latency + F.wire_latency;
-    sim.at(t_req, [rp, st = std::move(st)]() mutable { rp->read_respond(std::move(st)); });
+    sim.at(t_req, [rp, st] { rp->read_respond(st); });
     return;
   }
 
@@ -421,7 +459,7 @@ void Port::service(QueuePair* qp, int eng) {
   qp->bytes_sent_ += wr.length;
   const QpNum src_qp_num = qp->num_;
 
-  auto st = std::make_unique<Transfer>();
+  Transfer* st = hca_->fabric().transfers().acquire();
   st->qp = qp;
   st->dst = dst;
   st->dport = &dport;
@@ -469,7 +507,7 @@ void Port::service(QueuePair* qp, int eng) {
                   P.cqe_delay + sim::transfer_time(P.cqe_bus_bytes, hca_->bus().dir_rate())
             : 0;
     st->wr = std::move(wr);
-    finish_transfer(std::move(st), delivered, cqe_time);
+    finish_transfer(st, delivered, cqe_time);
     return;
   }
 
@@ -484,11 +522,11 @@ void Port::service(QueuePair* qp, int eng) {
 
   st->wr = std::move(wr);
   const sim::Time t_stage2 = s_bus.start + t_bus_seg;
-  sim.at(t_stage2, [this, st = std::move(st)]() mutable { stage_engine(std::move(st)); });
+  sim.at(t_stage2, [this, st] { stage_engine(st); });
 }
 
 // Responder side of an RDMA Read (runs on the responder port).
-void Port::read_respond(std::unique_ptr<Transfer> st) {
+void Port::read_respond(Transfer* st) {
   sim::Simulator& sim = hca_->simulator();
   const HcaParams& P = hca_->params();
   const FabricParams& F = hca_->fabric().fabric_params();
@@ -513,6 +551,7 @@ void Port::read_respond(std::unique_ptr<Transfer> st) {
     wc.qp_num = reqr->num_;
     wc.timestamp = cqe_time;
     sim.at(cqe_time, [reqr, wc] { reqr->scq_->push(wc); });
+    hca_->fabric().transfers().release(st);
     return;
   }
 
@@ -568,7 +607,7 @@ void Port::read_respond(std::unique_ptr<Transfer> st) {
             ? delivered + P.cqe_delay +
                   sim::transfer_time(P.cqe_bus_bytes, st->dhca->bus().dir_rate())
             : 0;
-    finish_transfer(std::move(st), delivered, cqe_time);
+    finish_transfer(st, delivered, cqe_time);
     return;
   }
 
@@ -578,11 +617,11 @@ void Port::read_respond(std::unique_ptr<Transfer> st) {
   auto s_bus = hca_->bus().reserve(BusDir::ToHca, now, fetch.finish, bytes);
   st->bus_last = s_bus.finish;
   const sim::Time t_stage2 = s_bus.start + st->t_bus_seg;
-  sim.at(t_stage2, [this, st = std::move(st)]() mutable { stage_engine(std::move(st)); });
+  sim.at(t_stage2, [this, st] { stage_engine(st); });
 }
 
 // Stage 2 (first segment on-chip): send DMA engine.
-void Port::stage_engine(std::unique_ptr<Transfer> st) {
+void Port::stage_engine(Transfer* st) {
   sim::Simulator& sim = hca_->simulator();
   auto s_eng = st->engine->reserve_bytes(sim.now(), sim.now(), st->bytes);
   st->eng_last = std::max(s_eng.finish, st->bus_last + st->t_eng_seg);
@@ -594,11 +633,11 @@ void Port::stage_engine(std::unique_ptr<Transfer> st) {
   }
 
   const sim::Time t_next = s_eng.start + st->t_eng_seg;
-  sim.at(t_next, [this, st = std::move(st)]() mutable { stage_uplink(std::move(st)); });
+  sim.at(t_next, [this, st] { stage_uplink(st); });
 }
 
 // Stage 3: port uplink to the switch (wire framing overhead applies).
-void Port::stage_uplink(std::unique_ptr<Transfer> st) {
+void Port::stage_uplink(Transfer* st) {
   sim::Simulator& sim = hca_->simulator();
   const FabricParams& F = hca_->fabric().fabric_params();
   Topology& topo = hca_->fabric().topology();
@@ -619,7 +658,7 @@ void Port::stage_uplink(std::unique_ptr<Transfer> st) {
     st->tx_last += fwd_lat;
     const sim::Time t_next = s_tx.start + st->t_tx_seg + fwd_lat;
     Port* dport = st->dport;
-    sim.at(t_next, [dport, st = std::move(st)]() mutable { dport->stage_downlink(std::move(st)); });
+    sim.at(t_next, [dport, st] { dport->stage_downlink(st); });
     return;
   }
 
@@ -631,7 +670,7 @@ void Port::stage_uplink(std::unique_ptr<Transfer> st) {
   st->hop_idx = 0;
   Switch* sw = &topo.switch_at(route.hop[0].sw);
   const sim::Time t_hop = s_tx.start + st->t_tx_seg + F.wire_latency + F.switch_latency;
-  sim.at(t_hop, [sw, st = std::move(st)]() mutable { sw->hop(std::move(st)); });
+  sim.at(t_hop, [sw, st] { sw->hop(st); });
 }
 
 // Stage 3b (contention mode only): one event per switch traversal.  Reserves
@@ -640,7 +679,7 @@ void Port::stage_uplink(std::unique_ptr<Transfer> st) {
 // serializer; tracks output-queue depth against the configured buffer.  The
 // fabric is lossless, so a full buffer is a counted stall (credit
 // backpressure), never a drop.
-void Switch::hop(std::unique_ptr<Transfer> st) {
+void Switch::hop(Transfer* st) {
   sim::Simulator& sim = st->dport->hca().fabric().simulator();
   const sim::Time now = sim.now();
   const FabricParams& F = topo_->fabric_params();
@@ -682,19 +721,18 @@ void Switch::hop(std::unique_ptr<Transfer> st) {
   if (st->hop_idx >= route.count) {
     // Final switch: hand the message to the destination port's downlink.
     Port* dport = st->dport;
-    const sim::Time t_down = start + st->t_tx_seg;  // before the lambda moves st
-    sim.at(t_down, [dport, st = std::move(st)]() mutable { dport->stage_downlink(std::move(st)); });
+    sim.at(start + st->t_tx_seg, [dport, st] { dport->stage_downlink(st); });
     return;
   }
   // Next switch: first segment out + wire + its switch latency.
   Switch* next = &topo_->switch_at(route.hop[st->hop_idx].sw);
   const sim::Time wire_out = h.global ? topo_->global_wire_latency() : F.wire_latency;
   const sim::Time t_next = start + st->t_tx_seg + wire_out + F.switch_latency;
-  sim.at(t_next, [next, st = std::move(st)]() mutable { next->hop(std::move(st)); });
+  sim.at(t_next, [next, st] { next->hop(st); });
 }
 
 // Stage 4: switch egress / downlink towards the destination port.
-void Port::stage_downlink(std::unique_ptr<Transfer> st) {
+void Port::stage_downlink(Transfer* st) {
   sim::Simulator& sim = hca_->simulator();
   const FabricParams& F = hca_->fabric().fabric_params();
   auto s_dl = st->dport->link_rx_.reserve_bytes(sim.now(), sim.now(), st->wire_bytes);
@@ -702,22 +740,22 @@ void Port::stage_downlink(std::unique_ptr<Transfer> st) {
   st->dl_last = std::max(s_dl.finish, st->tx_last + st->t_dl_seg);
 
   const sim::Time t_next = s_dl.start + st->t_dl_seg + F.wire_latency;
-  sim.at(t_next, [this, st = std::move(st)]() mutable { stage_recv_engine(std::move(st)); });
+  sim.at(t_next, [this, st] { stage_recv_engine(st); });
 }
 
 // Stage 5: receive DMA engine at the destination.
-void Port::stage_recv_engine(std::unique_ptr<Transfer> st) {
+void Port::stage_recv_engine(Transfer* st) {
   sim::Simulator& sim = hca_->simulator();
   const FabricParams& F = hca_->fabric().fabric_params();
   auto s_re = st->rengine->reserve_bytes(sim.now(), sim.now(), st->bytes);
   st->re_last = std::max(s_re.finish, st->dl_last + F.wire_latency + st->t_re_seg);
 
   const sim::Time t_next = s_re.start + st->t_re_seg;
-  sim.at(t_next, [this, st = std::move(st)]() mutable { stage_dest_bus(std::move(st)); });
+  sim.at(t_next, [this, st] { stage_dest_bus(st); });
 }
 
 // Stage 6: HCA → host over the destination GX+ bus.
-void Port::stage_dest_bus(std::unique_ptr<Transfer> st) {
+void Port::stage_dest_bus(Transfer* st) {
   sim::Simulator& sim = hca_->simulator();
   const HcaParams& P = hca_->params();
   const FabricParams& F = hca_->fabric().fabric_params();
@@ -749,70 +787,81 @@ void Port::stage_dest_bus(std::unique_ptr<Transfer> st) {
                  sim::transfer_time(P.cqe_bus_bytes, st->qp->port().hca().bus().dir_rate());
     }
   }
-  finish_transfer(std::move(st), delivered, cqe_time);
+  finish_transfer(st, delivered, cqe_time);
 }
 
-void Port::finish_transfer(std::unique_ptr<Transfer> st, sim::Time delivered,
-                           sim::Time cqe_time) {
+void Port::finish_transfer(Transfer* st, sim::Time delivered, sim::Time cqe_time) {
   // Runs on the source port (small-message fast path) or the destination
   // port (bulk pipeline tail).
   sim::Simulator& sim = hca_->simulator();
-  if (st->wr.opcode == Opcode::RdmaRead) {
-    // Read response landing: place the data in requester host memory (the
-    // requester-local destination was stashed in remote_addr by
-    // read_respond), then complete on the requester's *send* CQ.  The
-    // delivery fires first (strictly earlier, or FIFO at an equal instant
-    // since it is pushed first), so the CQE observes the data.
-    Transfer* raw = st.get();
-    sim.at(delivered, [raw] {
-      if (raw->wr.length > 0) {
-        std::memcpy(reinterpret_cast<std::byte*>(raw->wr.remote_addr), raw->wr.src,
-                    raw->wr.length);
-      }
-    });
-    if (!st->wr.signaled) {
-      // Keep the Transfer alive until the delivery event has consumed it.
-      sim.at(delivered, [st = std::move(st)] {});
-      return;
-    }
-    sim.at(cqe_time, [st = std::move(st), cqe_time] {
-      Wc wc;
-      wc.wr_id = st->wr.wr_id;
-      wc.opcode = WcOpcode::RdmaReadComplete;
-      wc.byte_len = st->wr.length;
-      wc.qp_num = st->dst->num();
-      wc.timestamp = cqe_time;
-      st->dst->scq_->push(wc);
-    });
-    return;
-  }
+  st->cqe_time = cqe_time;
   if (!st->wr.signaled) {
-    // Data visible in responder host memory → deliver (copy + CQE).
-    sim.at(delivered, [st = std::move(st)] {
-      (void)st->dport->deliver(st->dst, st->wr, st->src_qp_num);
+    // Data visible in host memory: a read response lands in requester
+    // memory, anything else is delivered to the responder (copy + receive
+    // CQE).
+    sim.at(delivered, [this, st] {
+      if (st->wr.opcode == Opcode::RdmaRead) {
+        land_read_response(st->wr);
+      } else {
+        (void)st->dport->deliver(st->dst, st->wr, st->src_qp_num);
+      }
+      hca_->fabric().transfers().release(st);
     });
     return;
   }
-  // The delivery event fires before the CQE event (strictly earlier time, or
-  // FIFO order at an equal instant since it is pushed first), so it may set
-  // the Transfer's failure verdict for the CQE event to read.
-  Transfer* raw = st.get();
-  sim.at(delivered, [raw] {
+  if (st->wr.opcode == Opcode::RdmaRead || st->wr.opcode == Opcode::RdmaWrite) {
+    // Nothing can observe the data of a signaled plain write or read response
+    // before its requester CQE: a plain write neither consumes a receive WQE
+    // nor raises a completion at the responder, and RC ordering makes the
+    // write's CQE imply the data is placed, so a peer learns of it only from
+    // a message the requester sends after that CQE.  A read's data is for the
+    // requester alone.  So the data is placed by the CQE event itself,
+    // immediately before the completion is pushed, and no event of its own
+    // runs at `delivered`.  That event scheduled nothing, so every other
+    // event keeps its relative order.
+    sim.at(cqe_time, [this, st] { complete_transfer(st); });
+    return;
+  }
+  // A Send or write-with-immediate is visible to the responder at
+  // `delivered`.  The delivery event fires before the CQE event (strictly
+  // earlier time, or FIFO order at an equal instant since it is pushed
+  // first), so it may set the Transfer's failure verdict for the CQE event
+  // to read.
+  sim.at(delivered, [st] {
     // RNR drop → requester error CQE.  deliver() can only return false with
     // a FaultPlan attached.
-    if (!raw->dport->deliver(raw->dst, raw->wr, raw->src_qp_num)) raw->failed = true;
+    if (!st->dport->deliver(st->dst, st->wr, st->src_qp_num)) st->failed = true;
   });
-  sim.at(cqe_time, [st = std::move(st), cqe_time] {
-    Wc wc;
-    wc.wr_id = st->wr.wr_id;
-    wc.opcode =
-        st->wr.opcode == Opcode::Send ? WcOpcode::SendComplete : WcOpcode::RdmaWriteComplete;
-    if (st->failed) wc.status = WcStatus::RetryExcErr;
-    wc.byte_len = st->wr.length;
-    wc.qp_num = st->qp->num();
-    wc.timestamp = cqe_time;
-    st->qp->scq_->push(wc);
-  });
+  sim.at(cqe_time, [this, st] { complete_transfer(st); });
+}
+
+void Port::complete_transfer(Transfer* st) {
+  Wc wc;
+  wc.wr_id = st->wr.wr_id;
+  wc.byte_len = st->wr.length;
+  wc.timestamp = st->cqe_time;
+  QueuePair* requester = st->qp;
+  switch (st->wr.opcode) {
+    case Opcode::RdmaRead:
+      land_read_response(st->wr);
+      wc.opcode = WcOpcode::RdmaReadComplete;
+      requester = st->dst;  // response orientation (read_respond)
+      break;
+    case Opcode::RdmaWrite:
+      (void)st->dport->deliver(st->dst, st->wr, st->src_qp_num);  // places the data only
+      wc.opcode = WcOpcode::RdmaWriteComplete;
+      break;
+    case Opcode::RdmaWriteWithImm:
+      wc.opcode = WcOpcode::RdmaWriteComplete;
+      break;
+    case Opcode::Send:
+      wc.opcode = WcOpcode::SendComplete;
+      break;
+  }
+  if (st->failed) wc.status = WcStatus::RetryExcErr;
+  wc.qp_num = requester->num();
+  hca_->fabric().transfers().release(st);
+  requester->scq_->push(wc);
 }
 
 bool Port::deliver(QueuePair* dst_qp, const SendWr& wr, QpNum src_qp_num) {

@@ -41,6 +41,31 @@ class FaultPlan;
 class QueuePair;
 struct Transfer;  // per-message pipeline state (hca.cpp)
 
+/// Recycles the per-WQE pipeline state.  A Transfer keeps its address while
+/// its stage events refer to it, and released records are reused LIFO, so a
+/// warmed-up fabric services WQEs without touching the allocator.  Records
+/// still in flight when the fabric is destroyed (a run stopped mid-pipeline)
+/// are freed with it; the events that name them are trivially destructible
+/// and never run.
+class TransferPool {
+ public:
+  TransferPool();
+  ~TransferPool();
+  TransferPool(const TransferPool&) = delete;
+  TransferPool& operator=(const TransferPool&) = delete;
+
+  /// A value-initialised record.
+  Transfer* acquire();
+  void release(Transfer* t) { free_.push_back(t); }
+
+  /// Records handed out and not yet released.
+  [[nodiscard]] std::size_t in_use() const;
+
+ private:
+  std::vector<std::unique_ptr<Transfer[]>> chunks_;  ///< owns every record
+  std::vector<Transfer*> free_;                      ///< released, most recent last
+};
+
 /// Queue-pair state, reduced to the two states the fault model needs.
 /// Ready covers INIT/RTR/RTS (connection setup is not modelled); Error is
 /// entered on an injected link/QP fault and flushes both work queues.
@@ -89,6 +114,8 @@ class SharedReceiveQueue {
   /// exceed the pool, so every Send that finds a WQE also finds a buffer.
   void post();
   /// Returns buffer `index` (a receive completion's Wc::buf) to the pool.
+  /// Throws std::logic_error unless that buffer is held, so a buffer can
+  /// never sit on the free list twice.
   void release(std::uint32_t index);
   [[nodiscard]] std::byte* buffer(std::uint32_t index) const {
     return bufs_.base + static_cast<std::size_t>(index) * bufs_.stride;
@@ -143,6 +170,7 @@ class SharedReceiveQueue {
   int credits_ = 0;
   Buffers bufs_;
   std::vector<std::uint32_t> free_;  ///< released buffers, most recent last
+  std::vector<bool> held_;           ///< per buffer: bound and not yet released
   std::deque<Stalled> stalled_;
   std::function<void()> limit_handler_;
   std::function<void()> stall_hook_;
@@ -280,20 +308,25 @@ class Port {
   void service(QueuePair* qp, int eng);
   void engine_done(int eng, QueuePair* qp);
 
-  // Bulk-message pipeline stages.  One Transfer is allocated per serviced
-  // WQE and handed stage to stage through the event queue (each event
-  // captures just {this, unique_ptr} and fits the kernel's in-place event
-  // storage — the old per-stage std::function closures were 5-6 heap
-  // allocations per message).
-  void stage_engine(std::unique_ptr<Transfer> st);
-  void stage_uplink(std::unique_ptr<Transfer> st);
-  void stage_downlink(std::unique_ptr<Transfer> st);
-  void stage_recv_engine(std::unique_ptr<Transfer> st);
-  void stage_dest_bus(std::unique_ptr<Transfer> st);
+  // Bulk-message pipeline stages.  Each serviced WQE takes one Transfer from
+  // the fabric's TransferPool and hands it stage to stage through the event
+  // queue.  Every stage event captures just {Port* or Switch*, Transfer*}:
+  // trivially copyable, so the queue relocates it with memcpy and never runs
+  // a destructor, and no WQE allocates.  The last event of a WQE returns the
+  // Transfer to the pool.
+  void stage_engine(Transfer* st);
+  void stage_uplink(Transfer* st);
+  void stage_downlink(Transfer* st);
+  void stage_recv_engine(Transfer* st);
+  void stage_dest_bus(Transfer* st);
   /// Schedules delivery (and the requester CQE for signaled WRs) once the
   /// delivered-time is known.  Shared by the small-message fast path and the
   /// bulk pipeline tail.
-  void finish_transfer(std::unique_ptr<Transfer> st, sim::Time delivered, sim::Time cqe_time);
+  void finish_transfer(Transfer* st, sim::Time delivered, sim::Time cqe_time);
+  /// Requester CQE of a signaled WQE.  A signaled plain RDMA write and a
+  /// signaled RDMA read response place their data here rather than in an
+  /// event of their own (see finish_transfer).  Releases the Transfer.
+  void complete_transfer(Transfer* st);
 
   /// Inbound delivery (runs on the destination port, from event context).
   /// Returns false when the message was dropped because the responder had no
@@ -306,7 +339,7 @@ class Port {
   /// this port's engine/link pipeline toward the requester.  The Transfer
   /// arrives response-oriented: st->qp is the responder QP (route source),
   /// st->dst the requester QP that owns the RdmaReadComplete CQE.
-  void read_respond(std::unique_ptr<Transfer> st);
+  void read_respond(Transfer* st);
 
   Hca* hca_;
   int index_;
@@ -317,7 +350,7 @@ class Port {
   std::vector<sim::BandwidthServer> send_engines_;
   std::vector<sim::BandwidthServer> recv_engines_;
   std::vector<bool> engine_busy_;
-  std::deque<QueuePair*> ready_;
+  sim::Fifo<QueuePair*> ready_;  ///< QPs with published WQEs, round-robin order
 
   std::uint64_t wqes_serviced_ = 0;
   std::uint64_t bytes_tx_ = 0;

@@ -5,7 +5,7 @@
 
 namespace ib12x::ib {
 
-MemoryRegion MemoryDomain::register_memory(void* buf, std::size_t len) {
+MemoryRegion MemoryDomain::register_memory(const void* buf, std::size_t len) {
   MemoryRegion mr;
   mr.addr = reinterpret_cast<std::uint64_t>(buf);
   mr.length = len;
@@ -14,11 +14,6 @@ MemoryRegion MemoryDomain::register_memory(void* buf, std::size_t len) {
   ++next_key_;
   by_key_.emplace(mr.lkey, mr);
   return mr;
-}
-
-const MemoryRegion& MemoryDomain::register_memory_const(const void* buf, std::size_t len) {
-  last_ = register_memory(const_cast<void*>(buf), len);
-  return last_;
 }
 
 void MemoryDomain::deregister(const MemoryRegion& mr) { by_key_.erase(mr.lkey); }

@@ -22,9 +22,10 @@ struct MemoryRegion {
 class MemoryDomain {
  public:
   /// Registers [buf, buf+len).  Overlapping registrations are allowed, as in
-  /// real verbs.
-  MemoryRegion register_memory(void* buf, std::size_t len);
-  const MemoryRegion& register_memory_const(const void* buf, std::size_t len);
+  /// real verbs.  A read-only source registers the same way: the region
+  /// records an address, and whether it is written is up to the operations
+  /// that name its keys.
+  MemoryRegion register_memory(const void* buf, std::size_t len);
 
   void deregister(const MemoryRegion& mr);
 
@@ -42,7 +43,6 @@ class MemoryDomain {
   /// drawn from a monotone counter, so a deregistered key is never reused.
   std::unordered_map<std::uint32_t, MemoryRegion> by_key_;
   std::uint32_t next_key_ = 1;
-  MemoryRegion last_;
 };
 
 }  // namespace ib12x::ib

@@ -139,7 +139,7 @@ class Switch {
 
   /// Contention-mode pipeline stage: one per-hop event per transit.  Defined
   /// in hca.cpp next to the other stages.
-  void hop(std::unique_ptr<Transfer> st);
+  void hop(Transfer* st);
 
   // ---- telemetry ----------------------------------------------------------
   [[nodiscard]] std::uint64_t routed_pkts() const { return routed_pkts_; }

@@ -41,7 +41,6 @@ coll::BuildCtx Communicator::base_ctx() const {
   c.ctx = ctx_base_ + 1;
   c.cfg = &ep_->config();
   c.nrails = ep_->config().rails();
-  c.scratch = &ep_->coll_engine().scratch_pool();
   return c;
 }
 
@@ -59,11 +58,11 @@ Request Communicator::launch_coll(coll::CollKind kind, coll::BuildCtx& c,
 
   const coll::AlgoEntry& algo =
       coll::select(kind, ep_->config().coll, c.p, total_bytes, count, c.nrails);
-  coll::CollSchedule s = algo.build(c);
-  std::shared_ptr<coll::TagRing> ring = tag_ring_;
-  const int slot = c.tags.slot;
-  s.on_complete = [ring, slot] { ring->release(slot); };
-  return ep_->coll_engine().launch(std::move(s));
+  coll::CollEngine& engine = ep_->coll_engine();
+  coll::CollSchedule s = engine.take_schedule(c.ctx);
+  algo.build(s, c);
+  s.on_complete = [ring = tag_ring_, slot = c.tags.slot] { ring->release(slot); };
+  return engine.launch(std::move(s));
 }
 
 // ---- non-blocking collectives -------------------------------------------

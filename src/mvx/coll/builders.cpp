@@ -13,10 +13,6 @@ namespace {
 
 bool is_pow2(int x) { return x > 0 && (x & (x - 1)) == 0; }
 
-std::vector<int> dep(int after) {
-  return after < 0 ? std::vector<int>{} : std::vector<int>{after};
-}
-
 const std::byte* bytes_of(const void* p) { return static_cast<const std::byte*>(p); }
 std::byte* bytes_of(void* p) { return static_cast<std::byte*>(p); }
 
@@ -41,7 +37,7 @@ int append_bcast_binomial(CollSchedule& s, const BuildCtx& c, std::byte* buf, st
         break;
       }
     }
-    cur = s.add_round(dep(cur));
+    cur = s.chain_round(cur);
     s.irecv(cur, c.wr((parent + root) % c.p), tag, buf, static_cast<std::int64_t>(bytes), lane);
   }
   int low = 1;
@@ -49,7 +45,7 @@ int append_bcast_binomial(CollSchedule& s, const BuildCtx& c, std::byte* buf, st
   for (int mask = low >> 1; mask >= 1; mask >>= 1) {
     const int child = vrank | mask;
     if (child < c.p && child != vrank) {
-      cur = s.add_round(dep(cur));
+      cur = s.chain_round(cur);
       s.isend(cur, c.wr((child + root) % c.p), tag, buf, static_cast<std::int64_t>(bytes), lane);
     }
   }
@@ -70,7 +66,7 @@ int append_reduce_binomial(CollSchedule& s, const BuildCtx& c, const void* sendb
   bool fold = false;
   for (int mask = 1; mask < c.p; mask <<= 1) {
     if (vrank & mask) {
-      cur = s.add_round(dep(cur));
+      cur = s.chain_round(cur);
       if (fold) s.reduce_local(cur, op, dt, acc, tmp, count);
       fold = false;
       s.isend(cur, c.wr(((vrank ^ mask) + root) % c.p), tag, acc,
@@ -79,14 +75,14 @@ int append_reduce_binomial(CollSchedule& s, const BuildCtx& c, const void* sendb
     }
     const int child = vrank | mask;
     if (child < c.p) {
-      cur = s.add_round(dep(cur));
+      cur = s.chain_round(cur);
       if (fold) s.reduce_local(cur, op, dt, acc, tmp, count);
       s.irecv(cur, c.wr((child + root) % c.p), tag, tmp, static_cast<std::int64_t>(bytes), lane);
       fold = true;
     }
   }
   if (vrank == 0) {
-    cur = s.add_round(dep(cur));
+    cur = s.chain_round(cur);
     if (fold) s.reduce_local(cur, op, dt, acc, tmp, count);
     s.copy(cur, recvbuf, acc, static_cast<std::int64_t>(bytes));
   }
@@ -103,13 +99,13 @@ int append_allreduce_rd(CollSchedule& s, const BuildCtx& c, void* recvbuf, std::
   bool fold = false;
   for (int mask = 1; mask < c.p; mask <<= 1) {
     const int partner = c.wr(c.me ^ mask);
-    cur = s.add_round(dep(cur));
+    cur = s.chain_round(cur);
     if (fold) s.reduce_local(cur, op, dt, recvbuf, tmp, count);
     s.irecv(cur, partner, tag, tmp, static_cast<std::int64_t>(bytes), lane);
     s.isend(cur, partner, tag, recvbuf, static_cast<std::int64_t>(bytes), lane);
     fold = true;
   }
-  cur = s.add_round(dep(cur));
+  cur = s.chain_round(cur);
   s.reduce_local(cur, op, dt, recvbuf, tmp, count);
   return cur;
 }
@@ -128,14 +124,14 @@ int append_reduce_scatter_block(CollSchedule& s, const BuildCtx& c, const void* 
   for (int st = 1; st < c.p; ++st) {
     const int to = (c.me + st) % c.p;
     const int from = (c.me - st + c.p) % c.p;
-    cur = s.add_round(dep(cur));
+    cur = s.chain_round(cur);
     if (fold) s.reduce_local(cur, op, dt, acc, tmp, count);
     s.irecv(cur, c.wr(from), tag, tmp, static_cast<std::int64_t>(block), lane);
     s.isend(cur, c.wr(to), tag, in + static_cast<std::size_t>(to) * block,
             static_cast<std::int64_t>(block), lane);
     fold = true;
   }
-  cur = s.add_round(dep(cur));
+  cur = s.chain_round(cur);
   s.reduce_local(cur, op, dt, acc, tmp, count);
   s.copy(cur, recvbuf, acc, static_cast<std::int64_t>(block));
   return cur;
@@ -156,7 +152,7 @@ int append_allgatherv_ring(CollSchedule& s, const BuildCtx& c, std::byte* out,
   for (int st = 0; st < c.p - 1; ++st) {
     const int sb = (c.me - st + c.p) % c.p;
     const int rb = (c.me - st - 1 + c.p) % c.p;
-    cur = s.add_round(dep(cur));
+    cur = s.chain_round(cur);
     if (st == 0 && seed_src != nullptr) {
       s.copy(cur, out + static_cast<std::size_t>(displs[static_cast<std::size_t>(c.me)]) * es,
              seed_src,
@@ -187,10 +183,7 @@ std::vector<std::size_t> lane_split(std::size_t total, int lanes) {
 
 // ---- registered builders ------------------------------------------------
 
-CollSchedule build_barrier_dissemination(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_barrier_dissemination(CollSchedule& s, const BuildCtx& c) {
   const int tag = c.fresh_tag();
   std::byte* dummy = s.scratch(1);
   // Dissemination barrier: ceil(log2 p) rounds of zero-byte sendrecv.
@@ -198,26 +191,18 @@ CollSchedule build_barrier_dissemination(const BuildCtx& c) {
   for (int k = 1; k < c.p; k <<= 1) {
     const int to = (c.me + k) % c.p;
     const int from = (c.me - k + c.p) % c.p;
-    cur = s.add_round(dep(cur));
+    cur = s.chain_round(cur);
     s.irecv(cur, c.wr(from), tag, dummy, 0);
     s.isend(cur, c.wr(to), tag, dummy, 0);
   }
-  return s;
 }
 
-CollSchedule build_bcast_binomial(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_bcast_binomial(CollSchedule& s, const BuildCtx& c) {
   append_bcast_binomial(s, c, bytes_of(c.recvbuf), c.count * c.dt.size, c.root, c.fresh_tag(), -1,
                         -1);
-  return s;
 }
 
-CollSchedule build_bcast_multilane(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_bcast_multilane(CollSchedule& s, const BuildCtx& c) {
   const std::size_t bytes = c.count * c.dt.size;
   const int L = std::max(1, std::min<int>(lane_width(c.cfg->coll, c.nrails),
                                           static_cast<int>(std::max<std::size_t>(bytes, 1))));
@@ -231,43 +216,27 @@ CollSchedule build_bcast_multilane(const BuildCtx& c) {
                           c.fresh_tag(), l, -1);
     off += widths[static_cast<std::size_t>(l)];
   }
-  return s;
 }
 
-CollSchedule build_reduce_binomial(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_reduce_binomial(CollSchedule& s, const BuildCtx& c) {
   append_reduce_binomial(s, c, c.sendbuf, c.recvbuf, c.count, c.dt, c.redop, c.root, c.fresh_tag(),
                          -1, -1);
-  return s;
 }
 
-CollSchedule build_allreduce_recursive_doubling(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_allreduce_recursive_doubling(CollSchedule& s, const BuildCtx& c) {
   append_allreduce_rd(s, c, c.recvbuf, c.count, c.dt, c.redop, c.fresh_tag(), -1, -1);
-  return s;
 }
 
-CollSchedule build_allreduce_reduce_bcast(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_allreduce_reduce_bcast(CollSchedule& s, const BuildCtx& c) {
   // reduce to comm rank 0, then broadcast — the non-power-of-two fallback.
   const int tag_reduce = c.fresh_tag();
   const int tag_bcast = c.fresh_tag();
   int tail = append_reduce_binomial(s, c, c.recvbuf, c.recvbuf, c.count, c.dt, c.redop, 0,
                                     tag_reduce, -1, -1);
   append_bcast_binomial(s, c, bytes_of(c.recvbuf), c.count * c.dt.size, 0, tag_bcast, -1, tail);
-  return s;
 }
 
-CollSchedule build_allreduce_rabenseifner(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_allreduce_rabenseifner(CollSchedule& s, const BuildCtx& c) {
   // Reduce-scatter over padded equal blocks, then allgatherv of the unpadded
   // pieces.  Moves 2·(p-1)/p of the vector instead of log p full copies.
   const std::size_t bytes = c.count * c.dt.size;
@@ -292,13 +261,9 @@ CollSchedule build_allreduce_rabenseifner(const BuildCtx& c) {
   // it into place as a round op rather than at build time.
   append_allgatherv_ring(s, c, bytes_of(c.recvbuf), counts, displs, c.dt.size, tag_ag, -1, tail,
                          mine);
-  return s;
 }
 
-CollSchedule build_allreduce_multilane(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_allreduce_multilane(CollSchedule& s, const BuildCtx& c) {
   // Element-aligned lane decomposition: each lane allreduces its slice with
   // the base algorithm on its own tag, pinned to rail (lane % nrails).
   const int L = std::max(1, std::min<int>(lane_width(c.cfg->coll, c.nrails),
@@ -319,13 +284,9 @@ CollSchedule build_allreduce_multilane(const BuildCtx& c) {
     }
     elem_off += n;
   }
-  return s;
 }
 
-CollSchedule build_gather_linear(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_gather_linear(CollSchedule& s, const BuildCtx& c) {
   const std::size_t bytes = c.count * c.dt.size;
   const int tag = c.fresh_tag();
   const int r0 = s.add_round();
@@ -343,13 +304,9 @@ CollSchedule build_gather_linear(const BuildCtx& c) {
   } else {
     s.isend(r0, c.wr(c.root), tag, c.sendbuf, static_cast<std::int64_t>(bytes));
   }
-  return s;
 }
 
-CollSchedule build_gatherv_linear(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_gatherv_linear(CollSchedule& s, const BuildCtx& c) {
   const int tag = c.fresh_tag();
   const int r0 = s.add_round();
   if (c.me == c.root) {
@@ -369,13 +326,9 @@ CollSchedule build_gatherv_linear(const BuildCtx& c) {
     s.isend(r0, c.wr(c.root), tag, c.sendbuf,
             static_cast<std::int64_t>(c.count * c.dt.size));
   }
-  return s;
 }
 
-CollSchedule build_scatter_linear(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_scatter_linear(CollSchedule& s, const BuildCtx& c) {
   const std::size_t bytes = c.count * c.dt.size;
   const int tag = c.fresh_tag();
   const int r0 = s.add_round();
@@ -393,35 +346,23 @@ CollSchedule build_scatter_linear(const BuildCtx& c) {
   } else {
     s.irecv(r0, c.wr(c.root), tag, c.recvbuf, static_cast<std::int64_t>(bytes));
   }
-  return s;
 }
 
-CollSchedule build_allgather_ring(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_allgather_ring(CollSchedule& s, const BuildCtx& c) {
   const auto n = static_cast<std::int64_t>(c.count);
   std::vector<std::int64_t> counts(static_cast<std::size_t>(c.p), n);
   std::vector<std::int64_t> displs(static_cast<std::size_t>(c.p));
   for (int r = 0; r < c.p; ++r) displs[static_cast<std::size_t>(r)] = n * r;
   append_allgatherv_ring(s, c, bytes_of(c.recvbuf), counts, displs, c.dt.size, c.fresh_tag(), -1,
                          -1, nullptr);
-  return s;
 }
 
-CollSchedule build_allgatherv_ring(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_allgatherv_ring(CollSchedule& s, const BuildCtx& c) {
   append_allgatherv_ring(s, c, bytes_of(c.recvbuf), *c.rcounts, *c.rdispls, c.dt.size,
                          c.fresh_tag(), -1, -1, nullptr);
-  return s;
 }
 
-CollSchedule build_alltoall_pairwise(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_alltoall_pairwise(CollSchedule& s, const BuildCtx& c) {
   // Pairwise exchange (MPI_Sendrecv per step): XOR partners when p is a
   // power of two, ring offsets otherwise.
   const std::size_t bytes = c.count * c.dt.size;
@@ -437,19 +378,15 @@ CollSchedule build_alltoall_pairwise(const BuildCtx& c) {
       to = (c.me + st) % c.p;
       from = (c.me - st + c.p) % c.p;
     }
-    cur = s.add_round(dep(cur));
+    cur = s.chain_round(cur);
     s.irecv(cur, c.wr(from), tag, out + static_cast<std::size_t>(from) * bytes,
             static_cast<std::int64_t>(bytes));
     s.isend(cur, c.wr(to), tag, in + static_cast<std::size_t>(to) * bytes,
             static_cast<std::int64_t>(bytes));
   }
-  return s;
 }
 
-CollSchedule build_alltoall_bruck(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_alltoall_bruck(CollSchedule& s, const BuildCtx& c) {
   const std::size_t bytes = c.count * c.dt.size;
   const auto* in = bytes_of(c.sendbuf);
   auto* out = bytes_of(c.recvbuf);
@@ -484,7 +421,7 @@ CollSchedule build_alltoall_bruck(const BuildCtx& c) {
     for (int i = 1; i < c.p; ++i) {
       if (i & k) idx.push_back(i);
     }
-    cur = s.add_round(dep(cur));
+    cur = s.chain_round(cur);
     if (!prev.empty()) unpack(cur, prev);
     for (std::size_t j = 0; j < idx.size(); ++j) {
       s.copy(cur, sendpack + j * bytes, work + static_cast<std::size_t>(idx[j]) * bytes,
@@ -499,19 +436,15 @@ CollSchedule build_alltoall_bruck(const BuildCtx& c) {
   }
 
   // Phase 3: slot i now holds the block FROM rank (me - i) mod p.
-  cur = s.add_round(dep(cur));
+  cur = s.chain_round(cur);
   unpack(cur, prev);
   for (int i = 0; i < c.p; ++i) {
     s.copy(cur, out + static_cast<std::size_t>((c.me - i + c.p) % c.p) * bytes,
            work + static_cast<std::size_t>(i) * bytes, static_cast<std::int64_t>(bytes));
   }
-  return s;
 }
 
-CollSchedule build_alltoallv_pairwise(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_alltoallv_pairwise(CollSchedule& s, const BuildCtx& c) {
   const auto* in = bytes_of(c.sendbuf);
   auto* out = bytes_of(c.recvbuf);
   const std::size_t es = c.dt.size;
@@ -529,7 +462,7 @@ CollSchedule build_alltoallv_pairwise(const BuildCtx& c) {
       to = (c.me + st) % c.p;
       from = (c.me - st + c.p) % c.p;
     }
-    cur = s.add_round(dep(cur));
+    cur = s.chain_round(cur);
     s.irecv(cur, c.wr(from), tag,
             out + static_cast<std::size_t>(rd[static_cast<std::size_t>(from)]) * es,
             static_cast<std::int64_t>(static_cast<std::size_t>(rc[static_cast<std::size_t>(from)]) * es));
@@ -537,22 +470,14 @@ CollSchedule build_alltoallv_pairwise(const BuildCtx& c) {
             in + static_cast<std::size_t>(sd[static_cast<std::size_t>(to)]) * es,
             static_cast<std::int64_t>(static_cast<std::size_t>(sc[static_cast<std::size_t>(to)]) * es));
   }
-  return s;
 }
 
-CollSchedule build_reduce_scatter_block_pairwise(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_reduce_scatter_block_pairwise(CollSchedule& s, const BuildCtx& c) {
   append_reduce_scatter_block(s, c, c.sendbuf, c.recvbuf, c.count, c.dt, c.redop, c.fresh_tag(),
                               -1, -1);
-  return s;
 }
 
-CollSchedule build_scan_hillis_steele(const BuildCtx& c) {
-  CollSchedule s;
-  s.ctx = c.ctx;
-  s.set_scratch_pool(c.scratch);
+void build_scan_hillis_steele(CollSchedule& s, const BuildCtx& c) {
   // Hillis–Steele inclusive scan: log2 p rounds; rank r folds in the value
   // from r - 2^k when it exists.  recvbuf is pre-seeded by the caller.
   const std::size_t bytes = c.count * c.dt.size;
@@ -571,7 +496,7 @@ CollSchedule build_scan_hillis_steele(const BuildCtx& c) {
     const bool has_left = c.me - k >= 0;
     const bool has_right = c.me + k < c.p;
     if (!has_left && !has_right) continue;
-    cur = s.add_round(dep(cur));
+    cur = s.chain_round(cur);
     if (fold) fold_left(cur);
     fold = false;
     // Receives before sends, so the rendezvous chain cannot deadlock; the
@@ -582,10 +507,9 @@ CollSchedule build_scan_hillis_steele(const BuildCtx& c) {
     }
     if (has_right) s.isend(cur, c.wr(c.me + k), tag, carry, static_cast<std::int64_t>(bytes));
   }
-  cur = s.add_round(dep(cur));
+  cur = s.chain_round(cur);
   if (fold) fold_left(cur);
   s.copy(cur, c.recvbuf, carry, static_cast<std::int64_t>(bytes));
-  return s;
 }
 
 }  // namespace ib12x::mvx::coll

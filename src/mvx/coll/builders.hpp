@@ -1,6 +1,7 @@
 // Collective schedule builders.
 //
-// Each builder compiles one collective call into a CollSchedule whose round
+// Each builder compiles one collective call into a CollSchedule (the caller
+// passes it in empty, with its context and scratch pool set) whose round
 // structure mirrors the step structure of the classic blocking algorithm it
 // replaces (paper §3.2.2): one round per completed sendrecv step, sequential
 // child sends in the binomial trees as chained single-send rounds, root-side
@@ -40,7 +41,6 @@ struct BuildCtx {
   TagRing::Block tags;                      ///< reserved 256-tag sub-range
   const Config* cfg = nullptr;
   int nrails = 1;
-  ScratchPool* scratch = nullptr;           ///< the rank's scratch recycling pool
 
   // ---- call arguments ----
   const void* sendbuf = nullptr;
@@ -67,31 +67,31 @@ struct BuildCtx {
 
 // ---- one builder per registered algorithm (registry: coll/select.cpp) ----
 
-CollSchedule build_barrier_dissemination(const BuildCtx& c);
+void build_barrier_dissemination(CollSchedule& s, const BuildCtx& c);
 
-CollSchedule build_bcast_binomial(const BuildCtx& c);
-CollSchedule build_bcast_multilane(const BuildCtx& c);
+void build_bcast_binomial(CollSchedule& s, const BuildCtx& c);
+void build_bcast_multilane(CollSchedule& s, const BuildCtx& c);
 
-CollSchedule build_reduce_binomial(const BuildCtx& c);
+void build_reduce_binomial(CollSchedule& s, const BuildCtx& c);
 
-CollSchedule build_allreduce_recursive_doubling(const BuildCtx& c);
-CollSchedule build_allreduce_reduce_bcast(const BuildCtx& c);
-CollSchedule build_allreduce_rabenseifner(const BuildCtx& c);
-CollSchedule build_allreduce_multilane(const BuildCtx& c);
+void build_allreduce_recursive_doubling(CollSchedule& s, const BuildCtx& c);
+void build_allreduce_reduce_bcast(CollSchedule& s, const BuildCtx& c);
+void build_allreduce_rabenseifner(CollSchedule& s, const BuildCtx& c);
+void build_allreduce_multilane(CollSchedule& s, const BuildCtx& c);
 
-CollSchedule build_gather_linear(const BuildCtx& c);
-CollSchedule build_gatherv_linear(const BuildCtx& c);
-CollSchedule build_scatter_linear(const BuildCtx& c);
+void build_gather_linear(CollSchedule& s, const BuildCtx& c);
+void build_gatherv_linear(CollSchedule& s, const BuildCtx& c);
+void build_scatter_linear(CollSchedule& s, const BuildCtx& c);
 
-CollSchedule build_allgather_ring(const BuildCtx& c);
-CollSchedule build_allgatherv_ring(const BuildCtx& c);
+void build_allgather_ring(CollSchedule& s, const BuildCtx& c);
+void build_allgatherv_ring(CollSchedule& s, const BuildCtx& c);
 
-CollSchedule build_alltoall_pairwise(const BuildCtx& c);
-CollSchedule build_alltoall_bruck(const BuildCtx& c);
-CollSchedule build_alltoallv_pairwise(const BuildCtx& c);
+void build_alltoall_pairwise(CollSchedule& s, const BuildCtx& c);
+void build_alltoall_bruck(CollSchedule& s, const BuildCtx& c);
+void build_alltoallv_pairwise(CollSchedule& s, const BuildCtx& c);
 
-CollSchedule build_reduce_scatter_block_pairwise(const BuildCtx& c);
+void build_reduce_scatter_block_pairwise(CollSchedule& s, const BuildCtx& c);
 
-CollSchedule build_scan_hillis_steele(const BuildCtx& c);
+void build_scan_hillis_steele(CollSchedule& s, const BuildCtx& c);
 
 }  // namespace ib12x::mvx::coll

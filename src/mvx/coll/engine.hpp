@@ -16,6 +16,10 @@
 // can move, so finished and blocked rounds cost nothing), and all posts
 // happen from fiber context in a fixed order, so runs remain
 // bit-reproducible.
+//
+// Nothing here allocates per collective once a rank is warmed up: finished
+// schedules and execs go back to per-engine spares with their storage, and
+// take_schedule() hands the next builder a cleared one.
 #pragma once
 
 #include <memory>
@@ -43,11 +47,17 @@ class CollEngine {
   CollEngine(const CollEngine&) = delete;
   CollEngine& operator=(const CollEngine&) = delete;
 
+  /// An empty schedule on context `ctx` with the rank's scratch pool
+  /// attached, reusing the storage of a finished one when there is one.
+  /// Fill it and launch() it.
+  CollSchedule take_schedule(int ctx);
+
   /// Starts executing `sched`: runs all currently-ready rounds on the
   /// calling fiber, then hands the rest to the progress fiber.  The returned
   /// Request completes (waitable with Endpoint::wait / Communicator::wait)
-  /// when every round has.
-  Request launch(CollSchedule sched);
+  /// when every round has.  The schedule's storage is kept for a later
+  /// take_schedule().
+  Request launch(CollSchedule&& sched);
 
   /// Body of the per-rank progress fiber (runs until request_shutdown() and
   /// all in-flight schedules have drained).
@@ -62,10 +72,6 @@ class CollEngine {
   /// Number of schedules currently in flight.
   [[nodiscard]] int in_flight() const { return static_cast<int>(active_.size()); }
 
-  /// The rank's scratch recycling pool (attached to every schedule this
-  /// rank builds; see ScratchPool).
-  [[nodiscard]] ScratchPool& scratch_pool() { return scratch_pool_; }
-
  private:
   struct Exec;
 
@@ -73,7 +79,9 @@ class CollEngine {
   /// Issues/completes every ready round of `e` until nothing moves; true
   /// when the whole schedule has finished.
   bool step(Exec& e);
-  void finish(Exec& e);
+  /// Completes the user request of a finished exec and keeps its storage
+  /// (schedule, round state) for later collectives.
+  void finish(std::unique_ptr<Exec> e);
   /// The progress fiber's wait predicate: true when step() would move some
   /// exec.  A pure read, cheap enough to run on every progress notify: it
   /// looks only at each exec's frontier (rounds issuable or in flight) and
@@ -82,8 +90,13 @@ class CollEngine {
   void run_ready();
 
   Endpoint& ep_;
-  std::vector<std::unique_ptr<Exec>> active_;
+  /// The rank's scratch recycling pool, attached to every schedule
+  /// take_schedule() hands out (see ScratchPool).  Declared first so that
+  /// schedules still in flight at teardown return their blocks to it.
   ScratchPool scratch_pool_;
+  std::vector<std::unique_ptr<Exec>> active_;
+  std::vector<std::unique_ptr<Exec>> spare_execs_;  ///< finished, storage kept
+  std::vector<CollSchedule> spare_schedules_;       ///< cleared, storage kept
   bool shutdown_ = false;
 
   Counter& schedules_;

@@ -1,24 +1,46 @@
 #include "mvx/coll/schedule.hpp"
 
 #include <cstring>
-#include <numeric>
 #include <stdexcept>
 
 namespace ib12x::mvx::coll {
 
-int CollSchedule::add_round(std::vector<int> deps) {
+int CollSchedule::open_round(std::size_t dep_begin) {
   const int idx = static_cast<int>(rounds_.size());
-  for (int d : deps) {
-    if (d < 0 || d >= idx) throw std::logic_error("CollSchedule: dep on a later/unknown round");
+  for (std::size_t k = dep_begin; k < deps_.size(); ++k) {
+    if (deps_[k] < 0 || deps_[k] >= idx) {
+      deps_.resize(dep_begin);
+      throw std::logic_error("CollSchedule: dep on a later/unknown round");
+    }
   }
-  rounds_.push_back(CollRound{{}, std::move(deps)});
+  rounds_.push_back(Round{static_cast<std::uint32_t>(ops_.size()),
+                          static_cast<std::uint32_t>(dep_begin)});
   return idx;
 }
 
+int CollSchedule::add_round(std::initializer_list<int> deps) {
+  const std::size_t begin = deps_.size();
+  deps_.insert(deps_.end(), deps.begin(), deps.end());
+  return open_round(begin);
+}
+
+int CollSchedule::chain_round(int prev) {
+  const std::size_t begin = deps_.size();
+  if (prev >= 0) deps_.push_back(prev);
+  return open_round(begin);
+}
+
 int CollSchedule::add_barrier_round() {
-  std::vector<int> all(rounds_.size());
-  std::iota(all.begin(), all.end(), 0);
-  return add_round(std::move(all));
+  const std::size_t begin = deps_.size();
+  for (int r = 0; r < static_cast<int>(rounds_.size()); ++r) deps_.push_back(r);
+  return open_round(begin);
+}
+
+void CollSchedule::append(int r, const CollOp& op) {
+  if (r != static_cast<int>(rounds_.size()) - 1) {
+    throw std::logic_error("CollSchedule: ops append to the newest round");
+  }
+  ops_.push_back(op);
 }
 
 void CollSchedule::isend(int r, int peer_world, int tag, const void* src, std::int64_t bytes,
@@ -30,7 +52,7 @@ void CollSchedule::isend(int r, int peer_world, int tag, const void* src, std::i
   op.lane = lane;
   op.src = src;
   op.bytes = bytes;
-  rounds_.at(static_cast<std::size_t>(r)).ops.push_back(op);
+  append(r, op);
 }
 
 void CollSchedule::irecv(int r, int peer_world, int tag, void* dst, std::int64_t bytes, int lane) {
@@ -41,7 +63,7 @@ void CollSchedule::irecv(int r, int peer_world, int tag, void* dst, std::int64_t
   op.lane = lane;
   op.dst = dst;
   op.bytes = bytes;
-  rounds_.at(static_cast<std::size_t>(r)).ops.push_back(op);
+  append(r, op);
 }
 
 void CollSchedule::reduce_local(int r, Op redop, Datatype dt, void* inout, const void* in,
@@ -53,7 +75,7 @@ void CollSchedule::reduce_local(int r, Op redop, Datatype dt, void* inout, const
   op.dst = inout;
   op.src = in;
   op.count = count;
-  rounds_.at(static_cast<std::size_t>(r)).ops.push_back(op);
+  append(r, op);
 }
 
 void CollSchedule::copy(int r, void* dst, const void* src, std::int64_t bytes) {
@@ -62,14 +84,14 @@ void CollSchedule::copy(int r, void* dst, const void* src, std::int64_t bytes) {
   op.dst = dst;
   op.src = src;
   op.bytes = bytes;
-  rounds_.at(static_cast<std::size_t>(r)).ops.push_back(op);
+  append(r, op);
 }
 
 void CollSchedule::cpu(int r, sim::Time t) {
   CollOp op;
   op.kind = CollOp::Kind::Cpu;
   op.cpu = t;
-  rounds_.at(static_cast<std::size_t>(r)).ops.push_back(op);
+  append(r, op);
 }
 
 std::byte* CollSchedule::scratch(std::size_t n) {
@@ -78,12 +100,23 @@ std::byte* CollSchedule::scratch(std::size_t n) {
     pooled_.emplace_back(p, n);
     return p;
   }
-  scratch_.emplace_back(n);
-  return scratch_.back().data();
+  scratch_.push_back(std::make_unique<std::byte[]>(n));  // value-init: zeroed
+  return scratch_.back().get();
 }
 
-CollSchedule::~CollSchedule() {
+void CollSchedule::release_scratch() {
   for (const auto& [p, n] : pooled_) pool_->put(p, n);
+  pooled_.clear();
+  scratch_.clear();
+}
+
+void CollSchedule::clear() {
+  release_scratch();
+  rounds_.clear();
+  ops_.clear();
+  deps_.clear();
+  on_complete = sim::InlineFunction();
+  ctx = 0;
 }
 
 std::byte* ScratchPool::get(std::size_t n) {

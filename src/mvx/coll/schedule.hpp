@@ -17,18 +17,26 @@
 // requires, but nothing in a schedule refers to the stack frame that built
 // it, which is what lets a non-blocking collective outlive its initiating
 // call.
+//
+// Storage is flat: one op array and one dep array for the whole schedule,
+// each round a span of both.  Ops are appended to the newest round, which is
+// the order every builder emits them in.  A schedule that clear()s keeps its
+// capacity, and the engine hands finished schedules back to the next
+// collective of the rank (CollEngine::take_schedule), so a rank in steady
+// state builds and runs collectives without allocating.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "mvx/datatype.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/time.hpp"
 
 namespace ib12x::mvx::coll {
@@ -76,54 +84,99 @@ struct CollOp {
   sim::Time cpu = 0;         ///< Cpu charge
 };
 
-struct CollRound {
-  std::vector<CollOp> ops;
-  std::vector<int> deps;  ///< indices of rounds that must complete first
-};
-
 class CollSchedule {
  public:
   CollSchedule() = default;
-  CollSchedule(CollSchedule&&) noexcept = default;
-  CollSchedule& operator=(CollSchedule&&) noexcept = default;
-  ~CollSchedule();  ///< returns pooled scratch blocks (no-op if moved-from)
+  CollSchedule(CollSchedule&& other) noexcept { swap(other); }
+  CollSchedule& operator=(CollSchedule&& other) noexcept {
+    CollSchedule(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~CollSchedule() { release_scratch(); }
+
+  /// Empties the schedule for reuse, keeping its storage: returns pooled
+  /// scratch, drops rounds, ops and the completion hook, resets ctx.
+  void clear();
 
   /// Appends an empty round; `deps` lists prerequisite round indices
   /// (pass {} for a DAG root, or {prev} to chain).  Returns its index.
-  int add_round(std::vector<int> deps = {});
+  int add_round(std::initializer_list<int> deps = {});
+  /// Appends a round depending on round `prev` alone, or a DAG root when
+  /// `prev` is negative — the chaining step of every builder.
+  int chain_round(int prev);
 
   /// Appends a round depending on *every* round added so far — the
   /// barrier_round primitive joining all open chains.
   int add_barrier_round();
 
-  // ---- op emitters (append to round `r`) ----
+  // ---- op emitters (append to round `r`, which must be the newest) ----
   void isend(int r, int peer_world, int tag, const void* src, std::int64_t bytes, int lane = -1);
   void irecv(int r, int peer_world, int tag, void* dst, std::int64_t bytes, int lane = -1);
   void reduce_local(int r, Op redop, Datatype dt, void* inout, const void* in, std::size_t count);
   void copy(int r, void* dst, const void* src, std::int64_t bytes);
   void cpu(int r, sim::Time t);
 
-  /// Allocates `n` bytes of zero-filled scratch owned by (and living as long
-  /// as) the schedule.  Addresses are stable across later allocations.  With
-  /// a pool attached the block is leased from it and returned at schedule
-  /// destruction; otherwise the schedule mallocs privately (test-built
-  /// schedules without a BuildCtx).
+  /// Allocates `n` bytes of zero-filled scratch owned by the schedule until
+  /// clear() or destruction.  Addresses are stable across later
+  /// allocations.  With a pool attached the block is leased from it and
+  /// returned then; otherwise the schedule mallocs privately (schedules
+  /// built by hand, not by take_schedule()).
   std::byte* scratch(std::size_t n);
 
   /// Attaches the per-rank recycling pool; must precede any scratch() call.
   void set_scratch_pool(ScratchPool* p) { pool_ = p; }
 
   [[nodiscard]] std::size_t round_count() const { return rounds_.size(); }
-  [[nodiscard]] const std::vector<CollRound>& rounds() const { return rounds_; }
+  /// Round `r`'s ops, in issue order.
+  [[nodiscard]] std::span<const CollOp> ops(int r) const {
+    return span_of(ops_, rounds_[static_cast<std::size_t>(r)].op_begin, op_end(r));
+  }
+  /// Round `r`'s prerequisite round indices.
+  [[nodiscard]] std::span<const int> deps(int r) const {
+    return span_of(deps_, rounds_[static_cast<std::size_t>(r)].dep_begin, dep_end(r));
+  }
 
-  int ctx = 0;                        ///< context id for every posted transfer
-  std::function<void()> on_complete;  ///< run when the schedule finishes (tag-slot release)
+  int ctx = 0;                     ///< context id for every posted transfer
+  sim::InlineFunction on_complete; ///< run when the schedule finishes (tag-slot release)
 
  private:
-  std::vector<CollRound> rounds_;
+  struct Round {
+    std::uint32_t op_begin = 0;   ///< first op in ops_; ends where the next round's begin
+    std::uint32_t dep_begin = 0;  ///< first dep in deps_; likewise
+  };
+
+  template <typename T>
+  static std::span<const T> span_of(const std::vector<T>& v, std::size_t b, std::size_t e) {
+    return {v.data() + b, e - b};
+  }
+  [[nodiscard]] std::size_t op_end(int r) const {
+    const auto next = static_cast<std::size_t>(r) + 1;
+    return next < rounds_.size() ? rounds_[next].op_begin : ops_.size();
+  }
+  [[nodiscard]] std::size_t dep_end(int r) const {
+    const auto next = static_cast<std::size_t>(r) + 1;
+    return next < rounds_.size() ? rounds_[next].dep_begin : deps_.size();
+  }
+  int open_round(std::size_t dep_begin);
+  void append(int r, const CollOp& op);
+  void release_scratch();
+  void swap(CollSchedule& o) noexcept {
+    std::swap(ctx, o.ctx);
+    std::swap(on_complete, o.on_complete);
+    rounds_.swap(o.rounds_);
+    ops_.swap(o.ops_);
+    deps_.swap(o.deps_);
+    std::swap(pool_, o.pool_);
+    pooled_.swap(o.pooled_);
+    scratch_.swap(o.scratch_);
+  }
+
+  std::vector<Round> rounds_;
+  std::vector<CollOp> ops_;
+  std::vector<int> deps_;
   ScratchPool* pool_ = nullptr;
   std::vector<std::pair<std::byte*, std::size_t>> pooled_;  // leased blocks to return
-  std::deque<std::vector<std::byte>> scratch_;  // pool-less fallback: stable addresses
+  std::vector<std::unique_ptr<std::byte[]>> scratch_;  // pool-less fallback: stable addresses
 };
 
 }  // namespace ib12x::mvx::coll

@@ -66,10 +66,11 @@ enum class CollKind {
 };
 
 /// One registered algorithm: a name (for benches/tests/introspection) and
-/// the builder that compiles a call into a schedule.
+/// the builder that compiles a call into a schedule.  The builder appends to
+/// an empty schedule whose context and scratch pool are already set.
 struct AlgoEntry {
   const char* name;
-  CollSchedule (*build)(const BuildCtx&);
+  void (*build)(CollSchedule&, const BuildCtx&);
 };
 
 /// All algorithms registered for `kind`, selection-order first.

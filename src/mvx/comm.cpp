@@ -43,7 +43,7 @@ Request Communicator::isend_kind(CommKind kind, const void* buf, std::size_t byt
     m.data = world_->payloads().copy(buf, bytes);
     compute(sim::transfer_time(static_cast<std::int64_t>(bytes), ep_->config().memcpy_gbps));
     self_q_.push_back(std::move(m));
-    Request r = make_request();
+    Request r = ep_->new_request();
     r->is_send = true;
     r->done = true;
     return r;
@@ -56,7 +56,7 @@ Request Communicator::irecv_ctx(void* buf, std::size_t bytes, int src, int tag, 
     throw std::invalid_argument("recv: bad source rank");
   }
   if (src == my_index_) {
-    Request r = make_request();
+    Request r = ep_->new_request();
     Status st;
     if (!try_self_recv(buf, bytes, tag, ctx, &st)) {
       throw std::runtime_error("recv from self with no matching self-send (would deadlock)");

@@ -130,7 +130,7 @@ Request Endpoint::start_send(CommKind kind, const void* buf, std::int64_t bytes,
                              int tag, int ctx, int lane) {
   if (bytes < 0) throw std::invalid_argument("start_send: negative size");
   if (dst == rank_) throw std::invalid_argument("start_send: self-sends go through sendrecv_self");
-  Request req = make_request();
+  Request req = new_request();
   req->is_send = true;
   req->send_buf = buf;
   req->bytes = bytes;
@@ -177,7 +177,7 @@ Request Endpoint::start_send(CommKind kind, const void* buf, std::int64_t bytes,
 
 Request Endpoint::start_recv(void* buf, std::int64_t capacity, int src, int tag, int ctx) {
   if (capacity < 0) throw std::invalid_argument("start_recv: negative capacity");
-  Request req = make_request();
+  Request req = new_request();
   req->recv_buf = buf;
   req->bytes = capacity;
   req->peer = src;

@@ -102,6 +102,8 @@ class Endpoint final : public ChannelHost {
   Request start_recv(void* buf, std::int64_t capacity, int src, int tag, int ctx);
   void wait(const Request& r);
   [[nodiscard]] bool test(const Request& r) const { return r->done; }
+  /// A fresh request from this endpoint's pool.
+  [[nodiscard]] Request new_request() { return requests_.make(); }
 
   /// Non-blocking probe of the unexpected queue (MPI_Iprobe semantics: an
   /// in-order message matching (src, tag, ctx) has arrived but not been
@@ -167,6 +169,7 @@ class Endpoint final : public ChannelHost {
   TelemetryRegistry& tel_;
   PayloadPool& payloads_;
   sim::Process* proc_ = nullptr;
+  RequestPool requests_;
 
   std::unique_ptr<Matcher> matcher_;
   std::unique_ptr<ConnManager> conn_;

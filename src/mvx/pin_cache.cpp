@@ -116,8 +116,7 @@ PinCache::Region* PinCache::acquire(const void* buf, std::int64_t bytes, sim::Ti
   r->base = base;
   r->len = bytes;
   for (std::size_t h = 0; h < hcas_.size(); ++h) {
-    r->mr[h] = hcas_[h]->mem().register_memory(const_cast<void*>(buf),
-                                               static_cast<std::size_t>(bytes));
+    r->mr[h] = hcas_[h]->mem().register_memory(buf, static_cast<std::size_t>(bytes));
   }
   const std::int64_t pages = (bytes + kPageBytes - 1) / kPageBytes;
   *cpu_cost += opts_.miss_cpu + opts_.page_cpu * pages;

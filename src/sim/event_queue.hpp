@@ -28,7 +28,7 @@ class EventQueue {
  public:
   /// Schedules `fn` at absolute time `when`.  `when` may equal the current
   /// time (the event runs after already-queued events for that instant).
-  void push(Time when, Event fn) {
+  void push(Time when, Event&& fn) {
     assert(when >= 0 && "simulated time is non-negative (key packing relies on it)");
     const std::uint64_t seq = next_seq_++;
     if (when == lane_time_) {
@@ -162,7 +162,7 @@ class EventQueue {
     heap_[i] = e;
   }
 
-  std::uint32_t acquire_slot(Event fn) {
+  std::uint32_t acquire_slot(Event&& fn) {
     if (!free_slots_.empty()) {
       const std::uint32_t s = free_slots_.back();
       free_slots_.pop_back();
@@ -195,7 +195,7 @@ class EventQueue {
     return fn;
   }
 
-  void lane_emplace(std::uint64_t seq, Event fn) {
+  void lane_emplace(std::uint64_t seq, Event&& fn) {
     if (lane_count_ == lane_.size()) grow_lane();
     const std::size_t tail = (lane_head_ + lane_count_) & (lane_.size() - 1);
     lane_[tail].seq = seq;

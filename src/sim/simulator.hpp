@@ -32,8 +32,9 @@ class Simulator {
   [[nodiscard]] Time now() const { return now_; }
 
   /// Schedules `fn` at absolute time `when`.  Scheduling in the past is a
-  /// model bug and throws.
-  void at(Time when, Event fn) {
+  /// model bug and throws.  The event is taken by rvalue reference, so a
+  /// callable built at the call site moves once, straight into its queue slot.
+  void at(Time when, Event&& fn) {
     if (when < now_) {
       throw std::logic_error("Simulator::at: scheduling in the past (when=" +
                              std::to_string(when) + " now=" + std::to_string(now_) + ")");
@@ -42,7 +43,7 @@ class Simulator {
   }
 
   /// Schedules `fn` `delay` picoseconds from now.
-  void after(Time delay, Event fn) { at(now_ + delay, std::move(fn)); }
+  void after(Time delay, Event&& fn) { at(now_ + delay, std::move(fn)); }
 
   /// Runs the earliest pending event, advancing the clock to its timestamp.
   /// Returns false if the queue was empty.

@@ -94,6 +94,34 @@ TEST(SrqBinding, OutstandingSendsLandInDistinctBuffers) {
   EXPECT_EQ(std::memcmp(s.srq.buffer(wcs[1].buf), second.data(), second.size()), 0);
 }
 
+TEST(SrqBinding, DoubleReleaseWhileAnotherBufferIsHeldThrows) {
+  // With buffer 1 still held, a second release of buffer 0 must not push it
+  // onto the free list again: two later Sends would bind the same buffer.
+  SrqFixture s;
+  for (std::uint32_t i = 0; i < kCount; ++i) s.srq.post();
+  auto first = pattern_buffer(kStride, 3);
+  auto second = pattern_buffer(kStride, 9);
+  s.send(0, first);
+  s.send(0, second);
+  const auto wcs = s.f.drain(s.f.b.rcq);
+  ASSERT_EQ(wcs.size(), 2u);
+  ASSERT_EQ(wcs[0].buf, 0u);
+  ASSERT_EQ(wcs[1].buf, 1u);
+  s.srq.release(0);
+  EXPECT_THROW(s.srq.release(0), std::logic_error);
+  EXPECT_EQ(s.srq.buffers_held(), 1u);
+  // The pool is intact: two more Sends bind two distinct buffers.
+  s.srq.post();
+  s.send(0, first);
+  s.send(1, second);
+  const auto again = s.f.drain(s.f.b.rcq);
+  ASSERT_EQ(again.size(), 2u);
+  EXPECT_NE(again[0].buf, again[1].buf);
+  EXPECT_NE(again[0].buf, 1u);
+  EXPECT_NE(again[1].buf, 1u);
+  EXPECT_EQ(s.srq.buffers_held(), 3u);
+}
+
 TEST(SrqBinding, WriteWithImmBindsNoBuffer) {
   SrqFixture s;
   s.srq.post();

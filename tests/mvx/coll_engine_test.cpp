@@ -478,5 +478,116 @@ TEST(CollEngine, MultiChainIssueOrderIsFixed) {
   EXPECT_EQ(order[1], want);
 }
 
+TEST(CollEngine, RecycledScheduleIssuesInTheSameOrder) {
+  // A finished schedule's storage (op, dep and round arrays, the exec's
+  // per-round state) serves the next one.  Three chains of different speeds
+  // (A rendezvous 0 -> 1, B eager 1 -> 0, C local) joined by a barrier round
+  // run three times through take_schedule() on the same buffers.  The first
+  // run registers the buffers; the next two run on recycled storage.  Their
+  // orders were recorded from the engine that allocated every schedule and
+  // exec afresh (its first run differs on rank 1, which issues C1 before B1
+  // there).
+  const std::vector<int> want[2] = {{0, 1, 2, 5, 4, 3, 6}, {0, 1, 2, 4, 5, 3, 6}};
+  enum : int { A0, B0, C0, A1, B1, C1, X, kRounds };
+  const std::int64_t bytes[kRounds] = {65536, 256, 0, 65536, 256, 0, 256};
+  const int from[kRounds] = {0, 1, -1, 0, 1, -1, 0};
+  std::vector<int> order[3][2];  // [run][rank]
+  World w(ClusterSpec{2, 1}, Config::enhanced(4, Policy::EPC));
+  w.run([&](Communicator& c) {
+    const int me = c.rank();
+    coll::CollEngine& engine = c.endpoint().coll_engine();
+    std::vector<std::uint8_t> log(kRounds), tmp(kRounds), ids(kRounds);
+    std::vector<std::vector<std::byte>> bufs(kRounds);
+    for (int r = 0; r < kRounds; ++r) {
+      ids[static_cast<std::size_t>(r)] = static_cast<std::uint8_t>(r + 1);
+      bufs[static_cast<std::size_t>(r)].resize(static_cast<std::size_t>(bytes[r]));
+    }
+    for (auto& run : order) {
+      std::fill(log.begin(), log.end(), std::uint8_t{0});
+      coll::CollSchedule s = engine.take_schedule(77);
+      for (int r = 0; r < kRounds; ++r) {
+        const int idx = r == X ? s.add_barrier_round()
+                        : r >= A1 ? s.add_round({r - 3})
+                                  : s.add_round();
+        ASSERT_EQ(idx, r);
+        s.copy(r, tmp.data(), log.data(), kRounds - 1);
+        s.copy(r, log.data() + 1, tmp.data(), kRounds - 1);
+        s.copy(r, log.data(), &ids[static_cast<std::size_t>(r)], 1);
+        if (from[r] < 0) continue;
+        std::byte* buf = bufs[static_cast<std::size_t>(r)].data();
+        if (from[r] == me) {
+          s.isend(r, 1 - me, 200 + r, buf, bytes[r]);
+        } else {
+          s.irecv(r, 1 - me, 200 + r, buf, bytes[r]);
+        }
+      }
+      c.endpoint().wait(engine.launch(std::move(s)));
+      c.barrier();
+      for (int i = kRounds - 1; i >= 0; --i) {
+        run[me].push_back(log[static_cast<std::size_t>(i)] - 1);
+      }
+    }
+  });
+  for (int me = 0; me < 2; ++me) {
+    EXPECT_EQ(order[1][me], want[me]) << "rank " << me;
+    EXPECT_EQ(order[2][me], want[me]) << "rank " << me;
+  }
+}
+
+TEST(CollEngine, RepeatedAlltoallAndAllreduceAgree) {
+  // The same ialltoall and iallreduce, both in flight at once, three times on
+  // one communicator and the same buffers.  The first pass wires and
+  // registers; the next two run on recycled schedules, execs and requests.
+  // They must give identical buffers, and take the virtual times recorded
+  // from the engine that allocated all of these afresh (the two passes
+  // differ from each other: model state carries over from pass to pass).
+  const sim::Time want[3][4] = {{},
+                                {123510128, 124311785, 123510128, 124311785},
+                                {126349987, 126499987, 126349987, 126499987}};
+  World w(ClusterSpec{2, 2}, Config::enhanced(4, Policy::EPC));
+  constexpr std::size_t kBlock = 24 * 1024;  // rendezvous between nodes
+  constexpr std::size_t kCount = 3001;       // odd: uneven Rabenseifner blocks
+  std::vector<std::byte> a2a_out[3][4];
+  std::vector<std::int64_t> sum_out[3][4];
+  sim::Time took[3][4] = {};
+  w.run([&](Communicator& c) {
+    const auto me = static_cast<std::size_t>(c.rank());
+    const auto p = static_cast<std::size_t>(c.size());
+    std::vector<std::byte> send(kBlock * p), recv(kBlock * p);
+    for (std::size_t d = 0; d < p; ++d) {
+      const auto blk = testutil::payload(kBlock, c.rank(), static_cast<int>(d));
+      std::memcpy(send.data() + d * kBlock, blk.data(), kBlock);
+    }
+    std::vector<std::int64_t> in(kCount), out(kCount);
+    for (std::size_t i = 0; i < kCount; ++i) in[i] = static_cast<std::int64_t>(me * 1000 + i);
+    for (int pass = 0; pass < 3; ++pass) {
+      std::fill(recv.begin(), recv.end(), std::byte{0});
+      std::fill(out.begin(), out.end(), -1);
+      c.barrier();
+      const sim::Time t0 = c.now();
+      Request ra = c.ialltoall(send.data(), recv.data(), kBlock, BYTE);
+      Request rs = c.iallreduce(in.data(), out.data(), kCount, INT64, Op::Sum);
+      c.wait(ra);
+      c.wait(rs);
+      took[pass][me] = c.now() - t0;
+      a2a_out[pass][me] = recv;
+      sum_out[pass][me] = out;
+      for (std::size_t s = 0; s < p; ++s) {
+        const auto blk = testutil::payload(kBlock, static_cast<int>(s), c.rank());
+        ASSERT_EQ(std::memcmp(recv.data() + s * kBlock, blk.data(), kBlock), 0);
+      }
+      for (std::size_t i = 0; i < kCount; ++i) {
+        ASSERT_EQ(out[i], static_cast<std::int64_t>(1000 * p * (p - 1) / 2 + p * i));
+      }
+    }
+  });
+  for (std::size_t me = 0; me < 4; ++me) {
+    EXPECT_EQ(a2a_out[2][me], a2a_out[1][me]) << "rank " << me;
+    EXPECT_EQ(sum_out[2][me], sum_out[1][me]) << "rank " << me;
+    EXPECT_EQ(took[1][me], want[1][me]) << "rank " << me;
+    EXPECT_EQ(took[2][me], want[2][me]) << "rank " << me;
+  }
+}
+
 }  // namespace
 }  // namespace ib12x::mvx
