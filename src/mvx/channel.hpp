@@ -67,8 +67,6 @@ class ChannelHost {
   /// capture that cannot shrink, such as one holding a MsgHeader.
   virtual void schedule_cpu_vci(int vci, sim::Time cost, sim::Event fn) = 0;
   [[nodiscard]] virtual sim::Time memcpy_time(std::int64_t bytes) const = 0;
-  /// The World's pool that every eager payload copy is made in.
-  virtual PayloadPool& payloads() = 0;
 
   /// Entry point for every sequenced inbound message (Eager/Rts): ordering,
   /// matching, and protocol dispatch.  Event context.

@@ -40,7 +40,7 @@ Request Communicator::isend_kind(CommKind kind, const void* buf, std::size_t byt
     SelfMsg m;
     m.tag = tag;
     m.ctx = ctx;
-    m.data = world_->payloads().copy(buf, bytes);
+    m.data = Payload::copy(buf, bytes);
     compute(sim::transfer_time(static_cast<std::int64_t>(bytes), ep_->config().memcpy_gbps));
     self_q_.push_back(std::move(m));
     Request r = ep_->new_request();

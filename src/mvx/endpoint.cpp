@@ -28,13 +28,12 @@ CtsRkeys read_rkeys(const Payload& payload) {
 }  // namespace
 
 Endpoint::Endpoint(sim::Simulator& sim, int rank, int node, std::vector<ib::Hca*> node_hcas,
-                   const Config& cfg, TelemetryRegistry& tel, PayloadPool& payloads)
+                   const Config& cfg, TelemetryRegistry& tel)
     : sim_(sim),
       rank_(rank),
       node_(node),
       cfg_(cfg),
       tel_(tel),
-      payloads_(payloads),
       vci_cpu_(static_cast<std::size_t>(cfg.vci.count)),
       vci_lock_contentions_(tel.counter("vci.lock_contentions")),
       vci_wakeups_(tel.counter("vci.progress_wakeups")) {

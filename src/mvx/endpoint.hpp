@@ -59,7 +59,7 @@ class TelemetryRegistry;
 class Endpoint final : public ChannelHost {
  public:
   Endpoint(sim::Simulator& sim, int rank, int node, std::vector<ib::Hca*> node_hcas,
-           const Config& cfg, TelemetryRegistry& tel, PayloadPool& payloads);
+           const Config& cfg, TelemetryRegistry& tel);
   ~Endpoint();
 
   Endpoint(const Endpoint&) = delete;
@@ -134,7 +134,6 @@ class Endpoint final : public ChannelHost {
   sim::Waitable& progress() override { return progress_; }
   void schedule_cpu_vci(int vci, sim::Time cost, sim::Event fn) override;
   [[nodiscard]] sim::Time memcpy_time(std::int64_t bytes) const override;
-  PayloadPool& payloads() override { return payloads_; }
   void ingress(int peer, const MsgHeader& hdr, Payload payload) override;
   void on_ctl(const MsgHeader& hdr, const CtsRkeys& rkeys) override;
   void on_rndv_write_done(int peer, std::uint64_t req_id) override;
@@ -167,7 +166,6 @@ class Endpoint final : public ChannelHost {
   int node_;
   Config cfg_;
   TelemetryRegistry& tel_;
-  PayloadPool& payloads_;
   sim::Process* proc_ = nullptr;
   RequestPool requests_;
 

@@ -753,11 +753,11 @@ void NetChannel::on_recv_cqe(const ib::Wc& wc) {
       case MsgType::Rts: {
         Payload copy;
         if (hdr.type == MsgType::Eager) {
-          copy = host_.payloads().copy(payload, hdr.size);
+          copy = Payload::copy(payload, hdr.size);
         } else if (hdr.proto == static_cast<std::uint8_t>(RndvProto::ReadRts)) {
           // A ReadRts RTS carries the sender-side rkeys; thread them through
           // the matcher so accept() can post the reads.
-          copy = host_.payloads().copy(payload, sizeof(CtsRkeys));
+          copy = Payload::copy(payload, sizeof(CtsRkeys));
         }
         host_.ingress(hdr.src_rank, hdr, std::move(copy));
         break;

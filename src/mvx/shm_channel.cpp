@@ -56,7 +56,7 @@ void ShmChannel::send(int peer, CommKind kind, const void* buf, std::int64_t byt
   hdr.size = static_cast<std::uint64_t>(bytes);
 
   // Copy into the (modelled) shared segment; the sender's CPU does this.
-  Payload payload = host_.payloads().copy(buf, static_cast<std::size_t>(bytes));
+  Payload payload = Payload::copy(buf, static_cast<std::size_t>(bytes));
   host_.process().compute(cfg.post_cpu() + host_.memcpy_time(bytes));
 
   auto res = c.pipe.reserve_bytes(sim.now(), sim.now(),
@@ -95,7 +95,7 @@ void ShmChannel::send_evt(int peer, CommKind kind, const void* buf, std::int64_t
   // message costs one allocation.  Its peer channel is resolved when the
   // CPU event runs.
   auto d = std::make_unique<Delivery>(Delivery{
-      nullptr, host_.rank(), hdr, host_.payloads().copy(buf, static_cast<std::size_t>(bytes))});
+      nullptr, host_.rank(), hdr, Payload::copy(buf, static_cast<std::size_t>(bytes))});
 
   host_.schedule_cpu_vci(
       req->vci, cfg.post_cpu() + host_.memcpy_time(bytes),

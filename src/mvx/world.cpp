@@ -24,14 +24,18 @@ namespace {
 /// Pins glibc's mmap threshold at its 128 KiB default.  The *dynamic*
 /// threshold rises after the first free of a large mmap'd block and moves
 /// later large buffers onto the brk heap, which returns freed memory to the
-/// kernel far less readily.  Eager payloads of 128 KiB and up no longer
-/// touch the heap (payload.hpp), but user, collective and staging buffers
-/// still do.  Measured with perfbench on a 4-vCPU VM over seeds 1, 2 and
-/// 4242, with the payload pool in place and SRQ slots bound at delivery,
-/// dropping this call raised peak RSS from 101-103 to 107-113 MB on
-/// coll_fattree64, from 58 to 58-112 MB on nas_is_ft and from 138-139 to
-/// 139 MB on pt2pt_paper.  Results do not depend on it: pin-down cache
-/// entries die with their buffers (pin_cache.hpp).  No-op off glibc.
+/// kernel far less readily.  The buffers of 128 KiB and up that the
+/// simulator allocates over and over (eager payloads, the NAS IS and FT
+/// arrays) come from the BlockPool (block_pool.hpp) and never reach malloc;
+/// what still crosses the threshold on the heap are each rank's NetChannel
+/// eager arenas (touched only sparsely, see footprint_test.cpp), the fiber
+/// stacks and user buffers.  Measured with perfbench (25 s runs, 4-vCPU VM,
+/// seeds 1, 2 and 4242; one pinned and two unpinned runs each), dropping
+/// this call raised peak RSS from 104.7-105.3 to 106.6-109.7 MB on
+/// coll_fattree64, from 58.9-62.9 to 58.6-63.1 MB on nas_is_ft (61.8 against
+/// 58.9 at seed 4242) and from 138.8-139.0 to 139.7-140.0 MB on pt2pt_paper.
+/// Results do not depend on it: pin-down cache entries die with their
+/// buffers (pin_cache.hpp).  No-op off glibc.
 void pin_host_allocator_policy() {
 #if defined(__GLIBC__)
   static const bool once = [] {
@@ -160,7 +164,7 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
     const int node = r / spec_.procs_per_node;
     eps_.push_back(std::make_unique<Endpoint>(sim_, r, node,
                                               node_hcas_[static_cast<std::size_t>(node)], cfg_,
-                                              tel_, payloads_));
+                                              tel_));
   }
 
   // Hardware-layer gauges, sampled when a telemetry snapshot is taken.

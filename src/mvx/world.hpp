@@ -12,7 +12,6 @@
 #include "mvx/comm.hpp"
 #include "mvx/config.hpp"
 #include "mvx/endpoint.hpp"
-#include "mvx/payload.hpp"
 #include "mvx/telemetry.hpp"
 #include "sim/process.hpp"
 #include "sim/simulator.hpp"
@@ -44,9 +43,6 @@ class World {
   [[nodiscard]] TelemetryRegistry& telemetry() { return tel_; }
   [[nodiscard]] const TelemetryRegistry& telemetry() const { return tel_; }
 
-  /// The blocks every eager payload copy of this World is made in.
-  [[nodiscard]] PayloadPool& payloads() { return payloads_; }
-
   /// Virtual time when the last rank finished the most recent run().
   [[nodiscard]] sim::Time end_time() const { return end_time_; }
 
@@ -62,9 +58,6 @@ class World {
 
   ClusterSpec spec_;
   Config cfg_;
-  /// Declared before sim_ and eps_: pending events and endpoints hold
-  /// payloads, which must go back before the pool dies.
-  PayloadPool payloads_;
   sim::Simulator sim_;
   std::unique_ptr<ib::Fabric> fabric_;
   std::vector<std::vector<ib::Hca*>> node_hcas_;

@@ -4,6 +4,7 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "mvx/block_pool.hpp"
 #include "nas/fft.hpp"
 #include "sim/rng.hpp"
 
@@ -12,6 +13,7 @@ namespace ib12x::nas {
 using mvx::COMPLEX;
 using mvx::Communicator;
 using mvx::Op;
+using mvx::PoolVector;
 
 namespace {
 
@@ -64,10 +66,12 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
   // compared bit-for-bit across layouts and policies.  Later recvbuf holds
   // each iteration's evolved spectrum, packed into sendbuf before the
   // alltoall writes recvbuf again; after that alltoall sendbuf takes the
-  // z-slab back for the inverse x/y FFTs and the checksum.
-  std::vector<Complex> sendbuf(slab_points);
-  std::vector<Complex> recvbuf(xslab_points);
-  std::vector<Complex> spectrum(xslab_points);  // x-slab, layout [xl][z][y]
+  // z-slab back for the inverse x/y FFTs and the checksum.  The slabs come
+  // from the process's BlockPool (mvx/block_pool.hpp), so their pages fault
+  // in once per process, not once per call.
+  PoolVector<Complex> sendbuf(slab_points);
+  PoolVector<Complex> recvbuf(xslab_points);
+  PoolVector<Complex> spectrum(xslab_points);  // x-slab, layout [xl][z][y]
   for (int z = 0; z < nzl; ++z) {
     sim::Rng rng(0xf7 + static_cast<std::uint64_t>(r * nzl + z) * 104729);
     Complex* plane = recvbuf.data() + static_cast<std::size_t>(z) * ny * nx;
@@ -78,7 +82,7 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
 
   // The compute phases' host jobs may touch these buffers: every exchange
   // below is a blocking collective, so no request references them then.
-  auto xy_ffts = [&](std::vector<Complex>& a, int sign) {
+  auto xy_ffts = [&](PoolVector<Complex>& a, int sign) {
     // FFT along x for every (y, z) row, then along y for all x columns of
     // each z-plane at once.
     comm.compute(
@@ -95,7 +99,7 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
         });
   };
 
-  auto pack_for_transpose = [&](const std::vector<Complex>& a) {
+  auto pack_for_transpose = [&](const PoolVector<Complex>& a) {
     // Destination d gets x in [d·nxl, (d+1)·nxl), all y, all local z.
     comm.compute(point_cost(0.3, static_cast<std::int64_t>(slab_points)), [&] {
       std::size_t out = 0;
@@ -122,7 +126,7 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
     return (x * static_cast<std::size_t>(nz) + static_cast<std::size_t>(d * nzl) + z) * yn;
   };
 
-  auto unpack_to_xslab = [&](std::vector<Complex>& out) {
+  auto unpack_to_xslab = [&](PoolVector<Complex>& out) {
     comm.compute(point_cost(0.3, static_cast<std::int64_t>(xslab_points)), [&] {
       for (int d = 0; d < p; ++d) {
         const Complex* block = recvbuf.data() + static_cast<std::size_t>(d) * block_points;
@@ -137,7 +141,7 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
     });
   };
 
-  auto pack_from_xslab = [&](const std::vector<Complex>& a) {
+  auto pack_from_xslab = [&](const PoolVector<Complex>& a) {
     comm.compute(point_cost(0.3, static_cast<std::int64_t>(xslab_points)), [&] {
       for (int d = 0; d < p; ++d) {
         Complex* block = sendbuf.data() + static_cast<std::size_t>(d) * block_points;
@@ -152,7 +156,7 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
     });
   };
 
-  auto unpack_to_zslab = [&](std::vector<Complex>& out) {
+  auto unpack_to_zslab = [&](PoolVector<Complex>& out) {
     // Block from rank d covers x in [d·nxl, (d+1)·nxl).
     comm.compute(point_cost(0.3, static_cast<std::int64_t>(slab_points)), [&] {
       for (int d = 0; d < p; ++d) {
@@ -171,7 +175,7 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
     });
   };
 
-  auto z_ffts = [&](std::vector<Complex>& a, int sign) {
+  auto z_ffts = [&](PoolVector<Complex>& a, int sign) {
     // Each xl plane [z][y] holds the z-lines of all its y as columns.
     comm.compute(flop_cost(static_cast<double>(nxl) * ny * fft_z.flops(), P.gflops), [&] {
       for (int x = 0; x < nxl; ++x) {
@@ -203,7 +207,7 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
   for (int i = 0; i < ny; ++i) ky2[static_cast<std::size_t>(i)] = wave2(i, ny);
   for (int i = 0; i < nz; ++i) kz2[static_cast<std::size_t>(i)] = wave2(i, nz);
 
-  std::vector<Complex>& evolved = recvbuf;
+  PoolVector<Complex>& evolved = recvbuf;
   std::vector<double> decay;
   ft_evolve_factors(P, 0, decay);  // sized here, so the evolve job allocates nothing
   for (int iter = 1; iter <= P.iterations; ++iter) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "mvx/block_pool.hpp"
 #include "sim/rng.hpp"
 
 namespace ib12x::nas {
@@ -11,6 +12,7 @@ using mvx::Communicator;
 using mvx::INT32;
 using mvx::INT64;
 using mvx::Op;
+using mvx::PoolVector;
 
 namespace {
 
@@ -48,7 +50,9 @@ IsResult run_is(Communicator& comm, const IsParams& P) {
     z ^= z >> 31;
     return static_cast<std::int32_t>(z & key_mask);
   };
-  std::vector<std::int32_t> keys(static_cast<std::size_t>(n_local));
+  // The key arrays come from the process's BlockPool (mvx/block_pool.hpp):
+  // every rank maps and faults them in once per process, not once per call.
+  PoolVector<std::int32_t> keys(static_cast<std::size_t>(n_local));
   for (std::int64_t i = 0; i < n_local; ++i) {
     keys[static_cast<std::size_t>(i)] =
         hashed_key(static_cast<std::uint64_t>(r) * static_cast<std::uint64_t>(n_local) +
@@ -63,9 +67,9 @@ IsResult run_is(Communicator& comm, const IsParams& P) {
   std::vector<std::int64_t> send_displs(static_cast<std::size_t>(p));
   std::vector<std::int64_t> recv_counts(static_cast<std::size_t>(p));
   std::vector<std::int64_t> recv_displs(static_cast<std::size_t>(p));
-  std::vector<std::int32_t> send_keys(static_cast<std::size_t>(n_local));
-  std::vector<std::int32_t> recv_keys;
-  std::vector<std::int32_t> local_counts(static_cast<std::size_t>(range));
+  PoolVector<std::int32_t> send_keys(static_cast<std::size_t>(n_local));
+  PoolVector<std::int32_t> recv_keys;
+  PoolVector<std::int32_t> local_counts(static_cast<std::size_t>(range));
   std::vector<std::int64_t> cursor(static_cast<std::size_t>(p));
 
   for (int iter = 0; iter < P.iterations; ++iter) {

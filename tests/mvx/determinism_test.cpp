@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "mvx/block_pool.hpp"
 #include "mvx/mpi.hpp"
 #include "sim/rng.hpp"
 #include "mvx_test_util.hpp"
@@ -25,16 +26,30 @@ struct RunDigest {
   std::uint64_t events = 0;
   std::uint64_t scheduled = 0;
   sim::Time end_time = 0;
-  std::size_t pool_free_bytes = 0;  ///< payload blocks waiting for reuse
+  std::uint64_t pool_blocks = 0;  ///< BlockPool blocks the World took
+  std::size_t pool_held = 0;      ///< BlockPool bytes the World still holds
   std::map<std::string, double> telemetry;
 };
 
-RunDigest digest_of(World& w) {
+/// Declared before a World: records the process BlockPool's counts, and
+/// checks when it dies, after the World, that the World gave back every
+/// block it took.
+struct PoolMark {
+  const BlockPool::Stats before = BlockPool::shared().stats();
+  PoolMark() = default;
+  PoolMark(const PoolMark&) = delete;
+  PoolMark& operator=(const PoolMark&) = delete;
+  ~PoolMark() { EXPECT_EQ(BlockPool::shared().stats().live_bytes, before.live_bytes); }
+};
+
+RunDigest digest_of(World& w, const PoolMark& mark) {
   RunDigest d;
   d.events = w.simulator().events_processed();
   d.scheduled = w.simulator().events_scheduled();
   d.end_time = w.end_time();
-  d.pool_free_bytes = w.payloads().free_bytes();
+  const BlockPool::Stats& now = BlockPool::shared().stats();
+  d.pool_blocks = now.acquired - mark.before.acquired;
+  d.pool_held = now.live_bytes - mark.before.live_bytes;
   for (const auto& s : w.telemetry().snapshot()) {
     if (s.name.rfind("sim.wall.", 0) == 0) continue;  // host-speed gauges
     d.telemetry[s.name] = s.value;
@@ -46,7 +61,8 @@ void expect_bit_identical(const RunDigest& a, const RunDigest& b) {
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.scheduled, b.scheduled);
   EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.pool_free_bytes, b.pool_free_bytes);
+  EXPECT_EQ(a.pool_blocks, b.pool_blocks);
+  EXPECT_EQ(a.pool_held, b.pool_held);
 
   ASSERT_EQ(a.telemetry.size(), b.telemetry.size());
   for (const auto& [name, value] : a.telemetry) {
@@ -61,6 +77,7 @@ void expect_bit_identical(const RunDigest& a, const RunDigest& b) {
 /// plus a small-message ack, run over both the network and shared-memory
 /// channels.
 RunDigest run_workload(int nodes, const Config& cfg) {
+  const PoolMark mark;
   World w(ClusterSpec{nodes, /*procs_per_node=*/2}, cfg);
   constexpr std::size_t kBytes = 1 << 20;
   constexpr int kWindow = 4;
@@ -99,7 +116,7 @@ RunDigest run_workload(int nodes, const Config& cfg) {
     }
     c.barrier();
   });
-  return digest_of(w);
+  return digest_of(w, mark);
 }
 
 /// A collective-heavy workload for the schedule engine: blocking collectives,
@@ -108,6 +125,7 @@ RunDigest run_workload(int nodes, const Config& cfg) {
 RunDigest run_coll_workload() {
   Config cfg = Config::enhanced(4, Policy::EPC);
   cfg.coll.lanes = 0;  // exercise the multi-lane builders too
+  const PoolMark mark;
   World w(ClusterSpec{/*nodes=*/2, /*procs_per_node=*/2}, cfg);
   w.run([](Communicator& c) {
     const std::size_t n = 1 << 16;
@@ -124,7 +142,7 @@ RunDigest run_coll_workload() {
       c.barrier();
     }
   });
-  return digest_of(w);
+  return digest_of(w, mark);
 }
 
 /// Four app threads per rank over four VCIs, every VCI group wired at
@@ -135,6 +153,7 @@ RunDigest run_multithread_vci_workload() {
   cfg.lazy_connect = false;
   cfg.vci.count = 4;
   cfg.vci.threads = 4;
+  const PoolMark mark;
   World w(ClusterSpec{2, 1}, cfg);
   w.run([](Communicator& c) {
     const int t = c.thread_id();
@@ -156,7 +175,7 @@ RunDigest run_multithread_vci_workload() {
           << "thread " << t << " msg " << i;
     }
   });
-  return digest_of(w);
+  return digest_of(w, mark);
 }
 
 /// One World of 2 nodes x `procs_per_node` reused for fourteen runs, 1 MiB
@@ -169,6 +188,7 @@ RunDigest run_multithread_vci_workload() {
 /// where the next run's buffers land (on the brk heap or among the mmap'd
 /// blocks, by size).
 RunDigest run_fresh_buffer_sweep(std::uint64_t pad_seed, int procs_per_node = 1) {
+  const PoolMark mark;
   World w(ClusterSpec{2, procs_per_node}, Config::enhanced(4, Policy::EPC));
   sim::Rng rng(pad_seed);
   std::unique_ptr<std::byte[]> pad;
@@ -187,7 +207,7 @@ RunDigest run_fresh_buffer_sweep(std::uint64_t pad_seed, int procs_per_node = 1)
     });
     if (pad_seed != 0) pad = std::make_unique<std::byte[]>(1 + rng.next_below(2 << 20));
   }
-  return digest_of(w);
+  return digest_of(w, mark);
 }
 
 TEST(Determinism, RepeatedRunsAreBitIdentical) {
@@ -242,11 +262,11 @@ TEST(Determinism, HeapPaddingDoesNotChangeRegistrationHits) {
 }
 
 TEST(Determinism, HeapPaddingDoesNotChangeRecycledShmPayloads) {
-  // At 2x2 the same-node exchanges copy payloads of 128 KiB and up into the
-  // World's recycled payload blocks.
+  // At 2x2 the same-node exchanges copy payloads of 128 KiB and up into
+  // recycled BlockPool blocks.
   const RunDigest plain = run_fresh_buffer_sweep(0, /*procs_per_node=*/2);
   EXPECT_GT(plain.telemetry.at("shm.bytes_sent"), 0.0);
-  EXPECT_GT(plain.pool_free_bytes, 0u);
+  EXPECT_GT(plain.pool_blocks, 0u);
   EXPECT_GT(plain.telemetry.at("rndv.reg_cache_hits"), 0.0);
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     SCOPED_TRACE("pad seed " + std::to_string(seed));

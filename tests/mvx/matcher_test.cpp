@@ -119,7 +119,6 @@ TEST(Matcher, SendSeqCountsPerPeerCtx) {
 }
 
 TEST(Matcher, ProbeSeesUnexpectedWithoutConsuming) {
-  PayloadPool pool;  // outlives the matcher's queued payloads
   TelemetryRegistry tel;
   Matcher m(tel);
 
@@ -127,7 +126,7 @@ TEST(Matcher, ProbeSeesUnexpectedWithoutConsuming) {
   EXPECT_FALSE(m.iprobe(-1, -1, 0, &st));
 
   const std::vector<std::byte> bytes(256);
-  m.store_unexpected({eager(3, 9, 0, 0, /*size=*/256), pool.copy(bytes.data(), bytes.size())});
+  m.store_unexpected({eager(3, 9, 0, 0, /*size=*/256), Payload::copy(bytes.data(), bytes.size())});
   EXPECT_FALSE(m.iprobe(3, 8, 0, &st));  // tag mismatch
   EXPECT_FALSE(m.iprobe(3, 9, 1, &st));  // ctx mismatch
 

@@ -12,6 +12,7 @@
 
 #include "ib/fabric.hpp"
 #include "ib/hca.hpp"
+#include "mvx/block_pool.hpp"
 #include "mvx/payload.hpp"
 #include "mvx/pin_cache.hpp"
 #include "sim/host_pool.hpp"
@@ -198,25 +199,27 @@ TEST(PinCache, FreeingTheEnclosingBlockDropsAnInteriorRegistration) {
 TEST(PinCache, RecycledPayloadBlockForgetsItsRegistration) {
   CacheFixture fx;
   PinCache c = fx.make();
-  PayloadPool pool;
+  const BlockPool& pool = BlockPool::shared();
   const std::vector<std::byte> bytes(256 * 1024);
 
-  // The first payload maps a block; once consumed, the next one reuses it.
-  const std::byte* block = pool.copy(bytes.data(), bytes.size()).data();
-  Payload p = pool.copy(bytes.data(), bytes.size());
+  // The first payload takes a BlockPool block; once consumed, the next one
+  // reuses it (the free lists are LIFO).
+  const std::byte* block = Payload::copy(bytes.data(), bytes.size()).data();
+  Payload p = Payload::copy(bytes.data(), bytes.size());
   ASSERT_EQ(p.data(), block);
 
   sim::Time cost = 0;
   c.release(c.acquire(p.data() + 4096, 64 * 1024, &cost));
   EXPECT_EQ(c.entries(), 1u);
 
+  const std::size_t free_before = pool.stats().free_bytes;
   p = Payload();  // consumed: the block goes back on the free list
-  EXPECT_EQ(pool.free_bytes(), bytes.size());
+  EXPECT_EQ(pool.stats().free_bytes, free_before + bytes.size());
   EXPECT_EQ(c.entries(), 0u);
   EXPECT_EQ(fx.hca->mem().region_count(), 0u);
 
   // The block's next payload is a different buffer: it misses.
-  Payload q = pool.copy(bytes.data(), bytes.size());
+  Payload q = Payload::copy(bytes.data(), bytes.size());
   ASSERT_EQ(q.data(), block);
   c.release(c.acquire(q.data() + 4096, 64 * 1024, &cost));
   EXPECT_EQ(fx.hits.value(), 0u);

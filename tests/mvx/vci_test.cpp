@@ -116,7 +116,6 @@ TEST(VciMatcher, SeededInterleavedArrivalsKeepPerVciOrder) {
   constexpr int kVcis = 4;
   constexpr std::uint32_t kMsgs = 24;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    PayloadPool pool;
     TelemetryRegistry tel;
     Matcher m(tel);
     std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ull + 1);
@@ -131,7 +130,7 @@ TEST(VciMatcher, SeededInterleavedArrivalsKeepPerVciOrder) {
       auto bytes = payload(64, /*rank=*/1, /*tag=*/v * 1000 + static_cast<int>(s));
       for (const Matcher::Inbound& msg :
            m.sequence(1, vci_eager(1, 0, v, s, v * 1000 + static_cast<int>(s)),
-                      pool.copy(bytes.data(), bytes.size()))) {
+                      Payload::copy(bytes.data(), bytes.size()))) {
         const int mv = msg.hdr.vci;
         ASSERT_EQ(msg.hdr.seq, delivered[static_cast<std::size_t>(mv)])
             << "seed " << seed << " vci " << mv << " delivered out of order";

@@ -6,9 +6,12 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <map>
 #include <numbers>
+#include <string>
 #include <vector>
 
+#include "mvx/block_pool.hpp"
 #include "mvx/mpi.hpp"
 #include "nas/fft.hpp"
 #include "nas/ft.hpp"
@@ -340,6 +343,64 @@ TEST(NasFt, ChecksumDecaysMonotonically) {
   for (std::size_t i = 1; i < cs.size(); ++i) {
     EXPECT_LT(std::abs(cs[i]), std::abs(cs[i - 1]) + 1e-12);
   }
+}
+
+/// Every observable of one IS and one FT class S run on 2x1, where the key
+/// and field arrays are 128 KiB and so come from the process's BlockPool.
+struct IsFtDigest {
+  std::uint64_t events = 0;
+  sim::Time end_time = 0;
+  std::uint64_t is_checksum = 0;
+  std::vector<Complex> ft_checksums;
+  std::map<std::string, double> telemetry;  ///< minus the sim.wall.* gauges
+};
+
+IsFtDigest run_is_ft_world() {
+  World w(ClusterSpec{2, 1}, Config::enhanced(4, Policy::EPC));
+  IsFtDigest d;
+  w.run([&](mvx::Communicator& c) {
+    const IsResult is = run_is(c, NasClass::S);
+    const FtResult ft = run_ft(c, NasClass::S);
+    EXPECT_TRUE(is.verified && ft.verified);
+    if (c.rank() == 0) {
+      d.is_checksum = is.checksum;
+      d.ft_checksums = ft.checksums;
+    }
+  });
+  d.events = w.events_processed();
+  d.end_time = w.end_time();
+  for (const auto& s : w.telemetry().snapshot()) {
+    if (s.name.rfind("sim.wall.", 0) != 0) d.telemetry[s.name] = s.value;
+  }
+  return d;
+}
+
+TEST(NasIsFt, ColdAndWarmBlockPoolGiveIdenticalDigests) {
+  // The cold run maps every block it takes; the warm run reuses the blocks
+  // the cold run gave back, in another order.  Blocks
+  // forget their registrations on release, so nothing may move, the
+  // pin-down cache's hits and misses included.
+  mvx::BlockPool& pool = mvx::BlockPool::shared();
+  pool.drop_free();
+  const std::uint64_t mapped = pool.stats().mapped;
+  const IsFtDigest cold = run_is_ft_world();
+  const std::uint64_t cold_mapped = pool.stats().mapped - mapped;
+  const IsFtDigest warm = run_is_ft_world();
+  // The warm run maps only what the high-water bound made the cold run
+  // unmap again; the count depends on the mark earlier tests left.
+  EXPECT_GT(cold_mapped, 0u);
+  EXPECT_LT(pool.stats().mapped - mapped - cold_mapped, cold_mapped);
+
+  EXPECT_EQ(cold.events, warm.events);
+  EXPECT_EQ(cold.end_time, warm.end_time);
+  EXPECT_EQ(cold.is_checksum, warm.is_checksum);
+  ASSERT_EQ(cold.ft_checksums.size(), warm.ft_checksums.size());
+  for (std::size_t i = 0; i < cold.ft_checksums.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&cold.ft_checksums[i], &warm.ft_checksums[i], sizeof(Complex)), 0);
+  }
+  EXPECT_EQ(cold.telemetry, warm.telemetry);
+  EXPECT_GT(cold.telemetry.at("rndv.reg_cache_misses"), 0.0);
+  EXPECT_GT(cold.telemetry.at("rndv.reg_cache_hits"), 0.0);
 }
 
 TEST(NasIs, RejectsNonPowerOfTwoMaxKey) {

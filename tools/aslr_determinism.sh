@@ -5,7 +5,8 @@
 # seed, never of where the host allocator or the loader put things.
 #
 # Host-time figures are masked before comparing: the `sim.wall.*` telemetry
-# lines and ablation_conn_scaling's `setup ms` column.
+# lines and ablation_conn_scaling's `setup ms` column.  A bench that has a
+# golden file (bench/golden/) but no binary under the build tree fails too.
 #
 # Usage: tools/aslr_determinism.sh N [build-dir]   (build-dir defaults to build)
 set -euo pipefail
@@ -61,4 +62,8 @@ for b in "${bins[@]}"; do
     done
   fi
 done
+while read -r name; do
+  status=1
+  printf 'FAIL  %-28s has a golden file but no binary under %s\n' "$name" "$build"
+done < <(missing_bench_binaries "$build")
 exit $status

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs every bench binary that tools/aslr_determinism.sh covers from two
 # build trees, masks host-time figures the same way, prints the differences
-# and exits 1 on any.  Use it to check
+# and exits 1 on any, or on a bench with a golden file (bench/golden/) but no
+# binary in either tree.  Use it to check
 # that a change leaves every simulated result as it was: build the parent
 # commit in one tree and the change in the other.
 #
@@ -46,5 +47,11 @@ for rel in "${rels[@]}"; do
     printf 'DIFF  %s\n' "$name"
     diff "$out/a/$name.txt" "$out/b/$name.txt" || true
   fi
+done
+for build in "$a" "$b"; do
+  while read -r name; do
+    status=1
+    printf 'FAIL  %-28s has a golden file but no binary under %s\n' "$name" "$build"
+  done < <(missing_bench_binaries "$build")
 done
 exit $status

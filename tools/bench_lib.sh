@@ -12,6 +12,20 @@ bench_binaries() {
   return 0
 }
 
+# Prints, one per line, the name of every bench that bench/golden/ holds a
+# file for but that has no binary under build tree $1: a build missing
+# benches must fail a check, not shrink it.
+missing_bench_binaries() {
+  local build=$1 golden g rel
+  golden="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)/bench/golden"
+  local -A built=()
+  while read -r rel; do built[$(basename "$rel")]=1; done < <(bench_binaries "$build")
+  for g in "$golden"/*.txt; do
+    [[ -n ${built[$(basename "$g" .txt)]:-} ]] || basename "$g" .txt
+  done
+  return 0
+}
+
 # Filters a bench's output (stdin to stdout) so that only simulated results
 # remain: host-time figures are masked, namely the `sim.wall.*` telemetry
 # lines and ablation_conn_scaling's `setup ms` column.  $1 is the binary's

@@ -72,12 +72,9 @@ for rel in "${rels[@]}"; do
 done
 # A golden file whose bench was not built is a failure too, not a skip.
 if (( ! update )); then
-  for g in "$golden"/*.txt; do
-    name=$(basename "$g" .txt)
-    if [[ ! -f "$out/$name.txt" ]]; then
-      status=1
-      printf 'FAIL  %-28s has a golden file but no binary under %s\n' "$name" "$build"
-    fi
-  done
+  while read -r name; do
+    status=1
+    printf 'FAIL  %-28s has a golden file but no binary under %s\n' "$name" "$build"
+  done < <(missing_bench_binaries "$build")
 fi
 exit $status
