@@ -36,7 +36,6 @@ constexpr std::size_t kUniformPerPeer = 2048;    ///< alltoall bytes per peer
 mvx::Config topo_config(ib::TopoShape shape) {
   mvx::Config cfg = mvx::Config::enhanced(1, mvx::Policy::Binding);
   cfg.hca.ports = 1;  // one LID per rank: topology sized to the rank count
-  cfg.lazy_connect = false;
   cfg.topo.shape = shape;
   cfg.topo.contention = true;
   return cfg;
@@ -65,6 +64,7 @@ Cell measure(mvx::World& w) {
 
 Cell run_uniform(int ranks, ib::TopoShape shape) {
   mvx::World w(mvx::ClusterSpec{ranks, 1}, topo_config(shape));
+  w.connect_all();  // keep connection handshakes out of the timed traffic
   w.run([](mvx::Communicator& c) {
     std::vector<std::byte> sbuf(kUniformPerPeer * static_cast<std::size_t>(c.size()),
                                 std::byte{0x5A});
@@ -76,6 +76,7 @@ Cell run_uniform(int ranks, ib::TopoShape shape) {
 
 Cell run_hotspot(int ranks, ib::TopoShape shape) {
   mvx::World w(mvx::ClusterSpec{ranks, 1}, topo_config(shape));
+  w.connect_all();  // keep connection handshakes out of the timed traffic
   w.run([](mvx::Communicator& c) {
     // Victims are the ranks with r % kHotStride == 0; sender r targets the
     // victim (r / kHotStride + r % kHotStride) blocks away, so each victim

@@ -37,26 +37,21 @@ struct Config {
   /// Rails per peer pair.
   [[nodiscard]] int rails() const { return hcas_per_node * ports_per_hca * qps_per_port; }
 
-  /// Take inbound eager buffers from one shared receive queue per HCA
-  /// instead of per-QP receive queues (same protocol, O(1) instead of
-  /// O(peers) buffer memory — the SRQ mechanism of §2.1).  On by default
-  /// since the connection-scaling refactor; `use_srq = false` together with
-  /// `lazy_connect = false` recovers the legacy per-peer wiring exactly.
-  bool use_srq = true;
-  /// SRQ mode: pooled eager receive slots per local HCA (the shared arena
-  /// replacing the per-QP `eager_credits` slots).
+  /// Inbound eager buffers come from one shared receive queue per HCA (the
+  /// SRQ mechanism of §2.1): O(1) instead of O(peers) buffer memory, same
+  /// protocol as per-QP receive queues.  srq_pool_slots is the pooled arena
+  /// of eager receive slots per local HCA.
   int srq_pool_slots = 256;
-  /// SRQ mode: low watermark arming the asynchronous limit-reached event
-  /// (verbs srq_limit).  Drained slots are reposted in one batch when the
-  /// pool's pending count falls below this; <= 0 reposts each slot
-  /// immediately after its CQE (no batching).
+  /// Low watermark arming the SRQ's asynchronous limit-reached event (verbs
+  /// srq_limit).  Drained slots are reposted in one batch when the pool's
+  /// pending count falls below this; <= 0 reposts each slot immediately
+  /// after its CQE (no batching).
   int srq_limit = 32;
 
-  /// Establish connections (QPs and rails) to a peer on first send or first
-  /// matched receive instead of all-pairs at startup, via a modelled
-  /// out-of-band handshake of `conn_setup_latency`.  Sends posted before the
-  /// handshake completes queue per peer and flush FIFO.
-  bool lazy_connect = true;
+  /// Connections (QPs and rails) to a peer are established on first send or
+  /// first directed receive, via a modelled out-of-band handshake of this
+  /// latency.  Sends posted before the handshake completes queue per peer
+  /// and flush FIFO.  World::connect_all() wires every pair up front instead.
   sim::Time conn_setup_latency = sim::microseconds(25.0);
 
   // ---- collective algorithm selection (MVAPICH-era tuning) ---------------
@@ -68,9 +63,8 @@ struct Config {
   std::int64_t rndv_threshold = 16 * 1024;   ///< eager/rendezvous switch (paper §3.3)
   std::int64_t stripe_threshold = 16 * 1024; ///< striping cutoff (same value in the paper)
   std::int64_t min_stripe = 2048;            ///< never cut stripes below this
-  /// Eager send credits per rail.  With use_srq = false these are the
-  /// receive slots preposted on each QP, split evenly over the VCIs; in SRQ
-  /// mode they cap each rail's share of the shared pool (srq_pool_slots).
+  /// Eager send credits per rail: the cap on each rail's share of the
+  /// shared SRQ pool (srq_pool_slots spread over rails() * vci.count).
   int eager_credits = 64;
   int send_bounce_bufs = 256;                ///< sender-side eager bounce pool
 

@@ -1,11 +1,13 @@
-// Lazy connection manager (the connection-scaling half of the refactor).
+// Lazy connection manager: the one way ranks get wired.
 //
 // MVAPICH-era MPI wired every pair of ranks at MPI_Init: O(ranks²) QPs and
 // eager slots across the job, which is exactly the memory wall §2.1 of the
 // paper's lineage attacks with SRQ.  This manager instead establishes a
-// peer's QPs and rails on first contact — first send or first matched
+// peer's QPs and rails on first contact — first send or first directed
 // receive — through a modelled out-of-band handshake (UD/CM exchange in real
-// MVAPICH) of `Config::conn_setup_latency`.
+// MVAPICH) of `Config::conn_setup_latency`.  World::connect_all() wires
+// every pair up front through the same wire function, leaving every manager
+// Ready with no handshake started.
 //
 // Per peer the state machine is Unconnected → Connecting → Ready and every
 // transition is idempotent: simultaneous connects (both sides initiate in

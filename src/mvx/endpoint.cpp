@@ -141,7 +141,7 @@ Request Endpoint::start_send(CommKind kind, const void* buf, std::int64_t bytes,
   req->vci = vci_for(ctx);
   vci_sends_.at(static_cast<std::size_t>(req->vci))->inc();
 
-  if (cfg_.lazy_connect && (!conn_->ready(dst) || conn_->has_queued(dst))) {
+  if (!conn_->ready(dst) || conn_->has_queued(dst)) {
     // First contact (or a flush still in progress, which queued sends must
     // not overtake): start the handshake and park the send.  initiate() is
     // idempotent, so re-queueing behind an in-flight flush costs nothing.
@@ -183,7 +183,7 @@ Request Endpoint::start_recv(void* buf, std::int64_t capacity, int src, int tag,
   req->tag = tag;
   req->ctx = ctx;
 
-  if (cfg_.lazy_connect && src >= 0 && src != rank_) {
+  if (src >= 0 && src != rank_) {
     // A directed receive names its sender: start that handshake now so the
     // rails exist by the time the (possibly simultaneous) send needs them.
     // Wildcard receives cannot pre-connect anybody.
@@ -318,10 +318,10 @@ void Endpoint::flush_queued(int peer) {
 }
 
 void Endpoint::on_eager_resources_freed(int /*peer*/) {
-  if (!cfg_.lazy_connect || conn_->queued_total() == 0) return;
-  // The bounce pool and (in SRQ mode) the eager slot arena are shared across
-  // peers, so the freed resource can unblock any queued peer — not just the
-  // one whose CQE fired.
+  if (conn_->queued_total() == 0) return;
+  // The bounce pool and the SRQ's eager slot arena are shared across peers,
+  // so the freed resource can unblock any queued peer — not just the one
+  // whose CQE fired.
   for (int p : conn_->queued_peers()) {
     if (conn_->ready(p)) flush_queued(p);
   }

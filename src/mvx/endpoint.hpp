@@ -72,8 +72,7 @@ class Endpoint final : public ChannelHost {
   /// Connects two endpoints on the same node through the shm channel.
   static void connect_shm(Endpoint& a, Endpoint& b);
 
-  /// The lazy connection manager (always constructed; only consulted when
-  /// Config::lazy_connect is on).  World injects the wire function.
+  /// The lazy connection manager; World injects the wire function.
   [[nodiscard]] ConnManager& conn() { return *conn_; }
 
   /// Binds the simulated process that runs this rank's code.

@@ -23,7 +23,6 @@ NetChannel::NetChannel(ChannelHost& host, std::vector<ib::Hca*> hcas)
       rail_down_(host.telemetry().counter("rail.down")),
       rail_recovered_(host.telemetry().counter("rail.recovered")),
       send_errors_(host.telemetry().counter("fault.send_errors")),
-      recv_flushes_(host.telemetry().counter("fault.recv_flushes")),
       eager_retries_(host.telemetry().counter("fault.eager_retries")),
       qps_created_(host.telemetry().counter("conn.qps_created")),
       eager_pool_bytes_(host.telemetry().counter("eager.pool_bytes")),
@@ -58,12 +57,11 @@ void NetChannel::ensure_net_resources() {
   }
   for (std::size_t i = 0; i < nbounce; ++i) free_bounce_.push_back(static_cast<int>(i));
 
-  // SRQ mode: one shared receive queue + one pooled receive arena per local
-  // HCA — the receive-buffer footprint is O(1) in the peer count.  The SRQ
-  // binds an arena buffer to a Send when it arrives and the CQE handler
-  // releases it, LIFO, so the host backs only the buffers ever in flight
-  // between delivery and CQE at once; the modelled pool keeps its full size.
-  if (!cfg.use_srq) return;
+  // One shared receive queue + one pooled receive arena per local HCA — the
+  // receive-buffer footprint is O(1) in the peer count.  The SRQ binds an
+  // arena buffer to a Send when it arrives and the CQE handler releases it,
+  // LIFO, so the host backs only the buffers ever in flight between delivery
+  // and CQE at once; the modelled pool keeps its full size.
   const int slots = std::max(1, cfg.srq_pool_slots);
   pools_.resize(hcas_.size());
   for (std::size_t h = 0; h < hcas_.size(); ++h) {
@@ -90,15 +88,12 @@ void NetChannel::ensure_net_resources() {
 
 int NetChannel::rail_credits() const {
   const Config& cfg = host_.config();
-  // With several VCIs the credit budget splits evenly over the VCI groups:
-  // each group's rails get their share of the per-QP credits (per-QP RQ
-  // mode) or of the shared SRQ arena (the pool stays one per HCA, only the
-  // sender-side credit derivation divides).  The World constructor rejects
-  // splits that would round to zero.
-  if (!cfg.use_srq) return cfg.eager_credits / std::max(1, cfg.vci.count);
   // Re-derive per-rail credits from the shared pool so one peer's rails can
   // never oversubscribe the arena on their own; concurrent senders beyond
   // that are absorbed by RNR backpressure (stall + replenish), not errors.
+  // With several VCIs the pool's share splits evenly over the VCI groups (the
+  // pool stays one per HCA, only the sender-side credit derivation divides);
+  // the World constructor rejects splits that would round to zero.
   const int per_rail =
       std::max(1, cfg.srq_pool_slots) / std::max(1, cfg.rails() * std::max(1, cfg.vci.count));
   return std::min(cfg.eager_credits, std::max(1, per_rail));
@@ -117,56 +112,23 @@ void NetChannel::open_to(int peer_rank) {
 }
 
 ib::QueuePair& NetChannel::open_rail(int peer_rank, int hca_index, int port) {
-  const Config& cfg = host_.config();
   Peer& c = peer(peer_rank);
-  ib::SharedReceiveQueue* srq =
-      cfg.use_srq ? pools_.at(static_cast<std::size_t>(hca_index)).srq : nullptr;
-  ib::QueuePair& qp =
-      hcas_.at(static_cast<std::size_t>(hca_index))->create_qp(port, scq_, rcq_, srq);
+  ib::QueuePair& qp = hcas_.at(static_cast<std::size_t>(hca_index))
+                          ->create_qp(port, scq_, rcq_,
+                                      pools_.at(static_cast<std::size_t>(hca_index)).srq);
   c.rails.push_back(Rail{.qp = &qp, .hca_index = hca_index, .credits = rail_credits()});
-  // Error-CQE → rail routing, only ever consulted under fault injection;
-  // skip the map nodes entirely otherwise.
-  if (fault_enabled_) {
-    qp_rail_[qp.num()] = {peer_rank, static_cast<int>(c.rails.size()) - 1};
-  }
   qps_created_.inc();
   return qp;
 }
 
-void NetChannel::prepost_rail(ib::QueuePair& qp) {
-  const Config& cfg = host_.config();
-  if (cfg.use_srq) return;  // pooled WQEs were posted once per HCA
-  for (int i = 0; i < rail_credits(); ++i) {
-    auto slot = std::make_unique<RecvSlot>();
-    slot->buf = std::make_unique_for_overwrite<std::byte[]>(slot_bytes_);
-    // Receive buffers only need registration in the domain of the HCA the
-    // QP lives on.
-    slot->lkey = qp.port().hca().mem().register_memory(slot->buf.get(), slot_bytes_).lkey;
-    slot->qp = &qp;
-    post_slot(*slot);
-    eager_pool_bytes_.add(slot_bytes_);
-    recv_slots_.push_back(std::move(slot));
-  }
-}
-
-void NetChannel::post_slot(RecvSlot& slot) {
-  slot.qp->post_recv({.wr_id = reinterpret_cast<std::uint64_t>(&slot),
-                      .dst = slot.buf.get(),
-                      .length = static_cast<std::uint32_t>(slot_bytes_),
-                      .lkey = slot.lkey});
-}
-
 void NetChannel::establish(NetChannel& a, NetChannel& b) {
-  const Config& cfg = a.host_.config();
   a.open_to(b.host_.rank());
   b.open_to(a.host_.rank());
   a.peer(b.host_.rank()).remote = &b;
   b.peer(a.host_.rank()).remote = &a;
-  // VCI group 0 always wires with the connection; with lazy_connect the
-  // remaining groups wire on first use (ensure_vci).  Eager wiring brings up
-  // every group here.
-  const int groups = cfg.lazy_connect ? 1 : std::max(1, cfg.vci.count);
-  for (int v = 0; v < groups; ++v) wire_vci_group(a, b);
+  // VCI group 0 wires with the connection; the remaining groups wire on
+  // first use (ensure_vci).
+  wire_vci_group(a, b);
 }
 
 void NetChannel::ensure_vci(int peer_rank, int vci) {
@@ -190,8 +152,6 @@ void NetChannel::wire_vci_group(NetChannel& a, NetChannel& b) {
         ib::Fabric::connect(qa, qb);
         a.rail_up_.inc();
         b.rail_up_.inc();
-        a.prepost_rail(qa);
-        b.prepost_rail(qb);
         if (plan != nullptr) {
           // Lazy wiring can land inside a link-down window: a QP created
           // behind a dead port starts in the error state (its rail parks and
@@ -722,29 +682,23 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
 }
 
 void NetChannel::on_recv_cqe(const ib::Wc& wc) {
-  // SRQ mode: wr_id names the local HCA's pool.  Per-QP RQ mode: the slot.
-  HcaPool* pool = pools_.empty() ? nullptr : &pools_[static_cast<std::size_t>(wc.wr_id)];
-  auto* slot = pool != nullptr ? nullptr : reinterpret_cast<RecvSlot*>(wc.wr_id);
   if (wc.status != ib::WcStatus::Success) {
-    // Only a per-QP RQ flushes: an SRQ's WQEs outlive a dying QP.  The flushed
-    // slot holds no message; park it on its rail until the rail recovers.
-    recv_flushes_.inc();
-    auto it = qp_rail_.find(wc.qp_num);
-    if (slot == nullptr || it == qp_rail_.end()) {
-      throw std::logic_error("NetChannel: flush CQE from unknown QP");
-    }
-    const auto [peer_rank, rail] = it->second;
-    peer(peer_rank).rails.at(static_cast<std::size_t>(rail)).parked.push_back(slot);
-    mark_rail_down(peer_rank, rail);
-    return;
+    // Every rail QP takes its receive WQEs from its HCA's SRQ, and a QP in
+    // error flushes only its own (always empty) receive queue: an SRQ's WQEs
+    // outlive a dying QP.
+    throw std::logic_error("NetChannel: receive CQE with status " +
+                           std::string(ib::to_string(wc.status)) + " on QP " +
+                           std::to_string(wc.qp_num));
   }
+  // wr_id names the local HCA's pool.
+  HcaPool& pool = pools_[static_cast<std::size_t>(wc.wr_id)];
   if (wc.has_imm) {
     // Write-with-imm rendezvous completion: the payload landed directly in
     // the matched user buffer, this WQE was only consumed for the immediate
     // — there is no header to parse and no buffer to release.
     host_.on_rndv_imm(wc.imm_data);
   } else {
-    const std::byte* data = pool != nullptr ? pool->srq->buffer(wc.buf) : slot->buf.get();
+    const std::byte* data = pool.srq->buffer(wc.buf);
     MsgHeader hdr = read_header(data);
     const std::byte* payload = data + kHeaderBytes;
 
@@ -776,22 +730,16 @@ void NetChannel::on_recv_cqe(const ib::Wc& wc) {
     }
   }
 
-  if (pool == nullptr) {
-    // Recycle the receive slot immediately (MVAPICH reposts vbufs eagerly;
-    // the sender's credit only returns with its CQE, which is always later).
-    post_slot(*slot);
-    return;
-  }
   // The message is read: its buffer goes back before any WQE is reposted.
-  if (wc.buf != ib::kNoBuf) pool->srq->release(wc.buf);
+  if (wc.buf != ib::kNoBuf) pool.srq->release(wc.buf);
   if (host_.config().srq_limit > 0) {
     // Drained pooled WQE: hold it for the batched low-watermark repost
     // (verbs srq_limit) instead of reposting per CQE.
-    ++pool->drained;
-    if (pool->want_replenish) try_replenish(static_cast<int>(wc.wr_id));
+    ++pool.drained;
+    if (pool.want_replenish) try_replenish(static_cast<int>(wc.wr_id));
     return;
   }
-  pool->srq->post();
+  pool.srq->post();
 }
 
 void NetChannel::on_srq_limit(int hca_index) {
@@ -852,8 +800,6 @@ void NetChannel::try_recover_rail(int peer_rank, int rail) {
   if (r.up) return;
   r.up = true;
   rail_recovered_.inc();
-  for (RecvSlot* slot : r.parked) post_slot(*slot);
-  r.parked.clear();
   // Messages that stalled on a dry pool while this QP was in error are
   // parked inside the SRQ; the recovered QP will not see another post unless
   // someone kicks the stall queue.

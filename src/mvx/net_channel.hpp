@@ -5,16 +5,16 @@
 //
 // The channel owns everything rail-shaped that used to live tangled in the
 // endpoint's PeerConn: per-peer rail vectors, credits, the round-robin
-// cursor, the pending-control queue, the shared bounce pool, preposted
-// receive slots and SRQs.  Rendezvous data movement is planned by the
+// cursor, the pending-control queue, the shared bounce pool and the SRQs
+// with their pooled receive slots.  Rendezvous data movement is planned by the
 // Rendezvous module but posted through this channel (post_write), so all
 // rail accounting stays in one place.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "ib/verbs.hpp"
@@ -30,20 +30,18 @@ class NetChannel final {
   NetChannel(ChannelHost& host, std::vector<ib::Hca*> hcas);
   ~NetChannel();
 
-  /// Per-side connection surface, driven by the connection manager (or the
-  /// legacy all-pairs loop): open_to(peer) creates this side's peer entry
-  /// and — lazily, once — the shared send/receive resources (bounce pool;
-  /// SRQ + pooled eager arena per local HCA in SRQ mode); establish(a, b)
-  /// then wires the rail set (hcas × ports × qps QP pairs) between two
-  /// opened sides and preposts per-QP eager slots in per-QP-RQ mode.
+  /// Per-side connection surface, driven by World::wire_pair: open_to(peer)
+  /// creates this side's peer entry and — lazily, once — the shared
+  /// send/receive resources (bounce pool; SRQ + pooled eager arena per local
+  /// HCA); establish(a, b) then wires VCI 0's rail set (hcas × ports × qps
+  /// QP pairs, each attached to its HCA's SRQ) between two opened sides.
   void open_to(int peer);
   static void establish(NetChannel& a, NetChannel& b);
 
   /// Wires one more VCI's QP group between two established sides: the next
   /// hcas × ports × qps rail block is appended to each side's flat rail
   /// vector, so VCI v owns the contiguous slice [v·rails(), (v+1)·rails()).
-  /// establish() wires group 0 (and, when lazy_connect is off, every
-  /// group); ensure_vci wires the rest on first use.
+  /// establish() wires group 0; ensure_vci wires the rest on first use.
   static void wire_vci_group(NetChannel& a, NetChannel& b);
 
   /// Lazily wires every VCI QP group up to and including `vci` towards
@@ -122,15 +120,7 @@ class NetChannel final {
   [[nodiscard]] const std::vector<ib::Hca*>& hcas() const { return hcas_; }
 
  private:
-  /// Per-QP RQ mode: a preposted receive slot that owns its buffer and is
-  /// reposted on its QP after each inbound message.
-  struct RecvSlot {
-    ib::QueuePair* qp = nullptr;
-    std::unique_ptr<std::byte[]> buf;
-    ib::LKey lkey = 0;
-  };
-
-  /// SRQ mode: the pooled eager receive side of one local HCA — the shared
+  /// The pooled eager receive side of one local HCA — the shared
   /// receive queue, the registered arena of srq_pool_slots buffers it binds
   /// at delivery, and the batched-replenish state driven by the srq_limit
   /// low-watermark event.
@@ -150,8 +140,6 @@ class NetChannel final {
     bool up = true;
     bool recovery_scheduled = false;  ///< a try_recover_rail event is pending
     int recovery_polls = 0;           ///< consecutive still-down probes (bounded)
-    /// Per-QP RQ slots flushed when the rail died; reposted on recovery.
-    std::vector<RecvSlot*> parked = {};
   };
 
   using PendingCtl = std::pair<MsgHeader, CtsRkeys>;
@@ -213,20 +201,15 @@ class NetChannel final {
   [[nodiscard]] const Peer& peer(int rank) const;
 
   /// One-time lazy allocation of the shared send/receive resources: the
-  /// sender bounce pool, and in SRQ mode one SRQ and the receive arena it
-  /// binds buffers from per local HCA.  Runs at the first open_to — a rank that never touches the
-  /// network allocates nothing.
+  /// sender bounce pool, and one SRQ and the receive arena it binds buffers
+  /// from per local HCA.  Runs at the first open_to — a rank that never
+  /// touches the network allocates nothing.
   void ensure_net_resources();
   /// Creates one rail QP towards `peer` (bookkeeping only; the caller wires
   /// it to the remote side via ib::Fabric::connect).
   ib::QueuePair& open_rail(int peer, int hca_index, int port);
-  /// Per-QP RQ mode: preposts rail_credits() owned slots on `qp`.  No-op in
-  /// SRQ mode, where the pool's WQEs are posted once per HCA.
-  void prepost_rail(ib::QueuePair& qp);
-  /// Posts per-QP RQ slot `slot` on its QP.
-  void post_slot(RecvSlot& slot);
-  /// Per-rail credits: eager_credits in per-QP RQ mode; re-derived from the
-  /// shared pool (srq_pool_slots spread over the rail count) in SRQ mode.
+  /// Per-rail credits, re-derived from the shared pool: srq_pool_slots
+  /// spread over the rail slices, capped at eager_credits.
   [[nodiscard]] int rail_credits() const;
 
   /// SRQ low-watermark machinery: the async limit event marks the pool
@@ -305,8 +288,7 @@ class NetChannel final {
   /// Indexed by peer rank; null for a rank this side never opened.  Each
   /// Peer is its own allocation, so references survive the vector growing.
   std::vector<std::unique_ptr<Peer>> peers_;
-  std::vector<std::unique_ptr<RecvSlot>> recv_slots_;  ///< per-QP RQ mode only
-  std::vector<HcaPool> pools_;  ///< per local HCA, SRQ mode only
+  std::vector<HcaPool> pools_;  ///< per local HCA
 
   /// Eager slot size: header plus the largest eager payload.
   const std::size_t slot_bytes_;
@@ -319,9 +301,6 @@ class NetChannel final {
   bool resources_ready_ = false;  ///< ensure_net_resources has run
 
   const bool fault_enabled_;
-  /// QP number → (peer rank, rail index): routes error CQEs — which carry
-  /// only the qp_num — back to the rail they belong to.
-  std::map<ib::QpNum, std::pair<int, int>> qp_rail_;
   /// A vector, not a deque: an empty deque heap-allocates its map block on
   /// construction, and this member must cost nothing when faults are off.
   std::vector<PendingRetry> pending_retry_;
@@ -344,7 +323,6 @@ class NetChannel final {
   Counter& rail_down_;       ///< up → down transitions
   Counter& rail_recovered_;  ///< down → up transitions
   Counter& send_errors_;     ///< error CQEs on the send side
-  Counter& recv_flushes_;    ///< flushed receive WQEs (slots parked)
   Counter& eager_retries_;   ///< eager/ctl messages replayed after an error
   Counter& qps_created_;     ///< own-side rail QPs created (conn.qps_created)
   Counter& eager_pool_bytes_;  ///< eager receive-buffer bytes allocated

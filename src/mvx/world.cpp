@@ -85,26 +85,15 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
         " is out of range: every rank needs at least its main thread.  Supported "
         "combinations: vci.threads >= 1");
   }
-  if (cfg_.vci.count > 1) {
-    if (cfg_.use_srq) {
-      if (cfg_.srq_pool_slots / std::max(1, cfg_.rails() * cfg_.vci.count) < 1) {
-        throw std::invalid_argument(
-            "Config: vci.count = " + std::to_string(cfg_.vci.count) +
-            " conflicts with srq_pool_slots = " + std::to_string(cfg_.srq_pool_slots) +
-            ": splitting the SRQ arena over " +
-            std::to_string(cfg_.rails() * cfg_.vci.count) +
-            " rail slices (rails() * vci.count) rounds the per-rail credit share "
-            "to zero.  Supported combinations: srq_pool_slots >= rails() * "
-            "vci.count, fewer VCIs, or use_srq = false");
-      }
-    } else if (cfg_.eager_credits / cfg_.vci.count < 1) {
-      throw std::invalid_argument(
-          "Config: vci.count = " + std::to_string(cfg_.vci.count) +
-          " conflicts with eager_credits = " + std::to_string(cfg_.eager_credits) +
-          ": splitting the per-rail credit window over the VCIs rounds each "
-          "slice to zero.  Supported combinations: eager_credits >= vci.count, "
-          "or fewer VCIs");
-    }
+  if (cfg_.vci.count > 1 &&
+      cfg_.srq_pool_slots / std::max(1, cfg_.rails() * cfg_.vci.count) < 1) {
+    throw std::invalid_argument(
+        "Config: vci.count = " + std::to_string(cfg_.vci.count) +
+        " conflicts with srq_pool_slots = " + std::to_string(cfg_.srq_pool_slots) +
+        ": splitting the SRQ arena over " + std::to_string(cfg_.rails() * cfg_.vci.count) +
+        " rail slices (rails() * vci.count) rounds the per-rail credit share "
+        "to zero.  Supported combinations: srq_pool_slots >= rails() * "
+        "vci.count, or fewer VCIs");
   }
 
   // Rendezvous-protocol knobs: fail fast on nonsense arm spaces.
@@ -222,20 +211,19 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
   tel_.gauge("sim.wall.events_per_sec", [sim] { return sim->events_per_wall_sec(); });
   tel_.gauge("sim.wall.switches_per_sec", [sim] { return sim->switches_per_wall_sec(); });
 
-  if (cfg_.lazy_connect) {
-    // Lazy wiring: no pair is built here.  Each endpoint's connection
-    // manager drives wire_pair on first contact, after the modelled
-    // handshake; wire_pair marks both sides Ready (flushing their queues).
-    for (int r = 0; r < spec_.total_ranks(); ++r) {
-      Endpoint* ep = eps_[static_cast<std::size_t>(r)].get();
-      ep->conn().set_wire_fn([this, r](int peer) { wire_pair(r, peer); });
-    }
-  } else {
-    // Legacy eager wiring: all pairs at startup, O(ranks²) QPs.
-    for (int i = 0; i < spec_.total_ranks(); ++i) {
-      for (int j = i + 1; j < spec_.total_ranks(); ++j) {
-        wire_pair(i, j);
-      }
+  // Lazy wiring: no pair is built here.  Each endpoint's connection manager
+  // drives wire_pair on first contact, after the modelled handshake;
+  // wire_pair marks both sides Ready (flushing their queues).
+  for (int r = 0; r < spec_.total_ranks(); ++r) {
+    Endpoint* ep = eps_[static_cast<std::size_t>(r)].get();
+    ep->conn().set_wire_fn([this, r](int peer) { wire_pair(r, peer); });
+  }
+}
+
+void World::connect_all() {
+  for (int i = 0; i < spec_.total_ranks(); ++i) {
+    for (int j = i + 1; j < spec_.total_ranks(); ++j) {
+      wire_pair(i, j);
     }
   }
 }

@@ -30,6 +30,11 @@ class World {
   /// simulation clock keeps its value across multiple run() calls.
   void run(const std::function<void(Communicator&)>& rank_main);
 
+  /// Wires every pair of ranks now (O(ranks²) QPs) instead of on first
+  /// contact, so a later run() pays no connection handshakes.  Idempotent:
+  /// pairs already wired are skipped.
+  void connect_all();
+
   [[nodiscard]] int ranks() const { return spec_.total_ranks(); }
   [[nodiscard]] const ClusterSpec& spec() const { return spec_; }
   [[nodiscard]] const Config& config() const { return cfg_; }
@@ -53,7 +58,7 @@ class World {
  private:
   /// Builds the channel between ranks `i` and `j` (shm or net)
   /// and marks both connection managers Ready.  Idempotent; used by both the
-  /// legacy all-pairs loop and the lazy managers' wire function.
+  /// connection managers' wire function and connect_all().
   void wire_pair(int i, int j);
 
   ClusterSpec spec_;

@@ -40,28 +40,30 @@ void ring_exchange(Communicator& c, std::size_t bytes) {
 TEST(ConnScaling, LazyWiresOnlyActivePeers) {
   // 32 ranks, ring traffic: 32 pairs are active out of 32*31/2 = 496.  Lazy
   // wiring must create QPs for the active pairs only — 2 sides × rails per
-  // pair — while the legacy eager wiring creates all 496 pairs' worth.
+  // pair — while connect_all() wires all 496 pairs' worth up front.
   const int kRanks = 32;
-  Config lazy = Config::original();  // lazy_connect + use_srq are the defaults
-  ASSERT_TRUE(lazy.lazy_connect);
-  ASSERT_TRUE(lazy.use_srq);
-  World wl(ClusterSpec{kRanks, 1}, lazy);
+  const Config cfg = Config::original();
+  World wl(ClusterSpec{kRanks, 1}, cfg);
   wl.run([](Communicator& c) { ring_exchange(c, 512); });
   const std::uint64_t lazy_qps = wl.telemetry().counter_value("conn.qps_created");
   const std::uint64_t lazy_est = wl.telemetry().counter_value("conn.established");
-  EXPECT_EQ(lazy_qps, static_cast<std::uint64_t>(kRanks * 2 * lazy.rails()));
+  EXPECT_EQ(lazy_qps, static_cast<std::uint64_t>(kRanks * 2 * cfg.rails()));
   EXPECT_EQ(lazy_est, static_cast<std::uint64_t>(kRanks * 2));  // 2 sides per ring edge
   EXPECT_GE(wl.telemetry().counter_value("conn.handshakes_inflight"), 1u);
 
-  Config wired = Config::original();
-  wired.lazy_connect = false;
-  wired.use_srq = false;
-  World ww(ClusterSpec{kRanks, 1}, wired);
-  ww.run([](Communicator& c) { ring_exchange(c, 512); });
+  World ww(ClusterSpec{kRanks, 1}, cfg);
+  ww.connect_all();
   const std::uint64_t wired_qps = ww.telemetry().counter_value("conn.qps_created");
   EXPECT_EQ(wired_qps,
-            static_cast<std::uint64_t>(kRanks * (kRanks - 1) * wired.rails()));  // all pairs
+            static_cast<std::uint64_t>(kRanks * (kRanks - 1) * cfg.rails()));  // all pairs
+  EXPECT_EQ(ww.telemetry().counter_value("conn.established"),
+            static_cast<std::uint64_t>(kRanks * (kRanks - 1)));  // both sides of every pair
   EXPECT_GT(wired_qps, lazy_qps * 10);  // O(ranks²) vs O(ranks)
+  ww.connect_all();  // idempotent: every pair is already Ready
+  EXPECT_EQ(ww.telemetry().counter_value("conn.qps_created"), wired_qps);
+  ww.run([](Communicator& c) { ring_exchange(c, 512); });
+  EXPECT_EQ(ww.telemetry().counter_value("conn.qps_created"), wired_qps);
+  EXPECT_EQ(ww.telemetry().counter_value("conn.handshakes_inflight"), 0u);  // none started
 }
 
 TEST(ConnScaling, LinearFootprintAt256Ranks) {
@@ -84,9 +86,9 @@ TEST(ConnScaling, LinearFootprintAt256Ranks) {
   const std::uint64_t pool = w.telemetry().counter_value("eager.pool_bytes");
   EXPECT_EQ(pool, static_cast<std::uint64_t>(kRanks) *
                       static_cast<std::uint64_t>(cfg.srq_pool_slots) * slot_bytes);
-  // What the legacy wiring would have pinned for the same job: eager_credits
-  // slots per rail per side of every pair.  Computed, not run — constructing
-  // the O(ranks²) world is exactly what this refactor makes unnecessary.
+  // What all-pairs wiring with per-QP receive queues would pin for the same
+  // job: eager_credits slots per rail per side of every pair.  Computed, not
+  // run — constructing the O(ranks²) world is what lazy wiring avoids.
   const std::uint64_t legacy = static_cast<std::uint64_t>(kRanks) * (kRanks - 1) *
                                static_cast<std::uint64_t>(cfg.rails()) *
                                static_cast<std::uint64_t>(cfg.eager_credits) * slot_bytes;
@@ -174,7 +176,6 @@ TEST(ConnScaling, ShmPeersWiredWhileASendIsSuspended) {
   const int kStream = 200;
   const std::size_t bytes = 8 * 1024;
   World w(ClusterSpec{1, kPerNode}, Config::original());
-  ASSERT_TRUE(w.config().lazy_connect);
   w.run([&](Communicator& c) {
     if (c.rank() == 0) {
       for (int i = 0; i < kStream; ++i) {

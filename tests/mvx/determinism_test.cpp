@@ -75,10 +75,11 @@ void expect_bit_identical(const RunDigest& a, const RunDigest& b) {
 /// A fig06_bw_uni_large-sized workload on `nodes` nodes of two ranks each:
 /// windowed unidirectional bandwidth with large (rendezvous-path) messages
 /// plus a small-message ack, run over both the network and shared-memory
-/// channels.
-RunDigest run_workload(int nodes, const Config& cfg) {
+/// channels.  With `all_pairs` every pair is wired before the run.
+RunDigest run_workload(int nodes, const Config& cfg, bool all_pairs = false) {
   const PoolMark mark;
   World w(ClusterSpec{nodes, /*procs_per_node=*/2}, cfg);
+  if (all_pairs) w.connect_all();
   constexpr std::size_t kBytes = 1 << 20;
   constexpr int kWindow = 4;
   constexpr int kIters = 3;
@@ -145,16 +146,17 @@ RunDigest run_coll_workload() {
   return digest_of(w, mark);
 }
 
-/// Four app threads per rank over four VCIs, every VCI group wired at
-/// startup: each thread exchanges a mix of eager and rendezvous messages with
-/// its counterpart on the other node and checks every payload.
+/// Four app threads per rank over four VCIs, the pair wired before the run
+/// (connect_all) and VCI groups 1-3 wired on first use: each thread
+/// exchanges a mix of eager and rendezvous messages with its counterpart on
+/// the other node and checks every payload.
 RunDigest run_multithread_vci_workload() {
   Config cfg = Config::enhanced(2, Policy::EPC);
-  cfg.lazy_connect = false;
   cfg.vci.count = 4;
   cfg.vci.threads = 4;
   const PoolMark mark;
   World w(ClusterSpec{2, 1}, cfg);
+  w.connect_all();
   w.run([](Communicator& c) {
     const int t = c.thread_id();
     const int peer = 1 - c.rank();
@@ -236,10 +238,9 @@ TEST(Determinism, CollectiveWorkloadIsBitIdentical) {
 }
 
 TEST(Determinism, EagerWiredFourNodeWorkloadIsBitIdentical) {
-  Config cfg = Config::enhanced(4, Policy::EPC);
-  cfg.lazy_connect = false;  // every pair wired at startup
-  const RunDigest a = run_workload(4, cfg);
-  const RunDigest b = run_workload(4, cfg);
+  const Config cfg = Config::enhanced(4, Policy::EPC);
+  const RunDigest a = run_workload(4, cfg, /*all_pairs=*/true);
+  const RunDigest b = run_workload(4, cfg, /*all_pairs=*/true);
   expect_bit_identical(a, b);
   EXPECT_GT(a.telemetry.at("rndv.bytes_sent"), 0.0);
 }

@@ -1,5 +1,5 @@
 // Extension features beyond the paper's core: probe, reduce_scatter, scan,
-// allgatherv/gatherv, SRQ mode.
+// allgatherv/gatherv, one SRQ shared by many peers.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -149,36 +149,8 @@ TEST(CollExt, GathervToEachRoot) {
   });
 }
 
-TEST(Srq, TransfersIdenticalToRqMode) {
-  // Same traffic with and without SRQ must produce the same data and very
-  // similar timing (the protocol is unchanged).
-  auto run = [](bool srq) {
-    Config cfg = Config::enhanced(4, Policy::EPC);
-    cfg.use_srq = srq;
-    World w(ClusterSpec{2, 1}, cfg);
-    sim::Time end = 0;
-    w.run([&](Communicator& c) {
-      for (std::size_t n : {256ul, 4096ul, 65536ul}) {
-        if (c.rank() == 0) {
-          auto data = payload(n, 0);
-          c.send(data.data(), n, BYTE, 1, 1);
-        } else {
-          std::vector<std::byte> got(n);
-          c.recv(got.data(), n, BYTE, 0, 1);
-          EXPECT_EQ(got, payload(n, 0));
-        }
-      }
-      end = c.now();
-    });
-    return end;
-  };
-  const sim::Time rq = run(false), srq = run(true);
-  EXPECT_NEAR(static_cast<double>(srq), static_cast<double>(rq), static_cast<double>(rq) * 0.02);
-}
-
 TEST(Srq, ManyPeersShareBuffers) {
   Config cfg;
-  cfg.use_srq = true;
   cfg.eager_credits = 8;
   World w(ClusterSpec{4, 1}, cfg);
   w.run([](Communicator& c) {

@@ -185,31 +185,26 @@ TEST(FaultSoak, BitReproduciblePerSeed) {
 }
 
 TEST(FaultSoak, SrqPooledEagerSurvivesFaults) {
-  // The connection-scaling refactor removed the SRQ+fault guard; this pins
-  // use_srq=true explicitly (independent of the session defaults) with a
-  // deliberately small pool so flushed SRQ slots and low-watermark
-  // replenishes both happen while rails flap.  Flushed slots must route
-  // through the same recovery ledger as dedicated-RQ flushes.
+  // A deliberately small SRQ pool under flapping rails: low-watermark
+  // replenishes refill it while rails go down and recover.  SRQ slots never
+  // flush (a dying QP flushes only its own, empty, receive queue), so every
+  // error is a send-side one and the ledger must still balance.  This
+  // traffic never drains the pool dry, even at 4 slots; RNR stalls on a dry
+  // pool are ConnScaling.ConcurrentSendersHitPoolDryBackpressure's.
   const SoakResult r = run_soak(0x51aafa17, /*messages=*/48, [](Config& cfg) {
-    cfg.use_srq = true;
-    cfg.lazy_connect = true;
-    cfg.srq_pool_slots = 64;
+    cfg.srq_pool_slots = 16;
     cfg.srq_limit = 8;
   });
   EXPECT_GT(r.send_errors, 0u) << "SRQ soak injected no send-side faults";
   EXPECT_EQ(r.send_errors, r.eager_retries + r.restriped);
-}
-
-TEST(FaultSoak, LegacyWiringLedgerStillBalances) {
-  // The pre-refactor transport (eager all-pairs wiring, per-QP receive
-  // queues) stays a supported fault-recovery path; keep it under soak so the
-  // parked-slot machinery does not rot now that the defaults moved on.
-  const SoakResult r = run_soak(0x1e6ac0de, /*messages=*/48, [](Config& cfg) {
-    cfg.use_srq = false;
-    cfg.lazy_connect = false;
-  });
-  EXPECT_GT(r.send_errors, 0u) << "legacy soak injected no send-side faults";
-  EXPECT_EQ(r.send_errors, r.eager_retries + r.restriped);
+  auto metric = [&r](const std::string& name) {
+    for (const auto& [n, v] : r.snapshot) {
+      if (n == name) return v;
+    }
+    return 0.0;
+  };
+  EXPECT_GT(metric("srq.replenishes"), 0.0) << "no low-watermark replenish";
+  EXPECT_GT(metric("rail.recovered"), 0.0) << "no rail came back";
 }
 
 class FaultSoakReadRts : public ::testing::TestWithParam<int> {};

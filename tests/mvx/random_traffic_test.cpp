@@ -115,7 +115,6 @@ INSTANTIATE_TEST_SUITE_P(SeedsAndPolicies, RandomTraffic,
 
 TEST(RandomTraffic, SrqModeSurvivesBursts) {
   Config cfg = Config::enhanced(4, Policy::EPC);
-  cfg.use_srq = true;
   cfg.eager_credits = 6;  // tight buffers force credit waits
   run_random_traffic(cfg, ClusterSpec{2, 2}, 0x5eed, 80);
 }

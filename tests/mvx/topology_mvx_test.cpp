@@ -52,10 +52,10 @@ void expect_same_digest(const Digest& a, const Digest& b, const std::string& wha
 /// barriers.  Eager-sized blocks keep the smoke fast.
 Digest run_fattree_alltoall64(std::uint64_t seed) {
   Config cfg = Config::enhanced(1, Policy::Binding);
-  cfg.lazy_connect = false;
   cfg.seed = seed;
   cfg.topo.shape = ib::TopoShape::FatTree;
   World w(ClusterSpec{/*nodes=*/16, /*procs_per_node=*/4}, cfg);
+  w.connect_all();
   w.run([](Communicator& c) {
     ASSERT_EQ(c.size(), 64);
     constexpr std::size_t kPer = 64;

@@ -51,18 +51,10 @@ TEST(VciConfig, ThreadsBelowOneIsRejected) {
 }
 
 TEST(VciConfig, SrqSplitRoundingToZeroNamesBothFields) {
-  Config cfg;  // default rails() == 1, use_srq == true
+  Config cfg;  // default rails() == 1
   cfg.vci.count = 8;
   cfg.srq_pool_slots = 4;  // 4 / (1 rail * 8 vcis) rounds to zero
   expect_ctor_names(cfg, {"vci.count", "srq_pool_slots", "Supported"});
-}
-
-TEST(VciConfig, EagerCreditSplitRoundingToZeroNamesBothFields) {
-  Config cfg;
-  cfg.use_srq = false;
-  cfg.vci.count = 8;
-  cfg.eager_credits = 4;  // 4 / 8 vcis rounds to zero
-  expect_ctor_names(cfg, {"vci.count", "eager_credits", "Supported"});
 }
 
 TEST(VciConfig, DefaultsAndGatedShapesConstruct) {
