@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   harness::print_check("ping-pong latency improvement % (paper 41)", best_gain, 30, 50);
 
   // Machine-readable record of every headline number (--json / IB12X_JSON →
-  // BENCH_headline.json in CI), so the bench trajectory tracks these claims.
+  // BENCH_headline_summary.json in CI), so the bench trajectory tracks these claims.
   harness::Table headline("headline claims vs reproduction", "claim");
   headline.add_column("measured");
   headline.add_column("paper");

@@ -3,12 +3,15 @@
 #include <stdexcept>
 #include <string>
 
+#include "mvx/endpoint.hpp"
+#include "mvx/world.hpp"
+
 namespace ib12x::mvx {
 
-ConnManager::ConnManager(ChannelHost& host)
-    : host_(host),
-      established_(host.telemetry().counter("conn.established")),
-      inflight_hwm_(host.telemetry().counter("conn.handshakes_inflight")) {}
+ConnManager::ConnManager(Endpoint& ep)
+    : ep_(ep),
+      established_(ep.telemetry().counter("conn.established")),
+      inflight_hwm_(ep.telemetry().counter("conn.handshakes_inflight")) {}
 
 ConnManager::PeerConn& ConnManager::conn(int peer) {
   if (peer < 0) throw std::out_of_range("ConnManager: negative peer rank " + std::to_string(peer));
@@ -46,30 +49,23 @@ void ConnManager::initiate(int peer) {
   pc.st = State::Connecting;
   ++inflight_;
   inflight_hwm_.track_max(static_cast<std::uint64_t>(inflight_));
-  sim::Simulator& sim = host_.simulator();
-  sim.at(sim.now() + host_.config().conn_setup_latency,
+  sim::Simulator& sim = ep_.simulator();
+  sim.at(sim.now() + ep_.config().conn_setup_latency,
          [this, peer] { complete_handshake(peer); });
 }
 
 void ConnManager::complete_handshake(int peer) {
   --inflight_;
   if (state(peer) == State::Ready) {
-    // Simultaneous connect: the peer's handshake landed first and its wire
-    // function already built this pair (and marked us Ready).  Nothing to
+    // Simultaneous connect: the peer's handshake landed first and its
+    // wire_pair already built this pair (and marked us Ready).  Nothing to
     // wire — just make sure anything queued meanwhile drains.
-    if (flush_fn_) flush_fn_(peer);
+    ep_.flush_queued(peer);
     return;
   }
-  if (!wire_fn_) {
-    throw std::logic_error("ConnManager: handshake completed with no wire function");
-  }
-  // wire_fn_ wires both endpoints of the pair and calls mark_ready on both
+  // wire_pair wires both endpoints of the pair and calls mark_ready on both
   // managers (which flushes this side's queue).
-  wire_fn_(peer);
-  if (state(peer) != State::Ready) {
-    throw std::logic_error("ConnManager: wire function left peer " + std::to_string(peer) +
-                           " not Ready");
-  }
+  ep_.world().wire_pair(ep_.rank(), peer);
 }
 
 void ConnManager::mark_ready(int peer) {
@@ -77,7 +73,7 @@ void ConnManager::mark_ready(int peer) {
   if (pc.st == State::Ready) return;
   pc.st = State::Ready;
   established_.inc();
-  if (flush_fn_) flush_fn_(peer);
+  ep_.flush_queued(peer);
 }
 
 void ConnManager::enqueue(int peer, QueuedSend qs) {

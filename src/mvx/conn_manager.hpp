@@ -6,31 +6,32 @@
 // peer's QPs and rails on first contact — first send or first directed
 // receive — through a modelled out-of-band handshake (UD/CM exchange in real
 // MVAPICH) of `Config::conn_setup_latency`.  World::connect_all() wires
-// every pair up front through the same wire function, leaving every manager
-// Ready with no handshake started.
+// every pair up front through the same World::wire_pair, leaving every
+// manager Ready with no handshake started.
 //
 // Per peer the state machine is Unconnected → Connecting → Ready and every
 // transition is idempotent: simultaneous connects (both sides initiate in
-// the same window) resolve because the actual wiring (`wire_fn_`, provided
-// by World) wires both endpoints of the pair at once and marks both sides
-// Ready; the loser's handshake completion then just flushes.
+// the same window) resolve because the actual wiring (World::wire_pair,
+// reached through the endpoint's World) wires both endpoints of the pair at
+// once and marks both sides Ready; the loser's handshake completion then
+// just flushes.
 //
 // Sends posted while Connecting are queued FIFO per peer and flushed — in
 // order, via the channels' event-context send paths — when the peer turns
-// Ready (`flush_fn_`, provided by Endpoint).
+// Ready (Endpoint::flush_queued).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "mvx/channel.hpp"
 #include "mvx/policy.hpp"
 #include "mvx/request.hpp"
 #include "mvx/telemetry.hpp"
 #include "sim/fifo.hpp"
 
 namespace ib12x::mvx {
+
+class Endpoint;
 
 /// One send captured while its peer's handshake is in flight (or parked
 /// behind exhausted eager resources).  `buf` stays owned by the MPI caller:
@@ -48,16 +49,10 @@ class ConnManager {
  public:
   enum class State : std::uint8_t { Unconnected, Connecting, Ready };
 
-  explicit ConnManager(ChannelHost& host);
+  explicit ConnManager(Endpoint& ep);
 
   ConnManager(const ConnManager&) = delete;
   ConnManager& operator=(const ConnManager&) = delete;
-
-  /// Wires one pair end to end (both sides' QPs/rails/rings) once a
-  /// handshake completes; must call mark_ready on both sides' managers.
-  void set_wire_fn(std::function<void(int)> fn) { wire_fn_ = std::move(fn); }
-  /// Drains a Ready peer's send queue through event-context channel paths.
-  void set_flush_fn(std::function<void(int)> fn) { flush_fn_ = std::move(fn); }
 
   [[nodiscard]] State state(int peer) const;
   [[nodiscard]] bool ready(int peer) const { return state(peer) == State::Ready; }
@@ -73,9 +68,9 @@ class ConnManager {
   /// Callable from either process or event context.
   void initiate(int peer);
 
-  /// Transition to Ready (idempotent).  Called by the wire function for both
-  /// sides of a freshly wired pair — including the passive side, which may
-  /// never have initiated anything.
+  /// Transition to Ready (idempotent), flushing the peer's queue.  Called by
+  /// World::wire_pair for both sides of a freshly wired pair — including the
+  /// passive side, which may never have initiated anything.
   void mark_ready(int peer);
 
   void enqueue(int peer, QueuedSend qs);
@@ -95,7 +90,7 @@ class ConnManager {
   /// The peer's entry, or nullptr for a peer never touched.
   [[nodiscard]] const PeerConn* find(int peer) const;
 
-  ChannelHost& host_;
+  Endpoint& ep_;
   /// Indexed by peer rank; grows to the highest rank touched.
   std::vector<PeerConn> peers_;
   std::size_t queued_total_ = 0;
@@ -103,9 +98,6 @@ class ConnManager {
 
   Counter& established_;
   Counter& inflight_hwm_;
-
-  std::function<void(int)> wire_fn_;
-  std::function<void(int)> flush_fn_;
 };
 
 }  // namespace ib12x::mvx

@@ -12,6 +12,7 @@
 #include "mvx/rendezvous.hpp"
 #include "mvx/shm_channel.hpp"
 #include "mvx/telemetry.hpp"
+#include "mvx/world.hpp"
 
 namespace ib12x::mvx {
 
@@ -27,19 +28,18 @@ CtsRkeys read_rkeys(const Payload& payload) {
 
 }  // namespace
 
-Endpoint::Endpoint(sim::Simulator& sim, int rank, int node, std::vector<ib::Hca*> node_hcas,
-                   const Config& cfg, TelemetryRegistry& tel)
-    : sim_(sim),
+Endpoint::Endpoint(World& world, int rank, int node, std::vector<ib::Hca*> node_hcas)
+    : world_(world),
+      sim_(world.simulator()),
       rank_(rank),
       node_(node),
-      cfg_(cfg),
-      tel_(tel),
-      vci_cpu_(static_cast<std::size_t>(cfg.vci.count)),
-      vci_lock_contentions_(tel.counter("vci.lock_contentions")),
-      vci_wakeups_(tel.counter("vci.progress_wakeups")) {
+      cfg_(world.config()),
+      tel_(world.telemetry()),
+      vci_cpu_(static_cast<std::size_t>(cfg_.vci.count)),
+      vci_lock_contentions_(tel_.counter("vci.lock_contentions")),
+      vci_wakeups_(tel_.counter("vci.progress_wakeups")) {
   matcher_ = std::make_unique<Matcher>(tel_);
   conn_ = std::make_unique<ConnManager>(*this);
-  conn_->set_flush_fn([this](int peer) { flush_queued(peer); });
   net_ = std::make_unique<NetChannel>(*this, std::move(node_hcas));
   shm_ = std::make_unique<ShmChannel>(*this);
   rndv_ = std::make_unique<Rendezvous>(*this, *net_);
@@ -267,39 +267,6 @@ void Endpoint::ingress(int peer, const MsgHeader& hdr, Payload payload) {
   }
 }
 
-void Endpoint::on_ctl(const MsgHeader& hdr, const CtsRkeys& rkeys) {
-  if (hdr.type == MsgType::Cts) {
-    // CTS handling consumes host CPU before the stripes are posted.
-    const std::uint32_t slot = parked_ctl_.put({hdr, rkeys, nullptr});
-    schedule_cpu_vci(hdr.vci, cfg_.ctl_cpu, [this, slot] {
-      const ParkedCtl cts = parked_ctl_.take(slot);
-      rndv_->on_cts(cts.hdr, cts.rkeys);
-    });
-  } else if (hdr.type == MsgType::Done) {
-    rndv_->on_done(hdr);
-  } else {  // Fin
-    rndv_->on_fin(hdr);
-  }
-}
-
-void Endpoint::on_rndv_write_done(int peer, std::uint64_t req_id) {
-  rndv_->on_write_done(peer, req_id);
-}
-
-void Endpoint::on_rndv_write_failed(int peer, const RndvStripe& st) {
-  rndv_->on_write_failed(peer, st);
-}
-
-void Endpoint::on_rndv_read_done(int peer, std::uint64_t req_id) {
-  rndv_->on_read_done(peer, req_id);
-}
-
-void Endpoint::on_rndv_read_failed(int peer, const RndvStripe& st) {
-  rndv_->on_read_failed(peer, st);
-}
-
-void Endpoint::on_rndv_imm(std::uint32_t imm_data) { rndv_->on_imm(imm_data); }
-
 void Endpoint::flush_queued(int peer) {
   while (conn_->has_queued(peer)) {
     QueuedSend& qs = conn_->front(peer);
@@ -317,7 +284,7 @@ void Endpoint::flush_queued(int peer) {
   }
 }
 
-void Endpoint::on_eager_resources_freed(int /*peer*/) {
+void Endpoint::on_eager_resources_freed() {
   if (conn_->queued_total() == 0) return;
   // The bounce pool and the SRQ's eager slot arena are shared across peers,
   // so the freed resource can unblock any queued peer — not just the one
@@ -325,12 +292,6 @@ void Endpoint::on_eager_resources_freed(int /*peer*/) {
   for (int p : conn_->queued_peers()) {
     if (conn_->ready(p)) flush_queued(p);
   }
-}
-
-void Endpoint::complete_request(const Request& req) {
-  req->done = true;
-  req->completed_at = sim_.now();
-  progress_.notify_all();
 }
 
 void Endpoint::complete_recv(const Request& req, const MsgHeader& hdr, const std::byte* payload,

@@ -19,6 +19,11 @@
 // serialized progress server per VCI for event-context protocol work, and
 // the progress waitable blocking calls park on.
 //
+// The channels, the Rendezvous module, the ConnManager and the CollEngine
+// hold their endpoint by reference and call the methods under "services for
+// the rank's modules" directly.  Only World builds an Endpoint; the
+// connection manager wires a pair through the endpoint's World.
+//
 // Threading model: the owning rank's code runs in process context (and is
 // charged CPU via Process::compute); network completions arrive in event
 // context and communicate with the process through the progress Waitable.
@@ -28,8 +33,8 @@
 #include <memory>
 #include <vector>
 
-#include "mvx/channel.hpp"
 #include "mvx/config.hpp"
+#include "mvx/payload.hpp"
 #include "mvx/policy.hpp"
 #include "mvx/request.hpp"
 #include "mvx/wire.hpp"
@@ -55,11 +60,13 @@ class NetChannel;
 class Rendezvous;
 class ShmChannel;
 class TelemetryRegistry;
+class World;
 
-class Endpoint final : public ChannelHost {
+class Endpoint final {
  public:
-  Endpoint(sim::Simulator& sim, int rank, int node, std::vector<ib::Hca*> node_hcas,
-           const Config& cfg, TelemetryRegistry& tel);
+  /// Rank `rank` on node `node`, taking the simulator, the normalized Config
+  /// and the telemetry registry from `world`.
+  Endpoint(World& world, int rank, int node, std::vector<ib::Hca*> node_hcas);
   ~Endpoint();
 
   Endpoint(const Endpoint&) = delete;
@@ -72,8 +79,11 @@ class Endpoint final : public ChannelHost {
   /// Connects two endpoints on the same node through the shm channel.
   static void connect_shm(Endpoint& a, Endpoint& b);
 
-  /// The lazy connection manager; World injects the wire function.
+  /// The lazy connection manager.
   [[nodiscard]] ConnManager& conn() { return *conn_; }
+  /// The World that built this endpoint; the connection manager wires pairs
+  /// through it.
+  [[nodiscard]] World& world() const { return world_; }
 
   /// Binds the simulated process that runs this rank's code.
   void attach_process(sim::Process* p) { proc_ = p; }
@@ -111,43 +121,63 @@ class Endpoint final : public ChannelHost {
   /// Blocking probe: waits until iprobe succeeds.
   void probe(int src, int tag, int ctx, Status* st);
 
-  [[nodiscard]] int rank() const override { return rank_; }
+  [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int node() const { return node_; }
   /// The process to charge CPU to: the currently executing fiber when there
   /// is one (the rank's own, or its collective-progress helper), otherwise
   /// the attached rank process.  This is what routes channel-level compute()
   /// charges to whichever fiber is actually driving the endpoint.
-  [[nodiscard]] sim::Process& process() const override {
+  [[nodiscard]] sim::Process& process() const {
     if (sim::Process* cur = sim::Process::current()) return *cur;
     return *proc_;
   }
   /// The schedule executor for this rank's collectives.
   [[nodiscard]] coll::CollEngine& coll_engine() { return *coll_engine_; }
-  [[nodiscard]] sim::Simulator& simulator() const override { return sim_; }
-  [[nodiscard]] const Config& config() const override { return cfg_; }
+  [[nodiscard]] sim::Simulator& simulator() const { return sim_; }
+  [[nodiscard]] const Config& config() const { return cfg_; }
 
-  // ---- ChannelHost surface (channels and protocol modules call these) ----
+  // ---- services for the rank's modules (channels, Rendezvous, ConnManager) ----
 
-  Matcher& matcher() override { return *matcher_; }
-  TelemetryRegistry& telemetry() override { return tel_; }
-  sim::Waitable& progress() override { return progress_; }
-  void schedule_cpu_vci(int vci, sim::Time cost, sim::Event fn) override;
-  [[nodiscard]] sim::Time memcpy_time(std::int64_t bytes) const override;
-  void ingress(int peer, const MsgHeader& hdr, Payload payload) override;
-  void on_ctl(const MsgHeader& hdr, const CtsRkeys& rkeys) override;
-  void on_rndv_write_done(int peer, std::uint64_t req_id) override;
-  void on_rndv_write_failed(int peer, const RndvStripe& st) override;
-  void on_rndv_read_done(int peer, std::uint64_t req_id) override;
-  void on_rndv_read_failed(int peer, const RndvStripe& st) override;
-  void on_rndv_imm(std::uint32_t imm_data) override;
-  void on_eager_resources_freed(int peer) override;
-  void complete_request(const Request& req) override;
+  Matcher& matcher() { return *matcher_; }
+  Rendezvous& rendezvous() { return *rndv_; }
+  TelemetryRegistry& telemetry() { return tel_; }
+  /// The progress waitable blocking calls park on; channels notify it when
+  /// resources (credits, bounce buffers) free up.
+  sim::Waitable& progress() { return progress_; }
 
- private:
+  /// Serializes event-context protocol work of VCI `vci` (stripe posting,
+  /// CQE handling, control processing, receive copies) on that VCI's
+  /// progress server: `fn` runs once the server has spent `cost` on it,
+  /// queued behind the VCI's earlier work.  Independent VCIs run in parallel.
+  /// `fn` is a kernel event, so its capture must fit the event's 48-byte
+  /// in-place storage: capture ids and pointers, and box (sim::boxed) only a
+  /// capture that cannot shrink, such as one holding a MsgHeader.
+  void schedule_cpu_vci(int vci, sim::Time cost, sim::Event fn);
+  [[nodiscard]] sim::Time memcpy_time(std::int64_t bytes) const;
+
+  /// Entry point for every sequenced inbound message (Eager/Rts): ordering,
+  /// matching, and protocol dispatch.  Event context.
+  void ingress(int peer, const MsgHeader& hdr, Payload payload);
+
+  /// A send-side eager resource (bounce buffer, credit, rail) returned to
+  /// the pool: sends queued behind resource exhaustion may flush.  The pool
+  /// is shared across peers, so every queued peer is considered, not just
+  /// the one whose CQE fired.  Event context.
+  void on_eager_resources_freed();
+
   /// Drains `peer`'s queued sends in FIFO order through the channels'
   /// event-context paths, stopping at the first one that cannot get
   /// resources (a later CQE re-flushes).
   void flush_queued(int peer);
+
+  /// Marks `req` complete and wakes waiters.
+  void complete_request(const Request& req) {
+    req->done = true;
+    req->completed_at = sim_.now();
+    progress_.notify_all();
+  }
+
+ private:
   /// Matched eager arrival: copy out, then complete after the copy's CPU
   /// time has been charged (on the message's VCI progress server).
   void complete_recv(const Request& req, const MsgHeader& hdr, const std::byte* payload,
@@ -160,6 +190,7 @@ class Endpoint final : public ChannelHost {
   void lock_vci(int vci);
   void unlock_vci(int vci);
 
+  World& world_;
   sim::Simulator& sim_;
   int rank_;
   int node_;
@@ -177,13 +208,13 @@ class Endpoint final : public ChannelHost {
 
   sim::Waitable progress_;
 
-  /// An inbound RTS or CTS waiting out its CPU charge on a VCI progress
+  /// A matched inbound RTS waiting out its CPU charge on a VCI progress
   /// server: the header does not fit an event capture, so the event carries
   /// the slot id instead.
   struct ParkedCtl {
     MsgHeader hdr;
-    CtsRkeys rkeys;
-    Request req;  ///< the matched receive (RTS only)
+    CtsRkeys rkeys;  ///< the sender's rkeys (ReadRts), else zeros
+    Request req;     ///< the matched receive
   };
   sim::Slab<ParkedCtl> parked_ctl_;
 

@@ -6,29 +6,31 @@
 #include <utility>
 
 #include "ib/fault.hpp"
+#include "mvx/endpoint.hpp"
 #include "mvx/matcher.hpp"
+#include "mvx/rendezvous.hpp"
 
 namespace ib12x::mvx {
 
-NetChannel::NetChannel(ChannelHost& host, std::vector<ib::Hca*> hcas)
-    : host_(host),
+NetChannel::NetChannel(Endpoint& ep, std::vector<ib::Hca*> hcas)
+    : ep_(ep),
       hcas_(std::move(hcas)),
-      slot_bytes_(kHeaderBytes + static_cast<std::size_t>(host.config().rndv_threshold)),
-      fault_enabled_(host.config().fault.enabled),
-      eager_sent_(host.telemetry().counter("net.eager_sent")),
-      ctl_sent_(host.telemetry().counter("net.ctl_sent")),
-      bytes_sent_(host.telemetry().counter("net.bytes_sent")),
-      credit_stalls_(host.telemetry().counter("net.credit_stalls")),
-      rail_up_(host.telemetry().counter("rail.up")),
-      rail_down_(host.telemetry().counter("rail.down")),
-      rail_recovered_(host.telemetry().counter("rail.recovered")),
-      send_errors_(host.telemetry().counter("fault.send_errors")),
-      eager_retries_(host.telemetry().counter("fault.eager_retries")),
-      qps_created_(host.telemetry().counter("conn.qps_created")),
-      eager_pool_bytes_(host.telemetry().counter("eager.pool_bytes")),
-      srq_replenishes_(host.telemetry().counter("srq.replenishes")),
-      srq_pool_dry_(host.telemetry().counter("srq.pool_dry")),
-      vci_credit_split_(host.telemetry().counter("vci.credit_split")) {
+      slot_bytes_(kHeaderBytes + static_cast<std::size_t>(ep.config().rndv_threshold)),
+      fault_enabled_(ep.config().fault.enabled),
+      eager_sent_(ep.telemetry().counter("net.eager_sent")),
+      ctl_sent_(ep.telemetry().counter("net.ctl_sent")),
+      bytes_sent_(ep.telemetry().counter("net.bytes_sent")),
+      credit_stalls_(ep.telemetry().counter("net.credit_stalls")),
+      rail_up_(ep.telemetry().counter("rail.up")),
+      rail_down_(ep.telemetry().counter("rail.down")),
+      rail_recovered_(ep.telemetry().counter("rail.recovered")),
+      send_errors_(ep.telemetry().counter("fault.send_errors")),
+      eager_retries_(ep.telemetry().counter("fault.eager_retries")),
+      qps_created_(ep.telemetry().counter("conn.qps_created")),
+      eager_pool_bytes_(ep.telemetry().counter("eager.pool_bytes")),
+      srq_replenishes_(ep.telemetry().counter("srq.replenishes")),
+      srq_pool_dry_(ep.telemetry().counter("srq.pool_dry")),
+      vci_credit_split_(ep.telemetry().counter("vci.credit_split")) {
   if (static_cast<int>(hcas_.size()) > kMaxHcas) {
     throw std::invalid_argument("NetChannel: too many HCAs per node");
   }
@@ -43,7 +45,7 @@ NetChannel::~NetChannel() = default;
 void NetChannel::ensure_net_resources() {
   if (resources_ready_) return;
   resources_ready_ = true;
-  const Config& cfg = host_.config();
+  const Config& cfg = ep_.config();
   vci_credit_split_.track_max(static_cast<std::uint64_t>(rail_credits()));
 
   // Sender-side eager bounce pool: one arena, one registration per local HCA
@@ -87,7 +89,7 @@ void NetChannel::ensure_net_resources() {
 }
 
 int NetChannel::rail_credits() const {
-  const Config& cfg = host_.config();
+  const Config& cfg = ep_.config();
   // Re-derive per-rail credits from the shared pool so one peer's rails can
   // never oversubscribe the arena on their own; concurrent senders beyond
   // that are absorbed by RNR backpressure (stall + replenish), not errors.
@@ -102,7 +104,7 @@ int NetChannel::rail_credits() const {
 void NetChannel::open_to(int peer_rank) {
   ensure_net_resources();
   if (peer_rank < 0) {
-    throw std::out_of_range("NetChannel " + std::to_string(host_.rank()) +
+    throw std::out_of_range("NetChannel " + std::to_string(ep_.rank()) +
                             ": negative peer rank " + std::to_string(peer_rank));
   }
   const auto i = static_cast<std::size_t>(peer_rank);
@@ -122,10 +124,10 @@ ib::QueuePair& NetChannel::open_rail(int peer_rank, int hca_index, int port) {
 }
 
 void NetChannel::establish(NetChannel& a, NetChannel& b) {
-  a.open_to(b.host_.rank());
-  b.open_to(a.host_.rank());
-  a.peer(b.host_.rank()).remote = &b;
-  b.peer(a.host_.rank()).remote = &a;
+  a.open_to(b.ep_.rank());
+  b.open_to(a.ep_.rank());
+  a.peer(b.ep_.rank()).remote = &b;
+  b.peer(a.ep_.rank()).remote = &a;
   // VCI group 0 wires with the connection; the remaining groups wire on
   // first use (ensure_vci).
   wire_vci_group(a, b);
@@ -137,9 +139,9 @@ void NetChannel::ensure_vci(int peer_rank, int vci) {
 }
 
 void NetChannel::wire_vci_group(NetChannel& a, NetChannel& b) {
-  const Config& cfg = a.host_.config();
-  Peer& pa = a.peer(b.host_.rank());
-  Peer& pb = b.peer(a.host_.rank());
+  const Config& cfg = a.ep_.config();
+  Peer& pa = a.peer(b.ep_.rank());
+  Peer& pb = b.peer(a.ep_.rank());
   pa.lanes.emplace_back();
   pb.lanes.emplace_back();
   ib::FaultPlan* plan = a.fault_enabled_ ? a.hcas_.front()->fabric().fault_plan() : nullptr;
@@ -147,8 +149,8 @@ void NetChannel::wire_vci_group(NetChannel& a, NetChannel& b) {
   for (int h = 0; h < cfg.hcas_per_node; ++h) {
     for (int p = 0; p < cfg.ports_per_hca; ++p) {
       for (int q = 0; q < cfg.qps_per_port; ++q) {
-        ib::QueuePair& qa = a.open_rail(b.host_.rank(), h, p);
-        ib::QueuePair& qb = b.open_rail(a.host_.rank(), h, p);
+        ib::QueuePair& qa = a.open_rail(b.ep_.rank(), h, p);
+        ib::QueuePair& qb = b.open_rail(a.ep_.rank(), h, p);
         ib::Fabric::connect(qa, qb);
         a.rail_up_.inc();
         b.rail_up_.inc();
@@ -160,11 +162,11 @@ void NetChannel::wire_vci_group(NetChannel& a, NetChannel& b) {
           const int rb = static_cast<int>(pb.rails.size()) - 1;
           if (plan->port_down(a.hcas_.at(static_cast<std::size_t>(h)), p)) {
             qa.transition_to_error();
-            a.mark_rail_down(b.host_.rank(), ra);
+            a.mark_rail_down(b.ep_.rank(), ra);
           }
           if (plan->port_down(b.hcas_.at(static_cast<std::size_t>(h)), p)) {
             qb.transition_to_error();
-            b.mark_rail_down(a.host_.rank(), rb);
+            b.mark_rail_down(a.ep_.rank(), rb);
           }
         }
       }
@@ -174,7 +176,7 @@ void NetChannel::wire_vci_group(NetChannel& a, NetChannel& b) {
 
 NetChannel::Peer& NetChannel::peer(int rank) {
   if (!accepts(rank)) {
-    throw std::logic_error("NetChannel " + std::to_string(host_.rank()) +
+    throw std::logic_error("NetChannel " + std::to_string(ep_.rank()) +
                            ": no connection to rank " + std::to_string(rank));
   }
   return *peers_[static_cast<std::size_t>(rank)];
@@ -191,7 +193,7 @@ bool NetChannel::accepts(int peer_rank) const {
 
 int NetChannel::nrails(int peer_rank) const {
   static_cast<void>(peer(peer_rank));  // preserve the no-connection diagnostic
-  return host_.config().rails();
+  return ep_.config().rails();
 }
 
 RailCursor& NetChannel::cursor(int peer_rank, int vci) {
@@ -201,7 +203,7 @@ RailCursor& NetChannel::cursor(int peer_rank, int vci) {
 
 std::vector<int> NetChannel::live_rails(int peer_rank, int vci) const {
   const Peer& c = peer(peer_rank);
-  const int n = host_.config().rails();
+  const int n = ep_.config().rails();
   const int base = vci * n;
   std::vector<int> out;
   for (int i = base; i < base + n; ++i) {
@@ -210,11 +212,22 @@ std::vector<int> NetChannel::live_rails(int peer_rank, int vci) const {
   return out;
 }
 
+int NetChannel::credited_rail(const Peer& c, int vci, int start) const {
+  const int n = ep_.config().rails();
+  const int base = vci * n;
+  for (int i = 0; i < n; ++i) {
+    const int cand = base + (start + i) % n;
+    const Rail& r = c.rails[static_cast<std::size_t>(cand)];
+    if (r.credits > 0 && (!fault_enabled_ || r.up)) return cand;
+  }
+  return -1;
+}
+
 int NetChannel::remap_live(const Peer& c, int rail) const {
   // Failover remaps only within the rail's own VCI slice: rails of other
   // VCIs are other channels' resources (and at vci.count = 1 the slice is
   // the whole vector, reproducing the legacy wrap exactly).
-  const int n = host_.config().rails();
+  const int n = ep_.config().rails();
   const int base = (rail / n) * n;
   for (int i = 0; i < n; ++i) {
     const int cand = base + (rail - base + i) % n;
@@ -225,9 +238,9 @@ int NetChannel::remap_live(const Peer& c, int rail) const {
 
 void NetChannel::wait_any_rail_up(int peer_rank, int vci) {
   Peer& c = peer(peer_rank);
-  const int n = host_.config().rails();
+  const int n = ep_.config().rails();
   const std::size_t base = static_cast<std::size_t>(vci) * static_cast<std::size_t>(n);
-  host_.process().wait_until(host_.progress(), [&c, base, n] {
+  ep_.process().wait_until(ep_.progress(), [&c, base, n] {
     for (int i = 0; i < n; ++i) {
       if (c.rails[base + static_cast<std::size_t>(i)].up) return true;
     }
@@ -240,7 +253,7 @@ void NetChannel::wait_any_rail_up(int peer_rank, int vci) {
 int NetChannel::acquire_bounce_and_credit(Peer& c, int rail) {
   Rail& r = c.rails.at(static_cast<std::size_t>(rail));
   if (r.credits <= 0 || free_bounce_.empty()) credit_stalls_.inc();
-  host_.process().wait_until(host_.progress(), [&] { return r.credits > 0 && !free_bounce_.empty(); });
+  ep_.process().wait_until(ep_.progress(), [&] { return r.credits > 0 && !free_bounce_.empty(); });
   // Reserve both resources NOW: between this call and the eventual
   // post_eager the process charges CPU time, during which an event-context
   // control send could otherwise steal the last credit and trigger RNR.
@@ -271,7 +284,7 @@ void NetChannel::post_eager(Peer& c, int peer_rank, int rail, int bounce, const 
 }
 
 int NetChannel::eager_rail(Peer& c, CommKind kind, std::int64_t bytes, const Request& req) {
-  const Config& cfg = host_.config();
+  const Config& cfg = ep_.config();
   const int vci = req->vci;
   const int width = cfg.rails();  // rails per VCI: the schedulable slice
   const int base = vci * width;
@@ -289,10 +302,10 @@ MsgHeader NetChannel::eager_header(int peer_rank, CommKind kind, std::int64_t by
   hdr.type = MsgType::Eager;
   hdr.kind = static_cast<std::uint8_t>(kind);
   hdr.vci = static_cast<std::uint8_t>(vci);
-  hdr.src_rank = host_.rank();
+  hdr.src_rank = ep_.rank();
   hdr.tag = tag;
   hdr.ctx = ctx;
-  hdr.seq = host_.matcher().next_send_seq(peer_rank, ctx, vci);
+  hdr.seq = ep_.matcher().next_send_seq(peer_rank, ctx, vci);
   hdr.size = static_cast<std::uint64_t>(bytes);
   return hdr;
 }
@@ -312,8 +325,8 @@ void NetChannel::send(int peer_rank, CommKind kind, const void* buf, std::int64_
   }
 
   int bounce = acquire_bounce_and_credit(c, rail);
-  host_.process().compute(host_.config().post_cpu() +
-                          host_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes));
+  ep_.process().compute(ep_.config().post_cpu() +
+                          ep_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes));
   post_eager(c, peer_rank, rail, bounce, eager_header(peer_rank, kind, bytes, tag, ctx, vci), buf,
              bytes);
 
@@ -322,7 +335,7 @@ void NetChannel::send(int peer_rank, CommKind kind, const void* buf, std::int64_
 
   // Eager sends are buffered: the user buffer is reusable immediately.
   req->done = true;
-  req->completed_at = host_.simulator().now();
+  req->completed_at = ep_.simulator().now();
 }
 
 bool NetChannel::try_send(int peer_rank, CommKind kind, const void* buf, std::int64_t bytes,
@@ -333,7 +346,7 @@ bool NetChannel::try_send(int peer_rank, CommKind kind, const void* buf, std::in
   const int vci = req->vci;
   ensure_vci(peer_rank, vci);
   Peer& c = peer(peer_rank);
-  const Config& cfg = host_.config();
+  const Config& cfg = ep_.config();
   RailCursor& cur = c.lanes[static_cast<std::size_t>(vci)].cursor;
   const RailCursor saved = cur;
   int rail = eager_rail(c, kind, bytes, req);
@@ -357,13 +370,13 @@ bool NetChannel::try_send(int peer_rank, CommKind kind, const void* buf, std::in
   // peer keep MPI ordering no matter when their CPU events run.
   const MsgHeader hdr = eager_header(peer_rank, kind, bytes, tag, ctx, vci);
 
-  host_.schedule_cpu_vci(
-      vci, cfg.post_cpu() + host_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes),
+  ep_.schedule_cpu_vci(
+      vci, cfg.post_cpu() + ep_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes),
       sim::boxed([this, peer_rank, rail, bounce, hdr, buf, bytes, req] {
         post_eager(peer(peer_rank), peer_rank, rail, bounce, hdr, buf, bytes);
         eager_sent_.inc();
         bytes_sent_.add(static_cast<std::uint64_t>(bytes));
-        host_.complete_request(req);
+        ep_.complete_request(req);
       }));
   return true;
 }
@@ -379,7 +392,7 @@ void NetChannel::send_ctl_blocking(int peer_rank, int rail, const MsgHeader& hdr
     rail = remap_live(c, rail);
   }
   int bounce = acquire_bounce_and_credit(c, rail);
-  host_.process().compute(host_.config().post_cpu());
+  ep_.process().compute(ep_.config().post_cpu());
   post_eager(c, peer_rank, rail, bounce, hdr, rkeys,
              rkeys != nullptr ? static_cast<std::int64_t>(sizeof(CtsRkeys)) : 0);
 }
@@ -387,12 +400,12 @@ void NetChannel::send_ctl_blocking(int peer_rank, int rail, const MsgHeader& hdr
 int NetChannel::probe_ctl_rail(int peer_rank, int rail) const {
   // Event-context probe for the non-blocking RTS path: returns a rail that
   // can take a control message right now, or -1 (leave the send queued).
+  // Liveness is judged within the RTS's own VCI slice, as try_send does: a
+  // slice that is fully down has no rail for remap_live to hand back.
   const Peer& c = peer(peer_rank);
   if (free_bounce_.empty()) return -1;
   if (fault_enabled_) {
-    bool any_up = false;
-    for (const Rail& r : c.rails) any_up = any_up || r.up;
-    if (!any_up) return -1;
+    if (live_rails(peer_rank, rail / ep_.config().rails()).empty()) return -1;
     rail = remap_live(c, rail);
   }
   if (c.rails.at(static_cast<std::size_t>(rail)).credits <= 0) return -1;
@@ -409,8 +422,8 @@ void NetChannel::post_ctl_evt(int peer_rank, int rail, const MsgHeader& hdr,
   free_bounce_.pop_back();
   const bool with_rkeys = rkeys != nullptr;
   const CtsRkeys rk = with_rkeys ? *rkeys : CtsRkeys{};
-  host_.schedule_cpu_vci(hdr.vci, host_.config().post_cpu(),
-                         sim::boxed([this, peer_rank, rail, bounce, hdr, with_rkeys, rk] {
+  ep_.schedule_cpu_vci(hdr.vci, ep_.config().post_cpu(),
+                       sim::boxed([this, peer_rank, rail, bounce, hdr, with_rkeys, rk] {
     post_eager(peer(peer_rank), peer_rank, rail, bounce, hdr, with_rkeys ? &rk : nullptr,
                with_rkeys ? static_cast<std::int64_t>(sizeof(CtsRkeys)) : 0);
   }));
@@ -423,17 +436,7 @@ void NetChannel::send_ctl(int peer_rank, const MsgHeader& hdr, const CtsRkeys& r
   VciLane& lane = c.lanes[static_cast<std::size_t>(vci)];
   // Pick the first rail with a credit in the message's VCI slice, scanning
   // from the lane's data cursor without advancing it.
-  const int n = host_.config().rails();
-  const int base = vci * n;
-  int rail = -1;
-  for (int i = 0; i < n; ++i) {
-    int cand = base + (lane.cursor.next + i) % n;
-    if (c.rails[static_cast<std::size_t>(cand)].credits > 0 &&
-        (!fault_enabled_ || c.rails[static_cast<std::size_t>(cand)].up)) {
-      rail = cand;
-      break;
-    }
-  }
+  const int rail = credited_rail(c, vci, lane.cursor.next);
   if (rail < 0 || free_bounce_.empty()) {
     lane.pending_ctl.emplace_back(hdr, rkeys);
     return;
@@ -543,17 +546,8 @@ void NetChannel::post_write_imm(int peer_rank, const RndvStripe& st, std::uint32
   // an eager credit like any channel-semantics message.  Scan the stripe's
   // VCI slice from its planned rail; with no credit anywhere the post parks
   // until a CQE or a rail recovery returns one.
-  const int n = host_.config().rails();
-  const int base = (st.rail / n) * n;
-  int rail = -1;
-  for (int i = 0; i < n; ++i) {
-    const int cand = base + (st.rail - base + i) % n;
-    const Rail& r = c.rails[static_cast<std::size_t>(cand)];
-    if (r.credits > 0 && (!fault_enabled_ || r.up)) {
-      rail = cand;
-      break;
-    }
-  }
+  const int n = ep_.config().rails();
+  const int rail = credited_rail(c, st.rail / n, st.rail % n);
   if (rail < 0) {
     pending_imm_.push_back({peer_rank, st, imm});
     return;
@@ -618,8 +612,8 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
   // tax ("receipt of multiple acknowledgments", paper §4.3).  The rail index
   // identifies the owning VCI (rails are VCI-major), so each VCI's CQ slice
   // is polled and processed by its own progress server.
-  host_.schedule_cpu_vci(sctx->rail / host_.config().rails(), host_.config().cqe_sw,
-                         [this, sctx] {
+  ep_.schedule_cpu_vci(sctx->rail / ep_.config().rails(), ep_.config().cqe_sw,
+                       [this, sctx] {
     const bool failed = fault_enabled_ && sctx->failed;
     Peer& c = peer(sctx->peer);
     if (failed) {
@@ -635,7 +629,7 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
           // The bounce buffer still holds the wire image: replay it on a
           // live rail rather than recycling it.
           eager_retries_.inc();
-          retry_eager(sctx->peer, sctx->rail / host_.config().rails(), sctx->bounce, sctx->bytes,
+          retry_eager(sctx->peer, sctx->rail / ep_.config().rails(), sctx->bounce, sctx->bytes,
                       sctx->attempts + 1);
         } else {
           free_bounce_.push_back(sctx->bounce);
@@ -643,22 +637,22 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
         if (fault_enabled_ && !pending_retry_.empty()) flush_pending_retries();
         if (!pending_imm_.empty()) flush_pending_imm();
         flush_pending_ctl(sctx->peer);
-        host_.on_eager_resources_freed(sctx->peer);
-        host_.progress().notify_all();
+        ep_.on_eager_resources_freed();
+        ep_.progress().notify_all();
         break;
       }
       case SendCtx::Kind::RndvWrite:
         if (failed) {
-          host_.on_rndv_write_failed(sctx->peer, sctx->stripe);
+          ep_.rendezvous().on_write_failed(sctx->peer, sctx->stripe);
         } else {
-          host_.on_rndv_write_done(sctx->peer, sctx->stripe.req_id);
+          ep_.rendezvous().on_write_done(sctx->peer, sctx->stripe.req_id);
         }
         break;
       case SendCtx::Kind::RndvRead:
         if (failed) {
-          host_.on_rndv_read_failed(sctx->peer, sctx->stripe);
+          ep_.rendezvous().on_read_failed(sctx->peer, sctx->stripe);
         } else {
-          host_.on_rndv_read_done(sctx->peer, sctx->stripe.req_id);
+          ep_.rendezvous().on_read_done(sctx->peer, sctx->stripe.req_id);
         }
         break;
       case SendCtx::Kind::RndvImm: {
@@ -668,11 +662,11 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
         ++c.rails.at(static_cast<std::size_t>(sctx->rail)).credits;
         if (!pending_imm_.empty()) flush_pending_imm();
         flush_pending_ctl(sctx->peer);
-        host_.progress().notify_all();
+        ep_.progress().notify_all();
         if (failed) {
-          host_.on_rndv_write_failed(sctx->peer, sctx->stripe);
+          ep_.rendezvous().on_write_failed(sctx->peer, sctx->stripe);
         } else {
-          host_.on_rndv_write_done(sctx->peer, sctx->stripe.req_id);
+          ep_.rendezvous().on_write_done(sctx->peer, sctx->stripe.req_id);
         }
         break;
       }
@@ -696,7 +690,7 @@ void NetChannel::on_recv_cqe(const ib::Wc& wc) {
     // Write-with-imm rendezvous completion: the payload landed directly in
     // the matched user buffer, this WQE was only consumed for the immediate
     // — there is no header to parse and no buffer to release.
-    host_.on_rndv_imm(wc.imm_data);
+    ep_.rendezvous().on_imm(wc.imm_data);
   } else {
     const std::byte* data = pool.srq->buffer(wc.buf);
     MsgHeader hdr = read_header(data);
@@ -713,18 +707,18 @@ void NetChannel::on_recv_cqe(const ib::Wc& wc) {
           // the matcher so accept() can post the reads.
           copy = Payload::copy(payload, sizeof(CtsRkeys));
         }
-        host_.ingress(hdr.src_rank, hdr, std::move(copy));
+        ep_.ingress(hdr.src_rank, hdr, std::move(copy));
         break;
       }
       case MsgType::Cts: {
         CtsRkeys rkeys;
         std::memcpy(&rkeys, payload, sizeof(rkeys));
-        host_.on_ctl(hdr, rkeys);
+        ep_.rendezvous().on_ctl(hdr, rkeys);
         break;
       }
       case MsgType::Fin:
       case MsgType::Done: {
-        host_.on_ctl(hdr, CtsRkeys{});
+        ep_.rendezvous().on_ctl(hdr, CtsRkeys{});
         break;
       }
     }
@@ -732,7 +726,7 @@ void NetChannel::on_recv_cqe(const ib::Wc& wc) {
 
   // The message is read: its buffer goes back before any WQE is reposted.
   if (wc.buf != ib::kNoBuf) pool.srq->release(wc.buf);
-  if (host_.config().srq_limit > 0) {
+  if (ep_.config().srq_limit > 0) {
     // Drained pooled WQE: hold it for the batched low-watermark repost
     // (verbs srq_limit) instead of reposting per CQE.
     ++pool.drained;
@@ -754,7 +748,7 @@ void NetChannel::try_replenish(int hca_index) {
   const int batch = std::exchange(pool.drained, 0);
   for (int i = 0; i < batch; ++i) pool.srq->post();
   srq_replenishes_.inc();
-  const int limit = host_.config().srq_limit;
+  const int limit = ep_.config().srq_limit;
   pool.srq->arm_limit(limit);
   // Stay hungry if the batch could not refill past the watermark — the next
   // drained CQE must repost without waiting for a limit event that may never
@@ -783,8 +777,8 @@ void NetChannel::schedule_recovery(int peer_rank, int rail) {
   Rail& r = peer(peer_rank).rails.at(static_cast<std::size_t>(rail));
   if (r.recovery_scheduled) return;
   r.recovery_scheduled = true;
-  sim::Simulator& sim = host_.simulator();
-  sim.at(sim.now() + host_.config().fault.rail_recovery,
+  sim::Simulator& sim = ep_.simulator();
+  sim.at(sim.now() + ep_.config().fault.rail_recovery,
          [this, peer_rank, rail] { try_recover_rail(peer_rank, rail); });
 }
 
@@ -807,29 +801,18 @@ void NetChannel::try_recover_rail(int peer_rank, int rail) {
   flush_pending_retries();
   if (!pending_imm_.empty()) flush_pending_imm();
   flush_pending_ctl(peer_rank);
-  host_.on_eager_resources_freed(peer_rank);
-  host_.progress().notify_all();
+  ep_.on_eager_resources_freed();
+  ep_.progress().notify_all();
 }
 
 void NetChannel::retry_eager(int peer_rank, int vci, int bounce, std::int64_t wire_bytes,
                              int attempts) {
-  if (attempts > host_.config().fault.eager_retry_limit) {
+  if (attempts > ep_.config().fault.eager_retry_limit) {
     throw std::runtime_error("NetChannel: eager retry limit exceeded to rank " +
                              std::to_string(peer_rank));
   }
   Peer& c = peer(peer_rank);
-  const int n = host_.config().rails();
-  const int base = vci * n;
-  const int start = c.lanes[static_cast<std::size_t>(vci)].cursor.next;
-  int rail = -1;
-  for (int i = 0; i < n; ++i) {
-    const int cand = base + (start + i) % n;
-    const Rail& r = c.rails[static_cast<std::size_t>(cand)];
-    if (r.up && r.credits > 0) {
-      rail = cand;
-      break;
-    }
-  }
+  const int rail = credited_rail(c, vci, c.lanes[static_cast<std::size_t>(vci)].cursor.next);
   if (rail < 0) {
     // No live rail with credit: park until one recovers or a credit returns.
     pending_retry_.push_back({peer_rank, vci, bounce, wire_bytes, attempts});

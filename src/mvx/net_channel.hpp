@@ -20,14 +20,17 @@
 #include "ib/verbs.hpp"
 #include "mvx/channel.hpp"
 #include "mvx/policy.hpp"
+#include "mvx/request.hpp"
 #include "mvx/telemetry.hpp"
 #include "sim/fifo.hpp"
 
 namespace ib12x::mvx {
 
+class Endpoint;
+
 class NetChannel final {
  public:
-  NetChannel(ChannelHost& host, std::vector<ib::Hca*> hcas);
+  NetChannel(Endpoint& ep, std::vector<ib::Hca*> hcas);
   ~NetChannel();
 
   /// Per-side connection surface, driven by World::wire_pair: open_to(peer)
@@ -95,9 +98,6 @@ class NetChannel final {
   [[nodiscard]] std::vector<int> live_rails(int peer, int vci) const;
   [[nodiscard]] bool fault_enabled() const { return fault_enabled_; }
 
-  /// Moved to namespace scope (channel.hpp) so the failover hand-back can
-  /// carry it; the member alias keeps NetChannel::RndvStripe spelling valid.
-  using RndvStripe = mvx::RndvStripe;
   void post_write(int peer, const RndvStripe& st);
   /// Posts a failed stripe's re-planned pieces as one doorbell batch: every
   /// WQE is built and appended deferred, then each involved rail's doorbell
@@ -260,8 +260,12 @@ class NetChannel final {
   // ---- failover machinery (reachable only with fault injection on) ----
 
   /// First up rail at-or-after `rail` within its VCI's slice, wrapping
-  /// inside the slice; `rail` itself if none is up.
+  /// inside the slice; `rail` itself if none is up.  Ignores credits.
   [[nodiscard]] int remap_live(const Peer& c, int rail) const;
+  /// First rail of VCI `vci`'s slice, scanning from local index `start` and
+  /// wrapping inside the slice, that has a send credit and (with faults on)
+  /// is up; -1 if none.
+  [[nodiscard]] int credited_rail(const Peer& c, int vci, int start) const;
   /// Blocks the calling process until some rail of VCI `vci` to `peer_rank`
   /// is up.
   void wait_any_rail_up(int peer_rank, int vci);
@@ -279,7 +283,7 @@ class NetChannel final {
   void post_bounce_raw(Peer& c, int peer_rank, int rail, int bounce, std::int64_t wire_bytes,
                        int attempts);
 
-  ChannelHost& host_;
+  Endpoint& ep_;
   std::vector<ib::Hca*> hcas_;
 
   ib::CompletionQueue scq_;

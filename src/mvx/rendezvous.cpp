@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "mvx/endpoint.hpp"
 #include "mvx/matcher.hpp"
 #include "mvx/net_channel.hpp"
 #include "sim/log.hpp"
@@ -51,26 +52,26 @@ int imm_vci(std::uint32_t imm) { return static_cast<int>(imm >> 28); }
 
 }  // namespace
 
-Rendezvous::Rendezvous(ChannelHost& host, NetChannel& net)
-    : host_(host),
+Rendezvous::Rendezvous(Endpoint& ep, NetChannel& net)
+    : ep_(ep),
       net_(net),
-      rts_sent_(host.telemetry().counter("rndv.rts_sent")),
-      bytes_sent_(host.telemetry().counter("rndv.bytes_sent")),
-      stripes_posted_(host.telemetry().counter("rndv.stripes_posted")),
-      reg_hits_(host.telemetry().counter("rndv.reg_cache_hits")),
-      reg_misses_(host.telemetry().counter("rndv.reg_cache_misses")),
-      reg_evictions_(host.telemetry().counter("rndv.reg_cache_evictions")),
-      cts_chunks_(host.telemetry().counter("rndv.cts_chunks")),
-      pipeline_depth_(host.telemetry().counter("rndv.pipeline_depth")),
-      dup_ctl_dropped_(host.telemetry().counter("rndv.dup_ctl_dropped")),
-      restriped_(host.telemetry().counter("fault.rndv_restriped")),
-      read_stripes_(host.telemetry().counter("rndv.read_stripes")),
-      imm_sent_(host.telemetry().counter("rndv.imm_sent")),
-      imm_folded_(host.telemetry().counter("rndv.imm_folded")),
-      done_sent_(host.telemetry().counter("rndv.done_sent")),
-      policy_explore_(host.telemetry().counter("rndv.policy_explore")),
-      policy_exploit_(host.telemetry().counter("rndv.policy_exploit")) {
-  const Config& cfg = host.config();
+      rts_sent_(ep.telemetry().counter("rndv.rts_sent")),
+      bytes_sent_(ep.telemetry().counter("rndv.bytes_sent")),
+      stripes_posted_(ep.telemetry().counter("rndv.stripes_posted")),
+      reg_hits_(ep.telemetry().counter("rndv.reg_cache_hits")),
+      reg_misses_(ep.telemetry().counter("rndv.reg_cache_misses")),
+      reg_evictions_(ep.telemetry().counter("rndv.reg_cache_evictions")),
+      cts_chunks_(ep.telemetry().counter("rndv.cts_chunks")),
+      pipeline_depth_(ep.telemetry().counter("rndv.pipeline_depth")),
+      dup_ctl_dropped_(ep.telemetry().counter("rndv.dup_ctl_dropped")),
+      restriped_(ep.telemetry().counter("fault.rndv_restriped")),
+      read_stripes_(ep.telemetry().counter("rndv.read_stripes")),
+      imm_sent_(ep.telemetry().counter("rndv.imm_sent")),
+      imm_folded_(ep.telemetry().counter("rndv.imm_folded")),
+      done_sent_(ep.telemetry().counter("rndv.done_sent")),
+      policy_explore_(ep.telemetry().counter("rndv.policy_explore")),
+      policy_exploit_(ep.telemetry().counter("rndv.policy_exploit")) {
+  const Config& cfg = ep.config();
   PinCache::Options opts;
   opts.capacity = cfg.reg_cache_capacity;
   opts.hit_cpu = cfg.reg_cache_hit;
@@ -78,7 +79,7 @@ Rendezvous::Rendezvous(ChannelHost& host, NetChannel& net)
   opts.page_cpu = cfg.reg_page_cpu;
   pin_cache_ = std::make_unique<PinCache>(net.hcas(), opts, reg_hits_, reg_misses_,
                                           reg_evictions_);
-  if (cfg.rndv.adaptive) policy_ = std::make_unique<RndvPolicy>(cfg, host.rank(), cfg.rails());
+  if (cfg.rndv.adaptive) policy_ = std::make_unique<RndvPolicy>(cfg, ep.rank(), cfg.rails());
 }
 
 Rendezvous::~Rendezvous() = default;
@@ -112,8 +113,8 @@ Request Rendezvous::peek_cookie(std::uint64_t id) {
 // ------------------------------------------------------ protocol selection
 
 void Rendezvous::select_proto(int peer, std::int64_t bytes, const Request& req, SendState& ss) {
-  const Config& cfg = host_.config();
-  ss.start = host_.simulator().now();
+  const Config& cfg = ep_.config();
+  ss.start = ep_.simulator().now();
   if (policy_) {
     const int live = net_.fault_enabled()
                          ? static_cast<int>(net_.live_rails(peer, req->vci).size())
@@ -157,7 +158,7 @@ void Rendezvous::end_send(std::uint64_t cookie, const Request& req) {
   const SendState& ss = send_state(cookie);
   for (PinCache::Region* r : ss.pins) pin_cache_->release(r);
   if (policy_ && ss.arm >= 0) {
-    policy_->record(req->peer, req->bytes, ss.arm, host_.simulator().now() - ss.start);
+    policy_->record(req->peer, req->bytes, ss.arm, ep_.simulator().now() - ss.start);
   }
   sends_.erase(cookie);
 }
@@ -170,7 +171,7 @@ void Rendezvous::end_recv(std::uint64_t rcookie) {
 // ---------------------------------------------------------------- protocol
 
 int Rendezvous::rts_rail(int peer, CommKind kind, int vci) {
-  const Config& cfg = host_.config();
+  const Config& cfg = ep_.config();
   // Control messages go where the VCI's data cursor points, read through a
   // copy so they never advance it; the data schedule is decided at CTS time
   // by the marker-driven policy.
@@ -182,15 +183,15 @@ int Rendezvous::rts_rail(int peer, CommKind kind, int vci) {
 
 sim::Time Rendezvous::open_send(int peer, CommKind kind, std::int64_t bytes, int tag, int ctx,
                                 const Request& req, MsgHeader& hdr, CtsRkeys& rkeys) {
-  const Config& cfg = host_.config();
+  const Config& cfg = ep_.config();
   const int vci = req->vci;
   hdr.type = MsgType::Rts;
   hdr.kind = static_cast<std::uint8_t>(kind);
   hdr.vci = static_cast<std::uint8_t>(vci);
-  hdr.src_rank = host_.rank();
+  hdr.src_rank = ep_.rank();
   hdr.tag = tag;
   hdr.ctx = ctx;
-  hdr.seq = host_.matcher().next_send_seq(peer, ctx, vci);
+  hdr.seq = ep_.matcher().next_send_seq(peer, ctx, vci);
   hdr.size = static_cast<std::uint64_t>(bytes);
   hdr.sender_cookie = new_cookie(req);
   SendState& ss = sends_[hdr.sender_cookie];
@@ -207,7 +208,7 @@ void Rendezvous::send_rts(int peer, CommKind kind, const void* /*buf*/, std::int
   MsgHeader hdr;
   CtsRkeys rkeys;
   const sim::Time pin_cost = open_send(peer, kind, bytes, tag, ctx, req, hdr, rkeys);
-  if (pin_cost > 0) host_.process().compute(pin_cost);
+  if (pin_cost > 0) ep_.process().compute(pin_cost);
   net_.send_ctl_blocking(peer, rail, hdr,
                          hdr.proto == static_cast<std::uint8_t>(RndvProto::ReadRts) ? &rkeys
                                                                                      : nullptr);
@@ -227,7 +228,7 @@ bool Rendezvous::try_send_rts(int peer, CommKind kind, const void* /*buf*/, std:
   // occupies the VCI's CPU server ahead of the post event post_ctl_evt
   // schedules.
   const sim::Time pin_cost = open_send(peer, kind, bytes, tag, ctx, req, hdr, rkeys);
-  if (pin_cost > 0) host_.schedule_cpu_vci(vci, pin_cost, [] {});
+  if (pin_cost > 0) ep_.schedule_cpu_vci(vci, pin_cost, [] {});
   net_.post_ctl_evt(peer, rail, hdr,
                     hdr.proto == static_cast<std::uint8_t>(RndvProto::ReadRts) ? &rkeys : nullptr);
   rts_sent_.inc();
@@ -239,7 +240,7 @@ void Rendezvous::accept(const MsgHeader& rts, const Request& req, const CtsRkeys
   req->status = {rts.src_rank, rts.tag, static_cast<std::int64_t>(rts.size)};
   req->peer = rts.src_rank;
 
-  const Config& cfg = host_.config();
+  const Config& cfg = ep_.config();
   const int peer = rts.src_rank;
   const std::int64_t total = static_cast<std::int64_t>(rts.size);
 
@@ -278,7 +279,7 @@ void Rendezvous::accept(const MsgHeader& rts, const Request& req, const CtsRkeys
     MsgHeader cts;
     cts.type = MsgType::Cts;
     cts.vci = rts.vci;  // the reply stays on the message's VCI
-    cts.src_rank = host_.rank();
+    cts.src_rank = ep_.rank();
     cts.ctx = rts.ctx;
     cts.size = static_cast<std::uint64_t>(len);
     cts.sender_cookie = rts.sender_cookie;
@@ -286,7 +287,7 @@ void Rendezvous::accept(const MsgHeader& rts, const Request& req, const CtsRkeys
     cts.raddr = base + static_cast<std::uint64_t>(off);
     cts.chunk = i;
     const std::uint32_t slot = parked_cts_.put({cts, rkeys});
-    host_.schedule_cpu_vci(rts.vci, cost, [this, peer, slot] {
+    ep_.schedule_cpu_vci(rts.vci, cost, [this, peer, slot] {
       const ParkedCts p = parked_cts_.take(slot);
       net_.send_ctl(peer, p.hdr, p.rkeys);
     });
@@ -295,10 +296,9 @@ void Rendezvous::accept(const MsgHeader& rts, const Request& req, const CtsRkeys
 
 // ---------------------------------------------------------- read rendezvous
 
-std::vector<Rendezvous::Stripe> Rendezvous::plan_limited(int peer, int vci,
-                                                         std::int64_t base_off,
-                                                         std::int64_t bytes, int width) {
-  const Config& cfg = host_.config();
+std::vector<Stripe> Rendezvous::plan_limited(int peer, int vci, std::int64_t base_off,
+                                             std::int64_t bytes, int width) {
+  const Config& cfg = ep_.config();
   std::vector<int> cand = candidate_rails(peer, vci);
   if (width > 0 && width < static_cast<int>(cand.size())) {
     // Forced width: keep `width` candidates starting at the lane cursor so
@@ -316,7 +316,7 @@ std::vector<Rendezvous::Stripe> Rendezvous::plan_limited(int peer, int vci,
 }
 
 void Rendezvous::accept_read(const MsgHeader& rts, const Request& req, const CtsRkeys& rkeys) {
-  const Config& cfg = host_.config();
+  const Config& cfg = ep_.config();
   const int peer = rts.src_rank;
   const int vci = rts.vci;
   const std::int64_t total = static_cast<std::int64_t>(rts.size);
@@ -329,7 +329,7 @@ void Rendezvous::accept_read(const MsgHeader& rts, const Request& req, const Cts
   sim::Time cost = cfg.ctl_cpu;
   if (total <= 0) {
     // Zero-byte rendezvous: nothing to pull, straight to Done.
-    host_.schedule_cpu_vci(vci, cost, [this, rcookie] { finish_read(rcookie); });
+    ep_.schedule_cpu_vci(vci, cost, [this, rcookie] { finish_read(rcookie); });
     return;
   }
 
@@ -351,10 +351,10 @@ void Rendezvous::accept_read(const MsgHeader& rts, const Request& req, const Cts
   cost += cfg.wqe_build_cpu * static_cast<std::int64_t>(stripes.size()) + cfg.doorbell_cpu;
 
   const std::uint64_t base_raddr = rts.raddr;
-  std::vector<NetChannel::RndvStripe> batch;
+  std::vector<RndvStripe> batch;
   batch.reserve(stripes.size());
   for (const Stripe& st : stripes) {
-    NetChannel::RndvStripe wr;
+    RndvStripe wr;
     wr.rail = st.rail;
     // Read convention: src names the *local destination* slice, raddr/rkeys
     // the remote source (the sender's pinned buffer).
@@ -366,7 +366,7 @@ void Rendezvous::accept_read(const MsgHeader& rts, const Request& req, const Cts
     wr.rkeys = rkeys;
     batch.push_back(wr);
   }
-  host_.schedule_cpu_vci(vci, cost, [this, peer, batch = std::move(batch)] {
+  ep_.schedule_cpu_vci(vci, cost, [this, peer, batch = std::move(batch)] {
     net_.post_read_batch(peer, batch);
   });
 }
@@ -381,17 +381,17 @@ void Rendezvous::finish_read(std::uint64_t rcookie) {
   recvs_.erase(it);
   for (PinCache::Region* r : rp.pins) pin_cache_->release(r);
   Request req = take_cookie(rcookie);
-  IB12X_DEBUG(host_.simulator().now(), "rank%d: read rendezvous %llu complete", host_.rank(),
+  IB12X_DEBUG(ep_.simulator().now(), "rank%d: read rendezvous %llu complete", ep_.rank(),
               (unsigned long long)rcookie);
 
   MsgHeader done;
   done.type = MsgType::Done;
   done.vci = static_cast<std::uint8_t>(rp.vci);
-  done.src_rank = host_.rank();
+  done.src_rank = ep_.rank();
   done.sender_cookie = rp.sender_cookie;
   net_.send_ctl(rp.peer, done, CtsRkeys{});
   done_sent_.inc();
-  host_.complete_request(req);
+  ep_.complete_request(req);
 }
 
 void Rendezvous::on_read_done(int /*peer*/, std::uint64_t req_id) {
@@ -408,7 +408,7 @@ void Rendezvous::on_read_failed(int peer, const RndvStripe& st) {
   restriped_.inc();
   RndvStripe retry = st;
   ++retry.attempts;
-  if (retry.attempts > host_.config().fault.stripe_retry_limit) {
+  if (retry.attempts > ep_.config().fault.stripe_retry_limit) {
     throw std::runtime_error("Rendezvous: read retry limit exceeded to rank " +
                              std::to_string(peer));
   }
@@ -416,7 +416,7 @@ void Rendezvous::on_read_failed(int peer, const RndvStripe& st) {
 }
 
 void Rendezvous::repost_read(int peer, const RndvStripe& st) {
-  const Config& cfg = host_.config();
+  const Config& cfg = ep_.config();
   const int vci = st.rail / net_.nrails(peer);
   std::vector<int> live = net_.live_rails(peer, vci);
   if (live.empty()) {
@@ -425,7 +425,7 @@ void Rendezvous::repost_read(int peer, const RndvStripe& st) {
     if (retry.attempts > cfg.fault.stripe_retry_limit) {
       throw std::runtime_error("Rendezvous: no rail recovered within the read retry budget");
     }
-    sim::Simulator& sim = host_.simulator();
+    sim::Simulator& sim = ep_.simulator();
     sim.at(sim.now() + cfg.fault.rail_recovery,
            sim::boxed([this, peer, retry] { repost_read(peer, retry); }));
     return;
@@ -440,7 +440,7 @@ void Rendezvous::repost_read(int peer, const RndvStripe& st) {
   recvs_.at(st.req_id).pending += static_cast<int>(parts.size()) - 1;
   read_stripes_.add(parts.size());
 
-  std::vector<NetChannel::RndvStripe> batch;
+  std::vector<RndvStripe> batch;
   batch.reserve(parts.size());
   for (const Stripe& p : parts) {
     RndvStripe wr = st;  // inherits req_id, lkeys, rkeys, attempts
@@ -450,9 +450,24 @@ void Rendezvous::repost_read(int peer, const RndvStripe& st) {
     wr.raddr = st.raddr + static_cast<std::uint64_t>(p.offset);
     batch.push_back(wr);
   }
-  host_.schedule_cpu_vci(
+  ep_.schedule_cpu_vci(
       vci, cfg.wqe_build_cpu * static_cast<std::int64_t>(batch.size()) + cfg.doorbell_cpu,
       [this, peer, batch = std::move(batch)] { net_.post_read_batch(peer, batch); });
+}
+
+void Rendezvous::on_ctl(const MsgHeader& hdr, const CtsRkeys& rkeys) {
+  if (hdr.type == MsgType::Cts) {
+    // CTS handling consumes host CPU before the stripes are posted.
+    const std::uint32_t slot = parked_cts_.put({hdr, rkeys});
+    ep_.schedule_cpu_vci(hdr.vci, ep_.config().ctl_cpu, [this, slot] {
+      const ParkedCts cts = parked_cts_.take(slot);
+      on_cts(cts.hdr, cts.rkeys);
+    });
+  } else if (hdr.type == MsgType::Done) {
+    on_done(hdr);
+  } else {  // Fin
+    on_fin(hdr);
+  }
 }
 
 void Rendezvous::on_cts(const MsgHeader& hdr, const CtsRkeys& rkeys) {
@@ -468,8 +483,8 @@ void Rendezvous::on_cts(const MsgHeader& hdr, const CtsRkeys& rkeys) {
                            std::to_string(hdr.sender_cookie));
   }
   Request req = it->second;
-  IB12X_DEBUG(host_.simulator().now(), "rank%d: CTS for cookie %llu size %llu chunk %u",
-              host_.rank(), (unsigned long long)hdr.sender_cookie, (unsigned long long)hdr.size,
+  IB12X_DEBUG(ep_.simulator().now(), "rank%d: CTS for cookie %llu size %llu chunk %u",
+              ep_.rank(), (unsigned long long)hdr.sender_cookie, (unsigned long long)hdr.size,
               (unsigned)hdr.chunk);
   req->peer_cookie = hdr.receiver_cookie;
   start_chunk_writes(req->peer, req, send_state(hdr.sender_cookie), hdr, rkeys);
@@ -485,10 +500,9 @@ std::vector<int> Rendezvous::candidate_rails(int peer, int vci) {
   return rails;
 }
 
-std::vector<Rendezvous::Stripe> Rendezvous::plan_stripes(int peer, const Request& req,
-                                                         std::int64_t base_off,
-                                                         std::int64_t bytes) {
-  const Config& cfg = host_.config();
+std::vector<Stripe> Rendezvous::plan_stripes(int peer, const Request& req,
+                                             std::int64_t base_off, std::int64_t bytes) {
+  const Config& cfg = ep_.config();
   const int vci = req->vci;
   const std::vector<int> rails = candidate_rails(peer, vci);
   const int n = static_cast<int>(rails.size());
@@ -513,7 +527,7 @@ std::vector<Rendezvous::Stripe> Rendezvous::plan_stripes(int peer, const Request
 
 void Rendezvous::start_chunk_writes(int peer, const Request& req, SendState& ss,
                                     const MsgHeader& cts, const CtsRkeys& rkeys) {
-  const Config& cfg = host_.config();
+  const Config& cfg = ep_.config();
   int& in_flight = ss.chunk_writes.at(cts.chunk);
   if (in_flight >= 0) {
     dup_ctl_dropped_.inc();  // replayed CTS for a chunk already in progress
@@ -572,7 +586,7 @@ void Rendezvous::start_chunk_writes(int peer, const Request& req, SendState& ss,
   const std::uint32_t imm = ss.imm;
   for (std::size_t i = 0; i < stripes.size(); ++i) {
     const Stripe& st = stripes[i];
-    NetChannel::RndvStripe wr;
+    RndvStripe wr;
     wr.rail = st.rail;
     wr.src = static_cast<const std::byte*>(req->send_buf) + st.offset;
     wr.len = st.len;
@@ -581,9 +595,9 @@ void Rendezvous::start_chunk_writes(int peer, const Request& req, SendState& ss,
     wr.lkeys = lkeys;
     wr.rkeys = rkeys;
     const std::uint32_t slot = parked_stripes_.put(wr);
-    host_.schedule_cpu_vci(req->vci, (i == 0 ? cost : 0) + cfg.post_cpu(),
-                           [this, peer, slot, fold, imm] {
-      const NetChannel::RndvStripe wr = parked_stripes_.take(slot);
+    ep_.schedule_cpu_vci(req->vci, (i == 0 ? cost : 0) + cfg.post_cpu(),
+                         [this, peer, slot, fold, imm] {
+      const RndvStripe wr = parked_stripes_.take(slot);
       // The stripe was built when it was scheduled; its send must still be
       // in flight when it is posted.
       (void)peek_cookie(wr.req_id & kCookieMask);
@@ -606,12 +620,12 @@ void Rendezvous::finish_send(int peer, std::uint64_t cookie, const Request& req)
     MsgHeader fin;
     fin.type = MsgType::Fin;
     fin.vci = static_cast<std::uint8_t>(req->vci);
-    fin.src_rank = host_.rank();
+    fin.src_rank = ep_.rank();
     fin.receiver_cookie = req->peer_cookie;
     net_.send_ctl(peer, fin, CtsRkeys{});
   }
   outstanding_.erase(cookie);
-  host_.complete_request(req);
+  ep_.complete_request(req);
 }
 
 void Rendezvous::post_trailing_imm(int peer, std::uint64_t cookie, std::uint32_t imm) {
@@ -619,8 +633,8 @@ void Rendezvous::post_trailing_imm(int peer, std::uint64_t cookie, std::uint32_t
   // post_write_imm scans the VCI slice for a live rail with a credit.
   const int vci = imm_vci(imm);
   imm_sent_.inc();
-  host_.schedule_cpu_vci(vci, host_.config().post_cpu(), [this, peer, vci, cookie, imm] {
-    NetChannel::RndvStripe wr;
+  ep_.schedule_cpu_vci(vci, ep_.config().post_cpu(), [this, peer, vci, cookie, imm] {
+    RndvStripe wr;
     wr.rail = vci * net_.nrails(peer);
     wr.len = 0;
     wr.req_id = cookie;
@@ -646,7 +660,7 @@ void Rendezvous::on_write_done(int peer, std::uint64_t req_id) {
       return;
     }
   }
-  IB12X_DEBUG(host_.simulator().now(), "rank%d: send %llu complete (%zu chunks)", host_.rank(),
+  IB12X_DEBUG(ep_.simulator().now(), "rank%d: send %llu complete (%zu chunks)", ep_.rank(),
               (unsigned long long)cookie, chunks);
   finish_send(peer, cookie, peek_cookie(cookie));
 }
@@ -655,7 +669,7 @@ void Rendezvous::on_write_failed(int peer, const RndvStripe& st) {
   restriped_.inc();
   RndvStripe retry = st;
   ++retry.attempts;
-  if (retry.attempts > host_.config().fault.stripe_retry_limit) {
+  if (retry.attempts > ep_.config().fault.stripe_retry_limit) {
     throw std::runtime_error("Rendezvous: stripe retry limit exceeded to rank " +
                              std::to_string(peer));
   }
@@ -666,19 +680,19 @@ void Rendezvous::on_write_failed(int peer, const RndvStripe& st) {
     // immediate, and the data — if any — is idempotent to rewrite.  A dead
     // rail or empty credit pool is absorbed by post_write_imm's own scan
     // and pending queue.
-    const Config& cfg = host_.config();
+    const Config& cfg = ep_.config();
     const std::uint32_t imm = ss.imm;
-    host_.schedule_cpu_vci(imm_vci(imm), cfg.wqe_build_cpu + cfg.doorbell_cpu,
-                           sim::boxed([this, peer, retry, imm] {
-                             net_.post_write_imm(peer, retry, imm);
-                           }));
+    ep_.schedule_cpu_vci(imm_vci(imm), cfg.wqe_build_cpu + cfg.doorbell_cpu,
+                         sim::boxed([this, peer, retry, imm] {
+                           net_.post_write_imm(peer, retry, imm);
+                         }));
     return;
   }
   repost_stripe(peer, retry);
 }
 
 void Rendezvous::repost_stripe(int peer, const RndvStripe& st) {
-  const Config& cfg = host_.config();
+  const Config& cfg = ep_.config();
   const int vci = st.rail / net_.nrails(peer);  // recover the slice from the flat rail
   std::vector<int> live = net_.live_rails(peer, vci);
   if (live.empty()) {
@@ -689,7 +703,7 @@ void Rendezvous::repost_stripe(int peer, const RndvStripe& st) {
     if (retry.attempts > cfg.fault.stripe_retry_limit) {
       throw std::runtime_error("Rendezvous: no rail recovered within the stripe retry budget");
     }
-    sim::Simulator& sim = host_.simulator();
+    sim::Simulator& sim = ep_.simulator();
     sim.at(sim.now() + cfg.fault.rail_recovery,
            sim::boxed([this, peer, retry] { repost_stripe(peer, retry); }));
     return;
@@ -706,7 +720,7 @@ void Rendezvous::repost_stripe(int peer, const RndvStripe& st) {
       static_cast<int>(parts.size()) - 1;
   stripes_posted_.add(parts.size());
 
-  std::vector<NetChannel::RndvStripe> batch;
+  std::vector<RndvStripe> batch;
   batch.reserve(parts.size());
   for (const Stripe& p : parts) {
     RndvStripe wr = st;  // inherits req_id, lkeys, rkeys, attempts
@@ -716,7 +730,7 @@ void Rendezvous::repost_stripe(int peer, const RndvStripe& st) {
     wr.raddr = st.raddr + static_cast<std::uint64_t>(p.offset);
     batch.push_back(wr);
   }
-  host_.schedule_cpu_vci(
+  ep_.schedule_cpu_vci(
       vci, cfg.wqe_build_cpu * static_cast<std::int64_t>(batch.size()) + cfg.doorbell_cpu,
       [this, peer, batch = std::move(batch)] { net_.post_write_batch(peer, batch); });
 }
@@ -733,11 +747,11 @@ void Rendezvous::on_fin(const MsgHeader& hdr) {
   }
   Request req = oit->second;
   outstanding_.erase(oit);
-  IB12X_DEBUG(host_.simulator().now(), "rank%d: FIN for cookie %llu", host_.rank(),
+  IB12X_DEBUG(ep_.simulator().now(), "rank%d: FIN for cookie %llu", ep_.rank(),
               (unsigned long long)hdr.receiver_cookie);
   end_recv(hdr.receiver_cookie);
-  host_.schedule_cpu_vci(hdr.vci, host_.config().ctl_cpu,
-                         [this, req] { host_.complete_request(req); });
+  ep_.schedule_cpu_vci(hdr.vci, ep_.config().ctl_cpu,
+                       [this, req] { ep_.complete_request(req); });
 }
 
 void Rendezvous::on_done(const MsgHeader& hdr) {
@@ -754,11 +768,11 @@ void Rendezvous::on_done(const MsgHeader& hdr) {
   }
   Request req = oit->second;
   outstanding_.erase(oit);
-  IB12X_DEBUG(host_.simulator().now(), "rank%d: Done for cookie %llu", host_.rank(),
+  IB12X_DEBUG(ep_.simulator().now(), "rank%d: Done for cookie %llu", ep_.rank(),
               (unsigned long long)hdr.sender_cookie);
   end_send(hdr.sender_cookie, req);
-  host_.schedule_cpu_vci(hdr.vci, host_.config().ctl_cpu,
-                         [this, req] { host_.complete_request(req); });
+  ep_.schedule_cpu_vci(hdr.vci, ep_.config().ctl_cpu,
+                       [this, req] { ep_.complete_request(req); });
 }
 
 void Rendezvous::on_imm(std::uint32_t imm_data) {
@@ -779,11 +793,11 @@ void Rendezvous::on_imm(std::uint32_t imm_data) {
   }
   Request req = oit->second;
   outstanding_.erase(oit);
-  IB12X_DEBUG(host_.simulator().now(), "rank%d: imm completion for cookie %llu vci %d",
-              host_.rank(), (unsigned long long)rcookie, vci);
+  IB12X_DEBUG(ep_.simulator().now(), "rank%d: imm completion for cookie %llu vci %d",
+              ep_.rank(), (unsigned long long)rcookie, vci);
   end_recv(rcookie);
-  host_.schedule_cpu_vci(vci, host_.config().ctl_cpu,
-                         [this, req] { host_.complete_request(req); });
+  ep_.schedule_cpu_vci(vci, ep_.config().ctl_cpu,
+                       [this, req] { ep_.complete_request(req); });
 }
 
 }  // namespace ib12x::mvx

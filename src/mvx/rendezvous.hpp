@@ -28,8 +28,9 @@
 // Buffer pinning goes through the PinCache (interval lookup, LRU eviction).
 // Every piece of protocol work runs on the message's VCI progress server.
 // Data and control movement go through the NetChannel so rail credits stay
-// in one place.  The rndv.* counters of
-// every protocol are registered whatever the configuration.
+// in one place; the NetChannel's CQE demultiplexer calls back into this
+// module directly (on_ctl, on_imm, on_write_* / on_read_*).  The rndv.*
+// counters of every protocol are registered whatever the configuration.
 #pragma once
 
 #include <cstdint>
@@ -39,18 +40,21 @@
 
 #include "ib/verbs.hpp"
 #include "mvx/channel.hpp"
+#include "mvx/payload.hpp"
 #include "mvx/pin_cache.hpp"
+#include "mvx/request.hpp"
 #include "mvx/rndv_policy.hpp"
 #include "mvx/telemetry.hpp"
 #include "sim/slab.hpp"
 
 namespace ib12x::mvx {
 
+class Endpoint;
 class NetChannel;
 
 class Rendezvous {
  public:
-  Rendezvous(ChannelHost& host, NetChannel& net);
+  Rendezvous(Endpoint& ep, NetChannel& net);
   ~Rendezvous();
 
   Rendezvous(const Rendezvous&) = delete;
@@ -71,12 +75,10 @@ class Rendezvous {
   /// payload by RDMA Read using `read_rkeys`, the rkeys its RTS carried.
   void accept(const MsgHeader& rts, const Request& req, const CtsRkeys& read_rkeys = {});
 
-  /// CTS arrival at the sender (event context, CPU already charged).
-  void on_cts(const MsgHeader& hdr, const CtsRkeys& rkeys);
-  /// FIN arrival at the receiver (event context).
-  void on_fin(const MsgHeader& hdr);
-  /// Done arrival at the sender (ReadRts; event context).
-  void on_done(const MsgHeader& hdr);
+  /// Rendezvous control arrival (Cts/Fin/Done) from the net channel (event
+  /// context).  A CTS is processed once the VCI's progress server has spent
+  /// ctl_cpu on it; FIN and Done charge theirs on completion.
+  void on_ctl(const MsgHeader& hdr, const CtsRkeys& rkeys);
   /// Write-with-imm landed on this receiving rank (WriteImm protocol): the
   /// imm word packs (vci << 28) | receiver_cookie and replaces the FIN.
   void on_imm(std::uint32_t imm_data);
@@ -88,11 +90,6 @@ class Rendezvous {
   /// One rendezvous read completed / failed (ReadRts; receiver-side CQE).
   void on_read_done(int peer, std::uint64_t req_id);
   void on_read_failed(int peer, const RndvStripe& st);
-
-  /// One planned RDMA-write stripe (the planning math lives in
-  /// mvx::plan_stripes; the alias keeps Rendezvous::Stripe spelling valid
-  /// for the stripe-planning tests).
-  using Stripe = mvx::Stripe;
 
  private:
   /// Sender-side state of one rendezvous, keyed by sender cookie: created
@@ -128,6 +125,13 @@ class Rendezvous {
     int peer = -1;
     int vci = 0;
   };
+
+  /// CTS arrival at the sender (event context, CPU already charged).
+  void on_cts(const MsgHeader& hdr, const CtsRkeys& rkeys);
+  /// FIN arrival at the receiver (event context).
+  void on_fin(const MsgHeader& hdr);
+  /// Done arrival at the sender (ReadRts; event context).
+  void on_done(const MsgHeader& hdr);
 
   /// Splits `bytes` at message offset `base_off` into rail stripes following
   /// the configured policy (or the request's multi-lane pin) over
@@ -193,13 +197,13 @@ class Rendezvous {
   Request take_cookie(std::uint64_t id);
   Request peek_cookie(std::uint64_t id);
 
-  ChannelHost& host_;
+  Endpoint& ep_;
   NetChannel& net_;
 
   std::unique_ptr<PinCache> pin_cache_;
-  /// CTS messages and stripe descriptors waiting out their CPU charge on a
-  /// VCI progress server; the events carry slot ids (neither fits an event
-  /// capture).
+  /// CTS messages (outbound and inbound) and stripe descriptors waiting out
+  /// their CPU charge on a VCI progress server; the events carry slot ids
+  /// (neither fits an event capture).
   struct ParkedCts {
     MsgHeader hdr;
     CtsRkeys rkeys;

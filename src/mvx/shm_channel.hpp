@@ -4,17 +4,23 @@
 // ingress path, so ordering and matching behave exactly like net traffic.
 #pragma once
 
+#include <cstdint>
 #include <map>
 
-#include "mvx/channel.hpp"
+#include "mvx/payload.hpp"
+#include "mvx/policy.hpp"
+#include "mvx/request.hpp"
 #include "mvx/telemetry.hpp"
+#include "mvx/wire.hpp"
 #include "sim/server.hpp"
 
 namespace ib12x::mvx {
 
+class Endpoint;
+
 class ShmChannel final {
  public:
-  explicit ShmChannel(ChannelHost& host);
+  explicit ShmChannel(Endpoint& ep);
 
   /// Connects two channels on the same node (both directions).
   static void connect(ShmChannel& a, ShmChannel& b);
@@ -42,7 +48,7 @@ class ShmChannel final {
   /// Delivery on the receiving side (invoked by the sender's event).
   void deliver(int src, MsgHeader hdr, Payload payload);
 
-  ChannelHost& host_;
+  Endpoint& ep_;
   std::map<int, Peer> peers_;
   Counter& sent_;
   Counter& bytes_sent_;

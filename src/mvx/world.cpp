@@ -151,9 +151,8 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
 
   for (int r = 0; r < spec_.total_ranks(); ++r) {
     const int node = r / spec_.procs_per_node;
-    eps_.push_back(std::make_unique<Endpoint>(sim_, r, node,
-                                              node_hcas_[static_cast<std::size_t>(node)], cfg_,
-                                              tel_));
+    eps_.push_back(
+        std::make_unique<Endpoint>(*this, r, node, node_hcas_[static_cast<std::size_t>(node)]));
   }
 
   // Hardware-layer gauges, sampled when a telemetry snapshot is taken.
@@ -212,12 +211,8 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
   tel_.gauge("sim.wall.switches_per_sec", [sim] { return sim->switches_per_wall_sec(); });
 
   // Lazy wiring: no pair is built here.  Each endpoint's connection manager
-  // drives wire_pair on first contact, after the modelled handshake;
+  // calls wire_pair on first contact, after the modelled handshake;
   // wire_pair marks both sides Ready (flushing their queues).
-  for (int r = 0; r < spec_.total_ranks(); ++r) {
-    Endpoint* ep = eps_[static_cast<std::size_t>(r)].get();
-    ep->conn().set_wire_fn([this, r](int peer) { wire_pair(r, peer); });
-  }
 }
 
 void World::connect_all() {
@@ -250,34 +245,26 @@ void World::run(const std::function<void(Communicator&)>& rank_main) {
   std::vector<int> group(static_cast<std::size_t>(ranks()));
   std::iota(group.begin(), group.end(), 0);
 
+  // Every modeled app thread of a rank is its own fiber, all running
+  // rank_main against the shared endpoint (user code branches on
+  // comm.thread_id()); thread 0 is the rank's main fiber.  The last thread
+  // out lets the collective-progress fiber drain any schedules still in
+  // flight, then exit.
   const int nthreads = std::max(1, cfg_.vci.threads);
+  std::vector<int> running(static_cast<std::size_t>(ranks()), nthreads);
   for (int r = 0; r < ranks(); ++r) {
     Endpoint* ep = eps_[static_cast<std::size_t>(r)].get();
     ep->coll_engine().begin_run();
-    if (nthreads == 1) {
-      procs.add("rank" + std::to_string(r), [this, ep, group, &rank_main](sim::Process& p) {
-        ep->attach_process(&p);
-        Communicator comm(this, ep, group, ep->rank(), /*ctx_base=*/0);
-        rank_main(comm);
-        // Rank code is done: let the collective-progress fiber drain any
-        // schedules still in flight, then exit.
-        ep->coll_engine().request_shutdown();
-      });
-    } else {
-      // Multi-threaded rank: every modeled app thread is its own fiber, all
-      // running rank_main against the shared endpoint (user code branches on
-      // comm.thread_id()).  The last thread out shuts the collective engine.
-      auto remaining = std::make_shared<int>(nthreads);
-      for (int t = 0; t < nthreads; ++t) {
-        procs.add("rank" + std::to_string(r) + ".t" + std::to_string(t),
-                  [this, ep, group, t, remaining, &rank_main](sim::Process& p) {
-                    if (t == 0) ep->attach_process(&p);
-                    ep->register_thread(&p, t);
-                    Communicator comm(this, ep, group, ep->rank(), /*ctx_base=*/0);
-                    rank_main(comm);
-                    if (--*remaining == 0) ep->coll_engine().request_shutdown();
-                  });
-      }
+    int* left = &running[static_cast<std::size_t>(r)];
+    for (int t = 0; t < nthreads; ++t) {
+      procs.add("rank" + std::to_string(r) + ".t" + std::to_string(t),
+                [this, ep, group, t, left, &rank_main](sim::Process& p) {
+                  if (t == 0) ep->attach_process(&p);
+                  ep->register_thread(&p, t);
+                  Communicator comm(this, ep, group, ep->rank(), /*ctx_base=*/0);
+                  rank_main(comm);
+                  if (--*left == 0) ep->coll_engine().request_shutdown();
+                });
     }
     // The rank's collective-progress fiber: models the asynchronous progress
     // thread that advances in-flight collective schedules while the rank's

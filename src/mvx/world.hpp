@@ -55,11 +55,12 @@ class World {
   [[nodiscard]] int peek_next_ctx() const { return next_ctx_; }
   void bump_ctx(int at_least) { next_ctx_ = std::max(next_ctx_, at_least); }
 
- private:
-  /// Builds the channel between ranks `i` and `j` (shm or net)
-  /// and marks both connection managers Ready.  Idempotent; used by both the
-  /// connection managers' wire function and connect_all().
+  /// Builds the channel between ranks `i` and `j` (shm or net) and marks
+  /// both connection managers Ready.  Idempotent; called by a connection
+  /// manager once its handshake completes, and by connect_all().
   void wire_pair(int i, int j);
+
+ private:
 
   ClusterSpec spec_;
   Config cfg_;

@@ -190,7 +190,7 @@ TEST(FaultSoak, SrqPooledEagerSurvivesFaults) {
   // flush (a dying QP flushes only its own, empty, receive queue), so every
   // error is a send-side one and the ledger must still balance.  This
   // traffic never drains the pool dry, even at 4 slots; RNR stalls on a dry
-  // pool are ConnScaling.ConcurrentSendersHitPoolDryBackpressure's.
+  // pool under faults are FaultSoak.DrySrqPoolStallsAndRecoversUnderFaults'.
   const SoakResult r = run_soak(0x51aafa17, /*messages=*/48, [](Config& cfg) {
     cfg.srq_pool_slots = 16;
     cfg.srq_limit = 8;
@@ -205,6 +205,75 @@ TEST(FaultSoak, SrqPooledEagerSurvivesFaults) {
   };
   EXPECT_GT(metric("srq.replenishes"), 0.0) << "no low-watermark replenish";
   EXPECT_GT(metric("rail.recovered"), 0.0) << "no rail came back";
+}
+
+TEST(FaultSoak, DrySrqPoolStallsAndRecoversUnderFaults) {
+  // Five senders phase-locked on one handshake latency overrun the
+  // receiver's 4-slot pool (as in ConnScaling.
+  // ConcurrentSendersHitPoolDryBackpressure) while WQEs fail at random and
+  // the receiver's only port is down from 28 to 38 us, mid-burst.  Stalled
+  // deliveries wait inside the SRQ, and those whose QP errors meanwhile wait
+  // out the flap there.  The receiver also sends one message to each sender,
+  // so its own rails fail and recover, and each recovery kicks its SRQ's
+  // stall queue.  Every payload must arrive intact and the failover ledger
+  // must balance.
+  Config cfg;
+  cfg.srq_pool_slots = 4;
+  cfg.srq_limit = 0;  // immediate repost: isolate the stall path
+  cfg.wqe_build_cpu = sim::nanoseconds(0);  // post_cpu() = 0
+  cfg.doorbell_cpu = sim::nanoseconds(0);
+  cfg.fault.enabled = true;
+  cfg.fault.seed = 0xd7a1;
+  cfg.fault.msg_error_rate = 0.05;
+  cfg.fault.link_flaps.push_back({.node = 0,
+                                  .hca = 0,
+                                  .port = 0,
+                                  .down_at = sim::microseconds(28.0),
+                                  .up_at = sim::microseconds(38.0)});
+  const int kMsgs = 24;
+  World w(ClusterSpec{6, 1}, cfg);
+  w.run([&](Communicator& c) {
+    if (c.rank() == 0) {
+      const std::vector<std::byte> note = payload(64, 0, kMsgs);
+      std::vector<std::vector<std::byte>> bufs(5 * static_cast<std::size_t>(kMsgs));
+      std::vector<Request> reqs;
+      for (int dst = 1; dst <= 5; ++dst) {
+        reqs.push_back(c.isend(note.data(), note.size(), BYTE, dst, kMsgs));
+      }
+      for (int src = 1; src <= 5; ++src) {
+        for (int i = 0; i < kMsgs; ++i) {
+          auto& buf = bufs[static_cast<std::size_t>((src - 1) * kMsgs + i)];
+          buf.resize(64);
+          reqs.push_back(c.irecv(buf.data(), buf.size(), BYTE, src, i));
+        }
+      }
+      c.waitall(reqs);
+      for (int src = 1; src <= 5; ++src) {
+        for (int i = 0; i < kMsgs; ++i) {
+          ASSERT_EQ(bufs[static_cast<std::size_t>((src - 1) * kMsgs + i)],
+                    payload(64, src, i))
+              << "from rank " << src << " msg " << i;
+        }
+      }
+    } else {
+      std::vector<std::byte> note(64);
+      std::vector<std::vector<std::byte>> bufs;
+      std::vector<Request> reqs;
+      reqs.push_back(c.irecv(note.data(), note.size(), BYTE, 0, kMsgs));
+      for (int i = 0; i < kMsgs; ++i) {
+        bufs.push_back(payload(64, c.rank(), i));
+        reqs.push_back(c.isend(bufs.back().data(), bufs.back().size(), BYTE, 0, i));
+      }
+      c.waitall(reqs);
+      ASSERT_EQ(note, payload(64, 0, kMsgs));
+    }
+  });
+  const TelemetryRegistry& tel = w.telemetry();
+  EXPECT_GE(tel.counter_value("srq.pool_dry"), 1u) << "the pool never ran dry";
+  EXPECT_GE(tel.counter_value("rail.recovered"), 1u) << "no rail came back";
+  EXPECT_GT(tel.counter_value("fault.send_errors"), 0u) << "no send-side fault";
+  EXPECT_EQ(tel.counter_value("fault.send_errors"),
+            tel.counter_value("fault.eager_retries") + tel.counter_value("fault.rndv_restriped"));
 }
 
 class FaultSoakReadRts : public ::testing::TestWithParam<int> {};

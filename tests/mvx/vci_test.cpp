@@ -13,6 +13,7 @@
 #include "ib/fabric.hpp"
 #include "mvx/matcher.hpp"
 #include "mvx/mpi.hpp"
+#include "mvx/net_channel.hpp"
 #include "mvx_test_util.hpp"
 
 namespace ib12x::mvx {
@@ -449,6 +450,32 @@ TEST(VciFaultSoak, EagerReplayStaysInItsVciSlice) {
   EXPECT_GT(w.telemetry().counter_value("fault.eager_retries"), 0u) << "no replay exercised";
   EXPECT_EQ(w.fabric().hca(0).port_qps(0)[0]->bytes_sent(), 0u)
       << "an eager replay left VCI 1's slice for VCI 0's QP";
+}
+
+TEST(VciFaultSoak, QueuedRtsProbeJudgesLivenessWithinItsVciSlice) {
+  // probe_ctl_rail is the check a queued RTS makes before it is posted from
+  // event context.  It must find a fully down VCI slice dead even while
+  // another VCI's rail still reads up.  Here VCI 0's rail is wired before
+  // rank 0's port dies: its QP errors, but no send has failed on it, so it
+  // still reads up.  VCI 1's rail is wired behind the dead port and starts
+  // down.  Two standalone channels over the World's HCAs stand in for
+  // ranks 0 and 1, so the wiring order can be set by hand.
+  Config cfg;
+  cfg.vci.count = 2;
+  cfg.fault.enabled = true;
+  cfg.fault.link_flaps.push_back(
+      {.node = 0, .hca = 0, .port = 0, .down_at = sim::microseconds(1.0)});  // never up again
+  World w(ClusterSpec{2, 1}, cfg);
+  ASSERT_EQ(w.config().rails(), 1);
+  NetChannel a(w.endpoint(0), {&w.fabric().hca(0)});
+  NetChannel b(w.endpoint(1), {&w.fabric().hca(1)});
+  NetChannel::establish(a, b);  // VCI 0, port still up
+  w.simulator().run();          // the port goes down
+  a.ensure_vci(1, 1);           // VCI 1, behind the dead port
+  ASSERT_EQ(a.live_rails(1, 0), std::vector<int>{0});
+  ASSERT_TRUE(a.live_rails(1, 1).empty());
+  EXPECT_EQ(a.probe_ctl_rail(1, 1), -1) << "an RTS on VCI 1 was handed a down rail";
+  EXPECT_EQ(a.probe_ctl_rail(1, 0), 0);
 }
 
 }  // namespace

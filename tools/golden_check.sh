@@ -9,15 +9,24 @@
 # same commit, so the diff shows every number that moved:
 #   tools/golden_check.sh --update [build-dir]
 #
-# Usage: tools/golden_check.sh [--update] [build-dir]   (build-dir defaults to build)
+# With --json DIR each bench also writes its tables, as JSON lines, to
+# DIR/BENCH_<name>.json (through IB12X_JSON, which leaves stdout as it is);
+# a bench that prints no table writes no file.
+#
+# Usage: tools/golden_check.sh [--update] [--json DIR] [build-dir]
+#        (build-dir defaults to build)
 set -euo pipefail
 source "$(dirname "$0")/bench_lib.sh"
 
 update=0
-if [[ ${1:-} == --update ]]; then
-  update=1
-  shift
-fi
+json_dir=
+while (( $# > 0 )); do
+  case $1 in
+    --update) update=1; shift ;;
+    --json) json_dir=$(mkdir -p "$2" && cd "$2" && pwd); shift 2 ;;
+    *) break ;;
+  esac
+done
 build=${1:-build}
 golden="$(cd "$(dirname "$0")/.." && pwd)/bench/golden"
 
@@ -36,12 +45,17 @@ trap 'rm -rf "$out"' EXIT
 run_one() {
   local bin=$1 name rc=0
   name=$(basename "$bin")
-  "$bin" > "$OUT/$name.raw" 2>&1 || rc=$?
+  if [[ -n $JSON_DIR ]]; then
+    rm -f "$JSON_DIR/BENCH_$name.json"
+    IB12X_JSON="$JSON_DIR/BENCH_$name.json" "$bin" > "$OUT/$name.raw" 2>&1 || rc=$?
+  else
+    "$bin" > "$OUT/$name.raw" 2>&1 || rc=$?
+  fi
   mask_host_time "$name" < "$OUT/$name.raw" > "$OUT/$name.txt"
   echo "$rc" > "$OUT/$name.rc"
 }
 export -f run_one mask_host_time
-export OUT=$out
+export OUT=$out JSON_DIR=$json_dir
 
 printf '%s\n' "${rels[@]/#/$build/}" | xargs -P 4 -n 1 bash -c 'run_one "$0"'
 
