@@ -78,12 +78,6 @@ struct Config {
   /// rejected.
   std::int64_t rndv_pipeline_chunk = 0;
 
-  /// Pin-down cache byte budget (registered rendezvous buffers kept resident
-  /// for reuse).  0 = unlimited (never evict — the legacy behaviour).  When
-  /// exceeded, least-recently-used unpinned regions are deregistered and
-  /// `rndv.reg_cache_evictions` counts them.
-  std::int64_t reg_cache_capacity = 0;
-
   /// Rendezvous protocol family (ibvBench's enumeration).  WriteRtsCts is
   /// the paper's four-step write rendezvous and the default; ReadRts ships
   /// the sender's rkeys in the RTS and the receiver pulls with RDMA Read
@@ -94,16 +88,6 @@ struct Config {
   struct RndvConfig {
     enum class Protocol : std::uint8_t { WriteRtsCts = 0, ReadRts = 1, WriteImm = 2 };
     Protocol protocol = Protocol::WriteRtsCts;
-
-    /// Online adaptive scheduling (rndv_policy.hpp): pick protocol × stripe
-    /// width per (peer, size-class) by epsilon-greedy over observed
-    /// completion throughput, instead of the static protocol above.  Arms
-    /// whose stripe width exceeds the live-rail count are masked out.
-    bool adaptive = false;
-    double epsilon = 0.1;        ///< exploration rate (0..1)
-    std::uint64_t seed = 0;      ///< policy RNG stream (xored with the rank)
-    /// Cap on the stripe-width axis of the arm space (0 = up to rails()).
-    int max_width = 0;
   };
   RndvConfig rndv;
 

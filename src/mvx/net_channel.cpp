@@ -154,20 +154,16 @@ void NetChannel::wire_vci_group(NetChannel& a, NetChannel& b) {
         ib::Fabric::connect(qa, qb);
         a.rail_up_.inc();
         b.rail_up_.inc();
-        if (plan != nullptr) {
-          // Lazy wiring can land inside a link-down window: a QP created
-          // behind a dead port starts in the error state (its rail parks and
-          // probes for recovery like any mid-run failure).
-          const int ra = static_cast<int>(pa.rails.size()) - 1;
-          const int rb = static_cast<int>(pb.rails.size()) - 1;
-          if (plan->port_down(a.hcas_.at(static_cast<std::size_t>(h)), p)) {
-            qa.transition_to_error();
-            a.mark_rail_down(b.ep_.rank(), ra);
-          }
-          if (plan->port_down(b.hcas_.at(static_cast<std::size_t>(h)), p)) {
-            qb.transition_to_error();
-            b.mark_rail_down(a.ep_.rank(), rb);
-          }
+        // Lazy wiring can land inside a link-down window.  A pair wired
+        // across a dead port starts in the error state at both ends, as
+        // FaultPlan::apply leaves a pair whose link dies after wiring, and
+        // both rails park and probe for recovery like any mid-run failure.
+        if (plan != nullptr && (plan->port_down(a.hcas_.at(static_cast<std::size_t>(h)), p) ||
+                                plan->port_down(b.hcas_.at(static_cast<std::size_t>(h)), p))) {
+          qa.transition_to_error();
+          a.mark_rail_down(b.ep_.rank(), static_cast<int>(pa.rails.size()) - 1);
+          qb.transition_to_error();
+          b.mark_rail_down(a.ep_.rank(), static_cast<int>(pb.rails.size()) - 1);
         }
       }
     }

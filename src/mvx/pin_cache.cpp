@@ -38,8 +38,8 @@ struct BusyScope {
 }  // namespace
 
 PinCache::PinCache(const std::vector<ib::Hca*>& hcas, const Options& opts, Counter& hits,
-                   Counter& misses, Counter& evictions)
-    : hcas_(hcas), opts_(opts), hits_(hits), misses_(misses), evictions_(evictions) {
+                   Counter& misses)
+    : hcas_(hcas), opts_(opts), hits_(hits), misses_(misses) {
   next_live_ = g_live;
   if (g_live != nullptr) g_live->prev_live_ = this;
   g_live = this;
@@ -101,7 +101,6 @@ PinCache::Region* PinCache::acquire(const void* buf, std::int64_t bytes, sim::Ti
     *cpu_cost += opts_.hit_cpu;
     hits_.inc();
     ++r->pins;
-    if (opts_.capacity > 0) lru_.splice(lru_.end(), lru_, r->lru);  // most recently used
     return r;
   }
 
@@ -123,9 +122,6 @@ PinCache::Region* PinCache::acquire(const void* buf, std::int64_t bytes, sim::Ti
   misses_.inc();
   g_min_len = std::min(g_min_len, static_cast<std::size_t>(bytes));
   r->pins = 1;
-  if (opts_.capacity > 0) r->lru = lru_.insert(lru_.end(), r);
-  resident_bytes_ += bytes;
-  evict_to_capacity();
   return r;
 }
 
@@ -144,8 +140,6 @@ void PinCache::release(Region* r) {
 
 void PinCache::detach(Slot& slot) {
   Region* r = slot.region.get();
-  if (opts_.capacity > 0) lru_.erase(r->lru);
-  resident_bytes_ -= r->len;
   if (r->pins == 0) {
     deregister(r);
     slot.region.reset();
@@ -160,23 +154,6 @@ void PinCache::detach(Slot& slot) {
 
 void PinCache::deregister(Region* r) {
   for (std::size_t h = 0; h < hcas_.size(); ++h) hcas_[h]->mem().deregister(r->mr[h]);
-}
-
-void PinCache::evict_to_capacity() {
-  if (opts_.capacity <= 0) return;
-  auto it = lru_.begin();
-  while (resident_bytes_ > opts_.capacity && it != lru_.end()) {
-    Region* r = *it;
-    if (r->pins > 0) {
-      ++it;  // never evict an interval the hardware may still be writing from
-      continue;
-    }
-    it = lru_.erase(it);
-    resident_bytes_ -= r->len;
-    deregister(r);
-    regions_.erase(lower_bound(r->base));
-    evictions_.inc();
-  }
 }
 
 }  // namespace ib12x::mvx

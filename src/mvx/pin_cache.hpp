@@ -7,10 +7,10 @@
 // slices) reuse existing pins.
 //
 // Entries are reference-counted: an acquire pins the interval until the
-// matching release, and LRU eviction against the `Config::reg_cache_capacity`
-// byte budget only ever deregisters unpinned intervals (an interval evicted
-// while pinned lingers as a zombie and is deregistered on its last release —
-// real dreg's "delayed deregistration").
+// matching release.  The cache never evicts: an entry leaves it only when a
+// longer registration from the same base replaces it or when its host block
+// is freed.  An entry that leaves while pinned lingers as a zombie and is
+// deregistered on its last release (real dreg's "delayed deregistration").
 //
 // An entry dies with the host allocation it covers.  The cache keys on raw
 // host addresses, so an entry that outlived its buffer would let a later
@@ -22,7 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <vector>
 
@@ -40,7 +39,6 @@ namespace ib12x::mvx {
 class PinCache {
  public:
   struct Options {
-    std::int64_t capacity = 0;      ///< byte budget; 0 = unlimited (never evict)
     sim::Time hit_cpu = 0;
     sim::Time miss_cpu = 0;         ///< flat part of a registration
     sim::Time page_cpu = 0;         ///< per-4-KiB page pin cost on miss
@@ -52,12 +50,11 @@ class PinCache {
     std::int64_t len = 0;
     ib::MemoryRegion mr[kMaxHcas];
     int pins = 0;
-    bool zombie = false;  ///< evicted while pinned; deregister on last release
-    std::list<Region*>::iterator lru;  ///< valid only while capacity > 0
+    bool zombie = false;  ///< left the cache while pinned; deregister on last release
   };
 
   PinCache(const std::vector<ib::Hca*>& hcas, const Options& opts, Counter& hits,
-           Counter& misses, Counter& evictions);
+           Counter& misses);
   ~PinCache();
 
   PinCache(const PinCache&) = delete;
@@ -71,7 +68,7 @@ class PinCache {
 
   /// Drops every entry whose base lies in the host block [base, base+len),
   /// which is being freed.  A pinned entry becomes a zombie, deregistered on
-  /// its last release, the same way eviction treats it.
+  /// its last release.
   void forget(const void* base, std::size_t len);
 
   /// Called by the operator delete replacements before `block` returns to
@@ -80,7 +77,6 @@ class PinCache {
   /// Returns at once on a host worker thread (sim::on_host_worker()).
   static void forget_everywhere(void* block, std::size_t len) noexcept;
 
-  [[nodiscard]] std::int64_t resident_bytes() const { return resident_bytes_; }
   [[nodiscard]] std::size_t entries() const { return regions_.size(); }
 
  private:
@@ -104,24 +100,18 @@ class PinCache {
   /// last release to collect.
   void detach(Slot& slot);
   void deregister(Region* r);
-  void evict_to_capacity();
 
   std::vector<ib::Hca*> hcas_;  ///< copied: the cache may outlive its channel
   Options opts_;
 
   // Regions live on the heap so the Region* handles acquire hands out stay
-  // valid across detachment (a pinned entry replaced or evicted moves to
+  // valid across detachment (a pinned entry replaced or forgotten moves to
   // zombies_ without changing address) and across index inserts.
   std::vector<Slot> regions_;  ///< sorted by base address
-  /// Front = least recently used.  Kept only when the capacity can evict
-  /// (capacity > 0); an unlimited cache never reads it.
-  std::list<Region*> lru_;
   std::vector<std::unique_ptr<Region>> zombies_;
-  std::int64_t resident_bytes_ = 0;
 
   Counter& hits_;
   Counter& misses_;
-  Counter& evictions_;
 
   // Links in the list of live caches that forget_everywhere walks.
   PinCache* prev_live_ = nullptr;

@@ -60,7 +60,6 @@ Rendezvous::Rendezvous(Endpoint& ep, NetChannel& net)
       stripes_posted_(ep.telemetry().counter("rndv.stripes_posted")),
       reg_hits_(ep.telemetry().counter("rndv.reg_cache_hits")),
       reg_misses_(ep.telemetry().counter("rndv.reg_cache_misses")),
-      reg_evictions_(ep.telemetry().counter("rndv.reg_cache_evictions")),
       cts_chunks_(ep.telemetry().counter("rndv.cts_chunks")),
       pipeline_depth_(ep.telemetry().counter("rndv.pipeline_depth")),
       dup_ctl_dropped_(ep.telemetry().counter("rndv.dup_ctl_dropped")),
@@ -68,18 +67,13 @@ Rendezvous::Rendezvous(Endpoint& ep, NetChannel& net)
       read_stripes_(ep.telemetry().counter("rndv.read_stripes")),
       imm_sent_(ep.telemetry().counter("rndv.imm_sent")),
       imm_folded_(ep.telemetry().counter("rndv.imm_folded")),
-      done_sent_(ep.telemetry().counter("rndv.done_sent")),
-      policy_explore_(ep.telemetry().counter("rndv.policy_explore")),
-      policy_exploit_(ep.telemetry().counter("rndv.policy_exploit")) {
+      done_sent_(ep.telemetry().counter("rndv.done_sent")) {
   const Config& cfg = ep.config();
   PinCache::Options opts;
-  opts.capacity = cfg.reg_cache_capacity;
   opts.hit_cpu = cfg.reg_cache_hit;
   opts.miss_cpu = cfg.reg_cache_miss;
   opts.page_cpu = cfg.reg_page_cpu;
-  pin_cache_ = std::make_unique<PinCache>(net.hcas(), opts, reg_hits_, reg_misses_,
-                                          reg_evictions_);
-  if (cfg.rndv.adaptive) policy_ = std::make_unique<RndvPolicy>(cfg, ep.rank(), cfg.rails());
+  pin_cache_ = std::make_unique<PinCache>(net.hcas(), opts, reg_hits_, reg_misses_);
 }
 
 Rendezvous::~Rendezvous() = default;
@@ -110,32 +104,12 @@ Request Rendezvous::peek_cookie(std::uint64_t id) {
   return it->second;
 }
 
-// ------------------------------------------------------ protocol selection
-
-void Rendezvous::select_proto(int peer, std::int64_t bytes, const Request& req, SendState& ss) {
-  const Config& cfg = ep_.config();
-  ss.start = ep_.simulator().now();
-  if (policy_) {
-    const int live = net_.fault_enabled()
-                         ? static_cast<int>(net_.live_rails(peer, req->vci).size())
-                         : net_.nrails(peer);
-    bool explored = false;
-    ss.arm = policy_->choose(peer, bytes, live, &explored);
-    const RndvArm& arm = policy_->arm(ss.arm);
-    ss.proto = arm.proto;
-    ss.width = arm.width;
-    (explored ? policy_explore_ : policy_exploit_).inc();
-  } else {
-    ss.proto = static_cast<RndvProto>(static_cast<std::uint8_t>(cfg.rndv.protocol));
-  }
-}
+// ---------------------------------------------------------- send state
 
 sim::Time Rendezvous::prepare_read_rts(MsgHeader& hdr, const Request& req, std::int64_t bytes,
                                        SendState& ss, CtsRkeys& rkeys) {
   // The RTS itself carries everything the receiver needs to pull: the pinned
-  // source address (raddr), the per-HCA rkeys (payload), and the adaptive
-  // arm's forced stripe width (chunk field; 0 = receiver's choice).
-  hdr.chunk = ss.width > 0 ? static_cast<std::uint32_t>(ss.width) : 0;
+  // source address (raddr) and the per-HCA rkeys (payload).
   sim::Time cost = 0;
   if (bytes > 0) {
     PinCache::Region* reg = pin_cache_->acquire(req->send_buf, bytes, &cost);
@@ -154,12 +128,8 @@ Rendezvous::SendState& Rendezvous::send_state(std::uint64_t cookie) {
   return it->second;
 }
 
-void Rendezvous::end_send(std::uint64_t cookie, const Request& req) {
-  const SendState& ss = send_state(cookie);
-  for (PinCache::Region* r : ss.pins) pin_cache_->release(r);
-  if (policy_ && ss.arm >= 0) {
-    policy_->record(req->peer, req->bytes, ss.arm, ep_.simulator().now() - ss.start);
-  }
+void Rendezvous::end_send(std::uint64_t cookie) {
+  for (PinCache::Region* r : send_state(cookie).pins) pin_cache_->release(r);
   sends_.erase(cookie);
 }
 
@@ -195,9 +165,10 @@ sim::Time Rendezvous::open_send(int peer, CommKind kind, std::int64_t bytes, int
   hdr.size = static_cast<std::uint64_t>(bytes);
   hdr.sender_cookie = new_cookie(req);
   SendState& ss = sends_[hdr.sender_cookie];
-  select_proto(peer, bytes, req, ss);
-  hdr.proto = static_cast<std::uint8_t>(ss.proto);
-  if (ss.proto == RndvProto::ReadRts) return prepare_read_rts(hdr, req, bytes, ss, rkeys);
+  hdr.proto = static_cast<std::uint8_t>(cfg.rndv.protocol);
+  if (cfg.rndv.protocol == Config::RndvConfig::Protocol::ReadRts) {
+    return prepare_read_rts(hdr, req, bytes, ss, rkeys);
+  }
   ss.chunk_writes.assign(chunk_count(cfg, bytes), -1);
   return 0;
 }
@@ -296,25 +267,6 @@ void Rendezvous::accept(const MsgHeader& rts, const Request& req, const CtsRkeys
 
 // ---------------------------------------------------------- read rendezvous
 
-std::vector<Stripe> Rendezvous::plan_limited(int peer, int vci, std::int64_t base_off,
-                                             std::int64_t bytes, int width) {
-  const Config& cfg = ep_.config();
-  std::vector<int> cand = candidate_rails(peer, vci);
-  if (width > 0 && width < static_cast<int>(cand.size())) {
-    // Forced width: keep `width` candidates starting at the lane cursor so
-    // successive narrow transfers still rotate over the whole slice.
-    RailCursor& cur = net_.cursor(peer, vci);
-    std::vector<int> pick;
-    pick.reserve(static_cast<std::size_t>(width));
-    for (int k = 0; k < width; ++k) {
-      pick.push_back(cand[static_cast<std::size_t>((cur.next + k) % static_cast<int>(cand.size()))]);
-    }
-    cur.next = (cur.next + width) % static_cast<int>(cand.size());
-    cand.swap(pick);
-  }
-  return mvx::plan_stripes(bytes, base_off, cand, cfg.min_stripe, net_.cursor(peer, vci));
-}
-
 void Rendezvous::accept_read(const MsgHeader& rts, const Request& req, const CtsRkeys& rkeys) {
   const Config& cfg = ep_.config();
   const int peer = rts.src_rank;
@@ -338,9 +290,9 @@ void Rendezvous::accept_read(const MsgHeader& rts, const Request& req, const Cts
   std::array<ib::LKey, kMaxHcas> lkeys{};
   for (int h = 0; h < kMaxHcas; ++h) lkeys[static_cast<std::size_t>(h)] = reg->mr[h].lkey;
 
-  // rts.chunk carries the sender's forced stripe width (adaptive arm);
-  // 0 leaves the cut to this receiver's own policy inputs.
-  std::vector<Stripe> stripes = plan_limited(peer, vci, 0, total, static_cast<int>(rts.chunk));
+  // The pull is cut in equal stripes over the candidate rails.
+  std::vector<Stripe> stripes = mvx::plan_stripes(total, 0, candidate_rails(peer, vci),
+                                                  cfg.min_stripe, net_.cursor(peer, vci));
   if (stripes.empty()) stripes.push_back({vci * net_.nrails(peer), 0, total});
   rs.pending = static_cast<int>(stripes.size());
   read_stripes_.add(stripes.size());
@@ -550,14 +502,7 @@ void Rendezvous::start_chunk_writes(int peer, const Request& req, SendState& ss,
     for (int h = 0; h < kMaxHcas; ++h) lkeys[static_cast<std::size_t>(h)] = reg->mr[h].lkey;
   }
 
-  // A forced stripe width (adaptive arm) overrides the marker policy's cut.
-  std::vector<Stripe> stripes;
-  if (ss.width > 0) {
-    stripes = plan_limited(peer, req->vci, off, len, ss.width);
-    if (stripes.empty()) stripes.push_back({req->vci * net_.nrails(peer), off, len});
-  } else {
-    stripes = plan_stripes(peer, req, off, len);
-  }
+  const std::vector<Stripe> stripes = plan_stripes(peer, req, off, len);
   in_flight = static_cast<int>(stripes.size());
   ++ss.chunks_started;
   pipeline_depth_.track_max(ss.chunks_started - ss.chunks_landed);
@@ -567,7 +512,7 @@ void Rendezvous::start_chunk_writes(int peer, const Request& req, SendState& ss,
   // into that data write (true three-step rendezvous); any other message
   // moves as plain writes followed by a zero-byte trailing imm.
   bool fold = false;
-  if (ss.proto == RndvProto::WriteImm && !ss.imm_armed) {
+  if (cfg.rndv.protocol == Config::RndvConfig::Protocol::WriteImm && !ss.imm_armed) {
     ss.imm_armed = true;
     ss.imm = imm_word(req->vci, cts.receiver_cookie);
     fold = ss.chunk_writes.size() == 1 && stripes.size() == 1;
@@ -615,7 +560,7 @@ void Rendezvous::finish_send(int peer, std::uint64_t cookie, const Request& req)
   // receiver and complete the local send.  Under WriteImm the notification
   // already travelled with the immediate, so the FIN is elided.
   const bool elide_fin = send_state(cookie).imm_armed;
-  end_send(cookie, req);
+  end_send(cookie);
   if (!elide_fin) {
     MsgHeader fin;
     fin.type = MsgType::Fin;
@@ -770,7 +715,7 @@ void Rendezvous::on_done(const MsgHeader& hdr) {
   outstanding_.erase(oit);
   IB12X_DEBUG(ep_.simulator().now(), "rank%d: Done for cookie %llu", ep_.rank(),
               (unsigned long long)hdr.sender_cookie);
-  end_send(hdr.sender_cookie, req);
+  end_send(hdr.sender_cookie);
   ep_.schedule_cpu_vci(hdr.vci, ep_.config().ctl_cpu,
                        [this, req] { ep_.complete_request(req); });
 }

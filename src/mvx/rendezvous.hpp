@@ -13,9 +13,6 @@
 //    write is posted with an immediate carrying {vci, receiver cookie}, and
 //    the receiver completes straight off that CQE.
 //
-// With Config::rndv.adaptive the per-message choice moves to RndvPolicy, an
-// epsilon-greedy bandit over protocol × stripe width per (peer, size class).
-//
 // The write protocols have one data path, the registration pipeline of Liu
 // et al.: the receiver registers the target buffer in rndv_pipeline_chunk
 // pieces and streams one CTS per chunk as its registration completes, and
@@ -25,7 +22,7 @@
 // the whole message one chunk: one registration, one CTS, one set of
 // stripes, the paper's one-shot rendezvous.
 //
-// Buffer pinning goes through the PinCache (interval lookup, LRU eviction).
+// Buffer pinning goes through the PinCache (interval lookup, never evicted).
 // Every piece of protocol work runs on the message's VCI progress server.
 // Data and control movement go through the NetChannel so rail credits stay
 // in one place; the NetChannel's CQE demultiplexer calls back into this
@@ -42,8 +39,8 @@
 #include "mvx/channel.hpp"
 #include "mvx/payload.hpp"
 #include "mvx/pin_cache.hpp"
+#include "mvx/policy.hpp"
 #include "mvx/request.hpp"
-#include "mvx/rndv_policy.hpp"
 #include "mvx/telemetry.hpp"
 #include "sim/slab.hpp"
 
@@ -95,11 +92,6 @@ class Rendezvous {
   /// Sender-side state of one rendezvous, keyed by sender cookie: created
   /// with the RTS, erased when the send completes.
   struct SendState {
-    // Protocol choice, made at RTS time.
-    RndvProto proto = RndvProto::WriteRtsCts;
-    int arm = -1;    ///< RndvPolicy arm, -1 for static selection
-    int width = 0;   ///< forced stripe width, 0 = policy default
-    sim::Time start = 0;
     /// Sender pins: the whole buffer (ReadRts) or one per chunk (writes).
     std::vector<PinCache::Region*> pins;
     /// Write protocols: the stripes in flight per chunk, -1 until the
@@ -152,9 +144,8 @@ class Rendezvous {
                           const CtsRkeys& rkeys);
   /// Sends FIN (unless the protocol elided it) and completes the local send.
   void finish_send(int peer, std::uint64_t cookie, const Request& req);
-  /// Releases the sender pins, feeds the adaptive policy the observed
-  /// completion time and drops the send's state.
-  void end_send(std::uint64_t cookie, const Request& req);
+  /// Releases the sender pins and drops the send's state.
+  void end_send(std::uint64_t cookie);
   /// The state of an in-flight send; throws for an unknown cookie.
   SendState& send_state(std::uint64_t cookie);
   /// Releases the receiver pins of a write-protocol receive and drops its
@@ -168,23 +159,17 @@ class Rendezvous {
   /// slice).
   int rts_rail(int peer, CommKind kind, int vci);
   /// Fills the RTS of one outgoing rendezvous: claims its sequence number
-  /// and sender cookie, opens its SendState and picks its protocol.  ReadRts
-  /// pins the send buffer and fills `rkeys`; returns that pin cost (else 0).
+  /// and sender cookie, opens its SendState and names Config::rndv.protocol.
+  /// ReadRts pins the send buffer and fills `rkeys`; returns that pin cost
+  /// (else 0).
   sim::Time open_send(int peer, CommKind kind, std::int64_t bytes, int tag, int ctx,
                       const Request& req, MsgHeader& hdr, CtsRkeys& rkeys);
-  /// Picks the protocol (and forced width) for one outgoing rendezvous into
-  /// `ss`; WriteRtsCts with everything off.
-  void select_proto(int peer, std::int64_t bytes, const Request& req, SendState& ss);
-  /// Pins the send buffer for a ReadRts RTS and fills raddr/width/rkeys.
+  /// Pins the send buffer for a ReadRts RTS and fills raddr/rkeys.
   /// Returns the pin cost to charge.
   sim::Time prepare_read_rts(MsgHeader& hdr, const Request& req, std::int64_t bytes,
                              SendState& ss, CtsRkeys& rkeys);
   /// Receiver side of a ReadRts RTS: pin, plan read stripes, post the pulls.
   void accept_read(const MsgHeader& rts, const Request& req, const CtsRkeys& rkeys);
-  /// Stripe planning over at most `width` candidate rails (0 = all of
-  /// them), shared by reads and width-forced writes.
-  std::vector<Stripe> plan_limited(int peer, int vci, std::int64_t base_off, std::int64_t bytes,
-                                   int width);
   /// All read stripes landed: release pins, send Done, complete the receive.
   void finish_read(std::uint64_t rcookie);
   /// Re-plans a failed read stripe over the live rails (receiver side).
@@ -214,7 +199,6 @@ class Rendezvous {
   std::map<std::uint64_t, Request> outstanding_;
   std::map<std::uint64_t, SendState> sends_;
   std::map<std::uint64_t, RecvState> recvs_;
-  std::unique_ptr<RndvPolicy> policy_;  ///< only with Config::rndv.adaptive
   std::uint64_t next_cookie_ = 1;
 
   Counter& rts_sent_;
@@ -222,7 +206,6 @@ class Rendezvous {
   Counter& stripes_posted_;
   Counter& reg_hits_;
   Counter& reg_misses_;
-  Counter& reg_evictions_;
   Counter& cts_chunks_;
   Counter& pipeline_depth_;  ///< high-water mark of chunks in flight (track_max)
   Counter& dup_ctl_dropped_;  ///< replayed CTS/FIN duplicates discarded
@@ -231,8 +214,6 @@ class Rendezvous {
   Counter& imm_sent_;        ///< trailing imm posts
   Counter& imm_folded_;      ///< imm rode the data write
   Counter& done_sent_;
-  Counter& policy_explore_;
-  Counter& policy_exploit_;
 };
 
 }  // namespace ib12x::mvx

@@ -18,9 +18,9 @@ enum class MsgType : std::uint8_t {
   Done,   ///< read-rendezvous finished, receiver → sender (control, unordered)
 };
 
-/// Selectable rendezvous protocol, carried in the RTS so the receiver obeys
-/// the *sender's* choice (the two sides may be configured differently, and
-/// the adaptive policy decides per message).  Values are wire format.
+/// Selectable rendezvous protocol (Config::rndv.protocol), carried in the RTS
+/// so the receiver obeys the *sender's* choice (the two sides may be
+/// configured differently).  Values are wire format.
 enum class RndvProto : std::uint8_t {
   WriteRtsCts = 0,  ///< four-step RTS / CTS / RDMA-write / FIN (the paper's)
   ReadRts = 1,      ///< three-step: RTS carries rkeys, receiver RDMA-reads, Done
@@ -44,7 +44,6 @@ struct MsgHeader {
                                  ///< / ReadRts: sender buffer address
   std::uint32_t rkey = 0;        ///< Cts: receiver buffer rkey
   std::uint32_t chunk = 0;       ///< Cts: chunk index within the message
-                                 ///< / ReadRts: forced stripe width (0 = receiver's choice)
 };
 
 inline constexpr std::size_t kHeaderBytes = sizeof(MsgHeader);

@@ -96,25 +96,11 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
         "vci.count, or fewer VCIs");
   }
 
-  // Rendezvous-protocol knobs: fail fast on nonsense arm spaces.
-  if (cfg_.rndv.epsilon < 0.0 || cfg_.rndv.epsilon > 1.0) {
-    throw std::invalid_argument(
-        "Config: rndv.epsilon = " + std::to_string(cfg_.rndv.epsilon) +
-        " is out of range: the exploration rate is a probability.  Supported "
-        "combinations: 0 <= rndv.epsilon <= 1");
-  }
   if (cfg_.rndv_pipeline_chunk < 0) {
     throw std::invalid_argument(
         "Config: rndv_pipeline_chunk = " + std::to_string(cfg_.rndv_pipeline_chunk) +
         " is out of range: it is a registration chunk size in bytes.  Supported "
         "combinations: 0 (the whole message is one chunk) or rndv_pipeline_chunk > 0");
-  }
-  if (cfg_.rndv.max_width < 0 || cfg_.rndv.max_width > cfg_.rails()) {
-    throw std::invalid_argument(
-        "Config: rndv.max_width = " + std::to_string(cfg_.rndv.max_width) +
-        " conflicts with rails() = " + std::to_string(cfg_.rails()) +
-        ": a stripe cannot spread over more rails than a peer pair has.  "
-        "Supported combinations: 0 (no cap) <= rndv.max_width <= rails()");
   }
 
   fabric_ = std::make_unique<ib::Fabric>(sim_, cfg_.hca, cfg_.fabric, cfg_.topo);

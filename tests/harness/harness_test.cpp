@@ -87,8 +87,7 @@ TEST(TelemetryTable, ExposesRendezvousAndDoorbellCounters) {
   for (std::size_t i = 0; i < t.row_count(); ++i) rows[t.row_label(i)] = t.value(i, 0);
   for (const char* name :
        {"rndv.rts_sent", "rndv.bytes_sent", "rndv.stripes_posted", "rndv.reg_cache_hits",
-        "rndv.reg_cache_misses", "rndv.reg_cache_evictions", "rndv.cts_chunks",
-        "rndv.pipeline_depth", "hca.doorbells"}) {
+        "rndv.reg_cache_misses", "rndv.cts_chunks", "rndv.pipeline_depth", "hca.doorbells"}) {
     ASSERT_TRUE(rows.count(name)) << name << " missing from telemetry table";
   }
   EXPECT_GT(rows["rndv.cts_chunks"], 0.0);

@@ -114,8 +114,7 @@ TEST(BlockPool, BlockReleasedWhileRegisteredForgetsItsRegistration) {
   TelemetryRegistry tel;
   Counter& hits = tel.counter("hits");
   Counter& misses = tel.counter("misses");
-  Counter& evictions = tel.counter("evictions");
-  PinCache cache({hca}, PinCache::Options{}, hits, misses, evictions);
+  PinCache cache({hca}, PinCache::Options{}, hits, misses);
 
   auto v = std::make_unique<PoolVector<std::byte>>(512 * kKiB);
   const std::byte* block = v->data();

@@ -1,6 +1,6 @@
 // Pipelined zero-copy rendezvous: correctness across sizes and policies,
-// chunked-CTS accounting, the one-chunk default, pin-down cache reuse and
-// eviction under a byte budget, doorbell batching of read pulls, and the
+// chunked-CTS accounting, the one-chunk default, pin-down cache reuse,
+// doorbell batching of read pulls, and the
 // stripe-planning fixes (weighted clamp, base-rail rotation).
 #include <gtest/gtest.h>
 
@@ -115,36 +115,6 @@ TEST(RndvPipeline, PinCacheReusedAcrossMessagesAndInteriorSends) {
   // receive side allocates per iter), so allow those misses but no sender
   // ones beyond the first pass.
   EXPECT_LT(misses, 3u * 2u * 8u);
-}
-
-TEST(RndvPipeline, EvictionBoundsRegionCountOverManySends) {
-  Config cfg = pipelined(2, Policy::EPC);
-  cfg.reg_cache_capacity = 512 * 1024;  // force steady-state eviction
-  cfg.rndv_pipeline_chunk = 64 * 1024;
-  World w(ClusterSpec{2, 1}, cfg);
-
-  constexpr int kSends = 1000;
-  constexpr std::size_t kBytes = 64 * 1024;
-  constexpr int kDistinctBufs = 32;  // rotate so the cache can never hold all
-  std::size_t regions_after_warmup = 0;
-  w.run([&](Communicator& c) {
-    std::vector<std::vector<std::byte>> bufs;
-    for (int i = 0; i < kDistinctBufs; ++i) bufs.emplace_back(kBytes);
-    for (int i = 0; i < kSends; ++i) {
-      auto& buf = bufs[static_cast<std::size_t>(i % kDistinctBufs)];
-      if (c.rank() == 0) {
-        c.send(buf.data(), kBytes, BYTE, 1, 0);
-      } else {
-        c.recv(buf.data(), kBytes, BYTE, 0, 0);
-      }
-      if (i == 2 * kDistinctBufs && c.rank() == 0) {
-        regions_after_warmup = w.fabric().hca(0).mem().region_count();
-      }
-    }
-  });
-  // MR count must not grow across 1000 sends: eviction really deregisters.
-  EXPECT_GT(w.telemetry().counter_value("rndv.reg_cache_evictions"), 0u);
-  EXPECT_LE(w.fabric().hca(0).mem().region_count(), regions_after_warmup);
 }
 
 TEST(RndvPipeline, StripeBatchesPostDeferredAndRingPerInvolvedQp) {

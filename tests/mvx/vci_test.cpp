@@ -478,5 +478,37 @@ TEST(VciFaultSoak, QueuedRtsProbeJudgesLivenessWithinItsVciSlice) {
   EXPECT_EQ(a.probe_ctl_rail(1, 0), 0);
 }
 
+TEST(VciFaultSoak, PairWiredBehindADeadPortIsDownAtBothEnds) {
+  // A link that dies after wiring errors both QPs of the pair
+  // (FaultPlan::apply); a pair wired while one end's port is already down
+  // must start out the same way, or the end whose port is up keeps a live
+  // rail into a dead link and learns of it only from its first failed send.
+  // Node 1's port is down from 1 us to 100 us; two standalone channels over
+  // the World's HCAs stand in for ranks 0 and 1 and are wired at 10 us.
+  Config cfg;
+  cfg.fault.enabled = true;
+  cfg.fault.link_flaps.push_back({.node = 1,
+                                  .hca = 0,
+                                  .port = 0,
+                                  .down_at = sim::microseconds(1.0),
+                                  .up_at = sim::microseconds(100.0)});
+  World w(ClusterSpec{2, 1}, cfg);
+  ASSERT_EQ(w.config().rails(), 1);
+  NetChannel a(w.endpoint(0), {&w.fabric().hca(0)});
+  NetChannel b(w.endpoint(1), {&w.fabric().hca(1)});
+  w.simulator().run_until(sim::microseconds(10.0));  // node 1's port goes down
+  NetChannel::establish(a, b);
+  EXPECT_TRUE(a.live_rails(1, 0).empty()) << "rank 0's rail into the dead link reads up";
+  EXPECT_TRUE(b.live_rails(0, 0).empty());
+  for (int h : {0, 1}) {
+    ASSERT_EQ(w.fabric().hca(h).port_qps(0).size(), 1u);
+    EXPECT_EQ(w.fabric().hca(h).port_qps(0)[0]->state(), ib::QpState::Error) << "hca " << h;
+  }
+  // The port comes back: the FaultPlan resets the pair and both rails recover.
+  w.simulator().run();
+  EXPECT_EQ(a.live_rails(1, 0), std::vector<int>{0});
+  EXPECT_EQ(b.live_rails(0, 0), std::vector<int>{0});
+}
+
 }  // namespace
 }  // namespace ib12x::mvx
