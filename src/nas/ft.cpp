@@ -6,6 +6,7 @@
 
 #include "mvx/block_pool.hpp"
 #include "nas/fft.hpp"
+#include "sim/host_pool.hpp"
 #include "sim/rng.hpp"
 
 namespace ib12x::nas {
@@ -68,17 +69,22 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
   // alltoall writes recvbuf again; after that alltoall sendbuf takes the
   // z-slab back for the inverse x/y FFTs and the checksum.  The slabs come
   // from the process's BlockPool (mvx/block_pool.hpp), so their pages fault
-  // in once per process, not once per call.
+  // in once per process, not once per call.  u0 is seeded by a host job that
+  // overlaps the opening barrier (DESIGN.md §4a): it writes only recvbuf,
+  // which the barrier never sees.
   PoolVector<Complex> sendbuf(slab_points);
   PoolVector<Complex> recvbuf(xslab_points);
   PoolVector<Complex> spectrum(xslab_points);  // x-slab, layout [xl][z][y]
-  for (int z = 0; z < nzl; ++z) {
-    sim::Rng rng(0xf7 + static_cast<std::uint64_t>(r * nzl + z) * 104729);
-    Complex* plane = recvbuf.data() + static_cast<std::size_t>(z) * ny * nx;
-    for (std::size_t i = 0; i < static_cast<std::size_t>(ny) * nx; ++i) {
-      plane[i] = Complex(rng.next_double() - 0.5, rng.next_double() - 0.5);
+  auto seed = [&] {
+    for (int z = 0; z < nzl; ++z) {
+      sim::Rng rng(0xf7 + static_cast<std::uint64_t>(r * nzl + z) * 104729);
+      Complex* plane = recvbuf.data() + static_cast<std::size_t>(z) * ny * nx;
+      for (std::size_t i = 0; i < static_cast<std::size_t>(ny) * nx; ++i) {
+        plane[i] = Complex(rng.next_double() - 0.5, rng.next_double() - 0.5);
+      }
     }
-  }
+  };
+  sim::HostJob seeding(seed);
 
   // The compute phases' host jobs may touch these buffers: every exchange
   // below is a blocking collective, so no request references them then.
@@ -186,6 +192,7 @@ FtResult run_ft(Communicator& comm, const FtParams& P) {
 
   FtResult result;
   comm.barrier();
+  seeding.join();
   const sim::Time t0 = comm.now();
 
   // ---- forward 3-D FFT (once) ----

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "mvx/block_pool.hpp"
+#include "sim/host_pool.hpp"
 #include "sim/rng.hpp"
 
 namespace ib12x::nas {
@@ -52,15 +53,21 @@ IsResult run_is(Communicator& comm, const IsParams& P) {
   };
   // The key arrays come from the process's BlockPool (mvx/block_pool.hpp):
   // every rank maps and faults them in once per process, not once per call.
+  // The keys are hashed by a host job that overlaps the opening barrier
+  // (DESIGN.md §4a): it writes only `keys`, which the barrier never sees.
   PoolVector<std::int32_t> keys(static_cast<std::size_t>(n_local));
-  for (std::int64_t i = 0; i < n_local; ++i) {
-    keys[static_cast<std::size_t>(i)] =
-        hashed_key(static_cast<std::uint64_t>(r) * static_cast<std::uint64_t>(n_local) +
-                   static_cast<std::uint64_t>(i));
-  }
+  auto generate = [&] {
+    for (std::int64_t i = 0; i < n_local; ++i) {
+      keys[static_cast<std::size_t>(i)] =
+          hashed_key(static_cast<std::uint64_t>(r) * static_cast<std::uint64_t>(n_local) +
+                     static_cast<std::uint64_t>(i));
+    }
+  };
+  sim::HostJob keygen(generate);
 
   IsResult result;
   comm.barrier();
+  keygen.join();
   const sim::Time t0 = comm.now();
 
   std::vector<std::int64_t> send_counts(static_cast<std::size_t>(p));

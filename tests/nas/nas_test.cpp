@@ -1,6 +1,7 @@
-// NAS kernel correctness: bit-exact FFT and divider arithmetic, IS
-// verification/determinism across configurations, FT self-consistency
-// (inverse-of-forward), checksum invariance and bit-exact checksums.
+// NAS kernel correctness: bit-exact FFT (at both butterfly widths) and
+// divider arithmetic, IS verification/determinism across configurations, FT
+// self-consistency (inverse-of-forward), checksum invariance and bit-exact
+// checksums, with and without skewed arrival at each kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -145,6 +146,83 @@ TEST(Fft, ColumnsMatchPerColumnTransform) {
   }
   std::vector<Complex> grid(n * 4);
   EXPECT_THROW(fft.transform_columns(grid.data(), 5, 4, -1), std::invalid_argument);
+}
+
+// Every column of a batched transform at width `w` against the textbook
+// kernel, for n = 2…512, both signs, and counts 1, 3, 64 and 128 with a
+// stride above the count; the columns outside the batch stay as they were.
+void expect_columns_match_textbook(FftWidth w) {
+  for (std::size_t n = 2; n <= 512; n <<= 1) {
+    Fft fft(n);
+    for (std::size_t count : {1, 3, 64, 128}) {
+      const std::size_t stride = count + 5;
+      for (int sign : {-1, +1}) {
+        const std::vector<Complex> grid = seeded_points(n * stride, n * 1009 + count * 7 + stride);
+        std::vector<Complex> batched = grid;
+        fft.transform_columns(batched.data(), count, stride, sign, w);
+        for (std::size_t c = 0; c < stride; ++c) {
+          std::vector<Complex> want(n), got(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            want[i] = grid[i * stride + c];
+            got[i] = batched[i * stride + c];
+          }
+          if (c < count) textbook_transform(want, sign);
+          ASSERT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(Complex)), 0)
+              << "n=" << n << " count=" << count << " sign=" << sign << " col=" << c;
+        }
+      }
+    }
+  }
+}
+
+/// transform() at width `w` against the textbook kernel, n = 2…512.
+void expect_transform_matches_textbook(FftWidth w) {
+  for (std::size_t n = 2; n <= 512; n <<= 1) {
+    Fft fft(n);
+    for (int sign : {-1, +1}) {
+      std::vector<Complex> want = seeded_points(n, n * 37 + static_cast<std::uint64_t>(sign + 1));
+      std::vector<Complex> got = want;
+      textbook_transform(want, sign);
+      fft.transform(got.data(), sign, w);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(Complex)), 0)
+          << "n=" << n << " sign=" << sign;
+    }
+  }
+}
+
+TEST(Fft, ColumnsMatchTextbookBitForBit) { expect_columns_match_textbook(Fft::width()); }
+
+// The portable kernel runs on every host, AVX2 hosts included, so its bits
+// are checked wherever the tests run.
+TEST(Fft, TwoWideMatchesTextbookBitForBit) {
+  ASSERT_TRUE(Fft::supports(FftWidth::Two));
+  expect_transform_matches_textbook(FftWidth::Two);
+  expect_columns_match_textbook(FftWidth::Two);
+}
+
+TEST(Fft, FourWideMatchesTwoWideAndTextbookBitForBit) {
+  if (!Fft::supports(FftWidth::Four)) {
+    EXPECT_EQ(Fft::width(), FftWidth::Two);
+    GTEST_SKIP() << "the host CPU has no AVX2, so the four-wide kernel cannot run here";
+  }
+  EXPECT_EQ(Fft::width(), FftWidth::Four);
+  expect_transform_matches_textbook(FftWidth::Four);
+  expect_columns_match_textbook(FftWidth::Four);
+  // The two widths side by side on one input, an odd column count included.
+  const std::size_t n = 256, count = 37, stride = 40;
+  Fft fft(n);
+  for (int sign : {-1, +1}) {
+    const std::vector<Complex> grid = seeded_points(n * stride, 4242 + static_cast<std::uint64_t>(sign + 1));
+    std::vector<Complex> two = grid, four = grid;
+    fft.transform_columns(two.data(), count, stride, sign, FftWidth::Two);
+    fft.transform_columns(four.data(), count, stride, sign, FftWidth::Four);
+    EXPECT_EQ(std::memcmp(two.data(), four.data(), grid.size() * sizeof(Complex)), 0) << sign;
+    two.assign(grid.begin(), grid.begin() + n);
+    four = two;
+    fft.transform(two.data(), sign, FftWidth::Two);
+    fft.transform(four.data(), sign, FftWidth::Four);
+    EXPECT_EQ(std::memcmp(two.data(), four.data(), n * sizeof(Complex)), 0) << sign;
+  }
 }
 
 TEST(Fft, RejectsNonPowerOfTwo) {
@@ -401,6 +479,53 @@ TEST(NasIsFt, ColdAndWarmBlockPoolGiveIdenticalDigests) {
   EXPECT_EQ(cold.telemetry, warm.telemetry);
   EXPECT_GT(cold.telemetry.at("rndv.reg_cache_misses"), 0.0);
   EXPECT_GT(cold.telemetry.at("rndv.reg_cache_hits"), 0.0);
+}
+
+/// Class S IS then FT on 2x2 ranks, rank r first computing skew[2r] before
+/// IS and skew[2r + 1] before FT, as perfbench's nas_is_ft does; rank 0's
+/// checksums.
+struct IsFtChecksums {
+  std::uint64_t is = 0;
+  std::vector<Complex> ft;
+};
+
+IsFtChecksums run_skewed(const std::vector<sim::Time>& skew) {
+  World w(ClusterSpec{2, 2}, Config::enhanced(4, Policy::EPC));
+  IsFtChecksums out;
+  w.run([&](mvx::Communicator& c) {
+    const auto r = static_cast<std::size_t>(c.rank());
+    c.compute(skew[2 * r]);
+    const IsResult is = run_is(c, NasClass::S);
+    c.compute(skew[2 * r + 1]);
+    const FtResult ft = run_ft(c, NasClass::S);
+    EXPECT_TRUE(is.verified && ft.verified);
+    if (r == 0) {
+      out.is = is.checksum;
+      out.ft = ft.checksums;
+    }
+  });
+  return out;
+}
+
+TEST(NasIsFt, ArrivalSkewDoesNotChangeChecksums) {
+  // Each kernel's setup job (IS key hashing, FT field seeding) runs while
+  // its rank waits in the opening barrier, however late the other ranks
+  // arrive; the results must not depend on it.
+  const IsFtChecksums even = run_skewed(std::vector<sim::Time>(8, 0));
+  EXPECT_EQ(even.is, 0xcdc4d781f928fcf0ull);
+  ASSERT_EQ(even.ft.size(), 4u);
+  for (std::uint64_t seed : {1u, 4242u}) {
+    sim::Rng rng(seed);
+    std::vector<sim::Time> skew(8);
+    for (sim::Time& t : skew) t = sim::nanoseconds(static_cast<double>(rng.next_below(20000)));
+    const IsFtChecksums skewed = run_skewed(skew);
+    EXPECT_EQ(skewed.is, even.is) << "seed " << seed;
+    ASSERT_EQ(skewed.ft.size(), even.ft.size());
+    for (std::size_t i = 0; i < even.ft.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&skewed.ft[i], &even.ft[i], sizeof(Complex)), 0)
+          << "seed " << seed << " iter " << i;
+    }
+  }
 }
 
 TEST(NasIs, RejectsNonPowerOfTwoMaxKey) {
